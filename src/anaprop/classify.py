@@ -6,7 +6,9 @@ triplet qualifies exactly when diff(a,b) == diff(c,query), so the vote is
 computed by grouping ordered training pairs by their difference vector
 once (quadratic) and then, per query, looking up diff(c,query) for each
 candidate c.  The vote counts are identical to the cubic enumeration;
-tests cross-check against a literal triple loop.
+tests cross-check against a literal triple loop.  The pair index can take
+one row out and put it back, so leave-one-out scoring downdates a single
+index instead of rebuilding it per row.
 
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
@@ -14,7 +16,8 @@ confidence), the selected-triplet classifier (competent pairs plus a
 near-neighbor bound on c), the case-analysis classifier that resolves
 mixed pair groups by solving a Bongard separation problem over the shared
 context, a Hamming kNN baseline, and a seeded stratified cross-validation
-harness.
+harness that builds one model per fold, whatever the size of a grid
+search over the neighbor parameter.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-from .core import Diff, Item, SchemaError, hamming
+from .core import Diff, Item, SchemaError, diff, hamming
 from .data import DataError, Dataset
 
 STRATEGIES = ("baseline", "selected", "bongard", "knn")
@@ -81,14 +84,25 @@ class _Group:
         self.pairs: Optional[list[tuple[int, int]]] = [] if keep_pairs else None
 
 
-class _PairGroups:
-    """All ordered training pairs (including identical indices) grouped by
-    their difference vector."""
+class PairIndex:
+    """All ordered pairs of live training rows (including identical
+    indices) grouped by their difference vector.
+
+    Every row starts live.  ``remove_row`` and ``add_row`` take a row out
+    of the index and put it back, updating only the pairs that touch it,
+    so leaving one row out costs O(n·m) instead of a fresh O(n²·m) build;
+    the result is the index a fresh build over the live rows would give.
+    """
 
     def __init__(self, train: Dataset, keep_pairs: bool = False):
         self.groups: dict[Diff, _Group] = {}
-        items = train.items
-        labels = train.labels
+        self._items = train.items
+        self._labels = train.labels
+        self._label_order = train.class_attr.domain
+        self._keep_pairs = keep_pairs
+        self._live = [True] * len(train)
+        items = self._items
+        labels = self._labels
         groups = self.groups
         for i, a in enumerate(items):
             la = labels[i]
@@ -110,32 +124,60 @@ class _PairGroups:
                 if g.pairs is not None:
                     g.pairs.append((i, j))
 
+    def _update(self, i: int, j: int, step: int) -> None:
+        d = diff(self._items[i], self._items[j])
+        g = self.groups.get(d)
+        if g is None:
+            g = self.groups[d] = _Group(self._keep_pairs)
+        g.total += step
+        la, lb = self._labels[i], self._labels[j]
+        if la == lb:
+            g.n_same += step
+        else:
+            count = g.tilts.get((la, lb), 0) + step
+            if count:
+                g.tilts[(la, lb)] = count
+            else:
+                del g.tilts[(la, lb)]
+        if g.pairs is not None:
+            if step > 0:
+                g.pairs.append((i, j))
+            else:
+                g.pairs.remove((i, j))
+        if not g.total:
+            del self.groups[d]
 
-def _check_query(train: Dataset, query: Item) -> None:
-    if len(query) != train.schema.arity:
-        raise SchemaError(
-            f"query arity {len(query)} does not match schema arity "
-            f"{train.schema.arity}"
-        )
+    def _touch(self, i: int, step: int) -> None:
+        for j, live in enumerate(self._live):  # row i itself is not live here
+            if live:
+                self._update(i, j, step)
+                self._update(j, i, step)
+        self._update(i, i, step)
 
+    def remove_row(self, i: int) -> None:
+        """Take row ``i`` out: drop the pairs (i,j), (j,i) and (i,i)."""
+        if not self._live[i]:
+            raise ValueError(f"row {i} is not in the index")
+        self._live[i] = False
+        self._touch(i, -1)
 
-class BruteForceModel:
-    """Baseline triplet-vote classifier with the pair index built once."""
+    def add_row(self, i: int) -> None:
+        """Put a removed row ``i`` back with all its pairs."""
+        if self._live[i]:
+            raise ValueError(f"row {i} is already in the index")
+        self._touch(i, +1)
+        self._live[i] = True
 
-    def __init__(self, train: Dataset):
-        if len(train) == 0:
-            raise DataError("cannot classify from an empty training set")
-        self._train = train
-        self._groups = _PairGroups(train).groups
-        self._label_order = train.class_attr.domain
-
-    def classify(self, query: Item) -> Prediction:
-        _check_query(self._train, query)
+    def vote(self, query: Item) -> Prediction:
+        """Baseline triplet vote for ``query`` with c ranging over the
+        live rows in dataset order."""
         votes: Counter = Counter()
         examined = 0
-        labels = self._train.labels
-        groups = self._groups
-        for idx, c in enumerate(self._train.items):
+        labels = self._labels
+        groups = self.groups
+        for idx, c in enumerate(self._items):
+            if not self._live[idx]:
+                continue
             d = tuple(None if x == y else (x, y) for x, y in zip(c, query))
             g = groups.get(d)
             if g is None:
@@ -148,6 +190,34 @@ class BruteForceModel:
                 if la == lc:
                     votes[lb] += count
         return _prediction(votes, examined, self._label_order)
+
+
+def _check_query(train: Dataset, query: Item) -> None:
+    if len(query) != train.schema.arity:
+        raise SchemaError(
+            f"query arity {len(query)} does not match schema arity "
+            f"{train.schema.arity}"
+        )
+
+
+def _nearest_first(items: Sequence[Item], query: Item) -> list[int]:
+    """Row indices by increasing Hamming distance to the query, ties by
+    dataset order."""
+    return sorted(range(len(items)), key=lambda i: (hamming(items[i], query), i))
+
+
+class BruteForceModel:
+    """Baseline triplet-vote classifier with the pair index built once."""
+
+    def __init__(self, train: Dataset):
+        if len(train) == 0:
+            raise DataError("cannot classify from an empty training set")
+        self._train = train
+        self._index = PairIndex(train)
+
+    def classify(self, query: Item) -> Prediction:
+        _check_query(self._train, query)
+        return self._index.vote(query)
 
 
 def brute_force_classify(train: Dataset, query: Item) -> Prediction:
@@ -169,15 +239,22 @@ class SuitabilityReport:
 
 def analogical_suitability(train: Dataset) -> SuitabilityReport:
     """Leave each example out, classify it with the baseline, and report
-    the error ratio over the non-abstained predictions."""
+    the error ratio over the non-abstained predictions.
+
+    One pair index over all rows serves every holdout: the left-out row
+    is removed from it before its vote and added back after, so the whole
+    sweep costs O(n²·m) instead of a fresh build per row."""
     n = len(train)
     if n < 4:
         raise DataError(f"suitability needs at least 4 examples, got {n}")
+    model = BruteForceModel(train)
+    index = model._index
     wrong = 0
     abstained = 0
     for i in range(n):
-        rest = train.subset([j for j in range(n) if j != i])
-        pred = BruteForceModel(rest).classify(train.items[i])
+        index.remove_row(i)
+        pred = model.classify(train.items[i])
+        index.add_row(i)
         if pred.abstained:
             abstained += 1
         elif pred.label != train.labels[i]:
@@ -385,7 +462,8 @@ class BongardModel:
             raise DataError("max_literals must be at least 1")
         self._train = train
         self._max_literals = max_literals
-        self._groups = _PairGroups(train, keep_pairs=True).groups
+        self._index = PairIndex(train, keep_pairs=True)
+        self._groups = self._index.groups
         self._label_order = train.class_attr.domain
         self._analysis: dict[Diff, tuple] = {}
 
@@ -432,9 +510,7 @@ class BongardModel:
         _check_query(self._train, query)
         items = self._train.items
         labels = self._train.labels
-        order = sorted(range(len(items)),
-                       key=lambda i: (hamming(items[i], query), i))
-        for idx in order:
+        for idx in _nearest_first(items, query):
             c = items[idx]
             d = tuple(None if x == y else (x, y) for x, y in zip(c, query))
             kind, g, extra = self._analyze(d)
@@ -497,10 +573,8 @@ class KnnModel:
 
     def classify(self, query: Item) -> Prediction:
         _check_query(self._train, query)
-        items = self._train.items
         labels = self._train.labels
-        ranked = sorted(range(len(items)),
-                        key=lambda i: (hamming(items[i], query), i))
+        ranked = _nearest_first(self._train.items, query)
         votes = Counter(labels[i] for i in ranked[: self._k])
         return Prediction(_majority(votes, self._label_order), dict(votes), 0, False)
 
@@ -671,112 +745,172 @@ def _mining_subset(train: Dataset, fraction: Optional[float],
     return train.subset(sorted(order[:take]))
 
 
-def _build_model(train: Dataset, config: CvConfig, fold: int):
+#: The neighbor parameter a grid search varies, per strategy.
+GRID_PARAMETERS = {"bongard": "neighbor_budget", "knn": "k"}
+
+
+def _prefix_votes(stream, cuts: Sequence[int]) -> dict[int, tuple[Counter, int]]:
+    """Votes and summed weights over the first ``cut`` (vote, weight)
+    entries of ``stream``, for each cut; the stream is read no further
+    than the largest cut, and a cut past its end takes all of it."""
+    out: dict[int, tuple[Counter, int]] = {}
+    votes: Counter = Counter()
+    weight = 0
+    taken = 0
+    entries = iter(stream)
+    for cut in sorted(set(cuts)):
+        for vote, w in entries:
+            votes[vote] += 1
+            weight += w
+            taken += 1
+            if taken >= cut:
+                break
+        out[cut] = (Counter(votes), weight)
+    return out
+
+
+def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int):
+    """One model for a training fold, shared by every config (they differ
+    only in the grid parameter).  Returns ``(predict, brute)``: ``predict``
+    maps a query to one Prediction per config, and ``brute()`` gives the
+    brute-force fallback classifier; ``brute`` is None where that fallback
+    is never asked (kNN does not abstain) or would abstain on the same
+    queries as the strategy (the baseline is that classifier)."""
+    config = configs[0]
+    label_order = train.class_attr.domain
     if config.strategy == "baseline":
         model = BruteForceModel(train)
-        return lambda q: model.classify(q)
+        return lambda q: [model.classify(q)], None
     if config.strategy == "selected":
         mining = _mining_subset(train, config.subsample, config.seed, fold)
         pairs = extract_competent_pairs(mining, config.min_support,
                                         config.min_confidence)
         model = SelectedTripletModel(train, pairs, config.radius)
-        return lambda q: model.classify(q)
+        return lambda q: [model.classify(q)], lambda: BruteForceModel(train).classify
     if config.strategy == "bongard":
         model = BongardModel(train, config.max_literals)
-        return lambda q: model.classify(q, config.neighbor_budget)
-    model = KnnModel(train, min(config.k, len(train)))
-    return lambda q: model.classify(q)
+        budgets = [c.neighbor_budget for c in configs]
+
+        def predict(q: Item) -> list[Prediction]:
+            stream = ((vote, count) for _, vote, count in model.votes(q))
+            prefixes = _prefix_votes(stream, budgets)
+            return [_prediction(*prefixes[b], label_order) for b in budgets]
+
+        return predict, lambda: model._index.vote
+    ks = [min(c.k, len(train)) for c in configs]
+    labels = train.labels
+
+    def predict(q: Item) -> list[Prediction]:
+        _check_query(train, q)
+        stream = ((labels[i], 0) for i in _nearest_first(train.items, q))
+        prefixes = _prefix_votes(stream, ks)
+        return [Prediction(_majority(votes, label_order), dict(votes), 0, False)
+                for votes, _ in (prefixes[k] for k in ks)]
+
+    return predict, None  # kNN never abstains
 
 
-def _evaluate_fold(data: Dataset, config: CvConfig, fold: int,
-                   assignment: Sequence[Sequence[int]]) -> FoldResult:
+def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
+                   assignment: Sequence[Sequence[int]]) -> list[FoldResult]:
+    """Score one fold for every config with a single model build."""
     test_idx = assignment[fold]
     train_idx = [i for f, part in enumerate(assignment) if f != fold for i in part]
     train_idx.sort()
     train = data.subset(train_idx)
-    classify = _build_model(train, config, fold)
+    predict, brute = _fold_model(train, configs, fold)
     fallback = None
-    if config.fallback == "knn1":
-        fb_model = KnnModel(train, 1)
-        fallback = fb_model.classify
-    elif config.fallback == "brute":
-        fb_model = BruteForceModel(train)
-        fallback = fb_model.classify
-    correct = 0
-    abstained = 0
-    triplets = 0
+    if configs[0].fallback == "knn1":
+        fallback = KnnModel(train, 1).classify
+    elif configs[0].fallback == "brute" and brute is not None:
+        fallback = brute()
+    width = len(configs)
+    correct = [0] * width
+    abstained = [0] * width
+    triplets = [0] * width
     for i in test_idx:
-        pred = classify(data.items[i])
-        triplets += pred.triplets_examined
-        if pred.abstained:
-            abstained += 1
-            if fallback is not None:
-                pred = fallback(data.items[i])
-        if not pred.abstained and pred.label == data.labels[i]:
-            correct += 1
+        query = data.items[i]
+        rescue = None  # the fallback answer, asked at most once per query
+        for v, pred in enumerate(predict(query)):
+            triplets[v] += pred.triplets_examined
+            if pred.abstained:
+                abstained[v] += 1
+                if fallback is not None:
+                    if rescue is None:
+                        rescue = fallback(query)
+                    pred = rescue
+            if not pred.abstained and pred.label == data.labels[i]:
+                correct[v] += 1
     size = len(test_idx)
-    return FoldResult(fold, size, correct, 100.0 * correct / size,
-                      abstained, triplets)
+    return [
+        FoldResult(fold, size, correct[v], 100.0 * correct[v] / size,
+                   abstained[v], triplets[v])
+        for v in range(width)
+    ]
+
+
+def _cross_validate_all(data: Dataset, configs: Sequence[CvConfig]) -> list[CvReport]:
+    """One report per config from one pass over the folds."""
+    started = time.perf_counter()
+    config = configs[0]
+    assignment, stratified = make_folds(data, config.folds, config.seed)
+
+    def run(f: int) -> list[FoldResult]:
+        return _evaluate_fold(data, configs, f, assignment)
+
+    if config.workers > 1:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            per_fold = list(pool.map(run, range(config.folds)))
+    else:
+        per_fold = [run(f) for f in range(config.folds)]
+    wall_time = time.perf_counter() - started
+    counts = Counter(data.labels)
+    reports = []
+    for v, cfg in enumerate(configs):
+        fold_results = [results[v] for results in per_fold]
+        accuracies = [fr.accuracy for fr in fold_results]
+        total = sum(fr.test_size for fr in fold_results)
+        abstained = sum(fr.abstained for fr in fold_results)
+        reports.append(CvReport(
+            config=cfg,
+            dataset_rows=len(data),
+            dataset_attributes=data.schema.arity,
+            class_counts={k: counts.get(k, 0) for k in data.class_attr.domain},
+            stratified=stratified,
+            fold_indices=tuple(tuple(f) for f in assignment),
+            fold_results=tuple(fold_results),
+            mean_accuracy=statistics.mean(accuracies),
+            std_accuracy=statistics.stdev(accuracies) if len(accuracies) > 1 else 0.0,
+            abstention_rate=abstained / total if total else 0.0,
+            triplets_total=sum(fr.triplets for fr in fold_results),
+            wall_time_s=wall_time,
+        ))
+    return reports
 
 
 def cross_validate(data: Dataset, config: CvConfig) -> CvReport:
     """Seeded stratified k-fold evaluation of one strategy; deterministic
     given (data, config), whatever the worker count."""
-    started = time.perf_counter()
-    assignment, stratified = make_folds(data, config.folds, config.seed)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            fold_results = list(
-                pool.map(lambda f: _evaluate_fold(data, config, f, assignment),
-                         range(config.folds))
-            )
-    else:
-        fold_results = [
-            _evaluate_fold(data, config, f, assignment) for f in range(config.folds)
-        ]
-    accuracies = [fr.accuracy for fr in fold_results]
-    mean = statistics.mean(accuracies)
-    std = statistics.stdev(accuracies) if len(accuracies) > 1 else 0.0
-    total = sum(fr.test_size for fr in fold_results)
-    abstained = sum(fr.abstained for fr in fold_results)
-    counts = Counter(data.labels)
-    return CvReport(
-        config=config,
-        dataset_rows=len(data),
-        dataset_attributes=data.schema.arity,
-        class_counts={k: counts.get(k, 0) for k in data.class_attr.domain},
-        stratified=stratified,
-        fold_indices=tuple(tuple(f) for f in assignment),
-        fold_results=tuple(fold_results),
-        mean_accuracy=mean,
-        std_accuracy=std,
-        abstention_rate=abstained / total if total else 0.0,
-        triplets_total=sum(fr.triplets for fr in fold_results),
-        wall_time_s=time.perf_counter() - started,
-    )
+    return _cross_validate_all(data, [config])[0]
 
 
 def cross_validate_grid(data: Dataset, config: CvConfig,
                         grid: Sequence[int]) -> tuple[CvReport, list[CvReport]]:
-    """Run the harness for each grid value of the strategy's neighbor
-    parameter (budget for the case-analysis classifier, k for kNN) and
-    return (best report, all reports); best by mean accuracy, ties by the
-    smaller parameter."""
+    """Evaluate each grid value of the strategy's neighbor parameter
+    (budget for the case-analysis classifier, k for kNN) and return
+    (best report, all reports); best by mean accuracy, ties by the
+    smaller parameter.
+
+    Each fold builds one model: the case-analysis predictions for every
+    budget are prefixes of one vote stream, and the kNN predictions for
+    every k are prefixes of one Hamming ranking.  Every report's
+    ``wall_time_s`` is the time of that shared pass."""
     if not grid:
         raise DataError("grid must not be empty")
-    if config.strategy not in ("bongard", "knn"):
+    param = GRID_PARAMETERS.get(config.strategy)
+    if param is None:
         raise DataError("grid search applies to the bongard and knn strategies")
-    reports = []
-    for value in grid:
-        if config.strategy == "bongard":
-            cfg = replace(config, neighbor_budget=value)
-        else:
-            cfg = replace(config, k=value)
-        reports.append(cross_validate(data, cfg))
-    best = max(
-        reports,
-        key=lambda r: (r.mean_accuracy,
-                       -(r.config.neighbor_budget
-                         if config.strategy == "bongard" else r.config.k)),
-    )
+    configs = [replace(config, **{param: value}) for value in grid]
+    reports = _cross_validate_all(data, configs)
+    best = max(reports,
+               key=lambda r: (r.mean_accuracy, -getattr(r.config, param)))
     return best, reports

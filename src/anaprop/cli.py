@@ -126,7 +126,7 @@ def _cmd_evaluate(args) -> int:
         )
     except DataError as exc:
         raise _UsageError(str(exc)) from exc
-    if args.grid and config.strategy not in ("bongard", "knn"):
+    if args.grid and config.strategy not in classify.GRID_PARAMETERS:
         raise _UsageError("--grid applies to the bongard and knn strategies")
     dataset = data.load_dataset(args.data, delimiter=args.delimiter,
                                 class_column=args.class_column,
@@ -137,8 +137,7 @@ def _cmd_evaluate(args) -> int:
         grid = _parse_int_list(args.grid)
         best, reports = classify.cross_validate_grid(dataset, config, grid)
         payload["grid"] = grid
-        payload["grid_parameter"] = ("neighbor_budget"
-                                     if config.strategy == "bongard" else "k")
+        payload["grid_parameter"] = classify.GRID_PARAMETERS[config.strategy]
         payload["reports"] = [r.canonical() for r in reports]
         payload["best"] = best.canonical()
         headline = best
@@ -155,9 +154,8 @@ def _cmd_evaluate(args) -> int:
              f"abstention {100 * headline.abstention_rate:.2f}%)")
     if args.grid:
         param = payload["grid_parameter"]
-        value = (headline.config.neighbor_budget
-                 if param == "neighbor_budget" else headline.config.k)
-        human += f" [best {param}={value} of grid {payload['grid']}]"
+        human += (f" [best {param}={getattr(headline.config, param)} "
+                  f"of grid {payload['grid']}]")
     _emit(payload, args.format, human)
     return EXIT_OK
 
@@ -320,18 +318,24 @@ def _cmd_deps(args) -> int:
 def _load_spec(args) -> dict:
     if not args.spec:
         return {}
-    with open(args.spec, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(args.spec, encoding="utf-8") as fh:
+            spec = json.load(fh)
+    except OSError as exc:
+        raise _UsageError(f"cannot read spec {args.spec}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and bad UTF-8
+        raise _UsageError(f"spec {args.spec} is not valid JSON ({exc})") from exc
+    if not isinstance(spec, dict):
+        raise _UsageError(f"spec {args.spec} must be a JSON object")
+    return spec
 
 
-def _cmd_generate(args) -> int:
+def _generate(args, spec: dict):
+    """The dataset or relation a generate request describes."""
     kind = args.kind
-    spec = _load_spec(args)
     if kind in ("monk1", "monk2", "monk3"):
-        ds = data.generate_monk(int(kind[-1]))
-        data.write_dataset(ds, args.out)
-        rows = len(ds)
-    elif kind == "affine":
+        return data.generate_monk(int(kind[-1]))
+    if kind == "affine":
         n = args.n if args.n is not None else spec.get("n")
         if n is None:
             raise _UsageError("affine generation needs --n")
@@ -340,18 +344,14 @@ def _cmd_generate(args) -> int:
             coeffs = _parse_int_list(args.coeffs)
         elif "coefficients" in spec:
             coeffs = spec["coefficients"]
-        ds = data.generate_affine(n, coeffs, args.seed)
-        data.write_dataset(ds, args.out)
-        rows = len(ds)
-    elif kind == "planted-rule":
+        return data.generate_affine(n, coeffs, args.seed)
+    if kind == "planted-rule":
         raw_rules = spec.get("rules")
         if not raw_rules:
             raise _UsageError("planted-rule generation needs --spec with a 'rules' list")
         rules = [data.PlantedRule(**r) for r in raw_rules]
-        ds, _ = data.generate_planted_rules(rules)
-        data.write_dataset(ds, args.out)
-        rows = len(ds)
-    elif kind == "random-relation":
+        return data.generate_planted_rules(rules)[0]
+    if kind == "random-relation":
         attrs = spec.get("attributes")
         if not attrs:
             raise _UsageError("random-relation generation needs --spec with 'attributes'")
@@ -361,15 +361,31 @@ def _cmd_generate(args) -> int:
         count = args.tuples if args.tuples is not None else spec.get("tuples")
         if count is None:
             raise _UsageError("random-relation generation needs --tuples")
-        rel = data.generate_random_relation(schema, count, args.seed)
-        data.write_relation(rel, args.out)
-        rows = len(rel)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown kind {kind!r}")
-    if args.emit_schema and kind != "random-relation":
-        sidecar = Path(args.out).with_suffix(".schema.json")
-        full = data.Schema(ds.schema.attributes + (ds.class_attr,))
-        data.write_sidecar_schema(full, sidecar, class_name=ds.class_attr.name)
+        return data.generate_random_relation(schema, count, args.seed)
+    # pragma: no cover - argparse restricts choices
+    raise _UsageError(f"unknown kind {kind!r}")
+
+
+def _cmd_generate(args) -> int:
+    kind = args.kind
+    spec = _load_spec(args)
+    try:
+        made = _generate(args, spec)
+    except (KeyError, TypeError) as exc:
+        if args.spec is None:
+            raise
+        # Unknown or missing keys, or values of the wrong type, in the spec.
+        raise _UsageError(f"malformed spec {args.spec} "
+                          f"({type(exc).__name__}: {exc})") from exc
+    rows = len(made)
+    if isinstance(made, data.Relation):
+        data.write_relation(made, args.out)
+    else:
+        data.write_dataset(made, args.out)
+        if args.emit_schema:
+            sidecar = Path(args.out).with_suffix(".schema.json")
+            full = data.Schema(made.schema.attributes + (made.class_attr,))
+            data.write_sidecar_schema(full, sidecar, class_name=made.class_attr.name)
     payload = {"command": "generate", "kind": kind, "out": str(args.out),
                "rows": rows}
     _emit(payload, args.format, f"wrote {rows} rows to {args.out}")

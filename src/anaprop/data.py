@@ -115,6 +115,8 @@ def _read_table(path: str | Path, delimiter: str) -> tuple[list[str], list[list[
             rows = [row for row in reader if row]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
     header, *body = rows
@@ -132,8 +134,15 @@ def _read_table(path: str | Path, delimiter: str) -> tuple[list[str], list[list[
 
 def _load_sidecar_schema(path: str | Path) -> tuple[Schema, Optional[str]]:
     """Read a JSON sidecar: attribute domains plus an optional class column."""
-    with open(path, encoding="utf-8") as fh:
-        spec = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            spec = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and bad UTF-8
+        raise DataError(f"{path}: schema sidecar is not valid JSON ({exc})") from exc
+    if not isinstance(spec, dict):
+        raise DataError(f"{path}: schema sidecar must be a JSON object")
     try:
         attrs = tuple(
             Attribute(entry["name"], tuple(entry["domain"]))

@@ -112,11 +112,6 @@ def is_trivial_mvd(schema: Schema, x: AttrSet, y: AttrSet) -> bool:
     return yi <= xi or xi | yi == set(range(schema.arity))
 
 
-def project(rel: Relation, attrs: AttrSet) -> set[tuple[str, ...]]:
-    idx = _idx(rel.schema, attrs)
-    return {_proj(t, idx) for t in rel.tuples}
-
-
 def lossless_join_check(rel: Relation, x: AttrSet, y: AttrSet) -> bool:
     """True iff joining the projections onto X+Y and X+(R\\Y) gives back
     exactly the relation."""

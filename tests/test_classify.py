@@ -6,6 +6,7 @@ from collections import Counter
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from anaprop.core import Attribute, Schema, SchemaError, ap_holds_vec, diff, solve
 from anaprop.data import (
@@ -18,6 +19,7 @@ from anaprop.data import (
 from anaprop.classify import (
     BongardModel,
     CvConfig,
+    PairIndex,
     analogical_suitability,
     bongard_classify,
     bongard_separation,
@@ -132,6 +134,81 @@ class TestBruteForce:
             brute_force_classify(ds, ("0",))
 
 
+def suitability_oracle(ds: Dataset):
+    """Leave-one-out by the definition: a fresh baseline over the other
+    rows for every holdout."""
+    n = len(ds)
+    wrong = abstained = 0
+    for i in range(n):
+        rest = ds.subset([j for j in range(n) if j != i])
+        pred = brute_force_classify(rest, ds.items[i])
+        if pred.abstained:
+            abstained += 1
+        elif pred.label != ds.labels[i]:
+            wrong += 1
+    evaluated = n - abstained
+    return (wrong / evaluated if evaluated else 0.0, wrong, evaluated,
+            abstained, n)
+
+
+def index_snapshot(index: PairIndex, rows):
+    """Group contents with pair members mapped through ``rows``."""
+    return {
+        d: (g.total, g.n_same, dict(g.tilts),
+            sorted((rows[i], rows[j]) for i, j in g.pairs))
+        for d, g in index.groups.items()
+    }
+
+
+@st.composite
+def downdate_scenarios(draw):
+    n_attrs = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(1, 8))
+    item = st.tuples(*[st.sampled_from("xyz") for _ in range(n_attrs)])
+    items = tuple(draw(st.lists(item, min_size=n_rows, max_size=n_rows)))
+    labels = tuple(draw(st.lists(st.sampled_from("pqr"), min_size=n_rows,
+                                 max_size=n_rows)))
+    schema = Schema.from_pairs((f"a{i}", tuple("xyz")) for i in range(n_attrs))
+    ds = Dataset(schema, Attribute("c", ("p", "q", "r")), items, labels)
+    toggles = draw(st.lists(st.integers(0, n_rows - 1), max_size=12))
+    query = draw(item)
+    return ds, toggles, query
+
+
+class TestPairIndexDowndating:
+    @given(downdate_scenarios())
+    def test_downdated_index_equals_fresh_build(self, scenario):
+        ds, toggles, query = scenario
+        index = PairIndex(ds, keep_pairs=True)
+        live = set(range(len(ds)))
+        for row in toggles:  # each toggle removes a live row or adds it back
+            if row in live:
+                index.remove_row(row)
+                live.remove(row)
+            else:
+                index.add_row(row)
+                live.add(row)
+            rows = sorted(live)
+            fresh = PairIndex(ds.subset(rows), keep_pairs=True)
+            assert index_snapshot(index, list(range(len(ds)))) == \
+                index_snapshot(fresh, rows)
+            for g in index.groups.values():
+                assert g.total > 0 and all(g.tilts.values())
+            got, want = index.vote(query), fresh.vote(query)
+            assert (got.label, dict(got.votes), got.triplets_examined,
+                    got.abstained) == (want.label, dict(want.votes),
+                                       want.triplets_examined, want.abstained)
+
+    def test_rows_must_be_toggled_in_turn(self):
+        ds = case3_dataset()
+        index = PairIndex(ds)
+        with pytest.raises(ValueError):
+            index.add_row(0)
+        index.remove_row(0)
+        with pytest.raises(ValueError):
+            index.remove_row(0)
+
+
 class TestSuitability:
     def test_affine_targets_are_error_free(self):
         for coeffs in [(0, 1, 1), (1, 1, 0), (0, 1, 1, 1), (1, 0, 1, 1)]:
@@ -164,6 +241,23 @@ class TestSuitability:
         report = analogical_suitability(ds)
         assert report.error_ratio == 0.375
         assert (report.wrong, report.evaluated, report.abstained) == (3, 8, 0)
+
+    def test_matches_rebuild_per_row_oracle(self):
+        rng = random.Random(13)
+        datasets = [random_dataset(rng, max_rows=12) for _ in range(40)]
+        # Two-variable parity abstains on every holdout.
+        datasets.append(generate_affine(2, (0, 1, 1)))
+        seen_abstain = seen_wrong = False
+        for ds in datasets:
+            if len(ds) < 4:
+                continue
+            expected = suitability_oracle(ds)
+            report = analogical_suitability(ds)
+            assert (report.error_ratio, report.wrong, report.evaluated,
+                    report.abstained, report.total) == expected
+            seen_abstain |= report.abstained > 0
+            seen_wrong |= report.wrong > 0
+        assert seen_abstain and seen_wrong
 
     def test_needs_four_examples(self):
         ds = generate_affine(2, (0, 1, 1)).subset([0, 1, 2])
@@ -505,6 +599,35 @@ class TestKnn:
             knn_classify(ds, ds.items[0], len(ds) + 1)
 
 
+def literal_cv_folds(ds: Dataset, cfg: CvConfig):
+    """Per-fold (correct, abstained, triplets) by the definition: a fresh
+    model per query, the fallback asked on each abstention."""
+    assignment, _ = make_folds(ds, cfg.folds, cfg.seed)
+    out = []
+    for fold, test_idx in enumerate(assignment):
+        train = ds.subset(sorted(i for f, part in enumerate(assignment)
+                                 if f != fold for i in part))
+        correct = abstained = triplets = 0
+        for i in test_idx:
+            query = ds.items[i]
+            if cfg.strategy == "bongard":
+                pred = bongard_classify(train, query, cfg.neighbor_budget,
+                                        cfg.max_literals)
+            else:
+                pred = knn_classify(train, query, min(cfg.k, len(train)))
+            triplets += pred.triplets_examined
+            if pred.abstained:
+                abstained += 1
+                if cfg.fallback == "knn1":
+                    pred = knn_classify(train, query, 1)
+                elif cfg.fallback == "brute":
+                    pred = brute_force_classify(train, query)
+            if not pred.abstained and pred.label == ds.labels[i]:
+                correct += 1
+        out.append((correct, abstained, triplets))
+    return out
+
+
 class TestCrossValidation:
     def majority_dataset(self):
         schema = Schema.from_pairs([("a", "0123456789"), ("b", "01")])
@@ -559,6 +682,7 @@ class TestCrossValidation:
         assert a == b and strat_a and strat_b
         assert sorted(i for fold in a for i in fold) == list(range(40))
 
+    @pytest.mark.filterwarnings("ignore:some class has fewer")
     def test_grid_reports_match_direct_runs(self):
         ds, _ = generate_planted_rules(
             [PlantedRule(pairs=6), PlantedRule(pairs=5, exceptions=1)]
@@ -570,6 +694,40 @@ class TestCrossValidation:
                                                  seed=2, k=value))
             assert rep.canonical() == direct.canonical()
         assert best.canonical() in [r.canonical() for r in reports]
+
+        # Bongard budgets and kNN values past the training size, against a
+        # fresh model per (fold, value) with the fallback asked on each
+        # abstention.
+        rng = random.Random(4)
+        abstaining = [random_dataset(rng, max_rows=20, max_attrs=2)
+                      for _ in range(30)]
+        abstaining = [d for d in abstaining if len(d) >= 9]
+        runs = [(ds, "knn", [1, 3, 50], "knn1")]
+        runs += [(d, "bongard", [1, 3, 2, 7], fb) for d in abstaining[:6]
+                 for fb in ("knn1", "brute", "none")]
+        abstained = 0
+        for data, strategy, grid, fallback in runs:
+            cfg = CvConfig(strategy=strategy, folds=3, seed=2, fallback=fallback)
+            best, reports = cross_validate_grid(data, cfg, grid)
+            assert [r.config for r in reports] == [
+                CvConfig(strategy=strategy, folds=3, seed=2, fallback=fallback,
+                         **{"neighbor_budget" if strategy == "bongard"
+                            else "k": value})
+                for value in grid
+            ]
+            for rep in reports:
+                expected = literal_cv_folds(data, rep.config)
+                assert [(fr.correct, fr.abstained, fr.triplets)
+                        for fr in rep.fold_results] == expected
+                direct = cross_validate(data, rep.config)
+                assert rep.canonical() == direct.canonical()
+                abstained += sum(fr.abstained for fr in rep.fold_results)
+            param = "neighbor_budget" if strategy == "bongard" else "k"
+            top = max(r.mean_accuracy for r in reports)
+            assert best.config == min(
+                (r.config for r in reports if r.mean_accuracy == top),
+                key=lambda c: getattr(c, param))
+        assert abstained > 0
 
     def test_config_validation(self):
         with pytest.raises(DataError):

@@ -1,8 +1,12 @@
 """Command-line behavior: commands, exit codes, canonical JSON."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import anaprop
 from anaprop.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -213,6 +217,75 @@ class TestGenerateCommand:
             "--tuples", "1", "--out", str(tmp_path / "r.csv"),
         ])
         assert code == 1 and "seed" in err
+
+
+def run_subprocess(argv):
+    """Run the CLI in a fresh interpreter so an escaped exception would
+    show as a traceback on stderr."""
+    env = dict(os.environ)
+    src = str(Path(anaprop.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "anaprop.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestMalformedInputsExitCleanly:
+    """Malformed files map to an exit code and one line on stderr."""
+
+    def assert_clean(self, code, err, expected_code):
+        assert code == expected_code
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_truncated_schema_sidecar_is_data_error(self, tmp_path):
+        sidecar = tmp_path / "bad.schema.json"
+        sidecar.write_text('{"attributes": [')
+        code, out, err = run_subprocess([
+            "explain", "--data", COFFEE[0], "--schema", str(sidecar),
+            "--query-index", "0", "--why", "with_milk",
+        ])
+        self.assert_clean(code, err, 2)
+        assert out == "" and "not valid JSON" in err
+
+    def test_missing_spec_file_is_usage_error(self, tmp_path):
+        code, out, err = run_subprocess([
+            "generate", "--kind", "planted-rule",
+            "--spec", str(tmp_path / "absent.json"),
+            "--out", str(tmp_path / "planted.csv"),
+        ])
+        self.assert_clean(code, err, 1)
+        assert out == "" and "cannot read spec" in err
+        assert not (tmp_path / "planted.csv").exists()
+
+    def test_unknown_planted_rule_key_is_usage_error(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"rules": [{"pairs": 3, "colour": "red"}]}))
+        code, out, err = run_subprocess([
+            "generate", "--kind", "planted-rule", "--spec", str(spec),
+            "--out", str(tmp_path / "planted.csv"),
+        ])
+        self.assert_clean(code, err, 1)
+        assert out == "" and "colour" in err
+        assert not (tmp_path / "planted.csv").exists()
+
+    def test_malformed_relation_spec_is_usage_error(self, tmp_path):
+        spec = tmp_path / "schema.json"
+        spec.write_text(json.dumps({"attributes": [{"domain": ["0", "1"]}]}))
+        code, out, err = run_subprocess([
+            "generate", "--kind", "random-relation", "--spec", str(spec),
+            "--tuples", "1", "--seed", "1", "--out", str(tmp_path / "r.csv"),
+        ])
+        self.assert_clean(code, err, 1)
+        assert out == "" and "malformed spec" in err
+
+    def test_non_utf8_data_is_data_error(self, tmp_path):
+        table = tmp_path / "latin1.csv"
+        table.write_bytes("a,c\ncaf\u00e9,p\nthe,q\n".encode("latin-1"))
+        code, out, err = run_subprocess(["evaluate", "--data", str(table),
+                                         "--seed", "1"])
+        self.assert_clean(code, err, 2)
+        assert out == "" and "UTF-8" in err
 
 
 def test_commands_do_not_mutate_input_files(capsys, tmp_path):
