@@ -148,6 +148,15 @@ def _cmd_evaluate(args) -> int:
     elapsed = time.perf_counter() - started
     print(f"[evaluate] {args.data}: strategy={config.strategy} "
           f"wall_time={elapsed:.2f}s", file=sys.stderr)
+    if config.strategy == "knn":
+        # kNN caps k at each training fold's size; the report echoes the
+        # requested k, so say which k ran.
+        smallest = headline.dataset_rows - max(map(len, headline.fold_indices))
+        for k in dict.fromkeys(grid if args.grid else [config.k]):
+            if k > smallest:
+                print(f"[evaluate] k={k} exceeds the smallest training fold "
+                      f"({smallest} rows); each fold ran with k capped at its "
+                      f"training size, k={smallest} there", file=sys.stderr)
     human = (f"{config.strategy} on {args.data}: "
              f"{headline.mean_accuracy:.2f} +/- {headline.std_accuracy:.2f} "
              f"({config.folds}-fold, seed {config.seed}, "

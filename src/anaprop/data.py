@@ -144,13 +144,13 @@ def _load_sidecar_schema(path: str | Path) -> tuple[Schema, Optional[str]]:
     if not isinstance(spec, dict):
         raise DataError(f"{path}: schema sidecar must be a JSON object")
     try:
-        attrs = tuple(
+        schema = Schema(tuple(
             Attribute(entry["name"], tuple(entry["domain"]))
             for entry in spec["attributes"]
-        )
-    except (KeyError, TypeError) as exc:
+        ))
+    except (KeyError, TypeError) as exc:  # also unhashable attribute names
         raise DataError(f"{path}: malformed schema sidecar ({exc})") from exc
-    return Schema(attrs), spec.get("class")
+    return schema, spec.get("class")
 
 
 def write_sidecar_schema(schema: Schema, path: str | Path,

@@ -119,32 +119,28 @@ def find_adverse_examples(rel: Relation, query: Item, result_attr: str,
     return out
 
 
-def _pair_counts(rel: Relation, change: tuple[ChangeEntry, ...], ridx: int,
-                 target: str, actual: str) -> tuple[int, int, Optional[tuple[Item, Item]]]:
+def _pair_counts(rel: Relation, by_description: dict[Item, list[Item]],
+                 change: tuple[ChangeEntry, ...], ridx: int, target: str,
+                 actual: str) -> tuple[int, int, Optional[tuple[Item, Item]]]:
     """Count ordered row pairs showing exactly this attribute change with
     the target->actual result tilt (supporting) or no tilt (exceptions);
-    also return the first supporting pair."""
-    changed = {j: (fr, to) for j, fr, to in change}
+    also return the first supporting pair, r1-major in row order.
+
+    ``by_description`` maps each row with the result column projected out
+    to the rows carrying it.  A pair's r1 must hold every change's from
+    value, and its r2 must carry r1's description with every change's to
+    value, so each r1 costs one lookup: O(n·m) per change set."""
     supporting = 0
     exceptions = 0
     first_support = None
-    n = rel.schema.arity
     for r1 in rel.tuples:
-        for r2 in rel.tuples:
-            ok = True
-            for j in range(n):
-                if j == ridx:
-                    continue
-                entry = changed.get(j)
-                if entry is None:
-                    if r1[j] != r2[j]:
-                        ok = False
-                        break
-                elif (r1[j], r2[j]) != entry:
-                    ok = False
-                    break
-            if not ok:
-                continue
+        if any(r1[j] != fr for j, fr, _ in change):
+            continue
+        key = list(r1)
+        for j, _, to in change:
+            key[j] = to
+        del key[ridx]
+        for r2 in by_description.get(tuple(key), ()):
             if (r1[ridx], r2[ridx]) == (target, actual):
                 supporting += 1
                 if first_support is None:
@@ -222,15 +218,18 @@ def contrastive_explain(rel: Relation, query: Item, result_attr: str,
             )
         targets = [v for v in rel.schema.attributes[ridx].domain if v != actual]
 
+    by_description: dict[Item, list[Item]] = {}
+    for row in rel.tuples:
+        by_description.setdefault(row[:ridx] + row[ridx + 1:], []).append(row)
+
     candidates: list[tuple[tuple, Explanation]] = []
-    all_adverse: list[AdverseExample] = []
     for tgt in targets:
         adverse_list = find_adverse_examples(rel, query, result_attr, tgt)
         for ae in adverse_list:
             if not ae.change:
                 continue  # descriptively identical conflicting row
             supporting, exceptions, first = _pair_counts(
-                rel, ae.change, ridx, tgt, actual
+                rel, by_description, ae.change, ridx, tgt, actual
             )
             strength = (supporting / (supporting + exceptions)
                         if supporting + exceptions else 0.0)
@@ -266,7 +265,6 @@ def contrastive_explain(rel: Relation, query: Item, result_attr: str,
             )
             rank = (-strength, len(ae.change), ae.row_index, targets.index(tgt))
             candidates.append((rank, exp))
-            all_adverse.append(ae)
 
     if not candidates:
         tgt = targets[0]
@@ -321,13 +319,13 @@ def relevant_attributes(rel: Relation, result_attr: str,
         raise DataError("cannot rank attributes of an empty table")
     ridx = _result_index(rel, result_attr)
     n = len(rel.tuples)
+    py: Counter = Counter(row[ridx] for row in rel.tuples)
     scores = []
     for j, attr in enumerate(rel.schema.attributes):
         if j == ridx:
             continue
         joint: Counter = Counter((row[j], row[ridx]) for row in rel.tuples)
         px: Counter = Counter(row[j] for row in rel.tuples)
-        py: Counter = Counter(row[ridx] for row in rel.tuples)
         if method == "mi":
             score = 0.0
             for (x, y), c in joint.items():

@@ -1,10 +1,16 @@
 """Command-line behavior: commands, exit codes, canonical JSON."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import anaprop
 from anaprop.cli import main
@@ -279,6 +285,19 @@ class TestMalformedInputsExitCleanly:
         self.assert_clean(code, err, 1)
         assert out == "" and "malformed spec" in err
 
+    def test_unhashable_sidecar_name_is_data_error(self, tmp_path):
+        sidecar = tmp_path / "bad.schema.json"
+        sidecar.write_text(json.dumps({"attributes": [
+            {"name": ["a"], "domain": ["0", "1"]},
+            {"name": "b", "domain": ["0", "1"]},
+        ]}))
+        table = tmp_path / "t.csv"
+        table.write_text("a,b\n0,1\n1,0\n")
+        code, out, err = run_subprocess(["deps", "--data", str(table),
+                                         "--schema", str(sidecar)])
+        self.assert_clean(code, err, 2)
+        assert out == "" and "malformed schema sidecar" in err
+
     def test_non_utf8_data_is_data_error(self, tmp_path):
         table = tmp_path / "latin1.csv"
         table.write_bytes("a,c\ncaf\u00e9,p\nthe,q\n".encode("latin-1"))
@@ -286,6 +305,86 @@ class TestMalformedInputsExitCleanly:
                                          "--seed", "1"])
         self.assert_clean(code, err, 2)
         assert out == "" and "UTF-8" in err
+
+
+# Cells and names drawn from a small alphabet so that some tables load and
+# reach the commands, with the characters that break CSV and domains.
+fuzz_cell = st.sampled_from(["0", "1", "2", "a", "b", "?", "", " ", '"', ",",
+                             "\u00e9", "0,1"])
+fuzz_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | fuzz_cell,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["attributes", "name", "domain", "class"]),
+                      inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def fuzz_inputs(draw):
+    """CSV and sidecar contents (well-formed, garbled or raw bytes) and a
+    command line for explain, deps or evaluate over them."""
+    width = draw(st.integers(1, 4))
+    header = draw(st.just([f"c{j}" for j in range(width)])
+                  | st.lists(fuzz_cell, min_size=width, max_size=width))
+    cell = draw(st.sampled_from([st.sampled_from(["0", "1", "2"]), fuzz_cell]))
+    ragged = draw(st.integers(0, 3)) == 3
+    body = draw(st.lists(st.lists(cell, min_size=width - ragged,
+                                  max_size=width + ragged),
+                        min_size=2, max_size=6))
+    table = "\n".join(",".join(r) for r in [header, *body]).encode()
+    if draw(st.integers(0, 3)) == 3:
+        table = draw(st.binary(max_size=40))
+    sidecar = None
+    if draw(st.booleans()):
+        domain = st.just(["0", "1", "2"]) | st.lists(fuzz_cell, max_size=3)
+        names = st.lists(st.sampled_from(header) | fuzz_json,
+                         min_size=width, max_size=width)
+        sidecar = draw(
+            st.builds(lambda v: json.dumps(v).encode(), fuzz_json)
+            | st.builds(lambda ns, d: json.dumps({"attributes": [
+                {"name": n, "domain": d} for n in ns]}).encode(),
+                st.just(header) | names, domain)
+            | st.binary(max_size=20))
+    name = st.sampled_from(header) | fuzz_cell
+    command = draw(st.sampled_from(["explain", "deps", "evaluate"]))
+    if command == "explain":
+        args = ["--query-index", str(draw(st.integers(-1, 6)))]
+        if draw(st.booleans()):
+            args = ["--query", ",".join(draw(st.lists(fuzz_cell, max_size=4)))]
+        if draw(st.booleans()):
+            args += ["--why", draw(name)]
+        else:
+            args += ["--why-not", f"{draw(name)}={draw(fuzz_cell)}"]
+    elif command == "deps":
+        args = []
+        if draw(st.booleans()):
+            args = ["--mode", "single", "--x", draw(name), "--y", draw(name)]
+    else:
+        args = ["--seed", "1", "--folds", str(draw(st.integers(2, 3))),
+                "--strategy", draw(st.sampled_from(
+                    ["baseline", "selected", "bongard", "knn"]))]
+        args += draw(st.sampled_from([[], ["--k", "9"], ["--grid", "1,9"]]))
+    return command, table, sidecar, args
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=50,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fuzz_inputs())
+    def test_exit_code_contract(self, case):
+        command, table, sidecar, args = case
+        with tempfile.TemporaryDirectory() as tmp:
+            data_path = Path(tmp) / "t.csv"
+            data_path.write_bytes(table)
+            argv = [command, "--data", str(data_path), *args]
+            if sidecar is not None:
+                (Path(tmp) / "t.schema.json").write_bytes(sidecar)
+                argv += ["--schema", str(Path(tmp) / "t.schema.json")]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert code in (0, 1, 2, 3)
 
 
 def test_commands_do_not_mutate_input_files(capsys, tmp_path):
@@ -375,6 +474,29 @@ class TestEvaluateCommand:
         assert payload["grid_parameter"] == "k"
         assert len(payload["reports"]) == 2
         assert payload["best"] in payload["reports"]
+
+    def test_capped_knn_k_is_reported_on_stderr(self, capsys, tmp_path):
+        path = self.small_dataset(tmp_path)
+        base = ["evaluate", "--data", str(path), "--strategy", "knn",
+                "--folds", "3", "--seed", "4", "--format", "json"]
+        code, out, err = run(capsys, base + ["--grid", "1,500"])
+        assert code == 0
+        capped = [line for line in err.splitlines() if "k=500" in line]
+        assert len(capped) == 1
+        rows = json.loads(out)["best"]["dataset"]["rows"]
+        folds = json.loads(out)["best"]["fold_assignment"]
+        smallest = rows - max(map(len, folds))
+        assert f"({smallest} rows)" in capped[0]
+        assert capped[0].endswith(f"k={smallest} there")
+        assert "k=1 " not in err
+        _, rerun, _ = run(capsys, base + ["--grid", "1,500"])
+        assert rerun == out
+        code, out, err = run(capsys, base + ["--k", "1"])
+        assert code == 0 and "exceeds" not in err
+        _, out_k500, err_k500 = run(capsys, base + ["--k", "500"])
+        assert "k=500 exceeds" in err_k500
+        _, rerun, _ = run(capsys, base + ["--k", "500"])
+        assert rerun == out_k500
 
     def test_unknown_strategy_is_usage_error(self, capsys, tmp_path):
         path = self.small_dataset(tmp_path)

@@ -2,9 +2,13 @@
 
 import math
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anaprop import explain
 from anaprop.core import Schema
 from anaprop.data import DataError, Relation
 from anaprop.explain import (
@@ -149,6 +153,84 @@ class TestContrastiveExplain:
     def test_why_not_needs_target(self, coffee_table):
         with pytest.raises(DataError):
             contrastive_explain(coffee_table, COFFEE_D, "with_milk", "why-not")
+
+
+def nested_pair_scan(rel, change, ridx, target, actual):
+    """The literal O(n²·m) pair count: every ordered (r1, r2), r1-major in
+    row order, with the first supporting pair kept."""
+    changed = {j: (fr, to) for j, fr, to in change}
+    supporting = 0
+    exceptions = 0
+    first_support = None
+    n = rel.schema.arity
+    for r1 in rel.tuples:
+        for r2 in rel.tuples:
+            ok = True
+            for j in range(n):
+                if j == ridx:
+                    continue
+                entry = changed.get(j)
+                if entry is None:
+                    if r1[j] != r2[j]:
+                        ok = False
+                        break
+                elif (r1[j], r2[j]) != entry:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if (r1[ridx], r2[ridx]) == (target, actual):
+                supporting += 1
+                if first_support is None:
+                    first_support = (r1, r2)
+            elif r1[ridx] == r2[ridx]:
+                exceptions += 1
+    return supporting, exceptions, first_support
+
+
+@st.composite
+def explain_questions(draw):
+    """A small relation with its result column anywhere, some rows sharing
+    a description but not a result, and a why or why-not question about a
+    query row inside or outside the table."""
+    arity = draw(st.integers(2, 4))
+    schema = Schema.from_pairs(
+        (f"a{j}", "xyz"[:draw(st.integers(2, 3))]) for j in range(arity)
+    )
+    ridx = draw(st.integers(0, arity - 1))
+    row = st.tuples(*(st.sampled_from(a.domain) for a in schema.attributes))
+    rows = draw(st.lists(row, min_size=1, max_size=14))
+    results = schema.attributes[ridx].domain
+    for i, value in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                            st.sampled_from(results)),
+                                  max_size=4)):
+        rows.append(rows[i][:ridx] + (value,) + rows[i][ridx + 1:])
+    rel = Relation.from_rows(schema, rows)
+    if draw(st.booleans()):
+        query = rel.tuples[draw(st.integers(0, len(rel) - 1))]
+    else:
+        query = draw(row)
+    question = draw(st.sampled_from(("why", "why-not")))
+    target = None
+    if question == "why-not":
+        target = draw(st.sampled_from([v for v in results if v != query[ridx]]))
+    return rel, query, schema.names[ridx], question, target
+
+
+def scan_pair_counts(rel, _by_description, change, ridx, target, actual):
+    return nested_pair_scan(rel, change, ridx, target, actual)
+
+
+class TestPairCountsByLookup:
+    @settings(max_examples=300)
+    @given(explain_questions())
+    def test_explanation_matches_nested_scan(self, case):
+        rel, query, result_attr, question, target = case
+        fast = contrastive_explain(rel, query, result_attr, question, target)
+        with mock.patch.object(explain, "_pair_counts", scan_pair_counts):
+            literal = contrastive_explain(rel, query, result_attr, question,
+                                          target)
+        assert fast == literal
 
 
 class TestRuleCandidate:
