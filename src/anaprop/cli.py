@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -133,21 +134,29 @@ def _cmd_evaluate(args) -> int:
                                 schema_file=args.schema)
     started = time.perf_counter()
     payload: dict = {"command": "evaluate", "data": str(args.data)}
-    if args.grid:
-        grid = _parse_int_list(args.grid)
-        best, reports = classify.cross_validate_grid(dataset, config, grid)
-        payload["grid"] = grid
-        payload["grid_parameter"] = classify.GRID_PARAMETERS[config.strategy]
-        payload["reports"] = [r.canonical() for r in reports]
-        payload["best"] = best.canonical()
-        headline = best
-    else:
-        report = classify.cross_validate(dataset, config)
-        payload["report"] = report.canonical()
-        headline = report
+    with warnings.catch_warnings():
+        # make_folds warns about the non-stratified fallback; the report's
+        # ``stratified`` flag carries the same fact, said once below.
+        warnings.filterwarnings("ignore", message=".*non-stratified folds",
+                                category=UserWarning)
+        if args.grid:
+            grid = _parse_int_list(args.grid)
+            best, reports = classify.cross_validate_grid(dataset, config, grid)
+            payload["grid"] = grid
+            payload["grid_parameter"] = classify.GRID_PARAMETERS[config.strategy]
+            payload["reports"] = [r.canonical() for r in reports]
+            payload["best"] = best.canonical()
+            headline = best
+        else:
+            report = classify.cross_validate(dataset, config)
+            payload["report"] = report.canonical()
+            headline = report
     elapsed = time.perf_counter() - started
     print(f"[evaluate] {args.data}: strategy={config.strategy} "
           f"wall_time={elapsed:.2f}s", file=sys.stderr)
+    if not headline.stratified:
+        print(f"[evaluate] some class has fewer than {config.folds} members; "
+              f"used non-stratified folds", file=sys.stderr)
     if config.strategy == "knn":
         # kNN caps k at each training fold's size; the report echoes the
         # requested k, so say which k ran.

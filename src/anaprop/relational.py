@@ -16,7 +16,7 @@ of attributes are given by name and canonicalized to schema order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
@@ -52,17 +52,62 @@ def _exchange(t1: Item, t2: Item, xy: frozenset[int]) -> Item:
     return tuple(t1[i] if i in xy else t2[i] for i in range(len(t1)))
 
 
+def _group_by(tuples: Iterable[Item], idx: Sequence[int]) -> dict[tuple, list[Item]]:
+    """The tuples keyed by their projection onto ``idx``, each group (and
+    the groups themselves) in the order the tuples come."""
+    groups: dict[tuple, list[Item]] = {}
+    for t in tuples:
+        groups.setdefault(_proj(t, idx), []).append(t)
+    return groups
+
+
+def _split(schema: Schema, x: AttrSet, y: AttrSet
+           ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Indices of X, of Y' = Y minus X and of Z = R minus (X u Y)."""
+    xi = _idx(schema, x)
+    xy = set(xi) | set(_idx(schema, y))
+    yi = tuple(i for i in range(schema.arity) if i in xy and i not in xi)
+    zi = tuple(i for i in range(schema.arity) if i not in xy)
+    return xi, yi, zi
+
+
+def _z_sets(group: Sequence[Item], yi: Sequence[int], zi: Sequence[int]
+            ) -> dict[tuple, set[tuple]]:
+    """One X-group as a bipartite graph: each Y'-value, in order of first
+    occurrence, mapped to the Z-values it occurs with."""
+    z_sets: dict[tuple, set[tuple]] = {}
+    for t in group:
+        z_sets.setdefault(_proj(t, yi), set()).add(_proj(t, zi))
+    return z_sets
+
+
+def _exchange_size(z_sets: dict[tuple, set[tuple]]) -> int:
+    """|pi_Y'(g)| * |pi_Z(g)|: the tuples that exchanging Y'-parts within
+    the group generates.  It is at least |g|, with equality iff the group
+    is the product of its two projections; summed over the X-groups it is
+    the size of the join of pi_XY and pi_XZ (Fagin 1977)."""
+    return len(z_sets) * len(set().union(*z_sets.values()))
+
+
+def _components_complete(z_sets: dict[tuple, set[tuple]]) -> bool:
+    """The weak condition on one X-group: Y'-values whose Z-sets meet have
+    equal Z-sets, i.e. every connected component of the Y'/Z graph is a
+    complete bipartite graph."""
+    owner: dict[tuple, set[tuple]] = {}
+    for zs in z_sets.values():
+        for z in zs:
+            if owner.setdefault(z, zs) != zs:
+                return False
+    return True
+
+
 def mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
                 ) -> Optional[tuple[Item, Item, Item]]:
     """None when X ->> Y holds; otherwise (t1, t2, missing exchanged tuple)."""
     xi = _idx(rel.schema, x)
-    yi = _idx(rel.schema, y)
-    xy = frozenset(xi) | frozenset(yi)
+    xy = frozenset(xi) | frozenset(_idx(rel.schema, y))
     members = rel.as_set()
-    by_x: dict[tuple, list[Item]] = {}
-    for t in rel.tuples:
-        by_x.setdefault(_proj(t, xi), []).append(t)
-    for group in by_x.values():
+    for group in _group_by(rel.tuples, xi).values():
         for t1 in group:
             for t2 in group:
                 t3 = _exchange(t1, t2, xy)
@@ -72,8 +117,11 @@ def mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
 
 
 def mvd_holds(rel: Relation, x: AttrSet, y: AttrSet) -> bool:
-    """X ->> Y: the Y-part of tuples agreeing on X is freely exchangeable."""
-    return mvd_witness(rel, x, y) is None
+    """X ->> Y: the Y-part of tuples agreeing on X is freely exchangeable,
+    i.e. every X-group is the product of its Y'- and Z-projections."""
+    xi, yi, zi = _split(rel.schema, x, y)
+    return all(len(g) == _exchange_size(_z_sets(g, yi, zi))
+               for g in _group_by(rel.tuples, xi).values())
 
 
 def weak_mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
@@ -102,7 +150,9 @@ def weak_mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
 def weak_mvd_holds(rel: Relation, x: AttrSet, y: AttrSet) -> bool:
     """X ->>_w Y: whenever t1,t2 agree on XY and t1,t3 agree on X(R\\Y),
     the exchanged fourth tuple is present."""
-    return weak_mvd_witness(rel, x, y) is None
+    xi, yi, zi = _split(rel.schema, x, y)
+    return all(_components_complete(_z_sets(g, yi, zi))
+               for g in _group_by(rel.tuples, xi).values())
 
 
 def is_trivial_mvd(schema: Schema, x: AttrSet, y: AttrSet) -> bool:
@@ -263,19 +313,16 @@ def nest_rewrite(rel: Relation, x: AttrSet, y: Optional[AttrSet] = None) -> Nest
         if set(yi) & set(xi):
             raise DataError("Y must be disjoint from X in the nesting rewrite")
     zi = tuple(i for i in rest if i not in yi)
-    groups: dict[tuple, list[Item]] = {}
-    for t in rel.tuples:
-        groups.setdefault(_proj(t, xi), []).append(t)
+    groups = _group_by(rel.tuples, xi)
     rows = []
     for x_val in sorted(groups):
         members = groups[x_val]
-        ys = sorted({_proj(t, yi) for t in members})
-        zs = sorted({_proj(t, zi) for t in members})
+        z_sets = _z_sets(members, yi, zi)
         rows.append(NestedRow(
             x_values=x_val,
-            y_values=tuple(ys),
-            z_values=tuple(zs),
-            is_product=len(members) == len(ys) * len(zs),
+            y_values=tuple(sorted(z_sets)),
+            z_values=tuple(sorted(set().union(*z_sets.values()))),
+            is_product=len(members) == _exchange_size(z_sets),
         ))
     names = rel.schema.names
     return NestedRelation(
@@ -399,10 +446,32 @@ def ap_witness(rel: Relation, x: tuple[str, ...], y: tuple[str, ...]
     return None
 
 
+def _first_exchange(rel: Relation, groups: dict[tuple, list[Item]],
+                    xi: Sequence[int], yi: Sequence[int], zi: Sequence[int]
+                    ) -> Optional[tuple[Item, Item, Item, Item]]:
+    """What ``ap_witness`` returns for a non-trivial X ->> Y that holds: the
+    first t1, t2 of one X-group differing on both Y' and Z, in relation
+    order.  Their exchanges are members because the group is a product."""
+    xy = frozenset(xi) | frozenset(yi)
+    for t1 in rel.tuples:
+        for t2 in groups[_proj(t1, xi)]:
+            if _proj(t1, yi) != _proj(t2, yi) and _proj(t1, zi) != _proj(t2, zi):
+                return (t1, t2, _exchange(t1, t2, xy), _exchange(t2, t1, xy))
+    return None
+
+
 def discover_dependencies(rel: Relation, max_attrs: int = 6) -> list[DependencyFinding]:
     """Check every (X, Y) subset pair and report those where at least one
-    dependency form holds."""
-    names = rel.schema.names
+    dependency form holds.
+
+    The tuples are grouped by X once per X, and each Y' = Y minus X is
+    decided once from those groups: FD when every group has one Y'-value,
+    the weak MVD when every group's Y'/Z graph has complete components,
+    and the MVD (equivalently the lossless join) when the exchange sizes
+    of the groups add up to |R|.  As FD => MVD => weak MVD, a failed weak
+    check decides all three."""
+    schema = rel.schema
+    names = schema.names
     if len(names) > max_attrs:
         raise DataError(
             f"exhaustive discovery is limited to {max_attrs} attributes, "
@@ -413,22 +482,38 @@ def discover_dependencies(rel: Relation, max_attrs: int = 6) -> list[DependencyF
         subsets.extend(combinations(names, size))
     findings = []
     for x in subsets:
+        groups = _group_by(rel.tuples, _idx(schema, x))
+        decided: dict[tuple[int, ...], Optional[DependencyFinding]] = {}
         for y in subsets:
             if not y:
                 continue
-            fd = fd_holds(rel, x, y)
-            mvd = mvd_holds(rel, x, y)
-            weak = weak_mvd_holds(rel, x, y)
-            if not (fd or mvd or weak):
-                continue
-            findings.append(DependencyFinding(
-                x=x,
-                y=y,
-                fd=fd,
-                mvd=mvd,
-                weak_mvd=weak,
-                trivial=is_trivial_mvd(rel.schema, x, y),
-                lossless_join=lossless_join_check(rel, x, y) if mvd else False,
-                ap_witness=ap_witness(rel, x, y) if mvd else None,
-            ))
+            xi, yi, zi = _split(schema, x, y)
+            if yi not in decided:
+                decided[yi] = _decide(rel, groups, xi, yi, zi)
+            found = decided[yi]
+            if found is not None:
+                findings.append(replace(found, x=x, y=y))
     return findings
+
+
+def _decide(rel: Relation, groups: dict[tuple, list[Item]],
+            xi: Sequence[int], yi: Sequence[int], zi: Sequence[int]
+            ) -> Optional[DependencyFinding]:
+    """The finding for X and Y' (its x and y left empty), None when no
+    dependency form holds."""
+    fd = True
+    exchanged = 0
+    for group in groups.values():
+        z_sets = _z_sets(group, yi, zi)
+        if not _components_complete(z_sets):
+            return None
+        fd = fd and len(z_sets) == 1
+        exchanged += _exchange_size(z_sets)
+    mvd = exchanged == len(rel)
+    trivial = not yi or not zi
+    return DependencyFinding(
+        x=(), y=(), fd=fd, mvd=mvd, weak_mvd=True, trivial=trivial,
+        lossless_join=mvd,
+        ap_witness=(_first_exchange(rel, groups, xi, yi, zi)
+                    if mvd and not trivial else None),
+    )

@@ -307,6 +307,23 @@ class TestMalformedInputsExitCleanly:
         assert out == "" and "UTF-8" in err
 
 
+def test_non_stratified_fallback_is_one_stderr_line(tmp_path):
+    # Class q has one member, fewer than the two folds.
+    table = tmp_path / "small.csv"
+    table.write_text("a,b,c\n0,0,p\n0,1,p\n1,0,p\n1,1,q\n")
+    code, out, err = run_subprocess(["evaluate", "--data", str(table),
+                                     "--strategy", "knn", "--folds", "2",
+                                     "--seed", "3"])
+    assert code == 0
+    assert "UserWarning" not in err and "Traceback" not in err
+    fallback = [line for line in err.splitlines()
+                if line.startswith("[evaluate]") and "non-stratified" in line]
+    assert fallback == ["[evaluate] some class has fewer than 2 members; "
+                        "used non-stratified folds"]
+    assert out == (f"knn on {table}: 50.00 +/- 0.00 "
+                   f"(2-fold, seed 3, abstention 0.00%)\n")
+
+
 # Cells and names drawn from a small alphabet so that some tables load and
 # reach the commands, with the characters that break CSV and domains.
 fuzz_cell = st.sampled_from(["0", "1", "2", "a", "b", "?", "", " ", '"', ",",

@@ -21,6 +21,8 @@ CASES = [
      ["explain", "--data", "coffee.csv", "--schema", "coffee.schema.json",
       "--query", "sit_2,no,coffee,yes,yes", "--why", "with_milk",
       "--format", "json"]),
+    ("deps_courses_exhaustive.json",
+     ["deps", "--data", "courses.csv", "--format", "json"]),
     ("deps_courses_single.json",
      ["deps", "--data", "courses.csv", "--mode", "single",
       "--x", "course", "--y", "teacher", "--format", "json"]),

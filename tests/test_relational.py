@@ -4,10 +4,13 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from anaprop.core import Schema, ap_holds_vec, solve_vec
 from anaprop.data import DataError, Relation, generate_random_relation
 from anaprop.relational import (
+    DependencyFinding,
+    ap_witness,
     exchange_tuples,
     discover_dependencies,
     fd_holds,
@@ -349,3 +352,107 @@ class TestDiscovery:
             assert ap_holds_vec(t1, t4, t3, t2)
             seen += 1
         assert seen > 0
+
+
+@st.composite
+def relations(draw, min_attrs=1, max_attrs=5, max_rows=12):
+    """Relations on 1-5 attributes with domains of size 2-3, in drawn row
+    order: either arbitrary rows, or a planted X ->> Y where each X-value
+    carries the product of a drawn set of Y-values and of Z-values."""
+    arity = draw(st.integers(min_attrs, max_attrs))
+    domains = [("0", "1", "2")[:draw(st.integers(2, 3))] for _ in range(arity)]
+    schema = Schema.from_pairs([(f"a{i}", d) for i, d in enumerate(domains)])
+
+    def values(idx, max_size):
+        part = st.tuples(*[st.sampled_from(domains[i]) for i in idx])
+        return draw(st.lists(part, min_size=1, max_size=max_size, unique=True))
+
+    if arity >= 3 and draw(st.booleans()):
+        roles = draw(st.permutations(range(arity)))
+        y_size = draw(st.integers(1, arity - 2))
+        z_size = draw(st.integers(1, arity - 1 - y_size))
+        yi, zi = roles[:y_size], roles[y_size:y_size + z_size]
+        xi = roles[y_size + z_size:]
+        rows = []
+        for x_val in values(xi, 2):
+            for y_val in values(yi, 3):
+                for z_val in values(zi, 3):
+                    t = [""] * arity
+                    for part, idx in ((x_val, xi), (y_val, yi), (z_val, zi)):
+                        for v, i in zip(part, idx):
+                            t[i] = v
+                    rows.append(tuple(t))
+        rows = draw(st.permutations(rows))[:max_rows]
+    else:
+        rows = draw(st.lists(st.tuples(*[st.sampled_from(d) for d in domains]),
+                             max_size=max_rows))
+    return Relation.from_rows(schema, rows)
+
+
+def all_subsets(names):
+    return [c for size in range(len(names) + 1)
+            for c in combinations(names, size)]
+
+
+def discover_dependencies_oracle(rel: Relation) -> list[DependencyFinding]:
+    """Discovery one (X, Y) pair at a time with the exchange and scan
+    forms of every check."""
+    findings = []
+    subsets = all_subsets(rel.schema.names)
+    for x in subsets:
+        for y in subsets:
+            if not y:
+                continue
+            fd = fd_holds(rel, x, y)
+            mvd = mvd_witness(rel, x, y) is None
+            weak = weak_mvd_witness(rel, x, y) is None
+            if not (fd or mvd or weak):
+                continue
+            findings.append(DependencyFinding(
+                x=x,
+                y=y,
+                fd=fd,
+                mvd=mvd,
+                weak_mvd=weak,
+                trivial=is_trivial_mvd(rel.schema, x, y),
+                lossless_join=lossless_join_check(rel, x, y) if mvd else False,
+                ap_witness=ap_witness(rel, x, y) if mvd else None,
+            ))
+    return findings
+
+
+# a0 ->> a1 holds and is not trivial: a0 = 0 carries {0, 1} x {0, 1, 2}.
+PLANTED = Relation.from_rows(
+    Schema.from_pairs([(f"a{i}", "012") for i in range(3)]),
+    [("0", y, z) for z in "210" for y in "01"] + [("1", "2", "0")],
+)
+
+
+class TestCountingAgainstOracles:
+    def test_planted_example_has_a_witness(self):
+        findings = discover_dependencies(PLANTED)
+        assert any(f.ap_witness is not None for f in findings)
+
+    @settings(max_examples=100)
+    @given(relations())
+    @example(PLANTED)
+    def test_discovery_matches_per_pair_oracle(self, rel):
+        assert discover_dependencies(rel) == discover_dependencies_oracle(rel)
+
+    @given(relations())
+    def test_ap_witness_is_none_for_trivial_dependencies(self, rel):
+        subsets = all_subsets(rel.schema.names)
+        for x in subsets:
+            for y in subsets:
+                if is_trivial_mvd(rel.schema, x, y):
+                    assert ap_witness(rel, x, y) is None
+
+    @settings(max_examples=40)
+    @given(relations(min_attrs=4, max_attrs=4, max_rows=8))
+    def test_counting_checks_match_literal_scans_on_four_attributes(self, rel):
+        subsets = all_subsets(rel.schema.names)
+        for x in subsets:
+            for y in subsets:
+                assert mvd_holds(rel, x, y) == mvd_literal_oracle(rel, x, y)
+                assert weak_mvd_holds(rel, x, y) == \
+                    weak_mvd_literal_oracle(rel, x, y)
