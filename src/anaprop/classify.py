@@ -3,21 +3,22 @@
 The baseline classifier votes over every ordered training triplet (a,b,c)
 that forms a proportion a:b::c:query with a solvable class equation.  A
 triplet qualifies exactly when diff(a,b) == diff(c,query), so the vote is
-computed by grouping ordered training pairs by their difference vector
-once (quadratic) and then, per query, looking up diff(c,query) for each
-candidate c.  The vote counts are identical to the cubic enumeration;
-tests cross-check against a literal triple loop.  The pair index can take
-one row out and put it back, so leave-one-out scoring downdates a single
-index instead of rebuilding it per row.
+computed by grouping ordered training pairs once (quadratic) under an
+integer key that stands for their difference vector, and then, per
+query, looking up the key of (c,query) for each candidate c.  The vote
+counts are identical to the cubic enumeration; tests cross-check against
+a literal triple loop.  The pair index can take one row out and put it
+back, so leave-one-out scoring downdates a single index instead of
+rebuilding it per row.
 
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
-confidence), the selected-triplet classifier (competent pairs plus a
-near-neighbor bound on c), the case-analysis classifier that resolves
-mixed pair groups by solving a Bongard separation problem over the shared
-context, a Hamming kNN baseline, and a seeded stratified cross-validation
-harness that builds one model per fold, whatever the size of a grid
-search over the neighbor parameter.
+confidence), the selected-triplet classifier (competent pairs, counted
+per pair key, plus a near-neighbor bound on c), the case-analysis
+classifier that resolves mixed pair groups by solving a Bongard
+separation problem over the shared context, a Hamming kNN baseline, and
+a seeded stratified cross-validation harness that builds one model per
+fold, whatever the size of a grid search over the neighbor parameter.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ import statistics
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Mapping, Optional, Sequence
 
-from .core import Diff, Item, SchemaError, diff, hamming
+from .core import Diff, Item, Schema, SchemaError, diff, hamming
 from .data import DataError, Dataset
 
 STRATEGIES = ("baseline", "selected", "bongard", "knn")
@@ -72,21 +72,139 @@ def _prediction(votes: Counter, examined: int, label_order: Sequence[str]) -> Pr
     return Prediction(_majority(votes, label_order), dict(votes), examined, False)
 
 
+class PairKeys:
+    """Integer keys for ordered pairs (a, b) in which one side is a row of
+    a fixed item list and the other any item of the same arity.
+
+    Each value is coded by its position in its attribute's sorted domain.
+    A pair's key is the sum of one entry per attribute: 0 where a and b
+    agree, and otherwise 1 plus a multiple of m + 1 (m attributes) that is
+    distinct for each ordered change (x, y), as a mixed-radix digit.  So
+    two pairs have equal keys exactly when ``core.diff`` gives them equal
+    difference vectors, key 0 means a == b, and ``key % (m + 1)`` is the
+    Hamming distance.  Key lists are sums of per-attribute columns of
+    entries over the rows, each built once and cached.
+    """
+
+    def __init__(self, schema: Schema, items: Sequence[Item]):
+        self._codes = [{v: c for c, v in enumerate(a.domain)}
+                       for a in schema.attributes]
+        self.modulus = len(self._codes) + 1
+        self._radices = [len(codes) ** 2 + 1 for codes in self._codes]
+        self._weights = []
+        weight = self.modulus
+        for radix in self._radices:
+            self._weights.append(weight)
+            weight *= radix
+        self._rows = [[codes[item[k]] for item in items]
+                      for k, codes in enumerate(self._codes)]
+        self._size = len(items)
+        self._columns: dict[tuple[int, int, bool], list[int]] = {}
+
+    def _entry(self, k: int, x: int, y: int) -> int:
+        """Attribute ``k``'s share of the key of a pair with codes x -> y."""
+        if x == y:
+            return 0
+        return (x * len(self._codes[k]) + y + 1) * self._weights[k] + 1
+
+    def _encode(self, item: Item) -> Optional[list[int]]:
+        try:
+            return [codes[v] for codes, v in zip(self._codes, item)]
+        except KeyError:  # a value outside the schema's domain
+            return None
+
+    def keys_from(self, item: Item) -> Optional[list[int]]:
+        """The key of (item, row) for every row; None when a value of
+        ``item`` lies outside its domain, since no pair of rows then
+        shares a key with those pairs."""
+        return self._keys(item, True)
+
+    def keys_to(self, item: Item) -> Optional[list[int]]:
+        """The key of (row, item) for every row; None as for ``keys_from``."""
+        return self._keys(item, False)
+
+    def _keys(self, item: Item, outgoing: bool) -> Optional[list[int]]:
+        codes = self._encode(item)
+        if codes is None:
+            return None
+        columns = []
+        for k, x in enumerate(codes):
+            column = self._columns.get((k, x, outgoing))
+            if column is None:
+                entry = self._entry
+                column = [entry(k, x, y) if outgoing else entry(k, y, x)
+                          for y in self._rows[k]]
+                self._columns[(k, x, outgoing)] = column
+            columns.append(column)
+        if not columns:
+            return [0] * self._size
+        return list(map(sum, zip(*columns)))
+
+    def change_key(self, change: Diff) -> Optional[int]:
+        """Key of any pair with this difference vector; None when a value
+        lies outside its domain."""
+        key = 0
+        for k, step in enumerate(change):
+            if step is not None:
+                x, y = (self._codes[k].get(v) for v in step)
+                if x is None or y is None:
+                    return None
+                key += self._entry(k, x, y)
+        return key
+
+    def agreement(self, key: int) -> tuple[int, ...]:
+        """Attribute positions on which the pairs with this key agree."""
+        return tuple(k for k, (weight, radix)
+                     in enumerate(zip(self._weights, self._radices))
+                     if not key // weight % radix)
+
+
 class _Group:
-    """Vote-relevant statistics of one difference-vector pair group."""
+    """Vote-relevant statistics of one pair-key group."""
 
     __slots__ = ("total", "n_same", "tilts", "pairs")
 
-    def __init__(self, keep_pairs: bool):
+    def __init__(self, keep_pairs: bool = False):
         self.total = 0
         self.n_same = 0
         self.tilts: dict[tuple[str, str], int] = {}
         self.pairs: Optional[list[tuple[int, int]]] = [] if keep_pairs else None
 
+    def add(self, la: str, lb: str, step: int) -> None:
+        self.total += step
+        if la == lb:
+            self.n_same += step
+        else:
+            count = self.tilts.get((la, lb), 0) + step
+            if count:
+                self.tilts[(la, lb)] = count
+            else:
+                del self.tilts[(la, lb)]
+
+
+def _vote(groups: Mapping[int, _Group], keyed_labels,
+          label_order: Sequence[str]) -> Prediction:
+    """Triplet vote over (key of (c, query), label of c) entries: each
+    pair (a, b) grouped under that key is one triplet; a same-label pair
+    votes for c's label, a tilt from c's label votes for its target."""
+    votes: Counter = Counter()
+    examined = 0
+    for key, lc in keyed_labels:
+        g = groups.get(key)
+        if g is None:
+            continue
+        examined += g.total
+        if g.n_same:
+            votes[lc] += g.n_same
+        for (la, lb), count in g.tilts.items():
+            if la == lc:
+                votes[lb] += count
+    return _prediction(votes, examined, label_order)
+
 
 class PairIndex:
     """All ordered pairs of live training rows (including identical
-    indices) grouped by their difference vector.
+    indices) grouped by their pair key (see ``PairKeys``).
 
     Every row starts live.  ``remove_row`` and ``add_row`` take a row out
     of the index and put it back, updating only the pairs that touch it,
@@ -95,64 +213,38 @@ class PairIndex:
     """
 
     def __init__(self, train: Dataset, keep_pairs: bool = False):
-        self.groups: dict[Diff, _Group] = {}
+        self.groups: dict[int, _Group] = {}
+        self.pair_keys = PairKeys(train.schema, train.items)
         self._items = train.items
         self._labels = train.labels
         self._label_order = train.class_attr.domain
         self._keep_pairs = keep_pairs
         self._live = [True] * len(train)
-        items = self._items
-        labels = self._labels
-        groups = self.groups
-        for i, a in enumerate(items):
-            la = labels[i]
-            for j, b in enumerate(items):
-                d = tuple(
-                    None if x == y else (x, y) for x, y in zip(a, b)
-                )
-                g = groups.get(d)
-                if g is None:
-                    g = _Group(keep_pairs)
-                    groups[d] = g
-                g.total += 1
-                lb = labels[j]
-                if la == lb:
-                    g.n_same += 1
-                else:
-                    key = (la, lb)
-                    g.tilts[key] = g.tilts.get(key, 0) + 1
-                if g.pairs is not None:
-                    g.pairs.append((i, j))
+        for i, a in enumerate(self._items):
+            for j, key in enumerate(self.pair_keys.keys_from(a)):
+                self._update(key, i, j, 1)
 
-    def _update(self, i: int, j: int, step: int) -> None:
-        d = diff(self._items[i], self._items[j])
-        g = self.groups.get(d)
+    def _update(self, key: int, i: int, j: int, step: int) -> None:
+        g = self.groups.get(key)
         if g is None:
-            g = self.groups[d] = _Group(self._keep_pairs)
-        g.total += step
-        la, lb = self._labels[i], self._labels[j]
-        if la == lb:
-            g.n_same += step
-        else:
-            count = g.tilts.get((la, lb), 0) + step
-            if count:
-                g.tilts[(la, lb)] = count
-            else:
-                del g.tilts[(la, lb)]
+            g = self.groups[key] = _Group(self._keep_pairs)
+        g.add(self._labels[i], self._labels[j], step)
         if g.pairs is not None:
             if step > 0:
                 g.pairs.append((i, j))
             else:
                 g.pairs.remove((i, j))
         if not g.total:
-            del self.groups[d]
+            del self.groups[key]
 
     def _touch(self, i: int, step: int) -> None:
+        outgoing = self.pair_keys.keys_from(self._items[i])
+        incoming = self.pair_keys.keys_to(self._items[i])
         for j, live in enumerate(self._live):  # row i itself is not live here
             if live:
-                self._update(i, j, step)
-                self._update(j, i, step)
-        self._update(i, i, step)
+                self._update(outgoing[j], i, j, step)
+                self._update(incoming[j], j, i, step)
+        self._update(0, i, i, step)
 
     def remove_row(self, i: int) -> None:
         """Take row ``i`` out: drop the pairs (i,j), (j,i) and (i,i)."""
@@ -171,25 +263,11 @@ class PairIndex:
     def vote(self, query: Item) -> Prediction:
         """Baseline triplet vote for ``query`` with c ranging over the
         live rows in dataset order."""
-        votes: Counter = Counter()
-        examined = 0
-        labels = self._labels
-        groups = self.groups
-        for idx, c in enumerate(self._items):
-            if not self._live[idx]:
-                continue
-            d = tuple(None if x == y else (x, y) for x, y in zip(c, query))
-            g = groups.get(d)
-            if g is None:
-                continue
-            examined += g.total
-            lc = labels[idx]
-            if g.n_same:
-                votes[lc] += g.n_same
-            for (la, lb), count in g.tilts.items():
-                if la == lc:
-                    votes[lb] += count
-        return _prediction(votes, examined, self._label_order)
+        keys = self.pair_keys.keys_to(query)
+        if keys is None:
+            return _prediction(Counter(), 0, self._label_order)
+        return _vote(self.groups, compress(zip(keys, self._labels), self._live),
+                     self._label_order)
 
 
 def _check_query(train: Dataset, query: Item) -> None:
@@ -295,83 +373,98 @@ class CompetentPair:
         return (self.label_a, self.label_b)
 
 
-def extract_competent_pairs(train: Dataset, min_support: int = 2,
-                            min_confidence: float = 0.9) -> list[CompetentPair]:
-    """Mine all ordered example pairs whose change rule clears both
-    thresholds; emitted in pair-enumeration order."""
+def _check_thresholds(min_support: int, min_confidence: float) -> None:
     if min_support < 1:
         raise DataError("min_support must be at least 1")
     if not 0.0 <= min_confidence <= 1.0:
         raise DataError("min_confidence must lie in [0, 1]")
+
+
+def _competent(support: int, total: int, min_support: int,
+               min_confidence: float) -> bool:
+    return support >= min_support and support / total >= min_confidence
+
+
+def extract_competent_pairs(train: Dataset, min_support: int = 2,
+                            min_confidence: float = 0.9) -> list[CompetentPair]:
+    """Mine all ordered example pairs whose change rule clears both
+    thresholds; emitted in pair-enumeration order.  Pairs of equal items
+    (key 0) carry no change and are skipped."""
+    _check_thresholds(min_support, min_confidence)
+    index = PairIndex(train)
     items = train.items
     labels = train.labels
-    n = len(items)
-    enumerated: list[tuple[int, int, Diff]] = []
-    stats: dict[Diff, tuple[int, int, Counter]] = {}
-    for i in range(n):
-        a = items[i]
-        for j in range(n):
-            if i == j:
-                continue
-            b = items[j]
-            if a == b:  # duplicate items carry no change
-                continue
-            d = tuple(None if x == y else (x, y) for x, y in zip(a, b))
-            enumerated.append((i, j, d))
-            total, same, tilts = stats.get(d) or (0, 0, Counter())
-            if labels[i] == labels[j]:
-                same += 1
-            else:
-                tilts[(labels[i], labels[j])] += 1
-            stats[d] = (total + 1, same, tilts)
-
     out: list[CompetentPair] = []
-    for i, j, d in enumerated:
-        total, same, tilts = stats[d]
-        la, lb = labels[i], labels[j]
-        support = same if la == lb else tilts[(la, lb)]
-        confidence = support / total
-        if support >= min_support and confidence >= min_confidence:
-            out.append(
-                CompetentPair(items[i], items[j], la, lb, d, support, confidence)
-            )
+    for i, a in enumerate(items):
+        la = labels[i]
+        for j, key in enumerate(index.pair_keys.keys_from(a)):
+            if not key:
+                continue
+            g = index.groups[key]
+            lb = labels[j]
+            support = g.n_same if la == lb else g.tilts[(la, lb)]
+            if _competent(support, g.total, min_support, min_confidence):
+                out.append(CompetentPair(a, items[j], la, lb, diff(a, items[j]),
+                                         support, support / g.total))
     return out
 
 
 class SelectedTripletModel:
-    """Triplet voting restricted to competent pairs and near neighbors."""
+    """Triplet voting restricted to competent pairs and near neighbors.
+
+    The competent pairs are held as counts: per pair key, how many are
+    same-label and how many carry each tilt.  A query's vote reads, for
+    every c within the Hamming radius, the counts under the key of
+    (c, query)."""
 
     def __init__(self, train: Dataset, pairs: Sequence[CompetentPair], radius: int):
         if radius < 0:
             raise DataError("radius must be non-negative")
         self._train = train
         self._radius = radius
-        self._by_change: dict[Diff, list[tuple[str, str]]] = {}
-        for p in pairs:
-            self._by_change.setdefault(p.change, []).append((p.label_a, p.label_b))
+        self._pair_keys = PairKeys(train.schema, train.items)
+        self._groups: dict[int, _Group] = {}
         self._label_order = train.class_attr.domain
+        for p in pairs:
+            key = self._pair_keys.change_key(p.change)
+            if key is not None:  # an out-of-domain change matches no c
+                self._groups.setdefault(key, _Group()).add(p.label_a, p.label_b, 1)
+
+    @classmethod
+    def mined(cls, train: Dataset, mining: Dataset, min_support: int,
+              min_confidence: float, radius: int) -> "SelectedTripletModel":
+        """The model over ``extract_competent_pairs(mining, ...)``, counted
+        from ``mining``'s pair index without listing the pairs: each
+        behaviour of a group (same-label, or one tilt) clears the
+        thresholds or fails them as a whole."""
+        _check_thresholds(min_support, min_confidence)
+        model = cls(train, (), radius)
+        for key, g in PairIndex(mining).groups.items():
+            # Key 0 holds the pairs of equal items, which carry no change;
+            # no behaviour of a group smaller than min_support is competent.
+            if not key or g.total < min_support:
+                continue
+            same = g.n_same if _competent(g.n_same, g.total, min_support,
+                                          min_confidence) else 0
+            tilts = {tilt: count for tilt, count in g.tilts.items()
+                     if _competent(count, g.total, min_support, min_confidence)}
+            if same or tilts:
+                kept = model._groups[key] = _Group()
+                kept.n_same = same
+                kept.tilts = tilts
+                kept.total = same + sum(tilts.values())
+        return model
 
     def classify(self, query: Item) -> Prediction:
         _check_query(self._train, query)
-        votes: Counter = Counter()
-        examined = 0
-        labels = self._train.labels
+        keys = self._pair_keys.keys_to(query)
+        if keys is None:
+            return _prediction(Counter(), 0, self._label_order)
+        modulus = self._pair_keys.modulus
         radius = self._radius
-        for idx, c in enumerate(self._train.items):
-            if hamming(c, query) > radius:
-                continue
-            d = tuple(None if x == y else (x, y) for x, y in zip(c, query))
-            plist = self._by_change.get(d)
-            if not plist:
-                continue
-            examined += len(plist)
-            lc = labels[idx]
-            for la, lb in plist:
-                if la == lb:
-                    votes[lc] += 1
-                elif la == lc:
-                    votes[lb] += 1
-        return _prediction(votes, examined, self._label_order)
+        near = ((key, lc) for key, lc in zip(keys, self._train.labels)
+                if key % modulus <= radius)
+        return _vote(self._groups, near, self._label_order)
 
 
 def selected_triplet_classify(train: Dataset, pairs: Sequence[CompetentPair],
@@ -465,13 +558,13 @@ class BongardModel:
         self._index = PairIndex(train, keep_pairs=True)
         self._groups = self._index.groups
         self._label_order = train.class_attr.domain
-        self._analysis: dict[Diff, tuple] = {}
+        self._analysis: dict[int, tuple] = {}
 
-    def _analyze(self, d: Diff):
-        cached = self._analysis.get(d)
+    def _analyze(self, key: int):
+        cached = self._analysis.get(key)
         if cached is not None:
             return cached
-        g = self._groups.get(d)
+        g = self._groups.get(key)
         if g is None:
             result = ("empty", None, None)
         elif not g.tilts:
@@ -481,7 +574,7 @@ class BongardModel:
         else:
             labels = self._train.labels
             items = self._train.items
-            ag = tuple(i for i, e in enumerate(d) if e is None)
+            ag = self._index.pair_keys.agreement(key)
             same_ctx = set()
             diff_ctx = set()
             for i, j in g.pairs:  # type: ignore[union-attr]
@@ -492,7 +585,7 @@ class BongardModel:
                     diff_ctx.add(ctx)
             prop = _separate(same_ctx, diff_ctx, ag, self._max_literals)
             result = ("mixed", g, (ag, prop))
-        self._analysis[d] = result
+        self._analysis[key] = result
         return result
 
     def _suggest(self, tilts: Mapping[tuple[str, str], int], lc: str) -> Optional[str]:
@@ -508,12 +601,14 @@ class BongardModel:
         """Yield (neighbor index, vote, pair count) in increasing Hamming
         distance from the query (ties by dataset order)."""
         _check_query(self._train, query)
-        items = self._train.items
+        keys = self._index.pair_keys.keys_to(query)
+        if keys is None:
+            return  # no pair of rows shares a change with the query
+        modulus = self._index.pair_keys.modulus
         labels = self._train.labels
-        for idx in _nearest_first(items, query):
-            c = items[idx]
-            d = tuple(None if x == y else (x, y) for x, y in zip(c, query))
-            kind, g, extra = self._analyze(d)
+        nearest = sorted(range(len(keys)), key=lambda i: keys[i] % modulus)
+        for idx in nearest:  # by Hamming distance, ties by dataset order
+            kind, g, extra = self._analyze(keys[idx])
             if kind == "empty":
                 continue
             lc = labels[idx]
@@ -592,7 +687,9 @@ def knn_classify(train: Dataset, query: Item, k: int) -> Prediction:
 @dataclass(frozen=True)
 class CvConfig:
     """Everything a cross-validation run depends on; the seed drives all
-    randomness (fold shuffling and per-fold pair-mining subsamples)."""
+    randomness (fold shuffling and per-fold pair-mining subsamples).
+    ``workers`` is accepted for compatibility and has no effect: folds run
+    one after another."""
 
     strategy: str
     folds: int = 10
@@ -783,9 +880,8 @@ def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int):
         return lambda q: [model.classify(q)], None
     if config.strategy == "selected":
         mining = _mining_subset(train, config.subsample, config.seed, fold)
-        pairs = extract_competent_pairs(mining, config.min_support,
-                                        config.min_confidence)
-        model = SelectedTripletModel(train, pairs, config.radius)
+        model = SelectedTripletModel.mined(train, mining, config.min_support,
+                                           config.min_confidence, config.radius)
         return lambda q: [model.classify(q)], lambda: BruteForceModel(train).classify
     if config.strategy == "bongard":
         model = BongardModel(train, config.max_literals)
@@ -853,15 +949,8 @@ def _cross_validate_all(data: Dataset, configs: Sequence[CvConfig]) -> list[CvRe
     started = time.perf_counter()
     config = configs[0]
     assignment, stratified = make_folds(data, config.folds, config.seed)
-
-    def run(f: int) -> list[FoldResult]:
-        return _evaluate_fold(data, configs, f, assignment)
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            per_fold = list(pool.map(run, range(config.folds)))
-    else:
-        per_fold = [run(f) for f in range(config.folds)]
+    per_fold = [_evaluate_fold(data, configs, f, assignment)
+                for f in range(config.folds)]
     wall_time = time.perf_counter() - started
     counts = Counter(data.labels)
     reports = []
@@ -889,7 +978,7 @@ def _cross_validate_all(data: Dataset, configs: Sequence[CvConfig]) -> list[CvRe
 
 def cross_validate(data: Dataset, config: CvConfig) -> CvReport:
     """Seeded stratified k-fold evaluation of one strategy; deterministic
-    given (data, config), whatever the worker count."""
+    given (data, config)."""
     return _cross_validate_all(data, [config])[0]
 
 

@@ -109,26 +109,36 @@ def _cmd_evaluate(args) -> int:
         raise _UsageError("evaluate is seeded; pass --seed (or a profile that sets it)")
     if args.strategy is None:
         args.strategy = "baseline"
+
+    def given(value, default):
+        return value if value is not None else default
+
     try:  # config problems are usage errors, found before any work starts
         config = classify.CvConfig(
             strategy=args.strategy,
-            folds=args.folds if args.folds is not None else 10,
+            folds=given(args.folds, 10),
             seed=args.seed,
-            radius=args.radius if args.radius is not None else 2,
-            neighbor_budget=args.neighbor_budget or 1,
-            max_literals=args.max_literals or 2,
-            k=args.k or 1,
-            min_support=args.min_support if args.min_support is not None else 2,
-            min_confidence=(args.min_confidence
-                            if args.min_confidence is not None else 0.9),
+            radius=given(args.radius, 2),
+            neighbor_budget=given(args.neighbor_budget, 1),
+            max_literals=given(args.max_literals, 2),
+            k=given(args.k, 1),
+            min_support=given(args.min_support, 2),
+            min_confidence=given(args.min_confidence, 0.9),
             subsample=args.subsample,
-            fallback=args.fallback or "knn1",
-            workers=args.workers or 1,
+            fallback=given(args.fallback, "knn1"),
+            workers=given(args.workers, 1),
         )
     except DataError as exc:
         raise _UsageError(str(exc)) from exc
-    if args.grid and config.strategy not in classify.GRID_PARAMETERS:
-        raise _UsageError("--grid applies to the bongard and knn strategies")
+    if args.grid:
+        if config.strategy not in classify.GRID_PARAMETERS:
+            raise _UsageError("--grid applies to the bongard and knn strategies")
+        grid = _parse_int_list(args.grid)
+        if not grid or min(grid) < 1:
+            raise _UsageError(f"--grid needs values of at least 1, got {args.grid!r}")
+    if config.workers > 1:
+        print(f"[evaluate] --workers {config.workers} has no effect; "
+              f"folds run one after another", file=sys.stderr)
     dataset = data.load_dataset(args.data, delimiter=args.delimiter,
                                 class_column=args.class_column,
                                 schema_file=args.schema)
@@ -140,7 +150,6 @@ def _cmd_evaluate(args) -> int:
         warnings.filterwarnings("ignore", message=".*non-stratified folds",
                                 category=UserWarning)
         if args.grid:
-            grid = _parse_int_list(args.grid)
             best, reports = classify.cross_validate_grid(dataset, config, grid)
             payload["grid"] = grid
             payload["grid_parameter"] = classify.GRID_PARAMETERS[config.strategy]

@@ -8,7 +8,9 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from anaprop.core import Attribute, Schema, SchemaError, ap_holds_vec, diff, solve
+from anaprop.core import (
+    Attribute, Schema, SchemaError, ap_holds_vec, diff, hamming, solve,
+)
 from anaprop.data import (
     DataError,
     Dataset,
@@ -18,8 +20,11 @@ from anaprop.data import (
 )
 from anaprop.classify import (
     BongardModel,
+    CompetentPair,
     CvConfig,
     PairIndex,
+    PairKeys,
+    SelectedTripletModel,
     analogical_suitability,
     bongard_classify,
     bongard_separation,
@@ -776,3 +781,236 @@ class TestCrossValidation:
         report = cross_validate(generate_monk(3),
                                 CvConfig(strategy="baseline", folds=10, seed=7))
         assert abs(report.mean_accuracy - 95.28) <= 5.0
+
+
+# ---------------------------------------------------------------------------
+# Integer pair keys and counting, against the tuple-keyed definitions
+# ---------------------------------------------------------------------------
+
+def extract_competent_pairs_oracle(train: Dataset, min_support: int = 2,
+                                   min_confidence: float = 0.9):
+    """Competent-pair mining by the definition: one grouping of all
+    ordered pairs of distinct items by their difference vector, then each
+    pair's support and confidence read from its group."""
+    items = train.items
+    labels = train.labels
+    n = len(items)
+    enumerated = []
+    stats = {}
+    for i in range(n):
+        a = items[i]
+        for j in range(n):
+            if i == j:
+                continue
+            b = items[j]
+            if a == b:  # duplicate items carry no change
+                continue
+            d = tuple(None if x == y else (x, y) for x, y in zip(a, b))
+            enumerated.append((i, j, d))
+            total, same, tilts = stats.get(d) or (0, 0, Counter())
+            if labels[i] == labels[j]:
+                same += 1
+            else:
+                tilts[(labels[i], labels[j])] += 1
+            stats[d] = (total + 1, same, tilts)
+
+    out = []
+    for i, j, d in enumerated:
+        total, same, tilts = stats[d]
+        la, lb = labels[i], labels[j]
+        support = same if la == lb else tilts[(la, lb)]
+        confidence = support / total
+        if support >= min_support and confidence >= min_confidence:
+            out.append(
+                CompetentPair(items[i], items[j], la, lb, d, support, confidence)
+            )
+    return out
+
+
+def majority_oracle(votes, label_order):
+    return max(label_order, key=lambda label: (votes.get(label, 0),
+                                               -label_order.index(label)))
+
+
+def prediction_oracle(votes, examined, label_order):
+    if not votes:
+        return (None, {}, examined, True)
+    return (majority_oracle(votes, label_order), dict(votes), examined, False)
+
+
+def as_tuple(pred):
+    return (pred.label, dict(pred.votes), pred.triplets_examined, pred.abstained)
+
+
+def selected_vote_oracle(train: Dataset, pairs, query, radius: int):
+    """Selected-triplet vote from the pair list: every competent pair whose
+    change equals diff(c, query), for every c within the radius."""
+    votes = Counter()
+    examined = 0
+    for c, lc in zip(train.items, train.labels):
+        if hamming(c, query) > radius:
+            continue
+        for p in pairs:
+            if p.change == diff(c, query):
+                examined += 1
+                if p.same_label:
+                    votes[lc] += 1
+                elif p.label_a == lc:
+                    votes[p.label_b] += 1
+    return prediction_oracle(votes, examined, train.class_attr.domain)
+
+
+def tuple_groups(train: Dataset):
+    """Ordered pairs (i, j), identical indices included, by diff tuple."""
+    groups = {}
+    for i, a in enumerate(train.items):
+        for j, b in enumerate(train.items):
+            groups.setdefault(diff(a, b), []).append((i, j))
+    return groups
+
+
+def baseline_vote_oracle(train: Dataset, query):
+    groups = tuple_groups(train)
+    labels = train.labels
+    votes = Counter()
+    examined = 0
+    for c, lc in zip(train.items, labels):
+        for i, j in groups.get(diff(c, query), ()):
+            examined += 1
+            if labels[i] == labels[j]:
+                votes[lc] += 1
+            elif labels[i] == lc:
+                votes[labels[j]] += 1
+    return prediction_oracle(votes, examined, train.class_attr.domain)
+
+
+def bongard_stream_oracle(train: Dataset, query, max_literals: int):
+    """(neighbor, vote, pair count) of the three-case analysis, with the
+    pair groups keyed by diff tuples."""
+    groups = tuple_groups(train)
+    items, labels = train.items, train.labels
+    order = sorted(range(len(items)), key=lambda i: (hamming(items[i], query), i))
+    out = []
+    for idx in order:
+        d = diff(items[idx], query)
+        pairs = groups.get(d)
+        if not pairs:
+            continue
+        lc = labels[idx]
+        same = [(items[i], items[j]) for i, j in pairs if labels[i] == labels[j]]
+        changing = [(items[i], items[j]) for i, j in pairs if labels[i] != labels[j]]
+        targets = Counter(labels[j] for i, j in pairs
+                          if labels[i] != labels[j] and labels[i] == lc)
+        suggestion = (majority_oracle(targets, train.class_attr.domain)
+                      if targets else None)
+        if not changing:
+            vote = lc
+        elif not same:
+            vote = suggestion
+        else:
+            ag = [k for k, step in enumerate(d) if step is None]
+            prop = bongard_separation(same, changing, ag, max_literals)
+            if prop is None:
+                continue
+            vote = lc if prop.satisfied_by(query) else suggestion
+        if vote is not None:
+            out.append((idx, vote, len(pairs)))
+    return out
+
+
+DOMAIN_POOL = "uvwxyz"
+
+
+@st.composite
+def keyed_datasets(draw):
+    """Small datasets over attributes of different domain sizes, with
+    duplicate items (possibly with conflicting labels), plus queries some
+    of which carry a value outside the schema's domain."""
+    sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    schema = Schema.from_pairs((f"a{k}", tuple(DOMAIN_POOL[:s]))
+                               for k, s in enumerate(sizes))
+    class_attr = Attribute("c", ("p", "q", "r")[:draw(st.integers(2, 3))])
+    item = st.tuples(*[st.sampled_from(a.domain) for a in schema.attributes])
+    label = st.sampled_from(class_attr.domain)
+    rows = draw(st.lists(st.tuples(item, label), min_size=2, max_size=12))
+    for pos in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        rows.append((rows[pos][0], draw(label)))  # a duplicate item
+    ds = Dataset(schema, class_attr, tuple(r[0] for r in rows),
+                 tuple(r[1] for r in rows))
+    queries = draw(st.lists(item, min_size=1, max_size=3))
+    alien = list(draw(item))
+    alien[draw(st.integers(0, len(sizes) - 1))] = "alien"
+    return ds, queries + [tuple(alien)]
+
+
+class TestPairKeys:
+    @given(keyed_datasets())
+    def test_keys_stand_for_difference_vectors(self, case):
+        ds, queries = case
+        items = list(ds.items) + queries[:-1]
+        keys = PairKeys(ds.schema, items)
+        by_key, by_diff = {}, {}
+        for a in items:
+            outgoing = keys.keys_from(a)
+            incoming = keys.keys_to(a)
+            for b, key, back in zip(items, outgoing, incoming):
+                d = diff(a, b)
+                by_key.setdefault(key, set()).add(d)
+                by_diff.setdefault(d, set()).add(key)
+                assert back == keys.keys_from(b)[items.index(a)]
+                assert (key == 0) == (a == b)
+                assert key % keys.modulus == hamming(a, b)
+                assert keys.change_key(d) == key
+                assert keys.agreement(key) == tuple(
+                    k for k, step in enumerate(d) if step is None)
+        assert all(len(v) == 1 for v in by_key.values())
+        assert all(len(v) == 1 for v in by_diff.values())
+        assert keys.keys_from(queries[-1]) is None
+        assert keys.keys_to(queries[-1]) is None
+
+
+class TestCountingAgainstTupleOracles:
+    @given(keyed_datasets(), st.integers(1, 3), st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    def test_extract_matches_oracle(self, case, min_support, min_confidence):
+        ds, _ = case
+        assert extract_competent_pairs(ds, min_support, min_confidence) == \
+            extract_competent_pairs_oracle(ds, min_support, min_confidence)
+
+    @given(keyed_datasets(), st.integers(1, 3),
+           st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.integers(0, 4),
+           st.sampled_from([None, 0.5, 0.8]), st.randoms(use_true_random=False))
+    def test_counted_selected_model_matches_pair_list(self, case, min_support,
+                                                      min_confidence, radius,
+                                                      subsample, rng):
+        ds, queries = case
+        mining = ds
+        if subsample is not None:
+            take = max(2, round(subsample * len(ds)))
+            mining = ds.subset(sorted(rng.sample(range(len(ds)), take)))
+        pairs = extract_competent_pairs_oracle(mining, min_support, min_confidence)
+        counted = SelectedTripletModel.mined(ds, mining, min_support,
+                                             min_confidence, radius)
+        listed = SelectedTripletModel(ds, pairs, radius)
+        for query in queries + list(ds.items[:3]):
+            want = selected_vote_oracle(ds, pairs, query, radius)
+            assert as_tuple(counted.classify(query)) == want
+            assert as_tuple(listed.classify(query)) == want
+
+    @given(keyed_datasets(), st.integers(1, 2))
+    def test_baseline_and_bongard_match_tuple_keyed_oracles(self, case, max_literals):
+        ds, queries = case
+        bongard = BongardModel(ds, max_literals)
+        for query in queries + list(ds.items[:3]):
+            assert as_tuple(brute_force_classify(ds, query)) == \
+                baseline_vote_oracle(ds, query)
+            assert list(bongard.votes(query)) == \
+                bongard_stream_oracle(ds, query, max_literals)
+
+    def test_out_of_domain_query_abstains(self):
+        ds = case3_dataset()
+        alien = ("alien",) + ds.items[0][1:]
+        pairs = extract_competent_pairs(ds, min_support=1, min_confidence=0.0)
+        for pred in (brute_force_classify(ds, alien),
+                     selected_triplet_classify(ds, pairs, alien, ds.schema.arity),
+                     bongard_classify(ds, alien, 3, 2)):
+            assert as_tuple(pred) == (None, {}, 0, True)

@@ -324,6 +324,47 @@ def test_non_stratified_fallback_is_one_stderr_line(tmp_path):
                    f"(2-fold, seed 3, abstention 0.00%)\n")
 
 
+class TestExplicitOptionValues:
+    """An explicit 0 is a value, not a missing option: out-of-range values
+    are usage errors (exit 1), found before the data is read."""
+
+    def table(self, tmp_path):
+        table = tmp_path / "small.csv"
+        table.write_text("a,b,c\n0,0,p\n0,1,p\n1,0,q\n1,1,q\n"
+                         "0,0,p\n0,1,q\n1,0,q\n1,1,p\n")
+        return str(table)
+
+    def test_zero_is_a_usage_error(self, tmp_path):
+        base = ["evaluate", "--data", self.table(tmp_path), "--folds", "2",
+                "--seed", "1"]
+        for strategy, option in (("knn", "--k"), ("bongard", "--neighbor-budget"),
+                                 ("bongard", "--max-literals"),
+                                 ("baseline", "--workers")):
+            code, out, err = run_subprocess(base + ["--strategy", strategy,
+                                                    option, "0"])
+            assert (code, out) == (1, ""), option
+            assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_grid_value_below_one_is_a_usage_error_before_loading(self, tmp_path):
+        for data in (self.table(tmp_path), str(tmp_path / "missing.csv")):
+            code, out, err = run_subprocess([
+                "evaluate", "--data", data, "--strategy", "bongard",
+                "--folds", "2", "--seed", "1", "--grid", "0,1"])
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and "grid" in err
+
+    def test_workers_above_one_has_no_effect_and_says_so(self, tmp_path):
+        base = ["evaluate", "--data", self.table(tmp_path), "--strategy", "knn",
+                "--folds", "2", "--seed", "1", "--format", "json"]
+        code1, out1, err1 = run_subprocess(base)
+        code3, out3, err3 = run_subprocess(base + ["--workers", "3"])
+        assert (code1, code3) == (0, 0) and out1 == out3
+        assert "--workers" not in err1
+        said = [line for line in err3.splitlines() if "--workers" in line]
+        assert said == ["[evaluate] --workers 3 has no effect; "
+                        "folds run one after another"]
+
+
 # Cells and names drawn from a small alphabet so that some tables load and
 # reach the commands, with the characters that break CSV and domains.
 fuzz_cell = st.sampled_from(["0", "1", "2", "a", "b", "?", "", " ", '"', ",",
