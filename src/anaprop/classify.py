@@ -3,20 +3,24 @@
 The baseline classifier votes over every ordered training triplet (a,b,c)
 that forms a proportion a:b::c:query with a solvable class equation.  A
 triplet qualifies exactly when diff(a,b) == diff(c,query), so the vote is
-computed by grouping ordered training pairs once (quadratic) under an
+computed by counting ordered training pairs once (quadratic) under an
 integer key that stands for their difference vector, and then, per
-query, looking up the key of (c,query) for each candidate c.  The vote
-counts are identical to the cubic enumeration; tests cross-check against
-a literal triple loop.  The pair index can take one row out and put it
-back, so leave-one-out scoring downdates a single index instead of
-rebuilding it per row.
+query, looking up the key of (c,query) for each candidate c.  The counts
+are filled in bulk, one ``Counter.update`` per row and table, and a
+group's statistics (pair total, same-label count, tilts) are read by
+lookup only when a vote or a rule needs them; no pair list is stored.
+The vote counts are identical to the cubic enumeration; tests
+cross-check against a literal triple loop.  The pair index can take one
+row out and put it back, so leave-one-out scoring downdates a single
+index instead of rebuilding it per row.
 
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
 confidence), the selected-triplet classifier (competent pairs, counted
 per pair key, plus a near-neighbor bound on c), the case-analysis
 classifier that resolves mixed pair groups by solving a Bongard
-separation problem over the shared context, a Hamming kNN baseline, and
+separation problem over the shared context (the pairs of a mixed group
+are found by lookup from its key's changes), a Hamming kNN baseline, and
 a seeded stratified cross-validation harness that builds one model per
 fold, whatever the size of a grid search over the neighbor parameter.
 """
@@ -30,9 +34,11 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations, compress
-from typing import Mapping, Optional, Sequence
+from operator import add
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import Diff, Item, Schema, SchemaError, diff, hamming
+from .core import (ChangeEntry, Diff, Item, Schema, SchemaError, diff, hamming,
+                   pairs_with_change)
 from .data import DataError, Dataset
 
 STRATEGIES = ("baseline", "selected", "bongard", "knn")
@@ -66,7 +72,8 @@ def _majority(votes: Mapping[str, int], label_order: Sequence[str]) -> str:
     return best
 
 
-def _prediction(votes: Counter, examined: int, label_order: Sequence[str]) -> Prediction:
+def _prediction(votes: Mapping[str, int], examined: int,
+                label_order: Sequence[str]) -> Prediction:
     if not votes:
         return Prediction(None, {}, examined, True)
     return Prediction(_majority(votes, label_order), dict(votes), examined, False)
@@ -87,8 +94,9 @@ class PairKeys:
     """
 
     def __init__(self, schema: Schema, items: Sequence[Item]):
-        self._codes = [{v: c for c, v in enumerate(a.domain)}
-                       for a in schema.attributes]
+        self._domains = [a.domain for a in schema.attributes]
+        self._codes = [{v: c for c, v in enumerate(domain)}
+                       for domain in self._domains]
         self.modulus = len(self._codes) + 1
         self._radices = [len(codes) ** 2 + 1 for codes in self._codes]
         self._weights = []
@@ -132,8 +140,9 @@ class PairKeys:
             column = self._columns.get((k, x, outgoing))
             if column is None:
                 entry = self._entry
-                column = [entry(k, x, y) if outgoing else entry(k, y, x)
-                          for y in self._rows[k]]
+                entries = [entry(k, x, y) if outgoing else entry(k, y, x)
+                           for y in range(len(self._codes[k]))]
+                column = list(map(entries.__getitem__, self._rows[k]))
                 self._columns[(k, x, outgoing)] = column
             columns.append(column)
         if not columns:
@@ -158,93 +167,142 @@ class PairKeys:
                      in enumerate(zip(self._weights, self._radices))
                      if not key // weight % radix)
 
-
-class _Group:
-    """Vote-relevant statistics of one pair-key group."""
-
-    __slots__ = ("total", "n_same", "tilts", "pairs")
-
-    def __init__(self, keep_pairs: bool = False):
-        self.total = 0
-        self.n_same = 0
-        self.tilts: dict[tuple[str, str], int] = {}
-        self.pairs: Optional[list[tuple[int, int]]] = [] if keep_pairs else None
-
-    def add(self, la: str, lb: str, step: int) -> None:
-        self.total += step
-        if la == lb:
-            self.n_same += step
-        else:
-            count = self.tilts.get((la, lb), 0) + step
-            if count:
-                self.tilts[(la, lb)] = count
-            else:
-                del self.tilts[(la, lb)]
+    def changes(self, key: int) -> list[ChangeEntry]:
+        """The changed attributes of the pairs (a, b) with this key, as
+        (position, value in a, value in b) by position: the key's nonzero
+        mixed-radix digits, decoded."""
+        out = []
+        for k, (weight, radix) in enumerate(zip(self._weights, self._radices)):
+            digit = key // weight % radix
+            if digit:
+                domain = self._domains[k]
+                x, y = divmod(digit - 1, len(domain))
+                out.append((k, domain[x], domain[y]))
+        return out
 
 
-def _vote(groups: Mapping[int, _Group], keyed_labels,
-          label_order: Sequence[str]) -> Prediction:
-    """Triplet vote over (key of (c, query), label of c) entries: each
-    pair (a, b) grouped under that key is one triplet; a same-label pair
-    votes for c's label, a tilt from c's label votes for its target."""
-    votes: Counter = Counter()
-    examined = 0
-    for key, lc in keyed_labels:
-        g = groups.get(key)
-        if g is None:
-            continue
-        examined += g.total
-        if g.n_same:
-            votes[lc] += g.n_same
-        for (la, lb), count in g.tilts.items():
-            if la == lc:
-                votes[lb] += count
-    return _prediction(votes, examined, label_order)
+class _PairCounts:
+    """Counts of labelled ordered pairs, per pair key.
+
+    Labels are coded by their place in the class domain (L labels), and a
+    pair's label slot is 0 when both labels are equal and
+    ``code(la) * L + code(lb)`` (never 0) when they differ.  ``total``
+    counts the pairs of each key and ``labelled`` counts them per slot
+    under the extended key ``key * L² + slot``, so a key's same-label
+    count and each of its tilts is one lookup.  A key absent from
+    ``total`` has no pairs; neither table holds a zero entry.
+    """
+
+    def __init__(self, label_order: Sequence[str]):
+        self.label_order = label_order
+        self.width = len(label_order)
+        self._code = {label: c for c, label in enumerate(label_order)}
+        self.scale = self.width ** 2
+        self.total: Counter = Counter()
+        self.labelled: Counter = Counter()
+        #: Per label code la: (code lb, slot of the tilt la -> lb) for lb != la.
+        self._tilts_from = [[(lb, self.slot(la, lb))
+                             for lb in range(self.width) if lb != la]
+                            for la in range(self.width)]
+
+    def codes(self, labels: Iterable[str]) -> list[int]:
+        """The codes of these labels."""
+        return [self._code[label] for label in labels]
+
+    def slot(self, la: int, lb: int) -> int:
+        """The label slot of a pair whose labels have codes la and lb."""
+        return 0 if la == lb else la * self.width + lb
+
+    def count(self, keys: Sequence[int], slots: Iterable[int], step: int) -> None:
+        """Add (step 1) or take away (step -1) one pair per entry of
+        ``keys``, with its label slot from the parallel ``slots``."""
+        extended = map(add, map(self.scale.__mul__, keys), slots)
+        for table, entries in ((self.total, keys), (self.labelled, extended)):
+            if step > 0:
+                table.update(entries)
+                continue
+            for entry, n in Counter(entries).items():
+                left = table[entry] - n
+                if left:
+                    table[entry] = left
+                else:
+                    table.pop(entry)
+
+    def group(self, key: int) -> Optional[tuple[int, int, dict[tuple[str, str], int]]]:
+        """(pairs, same-label pairs, tilts per (la, lb)) under ``key``;
+        None when no pair has this key."""
+        total = self.total.get(key)
+        if total is None:
+            return None
+        base = key * self.scale
+        order = self.label_order
+        tilts = {}
+        for la, slots in enumerate(self._tilts_from):
+            for lb, slot in slots:
+                n = self.labelled.get(base + slot)
+                if n:
+                    tilts[(order[la], order[lb])] = n
+        return total, self.labelled.get(base, 0), tilts
+
+    def vote(self, keyed_codes: Iterable[tuple[int, int]]) -> Prediction:
+        """Triplet vote over (key of (c, query), label code of c) entries:
+        each pair (a, b) counted under that key is one triplet; a
+        same-label pair votes for c's label, a tilt from c's label votes
+        for its target.  L + 1 lookups per c."""
+        total, labelled = self.total, self.labelled
+        scale, tilts_from = self.scale, self._tilts_from
+        votes = [0] * self.width
+        examined = 0
+        for key, lc in keyed_codes:
+            n = total.get(key)
+            if n is None:
+                continue
+            examined += n
+            base = key * scale
+            votes[lc] += labelled.get(base, 0)
+            for lb, slot in tilts_from[lc]:
+                votes[lb] += labelled.get(base + slot, 0)
+        counted = {label: n for label, n in zip(self.label_order, votes) if n}
+        return _prediction(counted, examined, self.label_order)
 
 
 class PairIndex:
     """All ordered pairs of live training rows (including identical
-    indices) grouped by their pair key (see ``PairKeys``).
+    indices) counted by their pair key (see ``PairKeys``) and label slot
+    (see ``_PairCounts``).
 
-    Every row starts live.  ``remove_row`` and ``add_row`` take a row out
-    of the index and put it back, updating only the pairs that touch it,
-    so leaving one row out costs O(n·m) instead of a fresh O(n²·m) build;
-    the result is the index a fresh build over the live rows would give.
+    The build is one bulk count per row: the keys of (row, every row)
+    with the label slots of those pairs, so no Python code runs per
+    pair.  Every row starts live.  ``remove_row`` and ``add_row`` take a
+    row out of the index and put it back, counting only the pairs that
+    touch it, so leaving one row out costs O(n·m) instead of a fresh
+    O(n²·m) build; the result equals a fresh build over the live rows.
     """
 
-    def __init__(self, train: Dataset, keep_pairs: bool = False):
-        self.groups: dict[int, _Group] = {}
+    def __init__(self, train: Dataset):
         self.pair_keys = PairKeys(train.schema, train.items)
+        self.counts = _PairCounts(train.class_attr.domain)
         self._items = train.items
-        self._labels = train.labels
-        self._label_order = train.class_attr.domain
-        self._keep_pairs = keep_pairs
+        self._codes = self.counts.codes(train.labels)
         self._live = [True] * len(train)
-        for i, a in enumerate(self._items):
-            for j, key in enumerate(self.pair_keys.keys_from(a)):
-                self._update(key, i, j, 1)
-
-    def _update(self, key: int, i: int, j: int, step: int) -> None:
-        g = self.groups.get(key)
-        if g is None:
-            g = self.groups[key] = _Group(self._keep_pairs)
-        g.add(self._labels[i], self._labels[j], step)
-        if g.pairs is not None:
-            if step > 0:
-                g.pairs.append((i, j))
-            else:
-                g.pairs.remove((i, j))
-        if not g.total:
-            del self.groups[key]
+        slot = self.counts.slot
+        labels = range(self.counts.width)
+        # Per label code c: the label slots of the pairs (row of label c,
+        # row j) and (row j, row of label c), for every row j.
+        self._outgoing = [[slot(c, cj) for cj in self._codes] for c in labels]
+        self._incoming = [[slot(cj, c) for cj in self._codes] for c in labels]
+        for a, c in zip(self._items, self._codes):
+            self.counts.count(self.pair_keys.keys_from(a), self._outgoing[c], 1)
 
     def _touch(self, i: int, step: int) -> None:
-        outgoing = self.pair_keys.keys_from(self._items[i])
-        incoming = self.pair_keys.keys_to(self._items[i])
-        for j, live in enumerate(self._live):  # row i itself is not live here
-            if live:
-                self._update(outgoing[j], i, j, step)
-                self._update(incoming[j], j, i, step)
-        self._update(0, i, i, step)
+        c = self._codes[i]
+        live = self._live  # row i itself is not live here
+        item = self._items[i]
+        keys = (list(compress(self.pair_keys.keys_from(item), live))
+                + list(compress(self.pair_keys.keys_to(item), live)) + [0])
+        slots = (list(compress(self._outgoing[c], live))
+                 + list(compress(self._incoming[c], live)) + [0])
+        self.counts.count(keys, slots, step)
 
     def remove_row(self, i: int) -> None:
         """Take row ``i`` out: drop the pairs (i,j), (j,i) and (i,i)."""
@@ -265,9 +323,8 @@ class PairIndex:
         live rows in dataset order."""
         keys = self.pair_keys.keys_to(query)
         if keys is None:
-            return _prediction(Counter(), 0, self._label_order)
-        return _vote(self.groups, compress(zip(keys, self._labels), self._live),
-                     self._label_order)
+            return _prediction(Counter(), 0, self.counts.label_order)
+        return self.counts.vote(compress(zip(keys, self._codes), self._live))
 
 
 def _check_query(train: Dataset, query: Item) -> None:
@@ -392,20 +449,19 @@ def extract_competent_pairs(train: Dataset, min_support: int = 2,
     (key 0) carry no change and are skipped."""
     _check_thresholds(min_support, min_confidence)
     index = PairIndex(train)
+    counts, codes = index.counts, index._codes
     items = train.items
     labels = train.labels
     out: list[CompetentPair] = []
     for i, a in enumerate(items):
-        la = labels[i]
         for j, key in enumerate(index.pair_keys.keys_from(a)):
             if not key:
                 continue
-            g = index.groups[key]
-            lb = labels[j]
-            support = g.n_same if la == lb else g.tilts[(la, lb)]
-            if _competent(support, g.total, min_support, min_confidence):
-                out.append(CompetentPair(a, items[j], la, lb, diff(a, items[j]),
-                                         support, support / g.total))
+            total = counts.total[key]
+            support = counts.labelled[key * counts.scale + counts.slot(codes[i], codes[j])]
+            if _competent(support, total, min_support, min_confidence):
+                out.append(CompetentPair(a, items[j], labels[i], labels[j],
+                                         diff(a, items[j]), support, support / total))
     return out
 
 
@@ -423,12 +479,13 @@ class SelectedTripletModel:
         self._train = train
         self._radius = radius
         self._pair_keys = PairKeys(train.schema, train.items)
-        self._groups: dict[int, _Group] = {}
-        self._label_order = train.class_attr.domain
+        self._counts = _PairCounts(train.class_attr.domain)
+        self._codes = self._counts.codes(train.labels)
         for p in pairs:
             key = self._pair_keys.change_key(p.change)
             if key is not None:  # an out-of-domain change matches no c
-                self._groups.setdefault(key, _Group()).add(p.label_a, p.label_b, 1)
+                slot = self._counts.slot(*self._counts.codes(p.tilt))
+                self._counts.count([key], [slot], 1)
 
     @classmethod
     def mined(cls, train: Dataset, mining: Dataset, min_support: int,
@@ -436,35 +493,30 @@ class SelectedTripletModel:
         """The model over ``extract_competent_pairs(mining, ...)``, counted
         from ``mining``'s pair index without listing the pairs: each
         behaviour of a group (same-label, or one tilt) clears the
-        thresholds or fails them as a whole."""
+        thresholds or fails them as a whole, so only the behaviours with
+        at least ``min_support`` pairs are decoded."""
         _check_thresholds(min_support, min_confidence)
         model = cls(train, (), radius)
-        for key, g in PairIndex(mining).groups.items():
-            # Key 0 holds the pairs of equal items, which carry no change;
-            # no behaviour of a group smaller than min_support is competent.
-            if not key or g.total < min_support:
-                continue
-            same = g.n_same if _competent(g.n_same, g.total, min_support,
-                                          min_confidence) else 0
-            tilts = {tilt: count for tilt, count in g.tilts.items()
-                     if _competent(count, g.total, min_support, min_confidence)}
-            if same or tilts:
-                kept = model._groups[key] = _Group()
-                kept.n_same = same
-                kept.tilts = tilts
-                kept.total = same + sum(tilts.values())
+        found = PairIndex(mining).counts
+        kept = model._counts
+        # No behaviour with fewer than min_support pairs is competent, and
+        # key 0 holds the pairs of equal items, which carry no change.
+        supported = map(min_support.__le__, found.labelled.values())
+        for extended, count in compress(found.labelled.items(), supported):
+            key = extended // found.scale
+            if key and _competent(count, found.total[key], min_support, min_confidence):
+                kept.labelled[extended] = count
+                kept.total[key] += count
         return model
 
     def classify(self, query: Item) -> Prediction:
         _check_query(self._train, query)
         keys = self._pair_keys.keys_to(query)
         if keys is None:
-            return _prediction(Counter(), 0, self._label_order)
-        modulus = self._pair_keys.modulus
-        radius = self._radius
-        near = ((key, lc) for key, lc in zip(keys, self._train.labels)
-                if key % modulus <= radius)
-        return _vote(self._groups, near, self._label_order)
+            return _prediction(Counter(), 0, self._counts.label_order)
+        distances = map(self._pair_keys.modulus.__rmod__, keys)  # key % modulus
+        near = map(self._radius.__ge__, distances)
+        return self._counts.vote(compress(zip(keys, self._codes), near))
 
 
 def selected_triplet_classify(train: Dataset, pairs: Sequence[CompetentPair],
@@ -555,36 +607,49 @@ class BongardModel:
             raise DataError("max_literals must be at least 1")
         self._train = train
         self._max_literals = max_literals
-        self._index = PairIndex(train, keep_pairs=True)
-        self._groups = self._index.groups
+        self._index = PairIndex(train)
         self._label_order = train.class_attr.domain
         self._analysis: dict[int, tuple] = {}
+        self._rows_of: dict[Item, list[int]] = {}
+        for i, item in enumerate(train.items):
+            self._rows_of.setdefault(item, []).append(i)
+
+    def contexts(self, key: int) -> tuple[set[tuple[str, ...]], set[tuple[str, ...]]]:
+        """Agreement contexts of the same-label and of the label-changing
+        pairs under ``key``, found by lookup from the key's changes."""
+        items = self._train.items
+        labels = self._train.labels
+        ag = self._index.pair_keys.agreement(key)
+        same_ctx = set()
+        diff_ctx = set()
+        changes = self._index.pair_keys.changes(key)
+        for i, j in pairs_with_change(items, self._rows_of, changes):
+            ctx = tuple(items[i][k] for k in ag)
+            if labels[i] == labels[j]:
+                same_ctx.add(ctx)
+            else:
+                diff_ctx.add(ctx)
+        return same_ctx, diff_ctx
 
     def _analyze(self, key: int):
+        """(case, pair count, tilts, separating property) of the group
+        under ``key``, computed once per key."""
         cached = self._analysis.get(key)
         if cached is not None:
             return cached
-        g = self._groups.get(key)
-        if g is None:
-            result = ("empty", None, None)
-        elif not g.tilts:
-            result = ("same", g, None)
-        elif g.n_same == 0:
-            result = ("tilt", g, None)
+        group = self._index.counts.group(key)
+        if group is None:
+            result = ("empty", 0, None, None)
         else:
-            labels = self._train.labels
-            items = self._train.items
-            ag = self._index.pair_keys.agreement(key)
-            same_ctx = set()
-            diff_ctx = set()
-            for i, j in g.pairs:  # type: ignore[union-attr]
-                ctx = tuple(items[i][k] for k in ag)
-                if labels[i] == labels[j]:
-                    same_ctx.add(ctx)
-                else:
-                    diff_ctx.add(ctx)
-            prop = _separate(same_ctx, diff_ctx, ag, self._max_literals)
-            result = ("mixed", g, (ag, prop))
+            total, n_same, tilts = group
+            if not tilts:
+                result = ("same", total, tilts, None)
+            elif n_same == 0:
+                result = ("tilt", total, tilts, None)
+            else:
+                ag = self._index.pair_keys.agreement(key)
+                prop = _separate(*self.contexts(key), ag, self._max_literals)
+                result = ("mixed", total, tilts, prop)
         self._analysis[key] = result
         return result
 
@@ -608,27 +673,26 @@ class BongardModel:
         labels = self._train.labels
         nearest = sorted(range(len(keys)), key=lambda i: keys[i] % modulus)
         for idx in nearest:  # by Hamming distance, ties by dataset order
-            kind, g, extra = self._analyze(keys[idx])
+            kind, total, tilts, prop = self._analyze(keys[idx])
             if kind == "empty":
                 continue
             lc = labels[idx]
             if kind == "same":
-                yield idx, lc, g.total
+                yield idx, lc, total
                 continue
             if kind == "tilt":
-                suggestion = self._suggest(g.tilts, lc)
+                suggestion = self._suggest(tilts, lc)
                 if suggestion is not None:
-                    yield idx, suggestion, g.total
+                    yield idx, suggestion, total
                 continue
-            ag, prop = extra
             if prop is None:
                 continue  # unseparable mixed evidence: take another c
             if prop.satisfied_by(query):
-                yield idx, lc, g.total
+                yield idx, lc, total
             else:
-                suggestion = self._suggest(g.tilts, lc)
+                suggestion = self._suggest(tilts, lc)
                 if suggestion is not None:
-                    yield idx, suggestion, g.total
+                    yield idx, suggestion, total
 
     def classify(self, query: Item, neighbor_budget: int) -> Prediction:
         if neighbor_budget < 1:
@@ -914,11 +978,13 @@ def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
     train_idx.sort()
     train = data.subset(train_idx)
     predict, brute = _fold_model(train, configs, fold)
-    fallback = None
+    # The fallback classifier is built on the fold's first abstention.
+    make_fallback = None
     if configs[0].fallback == "knn1":
-        fallback = KnnModel(train, 1).classify
-    elif configs[0].fallback == "brute" and brute is not None:
-        fallback = brute()
+        make_fallback = lambda: KnnModel(train, 1).classify  # noqa: E731
+    elif configs[0].fallback == "brute":
+        make_fallback = brute
+    fallback = None
     width = len(configs)
     correct = [0] * width
     abstained = [0] * width
@@ -930,8 +996,10 @@ def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
             triplets[v] += pred.triplets_examined
             if pred.abstained:
                 abstained[v] += 1
-                if fallback is not None:
+                if make_fallback is not None:
                     if rescue is None:
+                        if fallback is None:
+                            fallback = make_fallback()
                         rescue = fallback(query)
                     pred = rescue
             if not pred.abstained and pred.label == data.labels[i]:

@@ -18,13 +18,19 @@ strings, items are tuples of strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 Item = tuple[str, ...]
 #: One ordered value change between two items: (value in a, value in b).
 Change = tuple[str, str]
 #: Per-attribute difference between two items; None marks agreement.
 Diff = tuple[Optional[Change], ...]
+#: One changed attribute of an ordered pair: (position, value in the first
+#: item, value in the second).
+ChangeEntry = tuple[int, str, str]
+
+T = TypeVar("T")
 
 
 class SchemaError(ValueError):
@@ -178,6 +184,35 @@ def diff(a: Item, b: Item) -> Diff:
     """
     _check_arity(a, b)
     return tuple(None if x == y else (x, y) for x, y in zip(a, b))
+
+
+def pairs_with_change(rows: Sequence[Item], index: Mapping[Item, Sequence[T]],
+                      change: Sequence[ChangeEntry],
+                      free: Optional[int] = None) -> Iterator[tuple[int, T]]:
+    """Ordered pairs of rows that differ by exactly ``change``, found by
+    lookup instead of a scan of all pairs.
+
+    Every row r1 of ``rows`` that carries each from-value of ``change`` is
+    paired with each entry that ``index`` files under r1 with every
+    to-value substituted; when ``free`` is given, that position is left
+    out of the lookup key, so the pair may differ there too.  Yields
+    (position of r1 in ``rows``, entry), r1-major in row order; O(n·m) in
+    all."""
+    if change:
+        carried = itemgetter(*(k for k, _, _ in change))
+        start = carried({k: x for k, x, _ in change})
+        firsts: Iterable[int] = [i for i, values in enumerate(map(carried, rows))
+                                 if values == start]
+    else:
+        firsts = range(len(rows))
+    for i in firsts:
+        key = list(rows[i])
+        for k, _, y in change:
+            key[k] = y
+        if free is not None:
+            del key[free]
+        for entry in index.get(tuple(key), ()):
+            yield i, entry
 
 
 def agreement(d: Diff) -> tuple[int, ...]:

@@ -17,11 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Item
+from .core import ChangeEntry, Item, pairs_with_change
 from .data import DataError, Relation
-
-#: One changed attribute: (index, value in the adverse row, value in the query).
-ChangeEntry = tuple[int, str, str]
 
 
 @dataclass(frozen=True)
@@ -127,26 +124,20 @@ def _pair_counts(rel: Relation, by_description: dict[Item, list[Item]],
     also return the first supporting pair, r1-major in row order.
 
     ``by_description`` maps each row with the result column projected out
-    to the rows carrying it.  A pair's r1 must hold every change's from
-    value, and its r2 must carry r1's description with every change's to
-    value, so each r1 costs one lookup: O(n·m) per change set."""
+    to the rows carrying it, so ``pairs_with_change`` finds every pair
+    with one lookup per r1: O(n·m) per change set."""
     supporting = 0
     exceptions = 0
     first_support = None
-    for r1 in rel.tuples:
-        if any(r1[j] != fr for j, fr, _ in change):
-            continue
-        key = list(r1)
-        for j, _, to in change:
-            key[j] = to
-        del key[ridx]
-        for r2 in by_description.get(tuple(key), ()):
-            if (r1[ridx], r2[ridx]) == (target, actual):
-                supporting += 1
-                if first_support is None:
-                    first_support = (r1, r2)
-            elif r1[ridx] == r2[ridx]:
-                exceptions += 1
+    rows = rel.tuples
+    for i, r2 in pairs_with_change(rows, by_description, change, free=ridx):
+        r1 = rows[i]
+        if (r1[ridx], r2[ridx]) == (target, actual):
+            supporting += 1
+            if first_support is None:
+                first_support = (r1, r2)
+        elif r1[ridx] == r2[ridx]:
+            exceptions += 1
     return supporting, exceptions, first_support
 
 

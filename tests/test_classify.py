@@ -156,13 +156,15 @@ def suitability_oracle(ds: Dataset):
             abstained, n)
 
 
-def index_snapshot(index: PairIndex, rows):
-    """Group contents with pair members mapped through ``rows``."""
-    return {
-        d: (g.total, g.n_same, dict(g.tilts),
-            sorted((rows[i], rows[j]) for i, j in g.pairs))
-        for d, g in index.groups.items()
-    }
+def index_snapshot(index: PairIndex):
+    """Every count table of the index, zero entries included if any."""
+    counts = index.counts
+    return dict(counts.total), dict(counts.labelled)
+
+
+def index_groups(index: PairIndex):
+    """(total, same-label count, tilts) per key, read by lookup."""
+    return {key: index.counts.group(key) for key in index.counts.total}
 
 
 @st.composite
@@ -184,7 +186,7 @@ class TestPairIndexDowndating:
     @given(downdate_scenarios())
     def test_downdated_index_equals_fresh_build(self, scenario):
         ds, toggles, query = scenario
-        index = PairIndex(ds, keep_pairs=True)
+        index = PairIndex(ds)
         live = set(range(len(ds)))
         for row in toggles:  # each toggle removes a live row or adds it back
             if row in live:
@@ -194,11 +196,11 @@ class TestPairIndexDowndating:
                 index.add_row(row)
                 live.add(row)
             rows = sorted(live)
-            fresh = PairIndex(ds.subset(rows), keep_pairs=True)
-            assert index_snapshot(index, list(range(len(ds)))) == \
-                index_snapshot(fresh, rows)
-            for g in index.groups.values():
-                assert g.total > 0 and all(g.tilts.values())
+            fresh = PairIndex(ds.subset(rows))
+            assert index_snapshot(index) == index_snapshot(fresh)
+            assert index_groups(index) == index_groups(fresh)
+            for total, _, tilts in index_groups(index).values():
+                assert total > 0 and all(tilts.values())
             got, want = index.vote(query), fresh.vote(query)
             assert (got.label, dict(got.votes), got.triplets_examined,
                     got.abstained) == (want.label, dict(want.votes),
@@ -765,6 +767,32 @@ class TestCrossValidation:
         assert [fr.correct for fr in report.fold_results] == \
             [fr.correct for fr in direct.fold_results]
 
+    def test_brute_fallback_is_built_on_a_folds_first_abstention(self, monkeypatch):
+        import anaprop.classify as classify
+        from anaprop.data import generate_monk
+        builds, asked = [], []
+
+        class CountingBruteForce(classify.BruteForceModel):
+            def __init__(self, train):
+                builds.append(len(train))
+                super().__init__(train)
+
+            def classify(self, query):
+                asked.append(query)
+                return super().classify(query)
+
+        monkeypatch.setattr(classify, "BruteForceModel", CountingBruteForce)
+        ds = generate_monk(1)
+        ds = ds.subset(sorted(random.Random(0).sample(range(len(ds)), 60)))
+        report = cross_validate(ds, CvConfig(
+            strategy="selected", folds=5, seed=2, radius=2, min_support=1,
+            fallback="brute",
+        ))
+        abstained = [fr.abstained for fr in report.fold_results]
+        assert 0 < abstained.count(0) < len(abstained)
+        assert len(builds) == len(abstained) - abstained.count(0)
+        assert len(asked) == sum(abstained)
+
     def test_unminable_pairs_abstain_then_fall_back(self):
         ds, _ = generate_planted_rules([PlantedRule(pairs=4)])
         report = cross_validate(ds, CvConfig(
@@ -922,14 +950,14 @@ DOMAIN_POOL = "uvwxyz"
 
 
 @st.composite
-def keyed_datasets(draw):
+def keyed_datasets(draw, max_classes=3):
     """Small datasets over attributes of different domain sizes, with
     duplicate items (possibly with conflicting labels), plus queries some
     of which carry a value outside the schema's domain."""
     sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
     schema = Schema.from_pairs((f"a{k}", tuple(DOMAIN_POOL[:s]))
                                for k, s in enumerate(sizes))
-    class_attr = Attribute("c", ("p", "q", "r")[:draw(st.integers(2, 3))])
+    class_attr = Attribute("c", ("p", "q", "r", "s")[:draw(st.integers(2, max_classes))])
     item = st.tuples(*[st.sampled_from(a.domain) for a in schema.attributes])
     label = st.sampled_from(class_attr.domain)
     rows = draw(st.lists(st.tuples(item, label), min_size=2, max_size=12))
@@ -967,6 +995,105 @@ class TestPairKeys:
         assert all(len(v) == 1 for v in by_diff.values())
         assert keys.keys_from(queries[-1]) is None
         assert keys.keys_to(queries[-1]) is None
+
+    @given(keyed_datasets())
+    def test_changes_decode_keys(self, case):
+        ds, queries = case
+        items = list(ds.items) + queries[:-1]
+        keys = PairKeys(ds.schema, items)
+        for a in items:
+            for b, key in zip(items, keys.keys_from(a)):
+                changes = keys.changes(key)
+                assert changes == [(k, x, y) for k, (x, y) in enumerate(zip(a, b))
+                                   if x != y]
+                rebuilt = [None] * len(a)
+                for k, x, y in changes:
+                    rebuilt[k] = (x, y)
+                assert tuple(rebuilt) == diff(a, b)
+                assert keys.change_key(tuple(rebuilt)) == key
+
+
+class PerPairIndexOracle:
+    """The pair index built and downdated one pair at a time: every
+    ordered pair of live rows updates its key's (total, same-label count,
+    tilts) in a Python call."""
+
+    def __init__(self, train: Dataset):
+        self.groups = {}
+        self.pair_keys = PairKeys(train.schema, train.items)
+        self._items = train.items
+        self._labels = train.labels
+        self._live = [True] * len(train)
+        for i, a in enumerate(self._items):
+            for j, key in enumerate(self.pair_keys.keys_from(a)):
+                self._update(key, i, j, 1)
+
+    def _update(self, key, i, j, step):
+        total, same, tilts = self.groups.get(key, (0, 0, {}))
+        la, lb = self._labels[i], self._labels[j]
+        if la == lb:
+            same += step
+        else:
+            tilts = dict(tilts)
+            tilts[(la, lb)] = tilts.get((la, lb), 0) + step
+            if not tilts[(la, lb)]:
+                del tilts[(la, lb)]
+        if total + step:
+            self.groups[key] = (total + step, same, tilts)
+        else:
+            del self.groups[key]
+
+    def _touch(self, i, step):
+        outgoing = self.pair_keys.keys_from(self._items[i])
+        incoming = self.pair_keys.keys_to(self._items[i])
+        for j, live in enumerate(self._live):  # row i itself is not live here
+            if live:
+                self._update(outgoing[j], i, j, step)
+                self._update(incoming[j], j, i, step)
+        self._update(0, i, i, step)
+
+    def remove_row(self, i):
+        self._live[i] = False
+        self._touch(i, -1)
+
+    def add_row(self, i):
+        self._touch(i, +1)
+        self._live[i] = True
+
+
+class TestCountingBuild:
+    @given(keyed_datasets(max_classes=4), st.lists(st.integers(0, 15), max_size=8))
+    def test_counting_index_matches_per_pair_build(self, case, toggles):
+        ds, queries = case
+        index = PairIndex(ds)
+        oracle = PerPairIndexOracle(ds)
+        assert index_groups(index) == oracle.groups
+        live = set(range(len(ds)))
+        for row in (t % len(ds) for t in toggles):
+            for built in (index, oracle):
+                (built.remove_row if row in live else built.add_row)(row)
+            live ^= {row}
+            assert index_groups(index) == oracle.groups
+            assert all(index.counts.total.values())
+            assert all(index.counts.labelled.values())
+        for query in queries:
+            assert as_tuple(index.vote(query)) == \
+                baseline_vote_oracle(ds.subset(sorted(live)), query)
+
+    @given(keyed_datasets(max_classes=4), st.integers(1, 2))
+    def test_bongard_contexts_match_pair_scan(self, case, max_literals):
+        ds, _ = case
+        model = BongardModel(ds, max_literals)
+        keys = model._index.pair_keys
+        scanned = {}
+        for (i, j) in product(range(len(ds)), repeat=2):
+            d = diff(ds.items[i], ds.items[j])
+            ag = [k for k, step in enumerate(d) if step is None]
+            same_ctx, diff_ctx = scanned.setdefault(keys.change_key(d), (set(), set()))
+            ctx = tuple(ds.items[i][k] for k in ag)
+            (same_ctx if ds.labels[i] == ds.labels[j] else diff_ctx).add(ctx)
+        for key, contexts in scanned.items():
+            assert model.contexts(key) == contexts
 
 
 class TestCountingAgainstTupleOracles:
