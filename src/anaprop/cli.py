@@ -261,12 +261,6 @@ def _cmd_explain(args) -> int:
 # deps
 # ---------------------------------------------------------------------------
 
-def _witness_payload(witness) -> Optional[list]:
-    if witness is None:
-        return None
-    return [list(t) for t in witness]
-
-
 def _cmd_deps(args) -> int:
     rel = data.load_relation(args.data, delimiter=args.delimiter,
                              schema_file=args.schema)
@@ -283,51 +277,22 @@ def _cmd_deps(args) -> int:
     if args.mode == "single":
         if not args.x or not args.y:
             raise _UsageError("single mode needs --x and --y attribute lists")
-        x = tuple(args.x.split(","))
-        y = tuple(args.y.split(","))
-        mvd_w = relational.mvd_witness(rel, x, y)
-        weak_w = relational.weak_mvd_witness(rel, x, y)
-        finding = {
-            "x": sorted(x, key=rel.schema.index),
-            "y": sorted(y, key=rel.schema.index),
-            "fd": relational.fd_holds(rel, x, y),
-            "mvd": mvd_w is None,
-            "weak_mvd": weak_w is None,
-            "trivial": relational.is_trivial_mvd(rel.schema, x, y),
-            "lossless_join": relational.lossless_join_check(rel, x, y),
-            "mvd_witness": _witness_payload(mvd_w),
-            "weak_mvd_witness": _witness_payload(weak_w),
-            "ap_witness": _witness_payload(
-                relational.ap_witness(rel, tuple(x), tuple(y))
-                if mvd_w is None else None
-            ),
-        }
-        payload["finding"] = finding
-        human_lines = [
-            f"X={','.join(finding['x'])} Y={','.join(finding['y'])}: "
-            f"FD={finding['fd']} MVD={finding['mvd']} "
-            f"weak-MVD={finding['weak_mvd']} trivial={finding['trivial']} "
-            f"lossless-join={finding['lossless_join']}"
-        ]
+        f = relational.decide_dependency(rel, args.x.split(","), args.y.split(","))
+        mvd_w = None if f.mvd else relational.mvd_witness(rel, f.x, f.y)
+        weak_w = None if f.weak_mvd else relational.weak_mvd_witness(rel, f.x, f.y)
+        payload["finding"] = {**vars(f), "mvd_witness": mvd_w,
+                              "weak_mvd_witness": weak_w}
+        human = (f"X={','.join(f.x)} Y={','.join(f.y)}: FD={f.fd} MVD={f.mvd} "
+                 f"weak-MVD={f.weak_mvd} trivial={f.trivial} "
+                 f"lossless-join={f.lossless_join}")
         if mvd_w is not None:
-            human_lines.append(f"  MVD fails: exchanging {list(mvd_w[0])} and "
-                               f"{list(mvd_w[1])} needs missing {list(mvd_w[2])}")
-        _emit(payload, args.format, "\n".join(human_lines))
+            human += (f"\n  MVD fails: exchanging {list(mvd_w[0])} and "
+                      f"{list(mvd_w[1])} needs missing {list(mvd_w[2])}")
+        _emit(payload, args.format, human)
         return EXIT_OK
     findings = relational.discover_dependencies(rel)
-    payload["findings"] = [
-        {
-            "x": list(f.x),
-            "y": list(f.y),
-            "fd": f.fd,
-            "mvd": f.mvd,
-            "weak_mvd": f.weak_mvd,
-            "trivial": f.trivial,
-            "lossless_join": f.lossless_join,
-            "ap_witness": _witness_payload(f.ap_witness),
-        }
-        for f in findings
-    ]
+    # A finding's fields are its payload; JSON writes the tuples as lists.
+    payload["findings"] = [vars(f) for f in findings]
     lines = []
     for f in findings:
         if f.mvd and not f.trivial:

@@ -12,18 +12,27 @@ t1:t4::t3:t2.
 
 All checks run on small in-memory relations with set semantics; subsets
 of attributes are given by name and canonicalized to schema order.
+
+FD, MVD (equivalently lossless join) and weak MVD are decided in one
+place, ``_decide``, from one grouping of the tuples by X.  Discovery and
+the inference check read one table of every (X, Y') with Y' disjoint
+from X, keyed by attribute bitmasks (bit i for the i-th attribute).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import Item, Schema, ap_holds_vec, solve_vec
 from .data import DataError, Relation
 
 AttrSet = Iterable[str]
+
+#: Exhaustive discovery and the inference check decide 3**n (X, Y') pairs
+#: for n attributes, and refuse schemas with more attributes than this.
+MAX_ATTRS = 6
 
 
 def _idx(schema: Schema, attrs: AttrSet) -> tuple[int, ...]:
@@ -61,16 +70,6 @@ def _group_by(tuples: Iterable[Item], idx: Sequence[int]) -> dict[tuple, list[It
     return groups
 
 
-def _split(schema: Schema, x: AttrSet, y: AttrSet
-           ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Indices of X, of Y' = Y minus X and of Z = R minus (X u Y)."""
-    xi = _idx(schema, x)
-    xy = set(xi) | set(_idx(schema, y))
-    yi = tuple(i for i in range(schema.arity) if i in xy and i not in xi)
-    zi = tuple(i for i in range(schema.arity) if i not in xy)
-    return xi, yi, zi
-
-
 def _z_sets(group: Sequence[Item], yi: Sequence[int], zi: Sequence[int]
             ) -> dict[tuple, set[tuple]]:
     """One X-group as a bipartite graph: each Y'-value, in order of first
@@ -101,6 +100,74 @@ def _components_complete(z_sets: dict[tuple, set[tuple]]) -> bool:
     return True
 
 
+class Verdict(NamedTuple):
+    """Which dependency forms hold for one X and Y'."""
+
+    fd: bool
+    mvd: bool
+    weak_mvd: bool
+
+
+def _bits(mask: int, n: int) -> tuple[int, ...]:
+    """The indices below n that are set in ``mask``, in schema order."""
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def _decide(rel: Relation, groups: dict[tuple, list[Item]], x: int, y: int
+            ) -> Verdict:
+    """The verdict for the bitmasks X and Y from ``groups``, the X-groups
+    of the relation.  With Y' = Y minus X and Z = R minus (X u Y): FD when
+    every group has one Y'-value, the weak MVD when every group's Y'/Z
+    graph has complete components, and the MVD (equivalently the lossless
+    join) when the exchange sizes of the groups add up to |R|.
+    Incomplete components mean two Y'-values in one group, so a failed
+    weak check fails all three."""
+    n = rel.schema.arity
+    yi, zi = _bits(y & ~x, n), _bits(~(x | y), n)
+    fd = True
+    exchanged = 0
+    for group in groups.values():
+        z_sets = _z_sets(group, yi, zi)
+        if not _components_complete(z_sets):
+            return Verdict(False, False, False)
+        fd = fd and len(z_sets) == 1
+        exchanged += _exchange_size(z_sets)
+    return Verdict(fd, exchanged == len(rel), True)
+
+
+def _grouped(rel: Relation, x: AttrSet, y: AttrSet
+             ) -> tuple[dict[tuple, list[Item]], int, int]:
+    """The tuples grouped by X, and X and Y as bitmasks."""
+    x, y = (sum(1 << i for i in rel.schema.indices(a)) for a in (x, y))
+    return _group_by(rel.tuples, _bits(x, rel.schema.arity)), x, y
+
+
+def _subsets(schema: Schema, what: str) -> list[tuple[tuple[str, ...], int]]:
+    """Every attribute subset as (names, bitmask), by size and then in
+    schema order."""
+    n = schema.arity
+    if n > MAX_ATTRS:
+        raise DataError(
+            f"exhaustive {what} is limited to {MAX_ATTRS} attributes, "
+            f"schema has {n}"
+        )
+    return [(tuple(schema.names[i] for i in c), sum(1 << i for i in c))
+            for size in range(n + 1) for c in combinations(range(n), size)]
+
+
+def _table(rel: Relation, subsets: list[tuple[tuple[str, ...], int]]
+           ) -> dict[tuple[int, int], Verdict]:
+    """The verdict of every X and every Y' disjoint from it, keyed by their
+    bitmasks: one grouping of the tuples per X, 3**n entries in all."""
+    table = {}
+    for _, x in subsets:
+        groups = _group_by(rel.tuples, _bits(x, rel.schema.arity))
+        for _, y in subsets:
+            if not x & y:
+                table[x, y] = _decide(rel, groups, x, y)
+    return table
+
+
 def mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
                 ) -> Optional[tuple[Item, Item, Item]]:
     """None when X ->> Y holds; otherwise (t1, t2, missing exchanged tuple)."""
@@ -119,9 +186,7 @@ def mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
 def mvd_holds(rel: Relation, x: AttrSet, y: AttrSet) -> bool:
     """X ->> Y: the Y-part of tuples agreeing on X is freely exchangeable,
     i.e. every X-group is the product of its Y'- and Z-projections."""
-    xi, yi, zi = _split(rel.schema, x, y)
-    return all(len(g) == _exchange_size(_z_sets(g, yi, zi))
-               for g in _group_by(rel.tuples, xi).values())
+    return _decide(rel, *_grouped(rel, x, y)).mvd
 
 
 def weak_mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
@@ -150,9 +215,7 @@ def weak_mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
 def weak_mvd_holds(rel: Relation, x: AttrSet, y: AttrSet) -> bool:
     """X ->>_w Y: whenever t1,t2 agree on XY and t1,t3 agree on X(R\\Y),
     the exchanged fourth tuple is present."""
-    xi, yi, zi = _split(rel.schema, x, y)
-    return all(_components_complete(_z_sets(g, yi, zi))
-               for g in _group_by(rel.tuples, xi).values())
+    return _decide(rel, *_grouped(rel, x, y)).weak_mvd
 
 
 def is_trivial_mvd(schema: Schema, x: AttrSet, y: AttrSet) -> bool:
@@ -206,71 +269,52 @@ class InferenceReport:
     violations: tuple[tuple[str, str], ...]
 
 
-def mvd_inference_check(rel: Relation, max_attrs: int = 6) -> InferenceReport:
+def mvd_inference_check(rel: Relation) -> InferenceReport:
     """Assert FD=>MVD, complementation, augmentation (as stated, with
-    Z subset of U) and transitivity over all attribute-subset combinations."""
-    names = rel.schema.names
-    n = len(names)
-    if n > max_attrs:
-        raise DataError(
-            f"exhaustive inference check is limited to {max_attrs} attributes, "
-            f"schema has {n}"
-        )
-    subsets: list[tuple[str, ...]] = []
-    for size in range(n + 1):
-        subsets.extend(combinations(names, size))
+    Z subset of U) and transitivity over all attribute-subset combinations.
 
-    fd_memo: dict[tuple, bool] = {}
-    mvd_memo: dict[tuple, bool] = {}
-
-    def fd(x, y):
-        key = (x, y)
-        if key not in fd_memo:
-            fd_memo[key] = fd_holds(rel, x, y)
-        return fd_memo[key]
-
-    def mvd(x, y):
-        key = (tuple(sorted(set(x))), tuple(sorted(set(y))))
-        if key not in mvd_memo:
-            mvd_memo[key] = mvd_holds(rel, key[0], key[1])
-        return mvd_memo[key]
-
+    Each instance is a lookup in the table of (X, Y') verdicts, where an
+    MVD X ->> Y is read at Y' = Y minus X and an FD at its own column."""
+    subsets = _subsets(rel.schema, "inference check")
+    table = _table(rel, subsets)
+    full = (1 << rel.schema.arity) - 1
     checked = {"fd_implies_mvd": 0, "complementation": 0,
                "augmentation": 0, "transitivity": 0}
     violations: list[tuple[str, str]] = []
 
-    all_names = set(names)
-    for x in subsets:
-        for y in subsets:
+    for x_names, x in subsets:
+        for y_names, y in subsets:
+            verdict = table[x, y & ~x]
             checked["fd_implies_mvd"] += 1
-            if fd(x, y) and not mvd(x, y):
-                violations.append(("fd_implies_mvd", f"X={x} Y={y}"))
+            if verdict.fd and not verdict.mvd:
+                violations.append(("fd_implies_mvd", f"X={x_names} Y={y_names}"))
             checked["complementation"] += 1
-            complement = tuple(sorted(all_names - set(y)))
-            if mvd(x, y) and not mvd(x, complement):
-                violations.append(("complementation", f"X={x} Y={y}"))
+            if verdict.mvd and not table[x, full & ~(x | y)].mvd:
+                violations.append(("complementation", f"X={x_names} Y={y_names}"))
 
-    for x in subsets:
-        for y in subsets:
-            if not mvd(x, y):
+    within = {u: [(z_names, z) for z_names, z in subsets if not z & ~u]
+              for _, u in subsets}
+    for x_names, x in subsets:
+        for y_names, y in subsets:
+            if not table[x, y & ~x].mvd:
                 continue
-            for u in subsets:
-                for z_size in range(len(u) + 1):
-                    for z in combinations(u, z_size):
-                        checked["augmentation"] += 1
-                        if not mvd(tuple(set(x) | set(u)), tuple(set(y) | set(z))):
-                            violations.append(
-                                ("augmentation", f"X={x} Y={y} U={u} Z={z}")
-                            )
+            for u_names, u in subsets:
+                xu = x | u
+                checked["augmentation"] += len(within[u])
+                for z_names, z in within[u]:
+                    if not table[xu, (y | z) & ~xu].mvd:
+                        violations.append(("augmentation", f"X={x_names} "
+                                           f"Y={y_names} U={u_names} Z={z_names}"))
 
-    for x in subsets:
-        for y in subsets:
-            if not mvd(x, y):
+    for x_names, x in subsets:
+        for y_names, y in subsets:
+            if not table[x, y & ~x].mvd:
                 continue
-            for z in subsets:
-                checked["transitivity"] += 1
-                if mvd(y, z) and not mvd(x, tuple(set(z) - set(y))):
-                    violations.append(("transitivity", f"X={x} Y={y} Z={z}"))
+            checked["transitivity"] += len(subsets)
+            for z_names, z in subsets:
+                if table[y, z & ~y].mvd and not table[x, z & ~(x | y)].mvd:
+                    violations.append(("transitivity",
+                                       f"X={x_names} Y={y_names} Z={z_names}"))
 
     return InferenceReport(checked, tuple(violations))
 
@@ -446,12 +490,13 @@ def ap_witness(rel: Relation, x: tuple[str, ...], y: tuple[str, ...]
     return None
 
 
-def _first_exchange(rel: Relation, groups: dict[tuple, list[Item]],
-                    xi: Sequence[int], yi: Sequence[int], zi: Sequence[int]
+def _first_exchange(rel: Relation, groups: dict[tuple, list[Item]], x: int, y: int
                     ) -> Optional[tuple[Item, Item, Item, Item]]:
     """What ``ap_witness`` returns for a non-trivial X ->> Y that holds: the
     first t1, t2 of one X-group differing on both Y' and Z, in relation
     order.  Their exchanges are members because the group is a product."""
+    n = rel.schema.arity
+    xi, yi, zi = _bits(x, n), _bits(y & ~x, n), _bits(~(x | y), n)
     xy = frozenset(xi) | frozenset(yi)
     for t1 in rel.tuples:
         for t2 in groups[_proj(t1, xi)]:
@@ -460,60 +505,48 @@ def _first_exchange(rel: Relation, groups: dict[tuple, list[Item]],
     return None
 
 
-def discover_dependencies(rel: Relation, max_attrs: int = 6) -> list[DependencyFinding]:
+def _finding(rel: Relation, groups: dict[tuple, list[Item]], x: int, y: int,
+             verdict: Verdict) -> DependencyFinding:
+    """The finding for the bitmasks X and Y (its x and y left empty) with
+    the verdict decided from ``groups``, the X-groups."""
+    trivial = not y & ~x or x | y == (1 << rel.schema.arity) - 1
+    return DependencyFinding(
+        x=(), y=(), fd=verdict.fd, mvd=verdict.mvd, weak_mvd=verdict.weak_mvd,
+        trivial=trivial, lossless_join=verdict.mvd,
+        ap_witness=(_first_exchange(rel, groups, x, y)
+                    if verdict.mvd and not trivial else None),
+    )
+
+
+def decide_dependency(rel: Relation, x: AttrSet, y: AttrSet) -> DependencyFinding:
+    """One (X, Y) decided from one grouping of the tuples by X: the finding
+    discovery lists for it, with X and Y canonicalized, or all forms false
+    where none holds."""
+    groups, x, y = _grouped(rel, x, y)
+    found = _finding(rel, groups, x, y, _decide(rel, groups, x, y))
+    names = rel.schema.names
+    return replace(found, x=tuple(names[i] for i in _bits(x, len(names))),
+                   y=tuple(names[i] for i in _bits(y, len(names))))
+
+
+def discover_dependencies(rel: Relation) -> list[DependencyFinding]:
     """Check every (X, Y) subset pair and report those where at least one
     dependency form holds.
 
-    The tuples are grouped by X once per X, and each Y' = Y minus X is
-    decided once from those groups: FD when every group has one Y'-value,
-    the weak MVD when every group's Y'/Z graph has complete components,
-    and the MVD (equivalently the lossless join) when the exchange sizes
-    of the groups add up to |R|.  As FD => MVD => weak MVD, a failed weak
-    check decides all three."""
-    schema = rel.schema
-    names = schema.names
-    if len(names) > max_attrs:
-        raise DataError(
-            f"exhaustive discovery is limited to {max_attrs} attributes, "
-            f"schema has {len(names)}"
-        )
-    subsets: list[tuple[str, ...]] = []
-    for size in range(len(names) + 1):
-        subsets.extend(combinations(names, size))
+    The verdicts are read from the table of (X, Y') verdicts, so each
+    Y' = Y minus X is decided once however many Y share it, and the
+    exchange witness is searched once per (X, Y')."""
+    subsets = _subsets(rel.schema, "discovery")
+    table = _table(rel, subsets)
     findings = []
-    for x in subsets:
-        groups = _group_by(rel.tuples, _idx(schema, x))
-        decided: dict[tuple[int, ...], Optional[DependencyFinding]] = {}
-        for y in subsets:
-            if not y:
+    for x_names, x in subsets:
+        groups = _group_by(rel.tuples, _bits(x, rel.schema.arity))
+        decided: dict[int, DependencyFinding] = {}
+        for y_names, y in subsets[1:]:
+            verdict = table[x, y & ~x]
+            if not verdict.weak_mvd:
                 continue
-            xi, yi, zi = _split(schema, x, y)
-            if yi not in decided:
-                decided[yi] = _decide(rel, groups, xi, yi, zi)
-            found = decided[yi]
-            if found is not None:
-                findings.append(replace(found, x=x, y=y))
+            if y & ~x not in decided:
+                decided[y & ~x] = _finding(rel, groups, x, y, verdict)
+            findings.append(replace(decided[y & ~x], x=x_names, y=y_names))
     return findings
-
-
-def _decide(rel: Relation, groups: dict[tuple, list[Item]],
-            xi: Sequence[int], yi: Sequence[int], zi: Sequence[int]
-            ) -> Optional[DependencyFinding]:
-    """The finding for X and Y' (its x and y left empty), None when no
-    dependency form holds."""
-    fd = True
-    exchanged = 0
-    for group in groups.values():
-        z_sets = _z_sets(group, yi, zi)
-        if not _components_complete(z_sets):
-            return None
-        fd = fd and len(z_sets) == 1
-        exchanged += _exchange_size(z_sets)
-    mvd = exchanged == len(rel)
-    trivial = not yi or not zi
-    return DependencyFinding(
-        x=(), y=(), fd=fd, mvd=mvd, weak_mvd=True, trivial=trivial,
-        lossless_join=mvd,
-        ap_witness=(_first_exchange(rel, groups, xi, yi, zi)
-                    if mvd and not trivial else None),
-    )

@@ -164,6 +164,17 @@ class TestDepsCommand:
         code, _, err = run(capsys, ["deps", "--data", "/nonexistent.csv"])
         assert code == 2
 
+    def test_single_mode_echoes_canonical_attribute_lists(self, capsys):
+        argv = ["deps", "--data", str(DATA / "courses.csv"), "--mode", "single",
+                "--x", "course,course", "--y", "time,teacher,time"]
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        finding = json.loads(out)["finding"]
+        assert finding["x"] == ["course"]
+        assert finding["y"] == ["teacher", "time"]
+        code, out, _ = run(capsys, argv)
+        assert out.startswith("X=course Y=teacher,time: ")
+
 
 class TestGenerateCommand:
     def test_monk_counts(self, capsys, tmp_path):
@@ -297,6 +308,16 @@ class TestMalformedInputsExitCleanly:
                                          "--schema", str(sidecar)])
         self.assert_clean(code, err, 2)
         assert out == "" and "malformed schema sidecar" in err
+
+    def test_discovery_beyond_six_attributes_is_data_error(self, tmp_path):
+        table = tmp_path / "wide.csv"
+        table.write_text(",".join(f"a{i}" for i in range(7)) + "\n"
+                         + "0,1,0,1,0,1,0\n1,0,1,0,1,0,1\n")
+        code, out, err = run_subprocess(["deps", "--data", str(table)])
+        self.assert_clean(code, err, 2)
+        assert out == ""
+        assert err == ("data error: exhaustive discovery is limited to 6 "
+                       "attributes, schema has 7\n")
 
     def test_non_utf8_data_is_data_error(self, tmp_path):
         table = tmp_path / "latin1.csv"

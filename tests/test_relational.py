@@ -1,15 +1,23 @@
 """FD/MVD/weak-MVD checks, lossless joins, nesting and the AP match."""
 
+import contextlib
+import io
+import json
 import random
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from anaprop import relational
+from anaprop.cli import main
 from anaprop.core import Schema, ap_holds_vec, solve_vec
-from anaprop.data import DataError, Relation, generate_random_relation
+from anaprop.data import DataError, Relation, generate_random_relation, write_relation
 from anaprop.relational import (
     DependencyFinding,
+    InferenceReport,
     ap_witness,
     exchange_tuples,
     discover_dependencies,
@@ -456,3 +464,145 @@ class TestCountingAgainstOracles:
                 assert mvd_holds(rel, x, y) == mvd_literal_oracle(rel, x, y)
                 assert weak_mvd_holds(rel, x, y) == \
                     weak_mvd_literal_oracle(rel, x, y)
+
+
+def mvd_inference_check_oracle(rel: Relation) -> InferenceReport:
+    """The inference check one implication instance at a time, with FDs
+    from ``fd_holds`` and MVDs from the exchange scan of ``mvd_witness``,
+    each memoised under its sorted attribute names."""
+    names = rel.schema.names
+    subsets = all_subsets(names)
+    fd_memo: dict[tuple, bool] = {}
+    mvd_memo: dict[tuple, bool] = {}
+
+    def fd(x, y):
+        key = (x, y)
+        if key not in fd_memo:
+            fd_memo[key] = fd_holds(rel, x, y)
+        return fd_memo[key]
+
+    def mvd(x, y):
+        key = (tuple(sorted(set(x))), tuple(sorted(set(y))))
+        if key not in mvd_memo:
+            mvd_memo[key] = mvd_witness(rel, key[0], key[1]) is None
+        return mvd_memo[key]
+
+    checked = {"fd_implies_mvd": 0, "complementation": 0,
+               "augmentation": 0, "transitivity": 0}
+    violations: list[tuple[str, str]] = []
+
+    all_names = set(names)
+    for x in subsets:
+        for y in subsets:
+            checked["fd_implies_mvd"] += 1
+            if fd(x, y) and not mvd(x, y):
+                violations.append(("fd_implies_mvd", f"X={x} Y={y}"))
+            checked["complementation"] += 1
+            complement = tuple(sorted(all_names - set(y)))
+            if mvd(x, y) and not mvd(x, complement):
+                violations.append(("complementation", f"X={x} Y={y}"))
+
+    for x in subsets:
+        for y in subsets:
+            if not mvd(x, y):
+                continue
+            for u in subsets:
+                for z_size in range(len(u) + 1):
+                    for z in combinations(u, z_size):
+                        checked["augmentation"] += 1
+                        if not mvd(tuple(set(x) | set(u)), tuple(set(y) | set(z))):
+                            violations.append(
+                                ("augmentation", f"X={x} Y={y} U={u} Z={z}")
+                            )
+
+    for x in subsets:
+        for y in subsets:
+            if not mvd(x, y):
+                continue
+            for z in subsets:
+                checked["transitivity"] += 1
+                if mvd(y, z) and not mvd(x, tuple(set(z) - set(y))):
+                    violations.append(("transitivity", f"X={x} Y={y} Z={z}"))
+
+    return InferenceReport(checked, tuple(violations))
+
+
+class TestInferenceFromTheTable:
+    @settings(max_examples=50)
+    @given(relations(max_attrs=4))
+    @example(PLANTED)
+    def test_matches_per_instance_oracle(self, rel):
+        report = mvd_inference_check(rel)
+        expected = mvd_inference_check_oracle(rel)
+        assert report.checked == expected.checked
+        assert report.violations == expected.violations
+
+    def test_a_false_fd_verdict_is_reported(self, courses_relation, monkeypatch):
+        decide = relational._decide
+        course, teacher = 0b001, 0b010
+
+        def fd_without_mvd(rel, groups, x, y):
+            verdict = decide(rel, groups, x, y)
+            if (x, y & ~x) == (course, teacher):
+                return verdict._replace(fd=True, mvd=False)
+            return verdict
+
+        monkeypatch.setattr(relational, "_decide", fd_without_mvd)
+        report = mvd_inference_check(courses_relation)
+        assert [v for v in report.violations if v[0] == "fd_implies_mvd"] == [
+            ("fd_implies_mvd", "X=('course',) Y=('teacher',)"),
+            ("fd_implies_mvd", "X=('course',) Y=('course', 'teacher')"),
+        ]
+
+    def test_a_false_mvd_verdict_breaks_complementation(self, courses_relation,
+                                                         monkeypatch):
+        decide = relational._decide
+        course, teacher = 0b001, 0b010
+
+        def without_mvd(rel, groups, x, y):
+            verdict = decide(rel, groups, x, y)
+            if (x, y & ~x) == (course, teacher):
+                return verdict._replace(mvd=False)
+            return verdict
+
+        assert mvd_inference_check(courses_relation).violations == ()
+        monkeypatch.setattr(relational, "_decide", without_mvd)
+        report = mvd_inference_check(courses_relation)
+        # course ->> time holds, its complement course ->> teacher now not.
+        assert ("complementation", "X=('course',) Y=('time',)") in report.violations
+
+
+def run_deps(path: Path, *args: str) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["deps", "--data", str(path), "--format", "json", *args]) == 0
+    return json.loads(out.getvalue())
+
+
+FINDING_KEYS = ("fd", "mvd", "weak_mvd", "trivial", "lossless_join", "ap_witness")
+
+
+class TestSingleModeAgreesWithDiscovery:
+    @settings(max_examples=10, suppress_health_check=[HealthCheck.too_slow])
+    @given(relations(max_attrs=4))
+    @example(PLANTED)
+    def test_single_mode_reads_the_exhaustive_finding(self, rel):
+        assume(rel.tuples)  # a CSV file needs at least one data row
+        none_holds = dict.fromkeys(FINDING_KEYS, False) | {"ap_witness": None}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            write_relation(rel, path)
+            sidecar = Path(tmp) / "r.schema.json"
+            sidecar.write_text(json.dumps({"attributes": [
+                {"name": a.name, "domain": list(a.domain)}
+                for a in rel.schema.attributes]}))
+            exhaustive = {(tuple(f["x"]), tuple(f["y"])): f
+                          for f in run_deps(path, "--schema", str(sidecar))["findings"]}
+            subsets = all_subsets(rel.schema.names)[1:]
+            for x in subsets:
+                for y in subsets:
+                    single = run_deps(path, "--schema", str(sidecar), "--mode", "single",
+                                      "--x", ",".join(x), "--y", ",".join(y))
+                    expected = exhaustive.get((x, y), none_holds)
+                    assert {k: single["finding"][k] for k in FINDING_KEYS} == \
+                        {k: expected[k] for k in FINDING_KEYS}
