@@ -155,14 +155,14 @@ def _subsets(schema: Schema, what: str) -> list[tuple[tuple[str, ...], int]]:
             for size in range(n + 1) for c in combinations(range(n), size)]
 
 
-def _table(rel: Relation, subsets: list[tuple[tuple[str, ...], int]]
-           ) -> dict[tuple[int, int], Verdict]:
+def _table(rel: Relation) -> dict[tuple[int, int], Verdict]:
     """The verdict of every X and every Y' disjoint from it, keyed by their
     bitmasks: one grouping of the tuples per X, 3**n entries in all."""
+    n = rel.schema.arity
     table = {}
-    for _, x in subsets:
-        groups = _group_by(rel.tuples, _bits(x, rel.schema.arity))
-        for _, y in subsets:
+    for x in range(1 << n):
+        groups = _group_by(rel.tuples, _bits(x, n))
+        for y in range(1 << n):
             if not x & y:
                 table[x, y] = _decide(rel, groups, x, y)
     return table
@@ -276,7 +276,7 @@ def mvd_inference_check(rel: Relation) -> InferenceReport:
     Each instance is a lookup in the table of (X, Y') verdicts, where an
     MVD X ->> Y is read at Y' = Y minus X and an FD at its own column."""
     subsets = _subsets(rel.schema, "inference check")
-    table = _table(rel, subsets)
+    table = _table(rel)
     full = (1 << rel.schema.arity) - 1
     checked = {"fd_implies_mvd": 0, "complementation": 0,
                "augmentation": 0, "transitivity": 0}
@@ -537,7 +537,7 @@ def discover_dependencies(rel: Relation) -> list[DependencyFinding]:
     Y' = Y minus X is decided once however many Y share it, and the
     exchange witness is searched once per (X, Y')."""
     subsets = _subsets(rel.schema, "discovery")
-    table = _table(rel, subsets)
+    table = _table(rel)
     findings = []
     for x_names, x in subsets:
         groups = _group_by(rel.tuples, _bits(x, rel.schema.arity))

@@ -537,17 +537,22 @@ class TestInferenceFromTheTable:
         assert report.checked == expected.checked
         assert report.violations == expected.violations
 
-    def test_a_false_fd_verdict_is_reported(self, courses_relation, monkeypatch):
+    @staticmethod
+    def patch_course_teacher(monkeypatch, **fields):
+        """Override fields of the verdict for X = {course}, Y' = {teacher}
+        (bitmasks 0b001 and 0b010 on the courses schema)."""
         decide = relational._decide
-        course, teacher = 0b001, 0b010
 
-        def fd_without_mvd(rel, groups, x, y):
+        def patched(rel, groups, x, y):
             verdict = decide(rel, groups, x, y)
-            if (x, y & ~x) == (course, teacher):
-                return verdict._replace(fd=True, mvd=False)
+            if (x, y & ~x) == (0b001, 0b010):
+                return verdict._replace(**fields)
             return verdict
 
-        monkeypatch.setattr(relational, "_decide", fd_without_mvd)
+        monkeypatch.setattr(relational, "_decide", patched)
+
+    def test_a_false_fd_verdict_is_reported(self, courses_relation, monkeypatch):
+        self.patch_course_teacher(monkeypatch, fd=True, mvd=False)
         report = mvd_inference_check(courses_relation)
         assert [v for v in report.violations if v[0] == "fd_implies_mvd"] == [
             ("fd_implies_mvd", "X=('course',) Y=('teacher',)"),
@@ -556,17 +561,8 @@ class TestInferenceFromTheTable:
 
     def test_a_false_mvd_verdict_breaks_complementation(self, courses_relation,
                                                          monkeypatch):
-        decide = relational._decide
-        course, teacher = 0b001, 0b010
-
-        def without_mvd(rel, groups, x, y):
-            verdict = decide(rel, groups, x, y)
-            if (x, y & ~x) == (course, teacher):
-                return verdict._replace(mvd=False)
-            return verdict
-
         assert mvd_inference_check(courses_relation).violations == ()
-        monkeypatch.setattr(relational, "_decide", without_mvd)
+        self.patch_course_teacher(monkeypatch, mvd=False)
         report = mvd_inference_check(courses_relation)
         # course ->> time holds, its complement course ->> teacher now not.
         assert ("complementation", "X=('course',) Y=('time',)") in report.violations
