@@ -23,6 +23,10 @@ separation problem over the shared context (the pairs of a mixed group
 are found by lookup from its key's changes), a Hamming kNN baseline, and
 a seeded stratified cross-validation harness that builds one model per
 fold, whatever the size of a grid search over the neighbor parameter.
+The case-analysis and kNN classifiers share one prefix reader: a list of
+neighbor budgets or k's is answered from one vote stream or one Hamming
+ranking, and a single classification is its one-value case, so a grid
+search and a single run read their votes the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -77,6 +81,26 @@ def _prediction(votes: Mapping[str, int], examined: int,
     if not votes:
         return Prediction(None, {}, examined, True)
     return Prediction(_majority(votes, label_order), dict(votes), examined, False)
+
+
+def _prefix_predictions(stream: Iterable[tuple[str, int]], cuts: Sequence[int],
+                        label_order: Sequence[str]) -> list[Prediction]:
+    """One prediction per cut, in the order given: the majority of the
+    votes in the first ``cut`` (vote, weight) entries of ``stream``, with
+    their weights summed as the triplets examined, abstaining on no vote.
+    The stream is read once and no further than the largest cut, and a
+    cut past its end takes all of it."""
+    by_cut: dict[int, Prediction] = {}
+    votes: Counter = Counter()
+    weight = taken = 0
+    entries = iter(stream)
+    for cut in sorted(set(cuts)):
+        for vote, w in islice(entries, cut - taken):
+            votes[vote] += 1
+            weight += w
+        taken = cut
+        by_cut[cut] = _prediction(votes, weight, label_order)
+    return [by_cut[cut] for cut in cuts]
 
 
 class PairKeys:
@@ -694,19 +718,18 @@ class BongardModel:
                 if suggestion is not None:
                     yield idx, suggestion, total
 
+    def predictions(self, query: Item, budgets: Sequence[int]) -> list[Prediction]:
+        """The prediction under each neighbor budget, in the order given,
+        from one pass over ``votes``: the majority over the first
+        ``budget`` voting neighbors, their pair counts summed as the
+        triplets examined."""
+        stream = ((vote, count) for _, vote, count in self.votes(query))
+        return _prefix_predictions(stream, budgets, self._label_order)
+
     def classify(self, query: Item, neighbor_budget: int) -> Prediction:
         if neighbor_budget < 1:
             raise DataError("neighbor_budget must be at least 1")
-        votes: Counter = Counter()
-        examined = 0
-        voting = 0
-        for _, vote, pair_count in self.votes(query):
-            votes[vote] += 1
-            examined += pair_count
-            voting += 1
-            if voting >= neighbor_budget:
-                break
-        return _prediction(votes, examined, self._label_order)
+        return self.predictions(query, [neighbor_budget])[0]
 
 
 def bongard_classify(train: Dataset, query: Item, neighbor_budget: int,
@@ -730,12 +753,17 @@ class KnnModel:
         self._k = k
         self._label_order = train.class_attr.domain
 
-    def classify(self, query: Item) -> Prediction:
+    def predictions(self, query: Item, ks: Sequence[int]) -> list[Prediction]:
+        """The majority label among the k nearest rows for each k, in the
+        order given, from one Hamming ranking; a k past the training size
+        takes every row."""
         _check_query(self._train, query)
         labels = self._train.labels
-        ranked = _nearest_first(self._train.items, query)
-        votes = Counter(labels[i] for i in ranked[: self._k])
-        return Prediction(_majority(votes, self._label_order), dict(votes), 0, False)
+        stream = ((labels[i], 0) for i in _nearest_first(self._train.items, query))
+        return _prefix_predictions(stream, ks, self._label_order)
+
+    def classify(self, query: Item) -> Prediction:
+        return self.predictions(query, [self._k])[0]
 
 
 def knn_classify(train: Dataset, query: Item, k: int) -> Prediction:
@@ -783,10 +811,7 @@ class CvConfig:
             raise DataError("radius must be non-negative")
         if self.neighbor_budget < 1 or self.max_literals < 1 or self.k < 1:
             raise DataError("neighbor_budget, max_literals and k must be at least 1")
-        if self.min_support < 1:
-            raise DataError("min_support must be at least 1")
-        if not 0.0 <= self.min_confidence <= 1.0:
-            raise DataError("min_confidence must lie in [0, 1]")
+        _check_thresholds(self.min_support, self.min_confidence)
 
 
 @dataclass(frozen=True)
@@ -817,21 +842,10 @@ class CvReport:
     def canonical(self) -> dict:
         """JSON-ready payload; wall time is excluded so reruns with the
         same inputs and seed are byte-identical."""
-        cfg = {
-            "strategy": self.config.strategy,
-            "folds": self.config.folds,
-            "seed": self.config.seed,
-            "radius": self.config.radius,
-            "neighbor_budget": self.config.neighbor_budget,
-            "max_literals": self.config.max_literals,
-            "k": self.config.k,
-            "min_support": self.config.min_support,
-            "min_confidence": self.config.min_confidence,
-            "subsample": self.config.subsample,
-            "fallback": self.config.fallback,
-        }
         return {
-            "config": cfg,
+            # Every config field but ``workers``, which has no effect.
+            "config": {name: value for name, value in vars(self.config).items()
+                       if name != "workers"},
             "dataset": {
                 "rows": self.dataset_rows,
                 "attributes": self.dataset_attributes,
@@ -839,17 +853,7 @@ class CvReport:
             },
             "stratified": self.stratified,
             "fold_assignment": [list(f) for f in self.fold_indices],
-            "per_fold": [
-                {
-                    "fold": fr.fold,
-                    "test_size": fr.test_size,
-                    "correct": fr.correct,
-                    "accuracy": fr.accuracy,
-                    "abstained": fr.abstained,
-                    "triplets": fr.triplets,
-                }
-                for fr in self.fold_results
-            ],
+            "per_fold": [dict(vars(fr)) for fr in self.fold_results],
             "mean_accuracy": self.mean_accuracy,
             "std_accuracy": self.std_accuracy,
             "abstention_rate": self.abstention_rate,
@@ -910,26 +914,6 @@ def _mining_subset(train: Dataset, fraction: Optional[float],
 GRID_PARAMETERS = {"bongard": "neighbor_budget", "knn": "k"}
 
 
-def _prefix_votes(stream, cuts: Sequence[int]) -> dict[int, tuple[Counter, int]]:
-    """Votes and summed weights over the first ``cut`` (vote, weight)
-    entries of ``stream``, for each cut; the stream is read no further
-    than the largest cut, and a cut past its end takes all of it."""
-    out: dict[int, tuple[Counter, int]] = {}
-    votes: Counter = Counter()
-    weight = 0
-    taken = 0
-    entries = iter(stream)
-    for cut in sorted(set(cuts)):
-        for vote, w in entries:
-            votes[vote] += 1
-            weight += w
-            taken += 1
-            if taken >= cut:
-                break
-        out[cut] = (Counter(votes), weight)
-    return out
-
-
 def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int):
     """One model for a training fold, shared by every config (they differ
     only in the grid parameter).  Returns ``(predict, brute)``: ``predict``
@@ -938,7 +922,6 @@ def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int):
     is never asked (kNN does not abstain) or would abstain on the same
     queries as the strategy (the baseline is that classifier)."""
     config = configs[0]
-    label_order = train.class_attr.domain
     if config.strategy == "baseline":
         model = BruteForceModel(train)
         return lambda q: [model.classify(q)], None
@@ -950,24 +933,10 @@ def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int):
     if config.strategy == "bongard":
         model = BongardModel(train, config.max_literals)
         budgets = [c.neighbor_budget for c in configs]
-
-        def predict(q: Item) -> list[Prediction]:
-            stream = ((vote, count) for _, vote, count in model.votes(q))
-            prefixes = _prefix_votes(stream, budgets)
-            return [_prediction(*prefixes[b], label_order) for b in budgets]
-
-        return predict, lambda: model._index.vote
-    ks = [min(c.k, len(train)) for c in configs]
-    labels = train.labels
-
-    def predict(q: Item) -> list[Prediction]:
-        _check_query(train, q)
-        stream = ((labels[i], 0) for i in _nearest_first(train.items, q))
-        prefixes = _prefix_votes(stream, ks)
-        return [Prediction(_majority(votes, label_order), dict(votes), 0, False)
-                for votes, _ in (prefixes[k] for k in ks)]
-
-    return predict, None  # kNN never abstains
+        return lambda q: model.predictions(q, budgets), lambda: model._index.vote
+    model = KnnModel(train, 1)  # its own k is unused: each config's k is a cut
+    ks = [c.k for c in configs]
+    return lambda q: model.predictions(q, ks), None  # kNN never abstains
 
 
 def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,

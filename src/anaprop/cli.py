@@ -18,6 +18,7 @@ import json
 import sys
 import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -110,24 +111,11 @@ def _cmd_evaluate(args) -> int:
     if args.strategy is None:
         args.strategy = "baseline"
 
-    def given(value, default):
-        return value if value is not None else default
-
+    # An option left unset takes its CvConfig default.
+    options = {f.name: getattr(args, f.name) for f in fields(classify.CvConfig)}
     try:  # config problems are usage errors, found before any work starts
-        config = classify.CvConfig(
-            strategy=args.strategy,
-            folds=given(args.folds, 10),
-            seed=args.seed,
-            radius=given(args.radius, 2),
-            neighbor_budget=given(args.neighbor_budget, 1),
-            max_literals=given(args.max_literals, 2),
-            k=given(args.k, 1),
-            min_support=given(args.min_support, 2),
-            min_confidence=given(args.min_confidence, 0.9),
-            subsample=args.subsample,
-            fallback=given(args.fallback, "knn1"),
-            workers=given(args.workers, 1),
-        )
+        config = classify.CvConfig(**{name: value for name, value in options.items()
+                                      if value is not None})
     except DataError as exc:
         raise _UsageError(str(exc)) from exc
     if args.grid:
@@ -388,6 +376,13 @@ def _cmd_generate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _add_input(parser) -> None:
+    parser.add_argument("--data", required=True)
+    parser.add_argument("--schema", help="JSON sidecar schema file")
+    parser.add_argument("--delimiter", default=",",
+                        help="cell delimiter (default comma; use $'\\t' for tab)")
+
+
 def _add_format(parser) -> None:
     parser.add_argument("--format", choices=("human", "json"), default="human",
                         help="output format on stdout")
@@ -407,10 +402,7 @@ def build_parser() -> _Parser:
     p_ap.set_defaults(func=_cmd_ap)
 
     p_ev = sub.add_parser("evaluate", help="cross-validated classifier study")
-    p_ev.add_argument("--data", required=True)
-    p_ev.add_argument("--schema", help="JSON sidecar schema file")
-    p_ev.add_argument("--delimiter", default=",",
-                      help="cell delimiter (default comma; use $'\\t' for tab)")
+    _add_input(p_ev)
     p_ev.add_argument("--class-column")
     p_ev.add_argument("--strategy", choices=classify.STRATEGIES)
     p_ev.add_argument("--profile", choices=sorted(PROFILES),
@@ -437,10 +429,7 @@ def build_parser() -> _Parser:
     p_ev.set_defaults(func=_cmd_evaluate)
 
     p_ex = sub.add_parser("explain", help="contrastive explanation for a row")
-    p_ex.add_argument("--data", required=True)
-    p_ex.add_argument("--schema", help="JSON sidecar schema file")
-    p_ex.add_argument("--delimiter", default=",",
-                      help="cell delimiter (default comma; use $'\\t' for tab)")
+    _add_input(p_ex)
     p_ex.add_argument("--query", help="comma-separated full row")
     p_ex.add_argument("--query-index", type=int, help="0-based row number")
     p_ex.add_argument("--why", metavar="ATTRIBUTE",
@@ -451,10 +440,7 @@ def build_parser() -> _Parser:
     p_ex.set_defaults(func=_cmd_explain)
 
     p_dep = sub.add_parser("deps", help="dependency analysis of a relation")
-    p_dep.add_argument("--data", required=True)
-    p_dep.add_argument("--schema", help="JSON sidecar schema file")
-    p_dep.add_argument("--delimiter", default=",",
-                       help="cell delimiter (default comma; use $'\\t' for tab)")
+    _add_input(p_dep)
     p_dep.add_argument("--mode", choices=("exhaustive", "single"),
                        default="exhaustive")
     p_dep.add_argument("--x", help="comma-separated attribute names")

@@ -132,8 +132,10 @@ def _read_table(path: str | Path, delimiter: str) -> tuple[list[str], list[list[
     return header, body
 
 
-def _load_sidecar_schema(path: str | Path) -> tuple[Schema, Optional[str]]:
-    """Read a JSON sidecar: attribute domains plus an optional class column."""
+def _load_sidecar_schema(path: str | Path, table: str | Path,
+                         header: list[str]) -> tuple[Schema, Optional[str]]:
+    """Read a JSON sidecar: attribute domains plus an optional class column.
+    Its attribute names must be ``header``, the header of ``table``."""
     try:
         with open(path, encoding="utf-8") as fh:
             spec = json.load(fh)
@@ -150,6 +152,11 @@ def _load_sidecar_schema(path: str | Path) -> tuple[Schema, Optional[str]]:
         ))
     except (KeyError, TypeError) as exc:  # also unhashable attribute names
         raise DataError(f"{path}: malformed schema sidecar ({exc})") from exc
+    if list(schema.names) != header:
+        raise DataError(
+            f"{table}: header {header} does not match sidecar attributes "
+            f"{list(schema.names)}"
+        )
     return schema, spec.get("class")
 
 
@@ -215,12 +222,7 @@ def load_dataset(path: str | Path, *, delimiter: str = ",",
     body = _handle_missing(body, missing_token, missing_policy, path)
     declared_class = None
     if schema_file is not None:
-        schema_all, declared_class = _load_sidecar_schema(schema_file)
-        if list(schema_all.names) != header:
-            raise DataError(
-                f"{path}: header {header} does not match sidecar attributes "
-                f"{list(schema_all.names)}"
-            )
+        schema_all, declared_class = _load_sidecar_schema(schema_file, path, header)
         by_name = {a.name: a for a in schema_all.attributes}
     else:
         by_name = None
@@ -263,12 +265,7 @@ def load_relation(path: str | Path, *, delimiter: str = ",",
     header, body = _read_table(path, delimiter)
     body = _handle_missing(body, missing_token, missing_policy, path)
     if schema_file is not None:
-        schema, _ = _load_sidecar_schema(schema_file)
-        if list(schema.names) != header:
-            raise DataError(
-                f"{path}: header {header} does not match sidecar attributes "
-                f"{list(schema.names)}"
-            )
+        schema, _ = _load_sidecar_schema(schema_file, path, header)
         columns = list(zip(*body))
         for pos, attr in enumerate(schema.attributes):
             _check_column(attr, columns[pos], path)

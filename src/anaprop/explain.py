@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .core import ChangeEntry, Item, pairs_with_change
@@ -86,16 +86,12 @@ class Explanation:
     sentence: str
 
 
-def _result_index(rel: Relation, result_attr: str) -> int:
-    return rel.schema.index(result_attr)
-
-
 def find_adverse_examples(rel: Relation, query: Item, result_attr: str,
                           target: str) -> list[AdverseExample]:
     """All rows whose result equals the contrasted target, each with its
     change set against the query; sorted by change-set size then row order."""
     rel.schema.validate_item(query)
-    ridx = _result_index(rel, result_attr)
+    ridx = rel.schema.index(result_attr)
     rel.schema.attributes[ridx].check(target)
     if query[ridx] == target:
         raise DataError(
@@ -195,7 +191,7 @@ def contrastive_explain(rel: Relation, query: Item, result_attr: str,
     if question not in ("why", "why-not"):
         raise DataError(f"question must be 'why' or 'why-not', got {question!r}")
     rel.schema.validate_item(query)
-    ridx = _result_index(rel, result_attr)
+    ridx = rel.schema.index(result_attr)
     actual = query[ridx]
     if question == "why-not":
         if target is None:
@@ -279,20 +275,7 @@ def contrastive_explain(rel: Relation, query: Item, result_attr: str,
     alternatives = tuple(
         exp.adverse for _, exp in candidates[1:] if exp.adverse is not None
     )
-    return Explanation(
-        question=best.question,
-        result_attribute=best.result_attribute,
-        target=best.target,
-        actual=best.actual,
-        adverse=best.adverse,
-        alternatives=alternatives,
-        split=best.split,
-        supporting_pairs=best.supporting_pairs,
-        exception_pairs=best.exception_pairs,
-        strength=best.strength,
-        supported=best.supported,
-        sentence=best.sentence,
-    )
+    return replace(best, alternatives=alternatives)
 
 
 def relevant_attributes(rel: Relation, result_attr: str,
@@ -308,7 +291,7 @@ def relevant_attributes(rel: Relation, result_attr: str,
         raise DataError(f"method must be 'mi' or 'chi2', got {method!r}")
     if len(rel) == 0:
         raise DataError("cannot rank attributes of an empty table")
-    ridx = _result_index(rel, result_attr)
+    ridx = rel.schema.index(result_attr)
     n = len(rel.tuples)
     py: Counter = Counter(row[ridx] for row in rel.tuples)
     scores = []

@@ -155,6 +155,14 @@ def _subsets(schema: Schema, what: str) -> list[tuple[tuple[str, ...], int]]:
             for size in range(n + 1) for c in combinations(range(n), size)]
 
 
+def _verdicts(rel: Relation, groups: dict[tuple, list[Item]], x: int
+              ) -> dict[int, Verdict]:
+    """The verdict of every Y' disjoint from the bitmask X, keyed by Y',
+    from ``groups``, the X-groups."""
+    return {y: _decide(rel, groups, x, y)
+            for y in range(1 << rel.schema.arity) if not x & y}
+
+
 def _table(rel: Relation) -> dict[tuple[int, int], Verdict]:
     """The verdict of every X and every Y' disjoint from it, keyed by their
     bitmasks: one grouping of the tuples per X, 3**n entries in all."""
@@ -162,9 +170,8 @@ def _table(rel: Relation) -> dict[tuple[int, int], Verdict]:
     table = {}
     for x in range(1 << n):
         groups = _group_by(rel.tuples, _bits(x, n))
-        for y in range(1 << n):
-            if not x & y:
-                table[x, y] = _decide(rel, groups, x, y)
+        for y, verdict in _verdicts(rel, groups, x).items():
+            table[x, y] = verdict
     return table
 
 
@@ -533,17 +540,18 @@ def discover_dependencies(rel: Relation) -> list[DependencyFinding]:
     """Check every (X, Y) subset pair and report those where at least one
     dependency form holds.
 
-    The verdicts are read from the table of (X, Y') verdicts, so each
+    The tuples are grouped once per X, and that grouping gives both the
+    verdict of every Y' disjoint from X and the exchange witnesses.  Each
     Y' = Y minus X is decided once however many Y share it, and the
     exchange witness is searched once per (X, Y')."""
     subsets = _subsets(rel.schema, "discovery")
-    table = _table(rel)
     findings = []
     for x_names, x in subsets:
         groups = _group_by(rel.tuples, _bits(x, rel.schema.arity))
+        verdicts = _verdicts(rel, groups, x)
         decided: dict[int, DependencyFinding] = {}
         for y_names, y in subsets[1:]:
-            verdict = table[x, y & ~x]
+            verdict = verdicts[y & ~x]
             if not verdict.weak_mvd:
                 continue
             if y & ~x not in decided:

@@ -22,8 +22,10 @@ from anaprop.classify import (
     BongardModel,
     CompetentPair,
     CvConfig,
+    KnnModel,
     PairIndex,
     PairKeys,
+    Prediction,
     SelectedTripletModel,
     analogical_suitability,
     bongard_classify,
@@ -606,6 +608,31 @@ class TestKnn:
             knn_classify(ds, ds.items[0], len(ds) + 1)
 
 
+def bongard_classify_oracle(train: Dataset, query, neighbor_budget: int,
+                            max_literals: int) -> Prediction:
+    """The Bongard vote for one budget, counted one voting neighbor at a
+    time until the budget is spent."""
+    votes = Counter()
+    examined = 0
+    voting = 0
+    for _, vote, pair_count in BongardModel(train, max_literals).votes(query):
+        votes[vote] += 1
+        examined += pair_count
+        voting += 1
+        if voting >= neighbor_budget:
+            break
+    return Prediction(*prediction_oracle(votes, examined, train.class_attr.domain))
+
+
+def knn_classify_oracle(train: Dataset, query, k: int) -> Prediction:
+    """The majority label among the first k rows ranked by Hamming distance
+    to the query (ties by row order); a k past the end takes every row."""
+    ranked = sorted(range(len(train)),
+                    key=lambda i: (hamming(train.items[i], query), i))
+    votes = Counter(train.labels[i] for i in ranked[:k])
+    return Prediction(*prediction_oracle(votes, 0, train.class_attr.domain))
+
+
 def literal_cv_folds(ds: Dataset, cfg: CvConfig):
     """Per-fold (correct, abstained, triplets) by the definition: a fresh
     model per query, the fallback asked on each abstention."""
@@ -618,15 +645,15 @@ def literal_cv_folds(ds: Dataset, cfg: CvConfig):
         for i in test_idx:
             query = ds.items[i]
             if cfg.strategy == "bongard":
-                pred = bongard_classify(train, query, cfg.neighbor_budget,
-                                        cfg.max_literals)
+                pred = bongard_classify_oracle(train, query, cfg.neighbor_budget,
+                                               cfg.max_literals)
             else:
-                pred = knn_classify(train, query, min(cfg.k, len(train)))
+                pred = knn_classify_oracle(train, query, cfg.k)
             triplets += pred.triplets_examined
             if pred.abstained:
                 abstained += 1
                 if cfg.fallback == "knn1":
-                    pred = knn_classify(train, query, 1)
+                    pred = knn_classify_oracle(train, query, 1)
                 elif cfg.fallback == "brute":
                     pred = brute_force_classify(train, query)
             if not pred.abstained and pred.label == ds.labels[i]:
@@ -712,6 +739,7 @@ class TestCrossValidation:
         runs = [(ds, "knn", [1, 3, 50], "knn1")]
         runs += [(d, "bongard", [1, 3, 2, 7], fb) for d in abstaining[:6]
                  for fb in ("knn1", "brute", "none")]
+        runs += [(d, "knn", [2, 1, 40, 2], "knn1") for d in abstaining[:6]]
         abstained = 0
         for data, strategy, grid, fallback in runs:
             cfg = CvConfig(strategy=strategy, folds=3, seed=2, fallback=fallback)
@@ -1141,3 +1169,26 @@ class TestCountingAgainstTupleOracles:
                      selected_triplet_classify(ds, pairs, alien, ds.schema.arity),
                      bongard_classify(ds, alien, 3, 2)):
             assert as_tuple(pred) == (None, {}, 0, True)
+
+
+class TestPrefixReader:
+    @given(keyed_datasets(), st.integers(1, 2),
+           st.lists(st.integers(1, 16), min_size=1, max_size=5))
+    def test_predictions_match_the_one_value_oracles(self, case, max_literals, values):
+        ds, queries = case
+        # Repeated, unsorted, and past the end of every ranking.
+        values = values + [values[0], len(ds) + 2, 1]
+        bongard = BongardModel(ds, max_literals)
+        knn = KnnModel(ds, 1)
+        for query in queries + list(ds.items[:2]):
+            assert [as_tuple(p) for p in bongard.predictions(query, values)] == [
+                as_tuple(bongard_classify_oracle(ds, query, v, max_literals))
+                for v in values]
+            assert [as_tuple(p) for p in knn.predictions(query, values)] == [
+                as_tuple(knn_classify_oracle(ds, query, v)) for v in values]
+            for v in values:
+                assert as_tuple(bongard.classify(query, v)) == \
+                    as_tuple(bongard_classify_oracle(ds, query, v, max_literals))
+                if v <= len(ds):
+                    assert as_tuple(KnnModel(ds, v).classify(query)) == \
+                        as_tuple(knn_classify_oracle(ds, query, v))

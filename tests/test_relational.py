@@ -361,6 +361,22 @@ class TestDiscovery:
             seen += 1
         assert seen > 0
 
+    def test_each_x_is_grouped_once(self, monkeypatch):
+        # One grouping per X gives both its verdicts and its witnesses.
+        schema = Schema.from_pairs((f"a{i}", ("0", "1", "2")) for i in range(6))
+        rel = generate_random_relation(schema, 40, seed=3)
+        group_by = relational._group_by
+        calls = []
+
+        def counted(tuples, idx):
+            calls.append(idx)
+            return group_by(tuples, idx)
+
+        monkeypatch.setattr(relational, "_group_by", counted)
+        discover_dependencies(rel)
+        assert sorted(calls) == sorted(
+            c for size in range(7) for c in combinations(range(6), size))
+
 
 @st.composite
 def relations(draw, min_attrs=1, max_attrs=5, max_rows=12):
