@@ -23,10 +23,12 @@ separation problem over the shared context (the pairs of a mixed group
 are found by lookup from its key's changes), a Hamming kNN baseline, and
 a seeded stratified cross-validation harness that builds one model per
 fold, whatever the size of a grid search over the neighbor parameter.
-The case-analysis and kNN classifiers share one prefix reader: a list of
-neighbor budgets or k's is answered from one vote stream or one Hamming
-ranking, and a single classification is its one-value case, so a grid
-search and a single run read their votes the same way.
+The case-analysis and kNN classifiers share one ranking of the rows by
+Hamming distance to the query (``PairKeys.nearest``, the lowest digit of
+the pair keys) and one prefix reader: a list of neighbor budgets or k's
+is answered from one vote stream or one ranking, and a single
+classification is its one-value case, so a grid search and a single run
+read their votes the same way.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from itertools import combinations, compress, islice
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import (ChangeEntry, Diff, Item, Schema, SchemaError, diff, hamming,
-                   pairs_with_change)
+from .core import ChangeEntry, Diff, Item, Schema, SchemaError, diff, pairs_with_change
 from .data import DataError, Dataset
 
 STRATEGIES = ("baseline", "selected", "bongard", "knn")
@@ -139,12 +140,6 @@ class PairKeys:
             return 0
         return (x * len(self._codes[k]) + y + 1) * self._weights[k] + 1
 
-    def _encode(self, item: Item) -> Optional[list[int]]:
-        try:
-            return [codes[v] for codes, v in zip(self._codes, item)]
-        except KeyError:  # a value outside the schema's domain
-            return None
-
     def keys_from(self, item: Item) -> Optional[list[int]]:
         """The key of (item, row) for every row; None when a value of
         ``item`` lies outside its domain, since no pair of rows then
@@ -155,12 +150,28 @@ class PairKeys:
         """The key of (row, item) for every row; None as for ``keys_from``."""
         return self._keys(item, False)
 
+    def nearest(self, item: Item) -> list[int]:
+        """Row indices by increasing Hamming distance to ``item`` (the
+        lowest digit of the key), ties by row order.  A value outside its
+        domain differs from every row, so it adds 1 to every distance and
+        leaves the order as it is; only the other values are keyed."""
+        coded = [(k, codes[v]) for k, (codes, v) in enumerate(zip(self._codes, item))
+                 if v in codes]
+        distances = [key % self.modulus for key in self._sum(coded, False)]
+        return sorted(range(self._size), key=distances.__getitem__)
+
     def _keys(self, item: Item, outgoing: bool) -> Optional[list[int]]:
-        codes = self._encode(item)
-        if codes is None:
+        try:
+            coded = [(k, codes[v]) for k, (codes, v) in enumerate(zip(self._codes, item))]
+        except KeyError:  # a value outside the schema's domain
             return None
+        return self._sum(coded, outgoing)
+
+    def _sum(self, coded: Iterable[tuple[int, int]], outgoing: bool) -> list[int]:
+        """Per row, the sum of the entries of attributes k with code x,
+        for each (k, x) of ``coded``."""
         columns = []
-        for k, x in enumerate(codes):
+        for k, x in coded:
             column = self._columns.get((k, x, outgoing))
             if column is None:
                 entry = self._entry
@@ -357,12 +368,6 @@ def _check_query(train: Dataset, query: Item) -> None:
             f"query arity {len(query)} does not match schema arity "
             f"{train.schema.arity}"
         )
-
-
-def _nearest_first(items: Sequence[Item], query: Item) -> list[int]:
-    """Row indices by increasing Hamming distance to the query, ties by
-    dataset order."""
-    return sorted(range(len(items)), key=lambda i: (hamming(items[i], query), i))
 
 
 class BruteForceModel:
@@ -693,10 +698,8 @@ class BongardModel:
         keys = self._index.pair_keys.keys_to(query)
         if keys is None:
             return  # no pair of rows shares a change with the query
-        modulus = self._index.pair_keys.modulus
         labels = self._train.labels
-        nearest = sorted(range(len(keys)), key=lambda i: keys[i] % modulus)
-        for idx in nearest:  # by Hamming distance, ties by dataset order
+        for idx in self._index.pair_keys.nearest(query):
             kind, total, tilts, prop = self._analyze(keys[idx])
             if kind == "empty":
                 continue
@@ -752,6 +755,7 @@ class KnnModel:
         self._train = train
         self._k = k
         self._label_order = train.class_attr.domain
+        self._pair_keys = PairKeys(train.schema, train.items)
 
     def predictions(self, query: Item, ks: Sequence[int]) -> list[Prediction]:
         """The majority label among the k nearest rows for each k, in the
@@ -759,7 +763,7 @@ class KnnModel:
         takes every row."""
         _check_query(self._train, query)
         labels = self._train.labels
-        stream = ((labels[i], 0) for i in _nearest_first(self._train.items, query))
+        stream = ((labels[i], 0) for i in self._pair_keys.nearest(query))
         return _prefix_predictions(stream, ks, self._label_order)
 
     def classify(self, query: Item) -> Prediction:

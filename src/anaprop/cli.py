@@ -376,11 +376,18 @@ def _cmd_generate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _one_character(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be exactly one character, got {text!r}")
+    return text
+
+
 def _add_input(parser) -> None:
     parser.add_argument("--data", required=True)
     parser.add_argument("--schema", help="JSON sidecar schema file")
-    parser.add_argument("--delimiter", default=",",
-                        help="cell delimiter (default comma; use $'\\t' for tab)")
+    parser.add_argument("--delimiter", default=",", type=_one_character,
+                        help="cell delimiter, exactly one character (default "
+                             "comma; use $'\\t' for tab)")
 
 
 def _add_format(parser) -> None:

@@ -147,32 +147,22 @@ def _check_arity(*items: Sequence[str]) -> None:
 
 
 def ap_holds_vec(a: Item, b: Item, c: Item, d: Item, schema: Optional[Schema] = None) -> bool:
-    """Component-wise proportion over items of equal arity."""
+    """Component-wise ``ap_holds`` over items of equal arity."""
     if schema is not None:
         for it in (a, b, c, d):
             schema.validate_item(it)
     _check_arity(a, b, c, d)
-    return all(
-        (x == y and z == w) or (x == z and y == w)
-        for x, y, z, w in zip(a, b, c, d)
-    )
+    return all(map(ap_holds, a, b, c, d))
 
 
 def solve_vec(a: Item, b: Item, c: Item, schema: Optional[Schema] = None) -> Optional[Item]:
-    """Component-wise equation solving; None as soon as any component fails."""
+    """Component-wise ``solve``; None when any component has no solution."""
     if schema is not None:
         for it in (a, b, c):
             schema.validate_item(it)
     _check_arity(a, b, c)
-    out = []
-    for x, y, z in zip(a, b, c):
-        if x == y:
-            out.append(z)
-        elif x == z:
-            out.append(y)
-        else:
-            return None
-    return tuple(out)
+    out = tuple(map(solve, a, b, c))
+    return None if None in out else out
 
 
 def diff(a: Item, b: Item) -> Diff:

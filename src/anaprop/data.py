@@ -2,9 +2,11 @@
 
 Datasets are labeled examples (descriptive attributes plus one class
 column); relations are plain sets of tuples used by the dependency
-checks.  Both come from delimited text files with a header row, with
-domains either inferred from the observed values (and then closed: unseen
-values are errors) or declared in a JSON sidecar schema.
+checks.  Both come from delimited text files with a header row, read by
+one reader into a schema over all the columns, with domains either
+inferred from the observed values (and then closed: unseen values are
+errors) or declared in a JSON sidecar schema; a dataset then splits off
+its class column.  Column names must be unique in either case.
 
 Generators cover the test corpora: full truth tables of affine Boolean
 functions, datasets with planted change-to-class rules and known
@@ -212,49 +214,43 @@ def _infer_attribute(name: str, column: Iterable[str]) -> Attribute:
     return Attribute(name, tuple(values))
 
 
+def _read_columns(path: str | Path, delimiter: str,
+                  schema_file: Optional[str | Path], missing_token: str,
+                  missing_policy: str) -> tuple[Schema, Optional[str], list[list[str]]]:
+    """A table's schema over all its columns, the class column its sidecar
+    names (if any) and its data rows.  With a sidecar, the schema is the
+    sidecar's and every column is checked against it; otherwise each
+    column's domain is inferred from its values, in header order."""
+    header, body = _read_table(path, delimiter)
+    body = _handle_missing(body, missing_token, missing_policy, path)
+    columns = list(zip(*body))
+    if schema_file is None:
+        schema = Schema(tuple(_infer_attribute(name, column)
+                              for name, column in zip(header, columns)))
+        return schema, None, body
+    schema, declared_class = _load_sidecar_schema(schema_file, path, header)
+    for attr, column in zip(schema.attributes, columns):
+        _check_column(attr, column, path)
+    return schema, declared_class, body
+
+
 def load_dataset(path: str | Path, *, delimiter: str = ",",
                  class_column: Optional[str] = None,
                  schema_file: Optional[str | Path] = None,
                  missing_token: str = "?",
                  missing_policy: str = "error") -> Dataset:
     """Load a labeled dataset; the class column defaults to the last one."""
-    header, body = _read_table(path, delimiter)
-    body = _handle_missing(body, missing_token, missing_policy, path)
-    declared_class = None
-    if schema_file is not None:
-        schema_all, declared_class = _load_sidecar_schema(schema_file, path, header)
-        by_name = {a.name: a for a in schema_all.attributes}
-    else:
-        by_name = None
-
-    class_name = class_column or declared_class or header[-1]
-    if class_name not in header:
-        raise DataError(f"{path}: class column {class_name!r} not in header {header}")
-    class_pos = header.index(class_name)
-
-    columns = list(zip(*body))
-    attrs = []
-    for pos, name in enumerate(header):
-        if pos == class_pos:
-            continue
-        if by_name is not None:
-            attr = by_name[name]
-            _check_column(attr, columns[pos], path)
-        else:
-            attr = _infer_attribute(name, columns[pos])
-        attrs.append(attr)
-    if by_name is not None:
-        class_attr = by_name[class_name]
-        _check_column(class_attr, columns[class_pos], path)
-    else:
-        class_attr = _infer_attribute(class_name, columns[class_pos])
-
-    schema = Schema(tuple(attrs))
-    items = tuple(
-        tuple(v for pos, v in enumerate(row) if pos != class_pos) for row in body
-    )
-    labels = tuple(row[class_pos] for row in body)
-    return Dataset(schema, class_attr, items, labels)
+    schema, declared_class, body = _read_columns(path, delimiter, schema_file,
+                                                 missing_token, missing_policy)
+    names = list(schema.names)
+    class_name = class_column or declared_class or names[-1]
+    if class_name not in names:
+        raise DataError(f"{path}: class column {class_name!r} not in header {names}")
+    pos = names.index(class_name)
+    attrs = schema.attributes
+    items = tuple(tuple(row[:pos] + row[pos + 1:]) for row in body)
+    labels = tuple(row[pos] for row in body)
+    return Dataset(Schema(attrs[:pos] + attrs[pos + 1:]), attrs[pos], items, labels)
 
 
 def load_relation(path: str | Path, *, delimiter: str = ",",
@@ -262,18 +258,8 @@ def load_relation(path: str | Path, *, delimiter: str = ",",
                   missing_token: str = "?",
                   missing_policy: str = "error") -> Relation:
     """Load a relation (all columns are attributes; duplicate rows dropped)."""
-    header, body = _read_table(path, delimiter)
-    body = _handle_missing(body, missing_token, missing_policy, path)
-    if schema_file is not None:
-        schema, _ = _load_sidecar_schema(schema_file, path, header)
-        columns = list(zip(*body))
-        for pos, attr in enumerate(schema.attributes):
-            _check_column(attr, columns[pos], path)
-    else:
-        columns = list(zip(*body))
-        schema = Schema(
-            tuple(_infer_attribute(n, columns[i]) for i, n in enumerate(header))
-        )
+    schema, _, body = _read_columns(path, delimiter, schema_file,
+                                    missing_token, missing_policy)
     return Relation.from_rows(schema, body)
 
 

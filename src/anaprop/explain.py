@@ -6,15 +6,17 @@ it disagrees with the query (its change set) are what the explanation
 points at.  Pairs of rows elsewhere in the table showing the same ordered
 change with the same result tilt support the explanation; pairs with the
 same change but no tilt are exceptions, and the ratio gives the
-explanation's strength.  The whole pipeline reads only the table, never
-any classifier internals.
+explanation's strength.  Candidates are ranked by those counts alone;
+the sentence, the context split and the explanation are built for the
+winner only.  The whole pipeline reads only the table, never any
+classifier internals.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import ChangeEntry, Item, pairs_with_change
@@ -209,10 +211,9 @@ def contrastive_explain(rel: Relation, query: Item, result_attr: str,
     for row in rel.tuples:
         by_description.setdefault(row[:ridx] + row[ridx + 1:], []).append(row)
 
-    candidates: list[tuple[tuple, Explanation]] = []
-    for tgt in targets:
-        adverse_list = find_adverse_examples(rel, query, result_attr, tgt)
-        for ae in adverse_list:
+    candidates = []
+    for rank_of_target, tgt in enumerate(targets):
+        for ae in find_adverse_examples(rel, query, result_attr, tgt):
             if not ae.change:
                 continue  # descriptively identical conflicting row
             supporting, exceptions, first = _pair_counts(
@@ -220,62 +221,40 @@ def contrastive_explain(rel: Relation, query: Item, result_attr: str,
             )
             strength = (supporting / (supporting + exceptions)
                         if supporting + exceptions else 0.0)
-            split = (_build_split(rel, ae, query, ridx, first, tgt, actual)
-                     if first is not None else None)
-            names = rel.schema.names
-            clauses = [
-                f"{names[j]} is {to} and not {fr}" for j, fr, to in ae.change
-            ]
-            if question == "why":
-                sentence = (f"{result_attr} is {actual} rather than {tgt} "
-                            f"because " + " and ".join(clauses))
-            else:
-                flipped = [
-                    f"{names[j]} were {fr} instead of {to}"
-                    for j, fr, to in ae.change
-                ]
-                sentence = (f"{result_attr} would be {tgt} if "
-                            + " and ".join(flipped))
-            exp = Explanation(
-                question=question,
-                result_attribute=result_attr,
-                target=tgt,
-                actual=actual,
-                adverse=ae,
-                alternatives=(),
-                split=split,
-                supporting_pairs=supporting,
-                exception_pairs=exceptions,
-                strength=strength,
-                supported=supporting > 0,
-                sentence=sentence,
-            )
-            rank = (-strength, len(ae.change), ae.row_index, targets.index(tgt))
-            candidates.append((rank, exp))
+            rank = (-strength, len(ae.change), ae.row_index, rank_of_target)
+            candidates.append((rank, tgt, ae, supporting, exceptions, first, strength))
+    candidates.sort(key=lambda candidate: candidate[0])
 
-    if not candidates:
-        tgt = targets[0]
-        return Explanation(
-            question=question,
-            result_attribute=result_attr,
-            target=tgt,
-            actual=actual,
-            adverse=None,
-            alternatives=(),
-            split=None,
-            supporting_pairs=0,
-            exception_pairs=0,
-            strength=0.0,
-            supported=False,
-            sentence=(f"unsupported: no adverse example with "
-                      f"{result_attr}={tgt} exists in the table"),
-        )
-    candidates.sort(key=lambda pair: pair[0])
-    best = candidates[0][1]
-    alternatives = tuple(
-        exp.adverse for _, exp in candidates[1:] if exp.adverse is not None
+    if candidates:
+        _, tgt, ae, supporting, exceptions, first, strength = candidates[0]
+    else:
+        tgt, ae, supporting, exceptions, first, strength = targets[0], None, 0, 0, None, 0.0
+    names = rel.schema.names
+    if ae is None:
+        sentence = (f"unsupported: no adverse example with "
+                    f"{result_attr}={tgt} exists in the table")
+    elif question == "why":
+        clauses = [f"{names[j]} is {to} and not {fr}" for j, fr, to in ae.change]
+        sentence = (f"{result_attr} is {actual} rather than {tgt} "
+                    f"because " + " and ".join(clauses))
+    else:
+        flipped = [f"{names[j]} were {fr} instead of {to}" for j, fr, to in ae.change]
+        sentence = f"{result_attr} would be {tgt} if " + " and ".join(flipped)
+    return Explanation(
+        question=question,
+        result_attribute=result_attr,
+        target=tgt,
+        actual=actual,
+        adverse=ae,
+        alternatives=tuple(candidate[2] for candidate in candidates[1:]),
+        split=(_build_split(rel, ae, query, ridx, first, tgt, actual)
+               if first is not None else None),
+        supporting_pairs=supporting,
+        exception_pairs=exceptions,
+        strength=strength,
+        supported=supporting > 0,
+        sentence=sentence,
     )
-    return replace(best, alternatives=alternatives)
 
 
 def relevant_attributes(rel: Relation, result_attr: str,

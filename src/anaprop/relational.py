@@ -35,18 +35,14 @@ AttrSet = Iterable[str]
 MAX_ATTRS = 6
 
 
-def _idx(schema: Schema, attrs: AttrSet) -> tuple[int, ...]:
-    return schema.indices(attrs)
-
-
 def _proj(t: Item, idx: Sequence[int]) -> tuple[str, ...]:
     return tuple(t[i] for i in idx)
 
 
 def fd_holds(rel: Relation, x: AttrSet, y: AttrSet) -> bool:
     """X -> Y: no two tuples agree on X and differ on Y."""
-    xi = _idx(rel.schema, x)
-    yi = _idx(rel.schema, y)
+    xi = rel.schema.indices(x)
+    yi = rel.schema.indices(y)
     seen: dict[tuple, tuple] = {}
     for t in rel.tuples:
         key = _proj(t, xi)
@@ -178,8 +174,8 @@ def _table(rel: Relation) -> dict[tuple[int, int], Verdict]:
 def mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
                 ) -> Optional[tuple[Item, Item, Item]]:
     """None when X ->> Y holds; otherwise (t1, t2, missing exchanged tuple)."""
-    xi = _idx(rel.schema, x)
-    xy = frozenset(xi) | frozenset(_idx(rel.schema, y))
+    xi = rel.schema.indices(x)
+    xy = frozenset(xi) | frozenset(rel.schema.indices(y))
     members = rel.as_set()
     for group in _group_by(rel.tuples, xi).values():
         for t1 in group:
@@ -199,8 +195,8 @@ def mvd_holds(rel: Relation, x: AttrSet, y: AttrSet) -> bool:
 def weak_mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
                      ) -> Optional[tuple[Item, Item, Item, Item]]:
     """None when X ->>_w Y holds; otherwise (t1, t2, t3, missing t4)."""
-    xi = _idx(rel.schema, x)
-    yi = _idx(rel.schema, y)
+    xi = rel.schema.indices(x)
+    yi = rel.schema.indices(y)
     xy = frozenset(xi) | frozenset(yi)
     xy_idx = tuple(sorted(xy))
     rest_idx = tuple(i for i in range(rel.schema.arity) if i not in xy or i in xi)
@@ -227,16 +223,16 @@ def weak_mvd_holds(rel: Relation, x: AttrSet, y: AttrSet) -> bool:
 
 def is_trivial_mvd(schema: Schema, x: AttrSet, y: AttrSet) -> bool:
     """Trivial iff Y is contained in X or X and Y cover the whole schema."""
-    xi = set(_idx(schema, x))
-    yi = set(_idx(schema, y))
+    xi = set(schema.indices(x))
+    yi = set(schema.indices(y))
     return yi <= xi or xi | yi == set(range(schema.arity))
 
 
 def lossless_join_check(rel: Relation, x: AttrSet, y: AttrSet) -> bool:
     """True iff joining the projections onto X+Y and X+(R\\Y) gives back
     exactly the relation."""
-    xi = _idx(rel.schema, x)
-    yi = _idx(rel.schema, y)
+    xi = rel.schema.indices(x)
+    yi = rel.schema.indices(y)
     arity = rel.schema.arity
     a_idx = tuple(sorted(set(xi) | set(yi)))
     b_idx = tuple(sorted(set(xi) | (set(range(arity)) - set(yi))))
@@ -355,12 +351,12 @@ def nest_rewrite(rel: Relation, x: AttrSet, y: Optional[AttrSet] = None) -> Nest
     """Group by X into set-valued Y and Z columns; a row is flagged as a
     product when its group is exactly the Cartesian product of the two
     value sets (the rewrite is exact for that group)."""
-    xi = _idx(rel.schema, x)
+    xi = rel.schema.indices(x)
     rest = [i for i in range(rel.schema.arity) if i not in xi]
     if y is None:
         yi = tuple(rest[:1])
     else:
-        yi = _idx(rel.schema, y)
+        yi = rel.schema.indices(y)
         if set(yi) & set(xi):
             raise DataError("Y must be disjoint from X in the nesting rewrite")
     zi = tuple(i for i in rest if i not in yi)
@@ -432,8 +428,8 @@ def mvd_ap_correspondence(schema: Schema, t1: Item, t2: Item, t3: Item, t4: Item
                           x: AttrSet, y: AttrSet) -> CorrespondenceReport:
     for t in (t1, t2, t3, t4):
         schema.validate_item(t)
-    xi = _idx(schema, x)
-    yi = _idx(schema, y)
+    xi = schema.indices(x)
+    yi = schema.indices(y)
     xy_idx = tuple(sorted(set(xi) | set(yi)))
     rest_idx = tuple(i for i in range(schema.arity)
                      if i not in set(yi) - set(xi))
@@ -452,8 +448,8 @@ def mvd_ap_correspondence(schema: Schema, t1: Item, t2: Item, t3: Item, t4: Item
 def exchange_tuples(t1: Item, t2: Item, x: AttrSet, y: AttrSet,
                     schema: Schema) -> tuple[Item, Item]:
     """The two intermediary tuples the strong exchange builds from t1, t2."""
-    xi = _idx(schema, x)
-    yi = _idx(schema, y)
+    xi = schema.indices(x)
+    yi = schema.indices(y)
     xy = frozenset(xi) | frozenset(yi)
     return _exchange(t1, t2, xy), _exchange(t2, t1, xy)
 
@@ -480,8 +476,8 @@ def ap_witness(rel: Relation, x: tuple[str, ...], y: tuple[str, ...]
     tuples agreeing on X but differing on both the Y side and the rest,
     plus their two exchanged intermediaries."""
     schema = rel.schema
-    xi = _idx(schema, x)
-    yi = _idx(schema, y)
+    xi = schema.indices(x)
+    yi = schema.indices(y)
     rest = tuple(i for i in range(schema.arity)
                  if i not in set(xi) | set(yi))
     members = rel.as_set()

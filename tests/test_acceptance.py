@@ -9,6 +9,7 @@ accuracy figures.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -345,9 +346,13 @@ def test_c8_dependency_suite(courses_relation):
 
 
 def run_cli(args):
+    root = Path(__file__).parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "anaprop.cli", *args],
-        capture_output=True, text=True, cwd=str(Path(__file__).parent.parent),
+        capture_output=True, text=True, cwd=str(root), env=env,
     )
     return proc.returncode, proc.stdout
 

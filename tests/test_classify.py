@@ -383,6 +383,14 @@ class TestSelectedTriplets:
         with pytest.raises(DataError):
             selected_triplet_classify(ds, [], ds.items[0], 1)
 
+    def test_negative_radius_rejected(self):
+        ds, _ = generate_planted_rules([PlantedRule(pairs=3)])
+        pairs = extract_competent_pairs(ds, min_support=1, min_confidence=0.0)
+        with pytest.raises(DataError, match="radius"):
+            SelectedTripletModel(ds, pairs, -1)
+        with pytest.raises(DataError, match="radius"):
+            SelectedTripletModel.mined(ds, ds, 1, 0.0, -1)
+
 
 def separation_oracle(same_ctx, diff_ctx, attrs, domains, max_literals):
     """Exhaustive search over all value conjunctions up to the size bound."""
@@ -1039,6 +1047,14 @@ class TestPairKeys:
                     rebuilt[k] = (x, y)
                 assert tuple(rebuilt) == diff(a, b)
                 assert keys.change_key(tuple(rebuilt)) == key
+
+    @given(keyed_datasets())
+    def test_nearest_is_the_literal_hamming_ranking(self, case):
+        ds, queries = case
+        keys = PairKeys(ds.schema, ds.items)
+        for query in queries:  # the last one has a value outside its domain
+            assert keys.nearest(query) == sorted(
+                range(len(ds)), key=lambda i: (hamming(ds.items[i], query), i))
 
 
 class PerPairIndexOracle:

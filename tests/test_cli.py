@@ -319,6 +319,31 @@ class TestMalformedInputsExitCleanly:
         assert err == ("data error: exhaustive discovery is limited to 6 "
                        "attributes, schema has 7\n")
 
+    def test_delimiter_of_other_than_one_character_is_usage_error(self, tmp_path):
+        # Rejected while parsing the options: the data file does not exist.
+        absent = str(tmp_path / "absent.csv")
+        commands = [["evaluate", "--seed", "1"],
+                    ["explain", "--query-index", "0", "--why", "a"],
+                    ["deps"]]
+        for command in commands:
+            for delimiter in (";;", "", "\\t"):
+                code, out, err = run_subprocess([*command, "--data", absent,
+                                                 "--delimiter", delimiter])
+                self.assert_clean(code, err, 1)
+                assert out == ""
+                assert err == (f"error: argument --delimiter: must be exactly "
+                               f"one character, got {delimiter!r}\n")
+
+    def test_repeated_header_name_is_data_error(self, tmp_path):
+        # A dataset header is read like a relation's: a name used twice is
+        # rejected, not resolved to one of its columns.
+        table = tmp_path / "t.csv"
+        table.write_text("x,y,x\n0,0,p\n1,1,q\n0,1,q\n")
+        for command in (["evaluate", "--seed", "1"], ["deps"]):
+            code, out, err = run_subprocess([*command, "--data", str(table)])
+            self.assert_clean(code, err, 2)
+            assert out == "" and "duplicate attribute names" in err
+
     def test_non_utf8_data_is_data_error(self, tmp_path):
         table = tmp_path / "latin1.csv"
         table.write_bytes("a,c\ncaf\u00e9,p\nthe,q\n".encode("latin-1"))

@@ -76,6 +76,16 @@ class TestInverseParalogy:
         with pytest.raises(SchemaError):
             inverse_paralogy("0", "0", "1", "1", domain=("0", "1", "2"))
 
+    def test_declared_two_symbol_domain(self):
+        # The domain fixes which symbol is "true", and the verdict matches
+        # the undeclared one on every quadruple over that domain.
+        for quad in boolean_quadruples():
+            renamed = tuple({"0": "no", "1": "yes"}[v] for v in quad)
+            assert (inverse_paralogy(*renamed, domain=("yes", "no"))
+                    == inverse_paralogy(*quad))
+        with pytest.raises(SchemaError):
+            inverse_paralogy("no", "no", "yes", "maybe", domain=("no", "yes"))
+
     def test_code_independent_over_any_two_symbols(self):
         # Renaming 0/1 to any symbol pair must not change the verdict.
         for quad in boolean_quadruples():
@@ -202,6 +212,25 @@ class TestVectorOperations:
             ap_holds_vec(("0",), ("0", "1"), ("0",), ("0",))
         with pytest.raises(SchemaError):
             diff(("0",), ("0", "1"))
+
+    def test_schema_checks_every_item(self):
+        schema = Schema.from_pairs([("x", ("0", "1")), ("y", ("a", "b", "c"))])
+        a, b, c, d = ("0", "a"), ("0", "b"), ("1", "a"), ("1", "b")
+        assert ap_holds_vec(a, b, c, d, schema=schema)
+        assert not ap_holds_vec(a, b, c, ("1", "c"), schema=schema)
+        assert solve_vec(a, b, c, schema=schema) == d
+        assert solve_vec(a, ("1", "b"), ("1", "c"), schema=schema) is None
+        outside = ("2", "a")  # "2" is not in x's domain
+        for pos in range(4):
+            quad = [a, b, c, d]
+            quad[pos] = outside
+            with pytest.raises(SchemaError):
+                ap_holds_vec(*quad, schema=schema)
+            if pos < 3:
+                with pytest.raises(SchemaError):
+                    solve_vec(*quad[:3], schema=schema)
+        with pytest.raises(SchemaError):  # wrong arity for the schema
+            solve_vec(("0",), ("0",), ("0",), schema=schema)
 
     def test_coffee_rows(self):
         a = ("sit_1", "yes", "coffee", "no", "no")

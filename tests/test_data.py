@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from anaprop.core import Schema
+from anaprop.core import Schema, SchemaError
 from anaprop.data import (
     DataError,
     PlantedRule,
@@ -67,6 +67,26 @@ def test_constant_column_without_sidecar_is_an_error(tmp_path):
     path.write_text("a,b\nx,p\nx,q\n")
     with pytest.raises(DataError):
         load_dataset(path)
+
+
+def test_repeated_header_name_rejected(tmp_path):
+    # The last column is the class by default; with its name repeated,
+    # neither loader may pick one of the two columns.
+    path = tmp_path / "t.csv"
+    path.write_text("x,y,x\n0,0,p\n1,1,q\n")
+    with pytest.raises(SchemaError, match="duplicate attribute names"):
+        load_dataset(path)
+    with pytest.raises(SchemaError, match="duplicate attribute names"):
+        load_relation(path)
+
+
+def test_columns_checked_in_header_order(tmp_path):
+    # Both the class column (first here) and a later column are constant;
+    # the first in the header is the one reported.
+    path = tmp_path / "t.csv"
+    path.write_text("label,a,b\nyes,x,0\nyes,x,1\n")
+    with pytest.raises(DataError, match="column 'label' is constant"):
+        load_dataset(path, class_column="label")
 
 
 def test_ragged_rows_rejected(tmp_path):
@@ -164,6 +184,17 @@ class TestPlantedRules:
         _, truths = generate_planted_rules([PlantedRule(pairs=4, exceptions=1)])
         assert truths[0].confidence == 0.75
         assert truths[0].support == 3
+
+    def test_same_label_rule_with_exceptions(self):
+        rule = PlantedRule(pairs=4, exceptions=1, label_from="c0", label_to=None,
+                           alt_label="c2")
+        ds, truths = generate_planted_rules([rule])
+        assert truths[0].tilt is None
+        assert (truths[0].support, truths[0].confidence) == (3, 0.75)
+        assert ds.class_attr.domain == ("c0", "c1", "c2")
+        # Three pairs keep c0 on both sides; the last tilts to alt_label.
+        pairs = list(zip(ds.labels[::2], ds.labels[1::2]))
+        assert pairs == [("c0", "c0")] * 3 + [("c0", "c2")]
 
     def test_group_is_exactly_the_planted_pairs(self):
         # No accidental ordered pair may share a planted difference vector.

@@ -99,6 +99,17 @@ class TestWeakMvd:
         repaired = Relation.from_rows(schema, rel.tuples + (("s", "u", "w"),))
         assert weak_mvd_holds(repaired, ("X",), ("Y",))
 
+    def test_default_y_is_the_first_attribute_outside_x(self, courses_relation):
+        default = nest_rewrite(courses_relation, ("course",))
+        assert default == nest_rewrite(courses_relation, ("course",), ("teacher",))
+        assert (default.y_attrs, default.z_attrs) == (("teacher",), ("time",))
+        nested = nest_rewrite(courses_relation, ("teacher",))
+        assert (nested.y_attrs, nested.z_attrs) == (("course",), ("time",))
+
+    def test_y_meeting_x_is_rejected(self, courses_relation):
+        with pytest.raises(DataError, match="disjoint"):
+            nest_rewrite(courses_relation, ("course",), ("course", "time"))
+
     def test_single_tuple(self, courses_relation):
         rel = Relation(courses_relation.schema, courses_relation.tuples[:1])
         assert weak_mvd_holds(rel, ("course",), ("teacher",))
