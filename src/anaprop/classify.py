@@ -43,7 +43,8 @@ from itertools import combinations, compress, islice
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import ChangeEntry, Diff, Item, Schema, SchemaError, diff, pairs_with_change
+from .core import (ChangeEntry, Diff, Item, Schema, SchemaError, code_columns, diff,
+                   pairs_with_change)
 from .data import DataError, Dataset
 
 STRATEGIES = ("baseline", "selected", "bongard", "knn")
@@ -120,8 +121,7 @@ class PairKeys:
 
     def __init__(self, schema: Schema, items: Sequence[Item]):
         self._domains = [a.domain for a in schema.attributes]
-        self._codes = [{v: c for c, v in enumerate(domain)}
-                       for domain in self._domains]
+        self._codes, self._rows = code_columns(schema, items)
         self.modulus = len(self._codes) + 1
         self._radices = [len(codes) ** 2 + 1 for codes in self._codes]
         self._weights = []
@@ -129,8 +129,6 @@ class PairKeys:
         for radix in self._radices:
             self._weights.append(weight)
             weight *= radix
-        self._rows = [[codes[item[k]] for item in items]
-                      for k, codes in enumerate(self._codes)]
         self._size = len(items)
         self._columns: dict[tuple[int, int, bool], list[int]] = {}
 

@@ -107,6 +107,14 @@ class Schema:
             attr.check(value)
 
 
+def code_columns(schema: Schema, items: Sequence[Item]
+                 ) -> tuple[list[dict[str, int]], list[list[int]]]:
+    """Each attribute's value codes, a value's place in its sorted domain,
+    and the items coded by them, one column of codes per attribute."""
+    codes = [{v: c for c, v in enumerate(a.domain)} for a in schema.attributes]
+    return codes, [[c[item[k]] for item in items] for k, c in enumerate(codes)]
+
+
 def _check_domain(domain: Iterable[str], *values: str) -> None:
     pool = set(domain)
     for v in values:

@@ -14,18 +14,26 @@ All checks run on small in-memory relations with set semantics; subsets
 of attributes are given by name and canonicalized to schema order.
 
 FD, MVD (equivalently lossless join) and weak MVD are decided in one
-place, ``_decide``, from one grouping of the tuples by X.  Discovery and
-the inference check read one table of every (X, Y') with Y' disjoint
-from X, keyed by attribute bitmasks (bit i for the i-th attribute).
+place, ``_decide``, on integer keys.  Each column is coded once per
+relation by the value's place in its sorted domain, and every attribute
+subset S, a bitmask with bit i for the i-th attribute, gives each tuple
+one mixed-radix key, built on first read from the key on S minus its top
+attribute (the partitions refined from a parent set of TANE, Huhtala et
+al. 1999).  Discovery and the inference check read one table of every
+(X, Y') with Y' disjoint from X.  The literal references (``fd_holds``,
+the scan witnesses, ``lossless_join_check``, ``ap_witness``) and
+``nest_rewrite``, which prints values, stay on the string tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations, product
+from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import Item, Schema, ap_holds_vec, solve_vec
+from .core import Item, Schema, ap_holds_vec, code_columns, solve_vec
 from .data import DataError, Relation
 
 AttrSet = Iterable[str]
@@ -66,36 +74,6 @@ def _group_by(tuples: Iterable[Item], idx: Sequence[int]) -> dict[tuple, list[It
     return groups
 
 
-def _z_sets(group: Sequence[Item], yi: Sequence[int], zi: Sequence[int]
-            ) -> dict[tuple, set[tuple]]:
-    """One X-group as a bipartite graph: each Y'-value, in order of first
-    occurrence, mapped to the Z-values it occurs with."""
-    z_sets: dict[tuple, set[tuple]] = {}
-    for t in group:
-        z_sets.setdefault(_proj(t, yi), set()).add(_proj(t, zi))
-    return z_sets
-
-
-def _exchange_size(z_sets: dict[tuple, set[tuple]]) -> int:
-    """|pi_Y'(g)| * |pi_Z(g)|: the tuples that exchanging Y'-parts within
-    the group generates.  It is at least |g|, with equality iff the group
-    is the product of its two projections; summed over the X-groups it is
-    the size of the join of pi_XY and pi_XZ (Fagin 1977)."""
-    return len(z_sets) * len(set().union(*z_sets.values()))
-
-
-def _components_complete(z_sets: dict[tuple, set[tuple]]) -> bool:
-    """The weak condition on one X-group: Y'-values whose Z-sets meet have
-    equal Z-sets, i.e. every connected component of the Y'/Z graph is a
-    complete bipartite graph."""
-    owner: dict[tuple, set[tuple]] = {}
-    for zs in z_sets.values():
-        for z in zs:
-            if owner.setdefault(z, zs) != zs:
-                return False
-    return True
-
-
 class Verdict(NamedTuple):
     """Which dependency forms hold for one X and Y'."""
 
@@ -109,33 +87,53 @@ def _bits(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if mask >> i & 1)
 
 
-def _decide(rel: Relation, groups: dict[tuple, list[Item]], x: int, y: int
-            ) -> Verdict:
-    """The verdict for the bitmasks X and Y from ``groups``, the X-groups
-    of the relation.  With Y' = Y minus X and Z = R minus (X u Y): FD when
-    every group has one Y'-value, the weak MVD when every group's Y'/Z
-    graph has complete components, and the MVD (equivalently the lossless
-    join) when the exchange sizes of the groups add up to |R|.
-    Incomplete components mean two Y'-values in one group, so a failed
-    weak check fails all three."""
-    n = rel.schema.arity
-    yi, zi = _bits(y & ~x, n), _bits(~(x | y), n)
-    fd = True
-    exchanged = 0
-    for group in groups.values():
-        z_sets = _z_sets(group, yi, zi)
-        if not _components_complete(z_sets):
-            return Verdict(False, False, False)
-        fd = fd and len(z_sets) == 1
-        exchanged += _exchange_size(z_sets)
-    return Verdict(fd, exchanged == len(rel), True)
+class _Keys(dict):
+    """Per attribute subset, by bitmask, the key of every tuple, in relation
+    order: two tuples have equal keys exactly when they agree on the
+    subset.  The key on S is the key on S minus its top attribute a, times
+    |dom a|, plus the code of the tuple's a-value; each is built on first
+    read and kept, so a check builds only the subsets it reads and their
+    parents."""
+
+    def __init__(self, rel: Relation):
+        super().__init__({0: [0] * len(rel)})
+        codes, self._columns = code_columns(rel.schema, rel.tuples)
+        self._radices = list(map(len, codes))
+
+    def __missing__(self, s: int) -> list[int]:
+        top = s.bit_length() - 1
+        parent = self[s & ~(1 << top)]
+        keys = self[s] = list(map(add, map(self._radices[top].__mul__, parent),
+                                  self._columns[top]))
+        return keys
 
 
-def _grouped(rel: Relation, x: AttrSet, y: AttrSet
-             ) -> tuple[dict[tuple, list[Item]], int, int]:
-    """The tuples grouped by X, and X and Y as bitmasks."""
+def _decide(rel: Relation, keys: _Keys, x: int, y: int) -> Verdict:
+    """The verdict for the bitmasks X and Y, read from ``keys``.  With
+    Y' = Y minus X and Z = R minus (X u Y), each tuple joins its X u Y'
+    key to its X u Z key; X is inside both, so the graph splits by X.  The
+    weak MVD holds when every component is a complete bipartite graph:
+    Y'-values whose Z-sets meet have equal Z-sets, so the distinct Z-sets
+    are disjoint and their sizes add up to the number of Z-values.  Each
+    distinct Z-set is then one component: the MVD (equivalently the
+    lossless join) holds when every X-group is one component, and the FD
+    when every X-group has one Y'-value.  An incomplete component means
+    two Y'-values in one group, so a failed weak check fails all three."""
+    xz = (1 << rel.schema.arity) - 1 & ~y | x
+    z_sets: dict[int, set[int]] = {}
+    for a, b in zip(keys[x | y], keys[xz]):
+        z_sets.setdefault(a, set()).add(b)
+    distinct = set(map(frozenset, z_sets.values()))
+    if sum(map(len, distinct)) != len(set(keys[xz])):
+        return Verdict(False, False, False)
+    groups = len(set(keys[x]))
+    return Verdict(len(z_sets) == groups, len(distinct) == groups, True)
+
+
+def _keyed(rel: Relation, x: AttrSet, y: AttrSet) -> tuple[_Keys, int, int]:
+    """The relation's keys, and X and Y as bitmasks."""
     x, y = (sum(1 << i for i in rel.schema.indices(a)) for a in (x, y))
-    return _group_by(rel.tuples, _bits(x, rel.schema.arity)), x, y
+    return _Keys(rel), x, y
 
 
 def _subsets(schema: Schema, what: str) -> list[tuple[tuple[str, ...], int]]:
@@ -151,24 +149,11 @@ def _subsets(schema: Schema, what: str) -> list[tuple[tuple[str, ...], int]]:
             for size in range(n + 1) for c in combinations(range(n), size)]
 
 
-def _verdicts(rel: Relation, groups: dict[tuple, list[Item]], x: int
-              ) -> dict[int, Verdict]:
-    """The verdict of every Y' disjoint from the bitmask X, keyed by Y',
-    from ``groups``, the X-groups."""
-    return {y: _decide(rel, groups, x, y)
-            for y in range(1 << rel.schema.arity) if not x & y}
-
-
-def _table(rel: Relation) -> dict[tuple[int, int], Verdict]:
+def _table(rel: Relation, keys: _Keys) -> dict[tuple[int, int], Verdict]:
     """The verdict of every X and every Y' disjoint from it, keyed by their
-    bitmasks: one grouping of the tuples per X, 3**n entries in all."""
-    n = rel.schema.arity
-    table = {}
-    for x in range(1 << n):
-        groups = _group_by(rel.tuples, _bits(x, n))
-        for y, verdict in _verdicts(rel, groups, x).items():
-            table[x, y] = verdict
-    return table
+    bitmasks and read from ``keys``: 3**n entries in all."""
+    masks = range(1 << rel.schema.arity)
+    return {(x, y): _decide(rel, keys, x, y) for x in masks for y in masks if not x & y}
 
 
 def mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
@@ -189,7 +174,7 @@ def mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
 def mvd_holds(rel: Relation, x: AttrSet, y: AttrSet) -> bool:
     """X ->> Y: the Y-part of tuples agreeing on X is freely exchangeable,
     i.e. every X-group is the product of its Y'- and Z-projections."""
-    return _decide(rel, *_grouped(rel, x, y)).mvd
+    return _decide(rel, *_keyed(rel, x, y)).mvd
 
 
 def weak_mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
@@ -218,7 +203,7 @@ def weak_mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
 def weak_mvd_holds(rel: Relation, x: AttrSet, y: AttrSet) -> bool:
     """X ->>_w Y: whenever t1,t2 agree on XY and t1,t3 agree on X(R\\Y),
     the exchanged fourth tuple is present."""
-    return _decide(rel, *_grouped(rel, x, y)).weak_mvd
+    return _decide(rel, *_keyed(rel, x, y)).weak_mvd
 
 
 def is_trivial_mvd(schema: Schema, x: AttrSet, y: AttrSet) -> bool:
@@ -279,7 +264,7 @@ def mvd_inference_check(rel: Relation) -> InferenceReport:
     Each instance is a lookup in the table of (X, Y') verdicts, where an
     MVD X ->> Y is read at Y' = Y minus X and an FD at its own column."""
     subsets = _subsets(rel.schema, "inference check")
-    table = _table(rel)
+    table = _table(rel, _Keys(rel))
     full = (1 << rel.schema.arity) - 1
     checked = {"fd_implies_mvd": 0, "complementation": 0,
                "augmentation": 0, "transitivity": 0}
@@ -364,12 +349,15 @@ def nest_rewrite(rel: Relation, x: AttrSet, y: Optional[AttrSet] = None) -> Nest
     rows = []
     for x_val in sorted(groups):
         members = groups[x_val]
-        z_sets = _z_sets(members, yi, zi)
+        z_sets: dict[tuple, set[tuple]] = {}
+        for t in members:
+            z_sets.setdefault(_proj(t, yi), set()).add(_proj(t, zi))
+        z_values = tuple(sorted(set().union(*z_sets.values())))
         rows.append(NestedRow(
             x_values=x_val,
             y_values=tuple(sorted(z_sets)),
-            z_values=tuple(sorted(set().union(*z_sets.values()))),
-            is_product=len(members) == _exchange_size(z_sets),
+            z_values=z_values,
+            is_product=len(members) == len(z_sets) * len(z_values),
         ))
     names = rel.schema.names
     return NestedRelation(
@@ -493,64 +481,66 @@ def ap_witness(rel: Relation, x: tuple[str, ...], y: tuple[str, ...]
     return None
 
 
-def _first_exchange(rel: Relation, groups: dict[tuple, list[Item]], x: int, y: int
+def _first_exchange(rel: Relation, keys: _Keys, x: int, y: int
                     ) -> Optional[tuple[Item, Item, Item, Item]]:
     """What ``ap_witness`` returns for a non-trivial X ->> Y that holds: the
     first t1, t2 of one X-group differing on both Y' and Z, in relation
-    order.  Their exchanges are members because the group is a product."""
+    order.  As the group is a product, their exchanges are members, and
+    t1 is the first tuple of a group with two Y'-values and two Z-values,
+    counted per X key from the X u Y' and X u Z keys."""
     n = rel.schema.arity
-    xi, yi, zi = _bits(x, n), _bits(y & ~x, n), _bits(~(x | y), n)
-    xy = frozenset(xi) | frozenset(yi)
-    for t1 in rel.tuples:
-        for t2 in groups[_proj(t1, xi)]:
-            if _proj(t1, yi) != _proj(t2, yi) and _proj(t1, zi) != _proj(t2, zi):
-                return (t1, t2, _exchange(t1, t2, xy), _exchange(t2, t1, xy))
+    kx, ky, kz = keys[x], keys[x | y], keys[(1 << n) - 1 & ~y | x]
+    y_count = Counter(dict(zip(ky, kx)).values())
+    z_count = Counter(dict(zip(kz, kx)).values())
+    for i, k in enumerate(kx):
+        if min(y_count[k], z_count[k]) > 1:
+            j = next(j for j, kj in enumerate(kx)
+                     if kj == k and ky[j] != ky[i] and kz[j] != kz[i])
+            t1, t2 = rel.tuples[i], rel.tuples[j]
+            xy = frozenset(_bits(x | y, n))
+            return (t1, t2, _exchange(t1, t2, xy), _exchange(t2, t1, xy))
     return None
 
 
-def _finding(rel: Relation, groups: dict[tuple, list[Item]], x: int, y: int,
-             verdict: Verdict) -> DependencyFinding:
-    """The finding for the bitmasks X and Y (its x and y left empty) with
-    the verdict decided from ``groups``, the X-groups."""
+def _finding(rel: Relation, keys: _Keys, names: tuple[tuple[str, ...], tuple[str, ...]],
+             x: int, y: int, verdict: Verdict, witnesses: dict) -> DependencyFinding:
+    """The finding named ``names`` for the bitmasks X and Y with this
+    verdict.  The exchange witness of a non-trivial MVD is searched once
+    per Y' = Y minus X and kept in ``witnesses``."""
     trivial = not y & ~x or x | y == (1 << rel.schema.arity) - 1
-    return DependencyFinding(
-        x=(), y=(), fd=verdict.fd, mvd=verdict.mvd, weak_mvd=verdict.weak_mvd,
-        trivial=trivial, lossless_join=verdict.mvd,
-        ap_witness=(_first_exchange(rel, groups, x, y)
-                    if verdict.mvd and not trivial else None),
-    )
+    if verdict.mvd and not trivial and y & ~x not in witnesses:
+        witnesses[y & ~x] = _first_exchange(rel, keys, x, y)
+    return DependencyFinding(*names, *verdict, trivial, verdict.mvd,
+                             witnesses.get(y & ~x))
 
 
 def decide_dependency(rel: Relation, x: AttrSet, y: AttrSet) -> DependencyFinding:
-    """One (X, Y) decided from one grouping of the tuples by X: the finding
-    discovery lists for it, with X and Y canonicalized, or all forms false
-    where none holds."""
-    groups, x, y = _grouped(rel, x, y)
-    found = _finding(rel, groups, x, y, _decide(rel, groups, x, y))
-    names = rel.schema.names
-    return replace(found, x=tuple(names[i] for i in _bits(x, len(names))),
-                   y=tuple(names[i] for i in _bits(y, len(names))))
+    """One (X, Y) decided from the keys of the subsets it reads: the
+    finding discovery lists for it, with X and Y canonicalized, or all
+    forms false where none holds."""
+    keys, x, y = _keyed(rel, x, y)
+    names = tuple(tuple(rel.schema.names[i] for i in _bits(m, rel.schema.arity))
+                  for m in (x, y))
+    return _finding(rel, keys, names, x, y, _decide(rel, keys, x, y), {})
 
 
 def discover_dependencies(rel: Relation) -> list[DependencyFinding]:
     """Check every (X, Y) subset pair and report those where at least one
     dependency form holds.
 
-    The tuples are grouped once per X, and that grouping gives both the
-    verdict of every Y' disjoint from X and the exchange witnesses.  Each
-    Y' = Y minus X is decided once however many Y share it, and the
-    exchange witness is searched once per (X, Y')."""
+    One set of keys gives the verdict of every X and Y' disjoint from it
+    and the exchange witnesses.  Each Y' = Y minus X is decided once
+    however many Y share it, and the exchange witness is searched once per
+    (X, Y')."""
     subsets = _subsets(rel.schema, "discovery")
+    keys = _Keys(rel)
+    table = _table(rel, keys)
     findings = []
     for x_names, x in subsets:
-        groups = _group_by(rel.tuples, _bits(x, rel.schema.arity))
-        verdicts = _verdicts(rel, groups, x)
-        decided: dict[int, DependencyFinding] = {}
+        witnesses: dict[int, Optional[tuple[Item, Item, Item, Item]]] = {}
         for y_names, y in subsets[1:]:
-            verdict = verdicts[y & ~x]
-            if not verdict.weak_mvd:
-                continue
-            if y & ~x not in decided:
-                decided[y & ~x] = _finding(rel, groups, x, y, verdict)
-            findings.append(replace(decided[y & ~x], x=x_names, y=y_names))
+            verdict = table[x, y & ~x]
+            if verdict.weak_mvd:
+                findings.append(_finding(rel, keys, (x_names, y_names), x, y,
+                                         verdict, witnesses))
     return findings

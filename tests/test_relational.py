@@ -372,21 +372,21 @@ class TestDiscovery:
             seen += 1
         assert seen > 0
 
-    def test_each_x_is_grouped_once(self, monkeypatch):
-        # One grouping per X gives both its verdicts and its witnesses.
+    def test_each_subset_is_keyed_once(self, monkeypatch):
+        # One set of keys gives every verdict and every witness.
         schema = Schema.from_pairs((f"a{i}", ("0", "1", "2")) for i in range(6))
         rel = generate_random_relation(schema, 40, seed=3)
-        group_by = relational._group_by
-        calls = []
+        missing = relational._Keys.__missing__
+        keyed = []
 
-        def counted(tuples, idx):
-            calls.append(idx)
-            return group_by(tuples, idx)
+        def counted(keys, mask):
+            keyed.append(mask)
+            return missing(keys, mask)
 
-        monkeypatch.setattr(relational, "_group_by", counted)
+        monkeypatch.setattr(relational._Keys, "__missing__", counted)
         discover_dependencies(rel)
-        assert sorted(calls) == sorted(
-            c for size in range(7) for c in combinations(range(6), size))
+        # The empty subset's key, 0 for every tuple, comes with the keys.
+        assert sorted(keyed) == list(range(1, 1 << 6))
 
 
 @st.composite
@@ -429,6 +429,24 @@ def all_subsets(names):
             for c in combinations(names, size)]
 
 
+def finding_oracle(rel: Relation, x, y) -> DependencyFinding:
+    """The finding for one (X, Y), named as given, from the exchange and
+    scan forms of every check."""
+    fd = fd_holds(rel, x, y)
+    mvd = mvd_witness(rel, x, y) is None
+    weak = weak_mvd_witness(rel, x, y) is None
+    return DependencyFinding(
+        x=x,
+        y=y,
+        fd=fd,
+        mvd=mvd,
+        weak_mvd=weak,
+        trivial=is_trivial_mvd(rel.schema, x, y),
+        lossless_join=lossless_join_check(rel, x, y) if mvd else False,
+        ap_witness=ap_witness(rel, x, y) if mvd else None,
+    )
+
+
 def discover_dependencies_oracle(rel: Relation) -> list[DependencyFinding]:
     """Discovery one (X, Y) pair at a time with the exchange and scan
     forms of every check."""
@@ -438,21 +456,9 @@ def discover_dependencies_oracle(rel: Relation) -> list[DependencyFinding]:
         for y in subsets:
             if not y:
                 continue
-            fd = fd_holds(rel, x, y)
-            mvd = mvd_witness(rel, x, y) is None
-            weak = weak_mvd_witness(rel, x, y) is None
-            if not (fd or mvd or weak):
-                continue
-            findings.append(DependencyFinding(
-                x=x,
-                y=y,
-                fd=fd,
-                mvd=mvd,
-                weak_mvd=weak,
-                trivial=is_trivial_mvd(rel.schema, x, y),
-                lossless_join=lossless_join_check(rel, x, y) if mvd else False,
-                ap_witness=ap_witness(rel, x, y) if mvd else None,
-            ))
+            found = finding_oracle(rel, x, y)
+            if found.fd or found.mvd or found.weak_mvd:
+                findings.append(found)
     return findings
 
 
@@ -460,6 +466,17 @@ def discover_dependencies_oracle(rel: Relation) -> list[DependencyFinding]:
 PLANTED = Relation.from_rows(
     Schema.from_pairs([(f"a{i}", "012") for i in range(3)]),
     [("0", y, z) for z in "210" for y in "01"] + [("1", "2", "0")],
+)
+
+
+# On six attributes, a0 ->> a1 a2 holds and is not trivial: a0 = 0 carries
+# {01, 12} x {00, 11} on a1 a2 and a3 a4.  Its verdict table holds FDs,
+# MVDs that are not FDs, weak MVDs that are not MVDs and failures.
+PLANTED_6 = Relation.from_rows(
+    Schema.from_pairs([(f"a{i}", "012") for i in range(6)]),
+    [("0", *y, *z, "0") for y in ("01", "12") for z in ("00", "11")]
+    + [("1", "0", "0", "2", "1", "0"), ("1", "0", "0", "2", "2", "0"),
+       ("1", "0", "0", "1", "1", "0")],
 )
 
 
@@ -481,6 +498,19 @@ class TestCountingAgainstOracles:
             for y in subsets:
                 if is_trivial_mvd(rel.schema, x, y):
                     assert ap_witness(rel, x, y) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(relations(min_attrs=6, max_attrs=6, max_rows=16))
+    @example(PLANTED_6)
+    def test_verdict_table_matches_scans_on_six_attributes(self, rel):
+        table = relational._table(rel, relational._Keys(rel))
+        names = rel.schema.names
+        for (x, y), verdict in table.items():
+            xs = tuple(n for i, n in enumerate(names) if x >> i & 1)
+            ys = tuple(n for i, n in enumerate(names) if y >> i & 1)
+            assert verdict == (fd_holds(rel, xs, ys),
+                               mvd_witness(rel, xs, ys) is None,
+                               weak_mvd_witness(rel, xs, ys) is None), (xs, ys)
 
     @settings(max_examples=40)
     @given(relations(min_attrs=4, max_attrs=4, max_rows=8))
@@ -605,6 +635,17 @@ def run_deps(path: Path, *args: str) -> dict:
 FINDING_KEYS = ("fd", "mvd", "weak_mvd", "trivial", "lossless_join", "ap_witness")
 
 
+def write_with_schema(rel: Relation, tmp: Path) -> tuple[Path, Path]:
+    """The relation as a CSV file in ``tmp``, beside a sidecar schema that
+    states its domains."""
+    path = tmp / "r.csv"
+    write_relation(rel, path)
+    sidecar = tmp / "r.schema.json"
+    sidecar.write_text(json.dumps({"attributes": [
+        {"name": a.name, "domain": list(a.domain)} for a in rel.schema.attributes]}))
+    return path, sidecar
+
+
 class TestSingleModeAgreesWithDiscovery:
     @settings(max_examples=10, suppress_health_check=[HealthCheck.too_slow])
     @given(relations(max_attrs=4))
@@ -613,12 +654,7 @@ class TestSingleModeAgreesWithDiscovery:
         assume(rel.tuples)  # a CSV file needs at least one data row
         none_holds = dict.fromkeys(FINDING_KEYS, False) | {"ap_witness": None}
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "r.csv"
-            write_relation(rel, path)
-            sidecar = Path(tmp) / "r.schema.json"
-            sidecar.write_text(json.dumps({"attributes": [
-                {"name": a.name, "domain": list(a.domain)}
-                for a in rel.schema.attributes]}))
+            path, sidecar = write_with_schema(rel, Path(tmp))
             exhaustive = {(tuple(f["x"]), tuple(f["y"])): f
                           for f in run_deps(path, "--schema", str(sidecar))["findings"]}
             subsets = all_subsets(rel.schema.names)[1:]
@@ -629,3 +665,48 @@ class TestSingleModeAgreesWithDiscovery:
                     expected = exhaustive.get((x, y), none_holds)
                     assert {k: single["finding"][k] for k in FINDING_KEYS} == \
                         {k: expected[k] for k in FINDING_KEYS}
+
+
+def wide_relation() -> Relation:
+    """24 attributes, too many for a key per subset.  a0 ->> a1..a11 holds
+    and is not trivial: a0 = 0 carries 2 x 3 values of a1..a11 and
+    a12..a23, and a0 = 1 one value of a1..a11.  a0 ->>_w a12 fails: the
+    a0 = 1 tuples take (p, q), (p, q') and (p', q) on a12 and a13..a23,
+    but not (p', q')."""
+    rng = random.Random(24)
+    schema = Schema.from_pairs((f"a{i}", "012") for i in range(24))
+
+    def part(size):
+        return tuple(rng.choice("012") for _ in range(size))
+
+    ys, zs = [part(11) for _ in range(2)], [part(12) for _ in range(3)]
+    rows = [("0", *y, *z) for y in ys for z in zs]
+    y, q, q2 = part(11), part(11), part(11)
+    rows += [("1", *y, "0", *q), ("1", *y, "0", *q2), ("1", *y, "1", *q)]
+    return Relation.from_rows(schema, rows)
+
+
+class TestSingleChecksOnWideSchemas:
+    def test_single_checks_match_scans(self):
+        rel = wide_relation()
+        names = rel.schema.names
+        rng = random.Random(5)
+        pairs = [(("a0",), names[1:12]), (("a0",), ("a12",))] + [
+            (tuple(sorted(rng.sample(names, rng.randint(1, 4)), key=names.index)),
+             tuple(sorted(rng.sample(names, rng.randint(1, 6)), key=names.index)))
+            for _ in range(30)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, sidecar = write_with_schema(rel, Path(tmp))
+            seen = set()
+            for x, y in pairs:
+                expected = finding_oracle(rel, x, y)
+                assert relational.decide_dependency(rel, x, y) == expected
+                assert mvd_holds(rel, x, y) == expected.mvd
+                assert weak_mvd_holds(rel, x, y) == expected.weak_mvd
+                single = run_deps(path, "--schema", str(sidecar), "--mode", "single",
+                                  "--x", ",".join(x), "--y", ",".join(y))["finding"]
+                assert {k: single[k] for k in FINDING_KEYS} == json.loads(json.dumps(
+                    {k: getattr(expected, k) for k in FINDING_KEYS}))
+                seen.add((expected.mvd, expected.weak_mvd, expected.ap_witness is None))
+        # A non-trivial MVD with a witness, and a failed weak MVD, are among them.
+        assert {(True, True, False), (False, False, True)} <= seen
