@@ -39,6 +39,7 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import combinations, compress, islice
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
@@ -636,7 +637,7 @@ class BongardModel:
         self._max_literals = max_literals
         self._index = PairIndex(train)
         self._label_order = train.class_attr.domain
-        self._analysis: dict[int, tuple] = {}
+        self._analysis: dict[int, Optional[tuple]] = {}
         self._rows_of: dict[Item, list[int]] = {}
         for i, item in enumerate(train.items):
             self._rows_of.setdefault(item, []).append(i)
@@ -659,24 +660,23 @@ class BongardModel:
         return same_ctx, diff_ctx
 
     def _analyze(self, key: int):
-        """(case, pair count, tilts, separating property) of the group
-        under ``key``, computed once per key."""
-        cached = self._analysis.get(key)
-        if cached is not None:
-            return cached
+        """(pair count, tilts, separating property or None) of the group
+        under ``key``, computed once per key; None when its pairs cannot
+        vote: no pair has the key, or the group is mixed and no property
+        separates it."""
+        if key in self._analysis:
+            return self._analysis[key]
+        result = None
         group = self._index.counts.group(key)
-        if group is None:
-            result = ("empty", 0, None, None)
-        else:
+        if group is not None:
             total, n_same, tilts = group
-            if not tilts:
-                result = ("same", total, tilts, None)
-            elif n_same == 0:
-                result = ("tilt", total, tilts, None)
-            else:
+            if not (tilts and n_same):
+                result = (total, tilts, None)
+            else:  # mixed evidence votes only through a separating property
                 ag = self._index.pair_keys.agreement(key)
                 prop = _separate(*self.contexts(key), ag, self._max_literals)
-                result = ("mixed", total, tilts, prop)
+                if prop is not None:  # unseparable mixed evidence: take another c
+                    result = (total, tilts, prop)
         self._analysis[key] = result
         return result
 
@@ -698,26 +698,16 @@ class BongardModel:
             return  # no pair of rows shares a change with the query
         labels = self._train.labels
         for idx in self._index.pair_keys.nearest(query):
-            kind, total, tilts, prop = self._analyze(keys[idx])
-            if kind == "empty":
+            analysis = self._analyze(keys[idx])
+            if analysis is None:
                 continue
+            total, tilts, prop = analysis
             lc = labels[idx]
-            if kind == "same":
-                yield idx, lc, total
-                continue
-            if kind == "tilt":
-                suggestion = self._suggest(tilts, lc)
-                if suggestion is not None:
-                    yield idx, suggestion, total
-                continue
-            if prop is None:
-                continue  # unseparable mixed evidence: take another c
-            if prop.satisfied_by(query):
-                yield idx, lc, total
-            else:
-                suggestion = self._suggest(tilts, lc)
-                if suggestion is not None:
-                    yield idx, suggestion, total
+            # Case 1, or case 3 on the property's side, copies c's label.
+            copies = not tilts or (prop is not None and prop.satisfied_by(query))
+            vote = lc if copies else self._suggest(tilts, lc)
+            if vote is not None:
+                yield idx, vote, total
 
     def predictions(self, query: Item, budgets: Sequence[int]) -> list[Prediction]:
         """The prediction under each neighbor budget, in the order given,
@@ -785,7 +775,7 @@ class CvConfig:
     ``workers`` is accepted for compatibility and has no effect: folds run
     one after another."""
 
-    strategy: str
+    strategy: str = "baseline"
     folds: int = 10
     seed: int = 0
     radius: int = 2
@@ -882,23 +872,15 @@ def make_folds(data: Dataset, folds: int, seed: int) -> tuple[list[list[int]], b
             f"falling back to non-stratified folds",
             stacklevel=2,
         )
-    assignment: list[list[int]] = [[] for _ in range(folds)]
     if stratified:
-        cursor = 0
-        for label in data.class_attr.domain:
-            members = by_label[label]
+        order = []
+        for members in by_label.values():  # in class-domain order
             rng.shuffle(members)
-            for idx in members:
-                assignment[cursor % folds].append(idx)
-                cursor += 1
+            order += members
     else:
-        everything = list(range(len(data)))
-        rng.shuffle(everything)
-        for pos, idx in enumerate(everything):
-            assignment[pos % folds].append(idx)
-    for fold in assignment:
-        fold.sort()
-    return assignment, stratified
+        order = list(range(len(data)))
+        rng.shuffle(order)
+    return [sorted(order[f::folds]) for f in range(folds)], stratified
 
 
 def _mining_subset(train: Dataset, fraction: Optional[float],
@@ -949,30 +931,25 @@ def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
     train_idx.sort()
     train = data.subset(train_idx)
     predict, brute = _fold_model(train, configs, fold)
+    build = {"knn1": lambda: KnnModel(train, 1).classify,
+             "brute": brute}.get(configs[0].fallback)
     # The fallback classifier is built on the fold's first abstention.
-    make_fallback = None
-    if configs[0].fallback == "knn1":
-        make_fallback = lambda: KnnModel(train, 1).classify  # noqa: E731
-    elif configs[0].fallback == "brute":
-        make_fallback = brute
-    fallback = None
+    fallback = cache(build) if build is not None else None
     width = len(configs)
     correct = [0] * width
     abstained = [0] * width
     triplets = [0] * width
     for i in test_idx:
         query = data.items[i]
+        predictions = predict(query)
         rescue = None  # the fallback answer, asked at most once per query
-        for v, pred in enumerate(predict(query)):
+        if fallback is not None and any(p.abstained for p in predictions):
+            rescue = fallback()(query)
+        for v, pred in enumerate(predictions):
             triplets[v] += pred.triplets_examined
             if pred.abstained:
                 abstained[v] += 1
-                if make_fallback is not None:
-                    if rescue is None:
-                        if fallback is None:
-                            fallback = make_fallback()
-                        rescue = fallback(query)
-                    pred = rescue
+                pred = rescue or pred
             if not pred.abstained and pred.label == data.labels[i]:
                 correct[v] += 1
     size = len(test_idx)

@@ -108,8 +108,6 @@ def _cmd_evaluate(args) -> int:
     _apply_profile(args)
     if args.seed is None:
         raise _UsageError("evaluate is seeded; pass --seed (or a profile that sets it)")
-    if args.strategy is None:
-        args.strategy = "baseline"
 
     # An option left unset takes its CvConfig default.
     options = {f.name: getattr(args, f.name) for f in fields(classify.CvConfig)}
@@ -358,14 +356,18 @@ def _cmd_generate(args) -> int:
         raise _UsageError(f"malformed spec {args.spec} "
                           f"({type(exc).__name__}: {exc})") from exc
     rows = len(made)
-    if isinstance(made, data.Relation):
-        data.write_relation(made, args.out)
-    else:
-        data.write_dataset(made, args.out)
-        if args.emit_schema:
-            sidecar = Path(args.out).with_suffix(".schema.json")
-            full = data.Schema(made.schema.attributes + (made.class_attr,))
-            data.write_sidecar_schema(full, sidecar, class_name=made.class_attr.name)
+    try:
+        if isinstance(made, data.Relation):
+            data.write_relation(made, args.out)
+        else:
+            data.write_dataset(made, args.out)
+            if args.emit_schema:
+                sidecar = Path(args.out).with_suffix(".schema.json")
+                full = data.Schema(made.schema.attributes + (made.class_attr,))
+                data.write_sidecar_schema(full, sidecar, class_name=made.class_attr.name)
+    except OSError as exc:  # a missing directory, a directory as --out, ...
+        raise _UsageError(f"cannot write {exc.filename or args.out}: "
+                          f"{exc.strerror or exc}") from exc
     payload = {"command": "generate", "kind": kind, "out": str(args.out),
                "rows": rows}
     _emit(payload, args.format, f"wrote {rows} rows to {args.out}")

@@ -119,6 +119,8 @@ def _read_table(path: str | Path, delimiter: str) -> tuple[list[str], list[list[
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
+        raise DataError(f"{path}: unreadable CSV ({exc})") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
     header, *body = rows

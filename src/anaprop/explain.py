@@ -139,7 +139,7 @@ def _pair_counts(rel: Relation, by_description: dict[Item, list[Item]],
     return supporting, exceptions, first_support
 
 
-def _build_split(rel: Relation, adverse: AdverseExample, query: Item, ridx: int,
+def _build_split(rel: Relation, adverse: AdverseExample, ridx: int,
                  support_pair: tuple[Item, Item], target: str,
                  actual: str) -> ContextSplit:
     r1, _ = support_pair
@@ -212,7 +212,7 @@ def contrastive_explain(rel: Relation, query: Item, result_attr: str,
         by_description.setdefault(row[:ridx] + row[ridx + 1:], []).append(row)
 
     candidates = []
-    for rank_of_target, tgt in enumerate(targets):
+    for tgt in targets:
         for ae in find_adverse_examples(rel, query, result_attr, tgt):
             if not ae.change:
                 continue  # descriptively identical conflicting row
@@ -221,7 +221,9 @@ def contrastive_explain(rel: Relation, query: Item, result_attr: str,
             )
             strength = (supporting / (supporting + exceptions)
                         if supporting + exceptions else 0.0)
-            rank = (-strength, len(ae.change), ae.row_index, rank_of_target)
+            # Each candidate is a distinct row with one result value, so
+            # the row index settles every tie.
+            rank = (-strength, len(ae.change), ae.row_index)
             candidates.append((rank, tgt, ae, supporting, exceptions, first, strength))
     candidates.sort(key=lambda candidate: candidate[0])
 
@@ -247,7 +249,7 @@ def contrastive_explain(rel: Relation, query: Item, result_attr: str,
         actual=actual,
         adverse=ae,
         alternatives=tuple(candidate[2] for candidate in candidates[1:]),
-        split=(_build_split(rel, ae, query, ridx, first, tgt, actual)
+        split=(_build_split(rel, ae, ridx, first, tgt, actual)
                if first is not None else None),
         supporting_pairs=supporting,
         exception_pairs=exceptions,

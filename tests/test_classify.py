@@ -3,10 +3,11 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from anaprop.core import (
     Attribute, Schema, SchemaError, ap_holds_vec, diff, hamming, solve,
@@ -670,6 +671,34 @@ def literal_cv_folds(ds: Dataset, cfg: CvConfig):
     return out
 
 
+def make_folds_oracle(ds: Dataset, folds: int, seed: int):
+    """Fold assignment by its two literal dealing loops: round-robin over
+    the per-class shuffles in class-domain order, or over one shuffle of
+    all rows when some class has fewer members than folds."""
+    rng = random.Random(seed)
+    by_label = {label: [] for label in ds.class_attr.domain}
+    for i, label in enumerate(ds.labels):
+        by_label[label].append(i)
+    stratified = all(len(v) >= folds for v in by_label.values() if v)
+    assignment = [[] for _ in range(folds)]
+    if stratified:
+        cursor = 0
+        for label in ds.class_attr.domain:
+            members = by_label[label]
+            rng.shuffle(members)
+            for idx in members:
+                assignment[cursor % folds].append(idx)
+                cursor += 1
+    else:
+        everything = list(range(len(ds)))
+        rng.shuffle(everything)
+        for pos, idx in enumerate(everything):
+            assignment[pos % folds].append(idx)
+    for fold in assignment:
+        fold.sort()
+    return assignment, stratified
+
+
 class TestCrossValidation:
     def majority_dataset(self):
         schema = Schema.from_pairs([("a", "0123456789"), ("b", "01")])
@@ -723,6 +752,26 @@ class TestCrossValidation:
         b, strat_b = make_folds(ds, 4, seed=9)
         assert a == b and strat_a and strat_b
         assert sorted(i for fold in a for i in fold) == list(range(40))
+
+    @given(sizes=st.lists(st.integers(0, 12), min_size=2, max_size=4),
+           folds=st.integers(2, 4), seed=st.integers(0, 2 ** 16),
+           shuffle_seed=st.integers(0, 2 ** 16))
+    @example(sizes=[0, 4, 7], folds=3, seed=1, shuffle_seed=0)  # stratified
+    @example(sizes=[0, 2, 7], folds=3, seed=1, shuffle_seed=0)  # plain dealing
+    @pytest.mark.filterwarnings("ignore:some class has fewer")
+    def test_fold_dealing_matches_the_round_robin_loops(self, sizes, folds, seed,
+                                                        shuffle_seed):
+        # Class sizes from 0 up, so a class label may have no rows.
+        assume(sum(sizes) >= folds)
+        domain = ("p", "q", "r", "s")[:len(sizes)]
+        labels = [label for label, n in zip(domain, sizes) for _ in range(n)]
+        random.Random(shuffle_seed).shuffle(labels)
+        schema = Schema.from_pairs([("a", "01")])
+        ds = Dataset(schema, Attribute("c", domain), (("0",),) * len(labels),
+                     tuple(labels))
+        assignment, stratified = make_folds(ds, folds, seed)
+        assert stratified == all(n >= folds for n in sizes if n)
+        assert (assignment, stratified) == make_folds_oracle(ds, folds, seed)
 
     @pytest.mark.filterwarnings("ignore:some class has fewer")
     def test_grid_reports_match_direct_runs(self):
@@ -804,30 +853,43 @@ class TestCrossValidation:
             [fr.correct for fr in direct.fold_results]
 
     def test_brute_fallback_is_built_on_a_folds_first_abstention(self, monkeypatch):
+        # Either fallback is built once, on a fold's first abstention, and
+        # asked once per abstained query; some fold abstains twice, so a
+        # build per query would show.  The grid's budgets abstain on the
+        # same queries (those where no neighbor votes), so an ask per
+        # abstained budget would show too.
         import anaprop.classify as classify
         from anaprop.data import generate_monk
-        builds, asked = [], []
-
-        class CountingBruteForce(classify.BruteForceModel):
-            def __init__(self, train):
-                builds.append(len(train))
-                super().__init__(train)
-
-            def classify(self, query):
-                asked.append(query)
-                return super().classify(query)
-
-        monkeypatch.setattr(classify, "BruteForceModel", CountingBruteForce)
         ds = generate_monk(1)
         ds = ds.subset(sorted(random.Random(0).sample(range(len(ds)), 60)))
-        report = cross_validate(ds, CvConfig(
-            strategy="selected", folds=5, seed=2, radius=2, min_support=1,
-            fallback="brute",
-        ))
-        abstained = [fr.abstained for fr in report.fold_results]
-        assert 0 < abstained.count(0) < len(abstained)
-        assert len(builds) == len(abstained) - abstained.count(0)
-        assert len(asked) == sum(abstained)
+        models = {"brute": classify.BruteForceModel, "knn1": classify.KnnModel}
+        selected = CvConfig(strategy="selected", folds=5, seed=0, radius=2,
+                            min_support=1)
+        runs = [(replace(selected, fallback="brute"), None),
+                (replace(selected, fallback="knn1"), None),
+                (CvConfig(strategy="bongard", folds=5, seed=7, fallback="knn1"),
+                 [1, 3])]
+        for config, grid in runs:
+            builds, asked = [], []
+
+            class Counting(models[config.fallback]):
+                def __init__(self, train, *args):
+                    builds.append(len(train))
+                    super().__init__(train, *args)
+
+                def classify(self, query):
+                    asked.append(query)
+                    return super().classify(query)
+
+            monkeypatch.setattr(classify, models[config.fallback].__name__, Counting)
+            reports = ([cross_validate(ds, config)] if grid is None
+                       else cross_validate_grid(ds, config, grid)[1])
+            abstained = [fr.abstained for fr in reports[0].fold_results]
+            assert all([fr.abstained for fr in r.fold_results] == abstained
+                       for r in reports)
+            assert 0 < abstained.count(0) < len(abstained) and max(abstained) > 1
+            assert len(builds) == len(abstained) - abstained.count(0)
+            assert len(asked) == sum(abstained)
 
     def test_unminable_pairs_abstain_then_fall_back(self):
         ds, _ = generate_planted_rules([PlantedRule(pairs=4)])

@@ -352,6 +352,26 @@ class TestMalformedInputsExitCleanly:
         self.assert_clean(code, err, 2)
         assert out == "" and "UTF-8" in err
 
+    def test_unwritable_output_is_usage_error(self, tmp_path):
+        # A missing parent directory, and an existing directory as the file.
+        for out_path in (tmp_path / "absent" / "m.csv", tmp_path):
+            code, out, err = run_subprocess(["generate", "--kind", "monk1",
+                                             "--out", str(out_path)])
+            self.assert_clean(code, err, 1)
+            assert out == "" and err.startswith(f"error: cannot write {out_path}: ")
+
+    def test_cell_past_the_csv_field_limit_is_data_error(self, tmp_path):
+        table = tmp_path / "wide_cell.csv"
+        table.write_text("a,b,c\n0," + "x" * 200_000 + ",p\n1,0,q\n0,0,q\n")
+        commands = [["evaluate", "--seed", "1"],
+                    ["explain", "--query-index", "0", "--why", "c"],
+                    ["deps"]]
+        for command in commands:
+            code, out, err = run_subprocess([*command, "--data", str(table)])
+            self.assert_clean(code, err, 2)
+            assert out == "" and err.startswith(f"data error: {table}: ")
+            assert "field limit" in err
+
 
 def test_non_stratified_fallback_is_one_stderr_line(tmp_path):
     # Class q has one member, fewer than the two folds.
