@@ -17,7 +17,9 @@ index instead of rebuilding it per row.
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
 confidence), the selected-triplet classifier (competent pairs, counted
-per pair key, plus a near-neighbor bound on c), the case-analysis
+per pair key, plus a near-neighbor bound on c; its mining counts only
+the pairs within that Hamming radius, since a vote reads no other key
+and all pairs of a key lie at one distance), the case-analysis
 classifier that resolves mixed pair groups by solving a Bongard
 separation problem over the shared context (the pairs of a mixed group
 are found by lookup from its key's changes), a Hamming kNN baseline, and
@@ -262,6 +264,24 @@ class _PairCounts:
                 else:
                     table.pop(entry)
 
+    def count_pairs(self, pair_keys: PairKeys, items: Sequence[Item],
+                    codes: Sequence[int], radius: Optional[int] = None) -> list[list[int]]:
+        """Count the ordered pairs (a, b) of ``items`` (``pair_keys``'s
+        rows, label codes ``codes``), identical indices included, in one
+        bulk count per a; with a ``radius``, only the pairs at Hamming
+        distance 1 to ``radius`` (``key % modulus``).  Returns, per label
+        code c, the label slots of the pairs (row of label c, row j) for
+        every row j."""
+        outgoing = [[self.slot(c, cj) for cj in codes] for c in range(self.width)]
+        modulus = pair_keys.modulus
+        for a, c in zip(items, codes):
+            keys, slots = pair_keys.keys_from(a), outgoing[c]
+            if radius is not None:
+                near = [0 < key % modulus <= radius for key in keys]
+                keys, slots = list(compress(keys, near)), compress(slots, near)
+            self.count(keys, slots, 1)
+        return outgoing
+
     def group(self, key: int) -> Optional[tuple[int, int, dict[tuple[str, str], int]]]:
         """(pairs, same-label pairs, tilts per (la, lb)) under ``key``;
         None when no pair has this key."""
@@ -319,14 +339,11 @@ class PairIndex:
         self._items = train.items
         self._codes = self.counts.codes(train.labels)
         self._live = [True] * len(train)
-        slot = self.counts.slot
-        labels = range(self.counts.width)
-        # Per label code c: the label slots of the pairs (row of label c,
-        # row j) and (row j, row of label c), for every row j.
-        self._outgoing = [[slot(c, cj) for cj in self._codes] for c in labels]
-        self._incoming = [[slot(cj, c) for cj in self._codes] for c in labels]
-        for a, c in zip(self._items, self._codes):
-            self.counts.count(self.pair_keys.keys_from(a), self._outgoing[c], 1)
+        self._outgoing = self.counts.count_pairs(self.pair_keys, self._items, self._codes)
+        # Per label code c: the label slots of the pairs (row j, row of
+        # label c), for every row j.
+        self._incoming = [[self.counts.slot(cj, c) for cj in self._codes]
+                          for c in range(self.counts.width)]
 
     def _touch(self, i: int, step: int) -> None:
         c = self._codes[i]
@@ -519,20 +536,28 @@ class SelectedTripletModel:
     def mined(cls, train: Dataset, mining: Dataset, min_support: int,
               min_confidence: float, radius: int) -> "SelectedTripletModel":
         """The model over ``extract_competent_pairs(mining, ...)``, counted
-        from ``mining``'s pair index without listing the pairs: each
-        behaviour of a group (same-label, or one tilt) clears the
-        thresholds or fails them as a whole, so only the behaviours with
-        at least ``min_support`` pairs are decoded."""
+        from ``mining``'s pairs without listing them: each behaviour of a
+        group (same-label, or one tilt) clears the thresholds or fails
+        them as a whole, so only the behaviours with at least
+        ``min_support`` pairs are decoded.
+
+        Only the pairs at Hamming distance 1 to ``radius`` are counted.
+        This is exact: ``classify`` looks up only keys of (c, query) with
+        c within the radius, every pair under one key has the same
+        distance (``key % modulus``), so the totals of the keys it reads
+        stay complete, and key 0 holds the pairs of equal items, which
+        carry no change."""
         _check_thresholds(min_support, min_confidence)
         model = cls(train, (), radius)
-        found = PairIndex(mining).counts
+        found = _PairCounts(mining.class_attr.domain)
+        found.count_pairs(PairKeys(mining.schema, mining.items), mining.items,
+                          found.codes(mining.labels), radius)
         kept = model._counts
-        # No behaviour with fewer than min_support pairs is competent, and
-        # key 0 holds the pairs of equal items, which carry no change.
+        # No behaviour with fewer than min_support pairs is competent.
         supported = map(min_support.__le__, found.labelled.values())
         for extended, count in compress(found.labelled.items(), supported):
             key = extended // found.scale
-            if key and _competent(count, found.total[key], min_support, min_confidence):
+            if _competent(count, found.total[key], min_support, min_confidence):
                 kept.labelled[extended] = count
                 kept.total[key] += count
         return model

@@ -364,7 +364,11 @@ def _cmd_generate(args) -> int:
             if args.emit_schema:
                 sidecar = Path(args.out).with_suffix(".schema.json")
                 full = data.Schema(made.schema.attributes + (made.class_attr,))
-                data.write_sidecar_schema(full, sidecar, class_name=made.class_attr.name)
+                try:
+                    data.write_sidecar_schema(full, sidecar, class_name=made.class_attr.name)
+                except OSError:
+                    Path(args.out).unlink()  # leave no table without its schema
+                    raise
     except OSError as exc:  # a missing directory, a directory as --out, ...
         raise _UsageError(f"cannot write {exc.filename or args.out}: "
                           f"{exc.strerror or exc}") from exc

@@ -17,7 +17,7 @@ strings, items are tuples of strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -69,12 +69,16 @@ class Schema:
     """An ordered list of uniquely named attributes."""
 
     attributes: tuple[Attribute, ...]
+    #: Each attribute name's position, for ``index``.
+    _positions: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        names = [a.name for a in self.attributes]
-        if len(set(names)) != len(names):
+        positions = {a.name: i for i, a in enumerate(self.attributes)}
+        if len(positions) != len(self.attributes):
+            names = [a.name for a in self.attributes]
             raise SchemaError(f"duplicate attribute names in schema: {names}")
+        object.__setattr__(self, "_positions", positions)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Iterable[str]]]) -> "Schema":
@@ -89,10 +93,10 @@ class Schema:
         return tuple(a.name for a in self.attributes)
 
     def index(self, name: str) -> int:
-        for i, a in enumerate(self.attributes):
-            if a.name == name:
-                return i
-        raise SchemaError(f"unknown attribute {name!r}")
+        try:
+            return self._positions[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise SchemaError(f"unknown attribute {name!r}") from None
 
     def indices(self, names: Iterable[str]) -> tuple[int, ...]:
         """Canonical (schema-ordered, deduplicated) index tuple for names."""

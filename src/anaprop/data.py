@@ -58,12 +58,14 @@ class Dataset:
         return len(self.items)
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        return Dataset(
-            self.schema,
-            self.class_attr,
-            tuple(self.items[i] for i in indices),
-            tuple(self.labels[i] for i in indices),
-        )
+        """The rows at ``indices``, in that order.  They are rows of this
+        validated dataset, so they are not validated again."""
+        out = object.__new__(Dataset)
+        for name, value in (("schema", self.schema), ("class_attr", self.class_attr),
+                            ("items", tuple(self.items[i] for i in indices)),
+                            ("labels", tuple(self.labels[i] for i in indices))):
+            object.__setattr__(out, name, value)
+        return out
 
     def to_relation(self) -> "Relation":
         """The dataset as a plain relation, class column last."""

@@ -1229,6 +1229,28 @@ class TestCountingAgainstTupleOracles:
             assert as_tuple(counted.classify(query)) == want
             assert as_tuple(listed.classify(query)) == want
 
+    @given(keyed_datasets(), st.integers(1, 3),
+           st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.integers(0, 4))
+    def test_mined_counts_are_the_listed_counts_within_the_radius(
+            self, case, min_support, min_confidence, radius):
+        ds, _ = case
+        pairs = extract_competent_pairs_oracle(ds, min_support, min_confidence)
+        listed = SelectedTripletModel(ds, pairs, radius)._counts
+        modulus = PairKeys(ds.schema, ds.items).modulus
+
+        def near(key):
+            return 1 <= key % modulus <= radius
+
+        mined = SelectedTripletModel.mined(ds, ds, min_support, min_confidence,
+                                           radius)._counts
+        assert mined.total == {k: n for k, n in listed.total.items() if near(k)}
+        assert mined.labelled == {e: n for e, n in listed.labelled.items()
+                                  if near(e // listed.scale)}
+        # A radius of at least the arity reaches every pair of distinct items.
+        unbounded = SelectedTripletModel.mined(ds, ds, min_support, min_confidence,
+                                               ds.schema.arity + radius)._counts
+        assert (unbounded.total, unbounded.labelled) == (listed.total, listed.labelled)
+
     @given(keyed_datasets(), st.integers(1, 2))
     def test_baseline_and_bongard_match_tuple_keyed_oracles(self, case, max_literals):
         ds, queries = case

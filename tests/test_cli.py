@@ -360,6 +360,16 @@ class TestMalformedInputsExitCleanly:
             self.assert_clean(code, err, 1)
             assert out == "" and err.startswith(f"error: cannot write {out_path}: ")
 
+    def test_unwritable_schema_sidecar_leaves_no_table(self, tmp_path):
+        (tmp_path / "m.schema.json").mkdir()
+        table = tmp_path / "m.csv"
+        code, out, err = run_subprocess(["generate", "--kind", "monk1",
+                                         "--out", str(table), "--emit-schema"])
+        self.assert_clean(code, err, 1)
+        assert out == "" and err.startswith(
+            f"error: cannot write {tmp_path / 'm.schema.json'}: ")
+        assert not table.exists()
+
     def test_cell_past_the_csv_field_limit_is_data_error(self, tmp_path):
         table = tmp_path / "wide_cell.csv"
         table.write_text("a,b,c\n0," + "x" * 200_000 + ",p\n1,0,q\n0,0,q\n")

@@ -296,6 +296,17 @@ class TestSchema:
         with pytest.raises(SchemaError):
             Schema.from_pairs([("x", "01"), ("x", "01")])
 
+    def test_index_finds_names_and_rejects_unknown_ones(self):
+        schema = Schema.from_pairs([("x", "01"), ("y", ("a", "b")), ("z", "01")])
+        assert [schema.index(n) for n in ("z", "x", "y")] == [2, 0, 1]
+        assert schema.indices(["z", "x", "z"]) == (0, 2)
+        for unknown in ("w", "X", ["x"]):
+            with pytest.raises(SchemaError, match="unknown attribute"):
+                schema.index(unknown)
+        same = Schema.from_pairs([("x", "01"), ("y", ("b", "a")), ("z", "01")])
+        assert same == schema and hash(same) == hash(schema)
+        assert repr(schema) == f"Schema(attributes={schema.attributes!r})"
+
     def test_validate_item(self):
         schema = Schema.from_pairs([("x", "01"), ("y", ("a", "b"))])
         schema.validate_item(("0", "a"))

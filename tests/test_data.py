@@ -138,6 +138,23 @@ def test_relation_deduplicates_with_count(tmp_path):
     assert again.as_set() == rel.as_set()
 
 
+def test_malformed_dataset_raises_and_subsets_keep_rows():
+    from anaprop.core import Attribute
+    from anaprop.data import Dataset
+    schema = Schema.from_pairs([("a", "01"), ("b", "xy")])
+    label = Attribute("c", ("p", "q"))
+    malformed = [((("0", "x"), ("1", "z")), ("p", "q")),  # value outside domain
+                 ((("0", "x"), ("1",)), ("p", "q")),      # wrong arity
+                 ((("0", "x"), ("1", "y")), ("p", "r")),  # label outside domain
+                 ((("0", "x"), ("1", "y")), ("p",))]      # lengths differ
+    for items, labels in malformed:
+        with pytest.raises((DataError, SchemaError)):
+            Dataset(schema, label, items, labels)
+    ds = Dataset(schema, label, (("0", "x"), ("1", "y"), ("1", "x")), ("p", "q", "q"))
+    assert ds.subset([2, 0]) == Dataset(schema, label, (("1", "x"), ("0", "x")), ("q", "p"))
+    assert ds.subset([]) == Dataset(schema, label, (), ())
+
+
 def test_dataset_to_relation_appends_class_and_deduplicates():
     from anaprop.core import Attribute, Schema
     from anaprop.data import Dataset
