@@ -17,20 +17,20 @@ index instead of rebuilding it per row.
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
 confidence), the selected-triplet classifier (competent pairs, counted
-per pair key, plus a near-neighbor bound on c; its mining counts only
-the pairs within that Hamming radius, since a vote reads no other key
-and all pairs of a key lie at one distance), the case-analysis
-classifier that resolves mixed pair groups by solving a Bongard
-separation problem over the shared context (the pairs of a mixed group
-are found by lookup from its key's changes), a Hamming kNN baseline, and
-a seeded stratified cross-validation harness that builds one model per
-fold, whatever the size of a grid search over the neighbor parameter.
-The case-analysis and kNN classifiers share one ranking of the rows by
-Hamming distance to the query (``PairKeys.nearest``, the lowest digit of
-the pair keys) and one prefix reader: a list of neighbor budgets or k's
-is answered from one vote stream or one ranking, and a single
-classification is its one-value case, so a grid search and a single run
-read their votes the same way.
+per pair key, plus a near-neighbor bound on c; it counts only the pairs
+within that Hamming radius, since all pairs of a key lie at one
+distance, so a vote needs no radius test), the case-analysis classifier
+that resolves mixed pair groups by solving a Bongard separation problem
+over the shared context (the pairs of a mixed group are found by lookup
+from diff(c, query), which every pair under its key shares), a Hamming
+kNN baseline, and a seeded stratified cross-validation harness that
+builds one model per fold, whatever the size of a grid search over the
+neighbor parameter.  The case-analysis and kNN classifiers share one
+ranking of the rows by Hamming distance to the query (``PairKeys.rank``,
+the lowest digit of the pair keys) and one prefix reader: a list of
+neighbor budgets or k's is answered from one vote stream or one ranking,
+and a single classification is its one-value case, so a grid search and
+a single run read their votes the same way.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from itertools import combinations, compress, islice
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import (ChangeEntry, Diff, Item, Schema, SchemaError, code_columns, diff,
+from .core import (Diff, Item, Schema, SchemaError, agreement, code_columns, diff,
                    pairs_with_change)
 from .data import DataError, Dataset
 
@@ -95,6 +95,8 @@ def _prefix_predictions(stream: Iterable[tuple[str, int]], cuts: Sequence[int],
     their weights summed as the triplets examined, abstaining on no vote.
     The stream is read once and no further than the largest cut, and a
     cut past its end takes all of it."""
+    if any(cut < 1 for cut in cuts):
+        raise DataError(f"neighbor budgets and k's must be at least 1, got {min(cuts)}")
     by_cut: dict[int, Prediction] = {}
     votes: Counter = Counter()
     weight = taken = 0
@@ -123,15 +125,13 @@ class PairKeys:
     """
 
     def __init__(self, schema: Schema, items: Sequence[Item]):
-        self._domains = [a.domain for a in schema.attributes]
         self._codes, self._rows = code_columns(schema, items)
         self.modulus = len(self._codes) + 1
-        self._radices = [len(codes) ** 2 + 1 for codes in self._codes]
         self._weights = []
         weight = self.modulus
-        for radix in self._radices:
+        for codes in self._codes:
             self._weights.append(weight)
-            weight *= radix
+            weight *= len(codes) ** 2 + 1
         self._size = len(items)
         self._columns: dict[tuple[int, int, bool], list[int]] = {}
 
@@ -158,8 +158,13 @@ class PairKeys:
         leaves the order as it is; only the other values are keyed."""
         coded = [(k, codes[v]) for k, (codes, v) in enumerate(zip(self._codes, item))
                  if v in codes]
-        distances = [key % self.modulus for key in self._sum(coded, False)]
-        return sorted(range(self._size), key=distances.__getitem__)
+        return self.rank(self._sum(coded, False))
+
+    def rank(self, keys: Sequence[int]) -> list[int]:
+        """Row indices by increasing Hamming distance (``key % modulus``)
+        of their ``keys``, one per row, ties by row order."""
+        distances = [key % self.modulus for key in keys]
+        return sorted(range(len(keys)), key=distances.__getitem__)
 
     def _keys(self, item: Item, outgoing: bool) -> Optional[list[int]]:
         try:
@@ -196,25 +201,6 @@ class PairKeys:
                     return None
                 key += self._entry(k, x, y)
         return key
-
-    def agreement(self, key: int) -> tuple[int, ...]:
-        """Attribute positions on which the pairs with this key agree."""
-        return tuple(k for k, (weight, radix)
-                     in enumerate(zip(self._weights, self._radices))
-                     if not key // weight % radix)
-
-    def changes(self, key: int) -> list[ChangeEntry]:
-        """The changed attributes of the pairs (a, b) with this key, as
-        (position, value in a, value in b) by position: the key's nonzero
-        mixed-radix digits, decoded."""
-        out = []
-        for k, (weight, radix) in enumerate(zip(self._weights, self._radices)):
-            digit = key // weight % radix
-            if digit:
-                domain = self._domains[k]
-                x, y = divmod(digit - 1, len(domain))
-                out.append((k, domain[x], domain[y]))
-        return out
 
 
 class _PairCounts:
@@ -282,21 +268,14 @@ class _PairCounts:
             self.count(keys, slots, 1)
         return outgoing
 
-    def group(self, key: int) -> Optional[tuple[int, int, dict[tuple[str, str], int]]]:
-        """(pairs, same-label pairs, tilts per (la, lb)) under ``key``;
-        None when no pair has this key."""
-        total = self.total.get(key)
-        if total is None:
-            return None
+    def tilt(self, key: int, la: int) -> Optional[str]:
+        """The label that most pairs under ``key`` tilt to from label code
+        ``la`` (ties by domain order); None when no pair tilts from it.
+        L - 1 lookups, as in ``vote``."""
         base = key * self.scale
-        order = self.label_order
-        tilts = {}
-        for la, slots in enumerate(self._tilts_from):
-            for lb, slot in slots:
-                n = self.labelled.get(base + slot)
-                if n:
-                    tilts[(order[la], order[lb])] = n
-        return total, self.labelled.get(base, 0), tilts
+        tilts = {self.label_order[lb]: self.labelled.get(base + slot, 0)
+                 for lb, slot in self._tilts_from[la]}
+        return _majority(tilts, self.label_order) if any(tilts.values()) else None
 
     def vote(self, keyed_codes: Iterable[tuple[int, int]]) -> Prediction:
         """Triplet vote over (key of (c, query), label code of c) entries:
@@ -337,16 +316,16 @@ class PairIndex:
         self.pair_keys = PairKeys(train.schema, train.items)
         self.counts = _PairCounts(train.class_attr.domain)
         self._items = train.items
-        self._codes = self.counts.codes(train.labels)
+        self.codes = self.counts.codes(train.labels)
         self._live = [True] * len(train)
-        self._outgoing = self.counts.count_pairs(self.pair_keys, self._items, self._codes)
+        self._outgoing = self.counts.count_pairs(self.pair_keys, self._items, self.codes)
         # Per label code c: the label slots of the pairs (row j, row of
         # label c), for every row j.
-        self._incoming = [[self.counts.slot(cj, c) for cj in self._codes]
+        self._incoming = [[self.counts.slot(cj, c) for cj in self.codes]
                           for c in range(self.counts.width)]
 
     def _touch(self, i: int, step: int) -> None:
-        c = self._codes[i]
+        c = self.codes[i]
         live = self._live  # row i itself is not live here
         item = self._items[i]
         keys = (list(compress(self.pair_keys.keys_from(item), live))
@@ -375,7 +354,7 @@ class PairIndex:
         keys = self.pair_keys.keys_to(query)
         if keys is None:
             return _prediction(Counter(), 0, self.counts.label_order)
-        return self.counts.vote(compress(zip(keys, self._codes), self._live))
+        return self.counts.vote(compress(zip(keys, self.codes), self._live))
 
 
 def _check_query(train: Dataset, query: Item) -> None:
@@ -494,7 +473,7 @@ def extract_competent_pairs(train: Dataset, min_support: int = 2,
     (key 0) carry no change and are skipped."""
     _check_thresholds(min_support, min_confidence)
     index = PairIndex(train)
-    counts, codes = index.counts, index._codes
+    counts, codes = index.counts, index.codes
     items = train.items
     labels = train.labels
     out: list[CompetentPair] = []
@@ -513,22 +492,25 @@ def extract_competent_pairs(train: Dataset, min_support: int = 2,
 class SelectedTripletModel:
     """Triplet voting restricted to competent pairs and near neighbors.
 
-    The competent pairs are held as counts: per pair key, how many are
-    same-label and how many carry each tilt.  A query's vote reads, for
-    every c within the Hamming radius, the counts under the key of
-    (c, query)."""
+    The competent pairs within the Hamming radius are held as counts: per
+    pair key, how many are same-label and how many carry each tilt.  A
+    query's vote reads, for every c, the counts under the key of
+    (c, query).  All pairs under one key lie at one distance
+    (``key % modulus``), which is that of each c whose key it is, so
+    only the c within the radius find counts."""
 
     def __init__(self, train: Dataset, pairs: Sequence[CompetentPair], radius: int):
         if radius < 0:
             raise DataError("radius must be non-negative")
         self._train = train
-        self._radius = radius
         self._pair_keys = PairKeys(train.schema, train.items)
         self._counts = _PairCounts(train.class_attr.domain)
         self._codes = self._counts.codes(train.labels)
         for p in pairs:
             key = self._pair_keys.change_key(p.change)
-            if key is not None:  # an out-of-domain change matches no c
+            # An out-of-domain change matches no c, and one beyond the
+            # radius matches no c near enough to vote.
+            if key is not None and key % self._pair_keys.modulus <= radius:
                 slot = self._counts.slot(*self._counts.codes(p.tilt))
                 self._counts.count([key], [slot], 1)
 
@@ -541,12 +523,11 @@ class SelectedTripletModel:
         them as a whole, so only the behaviours with at least
         ``min_support`` pairs are decoded.
 
-        Only the pairs at Hamming distance 1 to ``radius`` are counted.
-        This is exact: ``classify`` looks up only keys of (c, query) with
-        c within the radius, every pair under one key has the same
-        distance (``key % modulus``), so the totals of the keys it reads
-        stay complete, and key 0 holds the pairs of equal items, which
-        carry no change."""
+        Only the pairs at Hamming distance 1 to ``radius`` are counted,
+        as the listed pairs are bounded.  This is exact: every pair under
+        one key has the same distance (``key % modulus``), so the totals
+        of the keys within the radius stay complete, and key 0 holds the
+        pairs of equal items, which carry no change."""
         _check_thresholds(min_support, min_confidence)
         model = cls(train, (), radius)
         found = _PairCounts(mining.class_attr.domain)
@@ -567,9 +548,7 @@ class SelectedTripletModel:
         keys = self._pair_keys.keys_to(query)
         if keys is None:
             return _prediction(Counter(), 0, self._counts.label_order)
-        distances = map(self._pair_keys.modulus.__rmod__, keys)  # key % modulus
-        near = map(self._radius.__ge__, distances)
-        return self._counts.vote(compress(zip(keys, self._codes), near))
+        return self._counts.vote(zip(keys, self._codes))
 
 
 def selected_triplet_classify(train: Dataset, pairs: Sequence[CompetentPair],
@@ -667,16 +646,16 @@ class BongardModel:
         for i, item in enumerate(train.items):
             self._rows_of.setdefault(item, []).append(i)
 
-    def contexts(self, key: int) -> tuple[set[tuple[str, ...]], set[tuple[str, ...]]]:
+    def contexts(self, change: Diff) -> tuple[set[tuple[str, ...]], set[tuple[str, ...]]]:
         """Agreement contexts of the same-label and of the label-changing
-        pairs under ``key``, found by lookup from the key's changes."""
+        pairs with the difference vector ``change``, found by lookup."""
         items = self._train.items
         labels = self._train.labels
-        ag = self._index.pair_keys.agreement(key)
+        ag = agreement(change)
         same_ctx = set()
         diff_ctx = set()
-        changes = self._index.pair_keys.changes(key)
-        for i, j in pairs_with_change(items, self._rows_of, changes):
+        steps = [(k, *step) for k, step in enumerate(change) if step is not None]
+        for i, j in pairs_with_change(items, self._rows_of, steps):
             ctx = tuple(items[i][k] for k in ag)
             if labels[i] == labels[j]:
                 same_ctx.add(ctx)
@@ -684,35 +663,29 @@ class BongardModel:
                 diff_ctx.add(ctx)
         return same_ctx, diff_ctx
 
-    def _analyze(self, key: int):
-        """(pair count, tilts, separating property or None) of the group
-        under ``key``, computed once per key; None when its pairs cannot
+    def _analyze(self, key: int, c: Item, query: Item):
+        """(pair count, whether all its pairs are same-label, separating
+        property or None) of the group under ``key``, the key of
+        (c, query), computed once per key; None when its pairs cannot
         vote: no pair has the key, or the group is mixed and no property
         separates it."""
         if key in self._analysis:
             return self._analysis[key]
         result = None
-        group = self._index.counts.group(key)
-        if group is not None:
-            total, n_same, tilts = group
-            if not (tilts and n_same):
-                result = (total, tilts, None)
+        counts = self._index.counts
+        total = counts.total.get(key)
+        if total is not None:
+            n_same = counts.labelled.get(key * counts.scale, 0)
+            if n_same in (0, total):
+                result = (total, n_same == total, None)
             else:  # mixed evidence votes only through a separating property
-                ag = self._index.pair_keys.agreement(key)
-                prop = _separate(*self.contexts(key), ag, self._max_literals)
+                change = diff(c, query)  # that of every pair under the key
+                prop = _separate(*self.contexts(change), agreement(change),
+                                 self._max_literals)
                 if prop is not None:  # unseparable mixed evidence: take another c
-                    result = (total, tilts, prop)
+                    result = (total, False, prop)
         self._analysis[key] = result
         return result
-
-    def _suggest(self, tilts: Mapping[tuple[str, str], int], lc: str) -> Optional[str]:
-        counts: Counter = Counter()
-        for (la, lb), count in tilts.items():
-            if la == lc:
-                counts[lb] += count
-        if not counts:
-            return None
-        return _majority(counts, self._label_order)
 
     def votes(self, query: Item):
         """Yield (neighbor index, vote, pair count) in increasing Hamming
@@ -721,16 +694,17 @@ class BongardModel:
         keys = self._index.pair_keys.keys_to(query)
         if keys is None:
             return  # no pair of rows shares a change with the query
-        labels = self._train.labels
-        for idx in self._index.pair_keys.nearest(query):
-            analysis = self._analyze(keys[idx])
+        items, codes = self._train.items, self._index.codes
+        for idx in self._index.pair_keys.rank(keys):
+            key = keys[idx]
+            analysis = self._analyze(key, items[idx], query)
             if analysis is None:
                 continue
-            total, tilts, prop = analysis
-            lc = labels[idx]
+            total, same, prop = analysis
+            lc = codes[idx]
             # Case 1, or case 3 on the property's side, copies c's label.
-            copies = not tilts or (prop is not None and prop.satisfied_by(query))
-            vote = lc if copies else self._suggest(tilts, lc)
+            copies = same or (prop is not None and prop.satisfied_by(query))
+            vote = self._label_order[lc] if copies else self._index.counts.tilt(key, lc)
             if vote is not None:
                 yield idx, vote, total
 
@@ -743,8 +717,6 @@ class BongardModel:
         return _prefix_predictions(stream, budgets, self._label_order)
 
     def classify(self, query: Item, neighbor_budget: int) -> Prediction:
-        if neighbor_budget < 1:
-            raise DataError("neighbor_budget must be at least 1")
         return self.predictions(query, [neighbor_budget])[0]
 
 

@@ -105,6 +105,7 @@ def _apply_profile(args) -> None:
 
 
 def _cmd_evaluate(args) -> int:
+    given_grid = args.grid  # None when only a profile sets the grid
     _apply_profile(args)
     if args.seed is None:
         raise _UsageError("evaluate is seeded; pass --seed (or a profile that sets it)")
@@ -118,7 +119,8 @@ def _cmd_evaluate(args) -> int:
         raise _UsageError(str(exc)) from exc
     if args.grid:
         if config.strategy not in classify.GRID_PARAMETERS:
-            raise _UsageError("--grid applies to the bongard and knn strategies")
+            origin = "" if given_grid else f" (set by --profile {args.profile})"
+            raise _UsageError(f"--grid{origin} applies to the bongard and knn strategies")
         grid = _parse_int_list(args.grid)
         if not grid or min(grid) < 1:
             raise _UsageError(f"--grid needs values of at least 1, got {args.grid!r}")

@@ -340,6 +340,12 @@ class PlantedRule:
             raise DataError("a planted rule needs at least one pair")
         if not 0 <= self.exceptions < self.pairs:
             raise DataError("exceptions must be fewer than the rule's pairs")
+        # Either would plant pairs that keep label_from, against the rule.
+        if self.label_to == self.label_from:
+            raise DataError("a tilting rule needs label_to to differ from label_from")
+        if self.label_to is None and self.exceptions and self.alt_label == self.label_from:
+            raise DataError("the exceptions of a same-label rule need alt_label "
+                            "to differ from label_from")
 
     @property
     def confidence(self) -> float:
@@ -450,9 +456,7 @@ def _monk_concept(which: int, v: tuple[int, ...]) -> bool:
         return a1 == a2 or a5 == 1
     if which == 2:
         return sum(1 for x in v if x == 1) == 2
-    if which == 3:
-        return (a5 == 3 and a4 == 1) or (a5 != 4 and a2 != 3)
-    raise DataError(f"unknown monk problem {which}; pick 1, 2 or 3")
+    return (a5 == 3 and a4 == 1) or (a5 != 4 and a2 != 3)
 
 
 def generate_monk(which: int) -> Dataset:

@@ -166,8 +166,18 @@ def index_snapshot(index: PairIndex):
 
 
 def index_groups(index: PairIndex):
-    """(total, same-label count, tilts) per key, read by lookup."""
-    return {key: index.counts.group(key) for key in index.counts.total}
+    """(total, same-label count, tilts per (la, lb)) per key, read from
+    the two count tables."""
+    counts = index.counts
+    order = counts.label_order
+    groups = {key: (total, counts.labelled.get(key * counts.scale, 0), {})
+              for key, total in counts.total.items()}
+    for extended, n in counts.labelled.items():
+        key, slot = divmod(extended, counts.scale)
+        if slot:
+            la, lb = divmod(slot, counts.width)
+            groups[key][2][(order[la], order[lb])] = n
+    return groups
 
 
 @st.composite
@@ -581,8 +591,12 @@ class TestBongardClassify:
 
     def test_parameter_validation(self):
         ds = case3_dataset()
-        with pytest.raises(DataError):
-            bongard_classify(ds, ("z", "g", "v"), neighbor_budget=0, max_literals=1)
+        for budget in (0, -1):
+            with pytest.raises(DataError):
+                bongard_classify(ds, ("z", "g", "v"), neighbor_budget=budget,
+                                 max_literals=1)
+            with pytest.raises(DataError):
+                BongardModel(ds).predictions(("z", "g", "v"), [3, budget])
         with pytest.raises(DataError):
             bongard_classify(ds, ("z", "g", "v"), neighbor_budget=1, max_literals=0)
 
@@ -611,10 +625,12 @@ class TestKnn:
 
     def test_k_bounds(self):
         ds = case3_dataset()
-        with pytest.raises(DataError):
-            knn_classify(ds, ds.items[0], 0)
-        with pytest.raises(DataError):
-            knn_classify(ds, ds.items[0], len(ds) + 1)
+        for k in (0, -1, len(ds) + 1):
+            with pytest.raises(DataError):
+                knn_classify(ds, ds.items[0], k)
+        for k in (0, -1):
+            with pytest.raises(DataError):
+                KnnModel(ds, 1).predictions(ds.items[0], [1, k])
 
 
 def bongard_classify_oracle(train: Dataset, query, neighbor_budget: int,
@@ -1087,28 +1103,10 @@ class TestPairKeys:
                 assert (key == 0) == (a == b)
                 assert key % keys.modulus == hamming(a, b)
                 assert keys.change_key(d) == key
-                assert keys.agreement(key) == tuple(
-                    k for k, step in enumerate(d) if step is None)
         assert all(len(v) == 1 for v in by_key.values())
         assert all(len(v) == 1 for v in by_diff.values())
         assert keys.keys_from(queries[-1]) is None
         assert keys.keys_to(queries[-1]) is None
-
-    @given(keyed_datasets())
-    def test_changes_decode_keys(self, case):
-        ds, queries = case
-        items = list(ds.items) + queries[:-1]
-        keys = PairKeys(ds.schema, items)
-        for a in items:
-            for b, key in zip(items, keys.keys_from(a)):
-                changes = keys.changes(key)
-                assert changes == [(k, x, y) for k, (x, y) in enumerate(zip(a, b))
-                                   if x != y]
-                rebuilt = [None] * len(a)
-                for k, x, y in changes:
-                    rebuilt[k] = (x, y)
-                assert tuple(rebuilt) == diff(a, b)
-                assert keys.change_key(tuple(rebuilt)) == key
 
     @given(keyed_datasets())
     def test_nearest_is_the_literal_hamming_ranking(self, case):
@@ -1190,16 +1188,24 @@ class TestCountingBuild:
     def test_bongard_contexts_match_pair_scan(self, case, max_literals):
         ds, _ = case
         model = BongardModel(ds, max_literals)
-        keys = model._index.pair_keys
         scanned = {}
         for (i, j) in product(range(len(ds)), repeat=2):
             d = diff(ds.items[i], ds.items[j])
             ag = [k for k, step in enumerate(d) if step is None]
-            same_ctx, diff_ctx = scanned.setdefault(keys.change_key(d), (set(), set()))
+            same_ctx, diff_ctx = scanned.setdefault(d, (set(), set()))
             ctx = tuple(ds.items[i][k] for k in ag)
             (same_ctx if ds.labels[i] == ds.labels[j] else diff_ctx).add(ctx)
-        for key, contexts in scanned.items():
-            assert model.contexts(key) == contexts
+        for d, contexts in scanned.items():
+            assert model.contexts(d) == contexts
+
+
+def no_tilt_from_c_case():
+    """Every neighbor of the query (1, 1) with a pair group is labelled q,
+    and its group holds only p -> q pairs, so no neighbor votes."""
+    schema = Schema.from_pairs([("a", "01"), ("b", "01")])
+    ds = Dataset(schema, Attribute("c", ("p", "q")),
+                 (("0", "0"), ("1", "0"), ("0", "1")), ("p", "q", "q"))
+    return ds, [("1", "1")]
 
 
 class TestCountingAgainstTupleOracles:
@@ -1247,11 +1253,15 @@ class TestCountingAgainstTupleOracles:
         assert mined.labelled == {e: n for e, n in listed.labelled.items()
                                   if near(e // listed.scale)}
         # A radius of at least the arity reaches every pair of distinct items.
+        reach = ds.schema.arity + radius
         unbounded = SelectedTripletModel.mined(ds, ds, min_support, min_confidence,
-                                               ds.schema.arity + radius)._counts
-        assert (unbounded.total, unbounded.labelled) == (listed.total, listed.labelled)
+                                               reach)._counts
+        everything = SelectedTripletModel(ds, pairs, reach)._counts
+        assert (unbounded.total, unbounded.labelled) == \
+            (everything.total, everything.labelled)
 
-    @given(keyed_datasets(), st.integers(1, 2))
+    @given(keyed_datasets(max_classes=4), st.integers(1, 2))
+    @example(no_tilt_from_c_case(), 1)
     def test_baseline_and_bongard_match_tuple_keyed_oracles(self, case, max_literals):
         ds, queries = case
         bongard = BongardModel(ds, max_literals)

@@ -286,6 +286,17 @@ class TestMalformedInputsExitCleanly:
         assert out == "" and "colour" in err
         assert not (tmp_path / "planted.csv").exists()
 
+    def test_planted_rule_against_its_truth_is_data_error(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"rules": [{"pairs": 3, "label_to": "c0"}]}))
+        code, out, err = run_subprocess([
+            "generate", "--kind", "planted-rule", "--spec", str(spec),
+            "--out", str(tmp_path / "planted.csv"),
+        ])
+        self.assert_clean(code, err, 2)
+        assert out == "" and "label_to" in err
+        assert not (tmp_path / "planted.csv").exists()
+
     def test_malformed_relation_spec_is_usage_error(self, tmp_path):
         spec = tmp_path / "schema.json"
         spec.write_text(json.dumps({"attributes": [{"domain": ["0", "1"]}]}))
@@ -420,6 +431,19 @@ class TestExplicitOptionValues:
                                                     option, "0"])
             assert (code, out) == (1, ""), option
             assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_grid_needs_a_grid_strategy_whoever_set_it(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        for strategy in ("selected", "baseline"):
+            code, out, err = run(capsys, ["evaluate", "--data", missing,
+                                          "--profile", "table3", "--strategy", strategy])
+            assert (code, out) == (1, "")
+            assert err == ("error: --grid (set by --profile table3) applies to "
+                           "the bongard and knn strategies\n")
+            code, out, err = run(capsys, ["evaluate", "--data", missing, "--seed", "1",
+                                          "--strategy", strategy, "--grid", "1,3"])
+            assert (code, out) == (1, "")
+            assert err == "error: --grid applies to the bongard and knn strategies\n"
 
     def test_grid_value_below_one_is_a_usage_error_before_loading(self, tmp_path):
         for data in (self.table(tmp_path), str(tmp_path / "missing.csv")):

@@ -233,6 +233,15 @@ class TestPlantedRules:
             generate_planted_rules([PlantedRule(pairs=2, exceptions=2)])
         with pytest.raises(DataError):
             generate_planted_rules([])
+        # Labels under which the planted pairs would all keep label_from.
+        with pytest.raises(DataError):
+            PlantedRule(pairs=3, label_from="c0", label_to="c0")
+        with pytest.raises(DataError):
+            PlantedRule(pairs=3, exceptions=1, label_to=None, alt_label="c0")
+        # Without exceptions a same-label rule never uses its alt_label.
+        _, truths = generate_planted_rules(
+            [PlantedRule(pairs=3, label_to=None, alt_label="c0")])
+        assert (truths[0].support, truths[0].confidence) == (3, 1.0)
 
 
 class TestRandomRelation:
