@@ -5,14 +5,16 @@ that forms a proportion a:b::c:query with a solvable class equation.  A
 triplet qualifies exactly when diff(a,b) == diff(c,query), so the vote is
 computed by counting ordered training pairs once (quadratic) under an
 integer key that stands for their difference vector, and then, per
-query, looking up the key of (c,query) for each candidate c.  The counts
-are filled in bulk, one ``Counter.update`` per row and table, and a
-group's statistics (pair total, same-label count, tilts) are read by
-lookup only when a vote or a rule needs them; no pair list is stored.
-The vote counts are identical to the cubic enumeration; tests
-cross-check against a literal triple loop.  The pair index can take one
-row out and put it back, so leave-one-out scoring downdates a single
-index instead of rebuilding it per row.
+query, looking up the key of (c,query) for each candidate c.  A query
+with a value outside its domain is keyed too, under keys that no pair of
+rows has (see ``PairKeys``), so it finds no counts.  The counts are
+filled in bulk, one ``Counter.update`` per row and table, and a group's
+statistics (pair total, same-label count, tilts) are read by lookup only
+when a vote or a rule needs them; no pair list is stored.  The vote
+counts are identical to the cubic enumeration; tests cross-check against
+a literal triple loop.  The pair index can take one row out and put it
+back, so leave-one-out scoring downdates a single index instead of
+rebuilding it per row.
 
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
@@ -37,12 +39,11 @@ from __future__ import annotations
 
 import random
 import statistics
-import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import combinations, compress, islice
+from itertools import combinations, compress, islice, repeat
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -120,8 +121,11 @@ class PairKeys:
     distinct for each ordered change (x, y), as a mixed-radix digit.  So
     two pairs have equal keys exactly when ``core.diff`` gives them equal
     difference vectors, key 0 means a == b, and ``key % (m + 1)`` is the
-    Hamming distance.  Key lists are sums of per-attribute columns of
-    entries over the rows, each built once and cached.
+    Hamming distance.  A value outside its domain differs from every row:
+    it adds 1 to the key, so the distance stays exact and the key's
+    lowest digit exceeds its count of changes, which no pair of rows
+    has.  Key lists are sums of per-attribute columns of entries over
+    the rows, each built once and cached.
     """
 
     def __init__(self, schema: Schema, items: Sequence[Item]):
@@ -141,24 +145,13 @@ class PairKeys:
             return 0
         return (x * len(self._codes[k]) + y + 1) * self._weights[k] + 1
 
-    def keys_from(self, item: Item) -> Optional[list[int]]:
-        """The key of (item, row) for every row; None when a value of
-        ``item`` lies outside its domain, since no pair of rows then
-        shares a key with those pairs."""
+    def keys_from(self, item: Item) -> list[int]:
+        """The key of (item, row) for every row."""
         return self._keys(item, True)
 
-    def keys_to(self, item: Item) -> Optional[list[int]]:
-        """The key of (row, item) for every row; None as for ``keys_from``."""
+    def keys_to(self, item: Item) -> list[int]:
+        """The key of (row, item) for every row."""
         return self._keys(item, False)
-
-    def nearest(self, item: Item) -> list[int]:
-        """Row indices by increasing Hamming distance to ``item`` (the
-        lowest digit of the key), ties by row order.  A value outside its
-        domain differs from every row, so it adds 1 to every distance and
-        leaves the order as it is; only the other values are keyed."""
-        coded = [(k, codes[v]) for k, (codes, v) in enumerate(zip(self._codes, item))
-                 if v in codes]
-        return self.rank(self._sum(coded, False))
 
     def rank(self, keys: Sequence[int]) -> list[int]:
         """Row indices by increasing Hamming distance (``key % modulus``)
@@ -166,33 +159,32 @@ class PairKeys:
         distances = [key % self.modulus for key in keys]
         return sorted(range(len(keys)), key=distances.__getitem__)
 
-    def _keys(self, item: Item, outgoing: bool) -> Optional[list[int]]:
-        try:
-            coded = [(k, codes[v]) for k, (codes, v) in enumerate(zip(self._codes, item))]
-        except KeyError:  # a value outside the schema's domain
-            return None
-        return self._sum(coded, outgoing)
-
-    def _sum(self, coded: Iterable[tuple[int, int]], outgoing: bool) -> list[int]:
-        """Per row, the sum of the entries of attributes k with code x,
-        for each (k, x) of ``coded``."""
+    def _keys(self, item: Item, outgoing: bool) -> list[int]:
+        """Per row, the sum of the entries of ``item``'s values in their
+        domains, plus the count of its values outside them."""
         columns = []
-        for k, x in coded:
+        outside = 0
+        for k, (codes, v) in enumerate(zip(self._codes, item)):
+            x = codes.get(v)
+            if x is None:
+                outside += 1
+                continue
             column = self._columns.get((k, x, outgoing))
             if column is None:
                 entry = self._entry
                 entries = [entry(k, x, y) if outgoing else entry(k, y, x)
-                           for y in range(len(self._codes[k]))]
+                           for y in range(len(codes))]
                 column = list(map(entries.__getitem__, self._rows[k]))
                 self._columns[(k, x, outgoing)] = column
             columns.append(column)
-        if not columns:
-            return [0] * self._size
+        if outside or not columns:  # an item of no attributes has keys 0
+            columns.append(repeat(outside, self._size))
         return list(map(sum, zip(*columns)))
 
     def change_key(self, change: Diff) -> Optional[int]:
         """Key of any pair with this difference vector; None when a value
-        lies outside its domain."""
+        lies outside its domain, since two different outside values of one
+        attribute would add the same 1 to a key."""
         key = 0
         for k, step in enumerate(change):
             if step is not None:
@@ -352,8 +344,6 @@ class PairIndex:
         """Baseline triplet vote for ``query`` with c ranging over the
         live rows in dataset order."""
         keys = self.pair_keys.keys_to(query)
-        if keys is None:
-            return _prediction(Counter(), 0, self.counts.label_order)
         return self.counts.vote(compress(zip(keys, self.codes), self._live))
 
 
@@ -545,10 +535,7 @@ class SelectedTripletModel:
 
     def classify(self, query: Item) -> Prediction:
         _check_query(self._train, query)
-        keys = self._pair_keys.keys_to(query)
-        if keys is None:
-            return _prediction(Counter(), 0, self._counts.label_order)
-        return self._counts.vote(zip(keys, self._codes))
+        return self._counts.vote(zip(self._pair_keys.keys_to(query), self._codes))
 
 
 def selected_triplet_classify(train: Dataset, pairs: Sequence[CompetentPair],
@@ -669,21 +656,22 @@ class BongardModel:
         (c, query), computed once per key; None when its pairs cannot
         vote: no pair has the key, or the group is mixed and no property
         separates it."""
+        counts = self._index.counts
+        total = counts.total.get(key)
+        if total is None:
+            return None
         if key in self._analysis:
             return self._analysis[key]
         result = None
-        counts = self._index.counts
-        total = counts.total.get(key)
-        if total is not None:
-            n_same = counts.labelled.get(key * counts.scale, 0)
-            if n_same in (0, total):
-                result = (total, n_same == total, None)
-            else:  # mixed evidence votes only through a separating property
-                change = diff(c, query)  # that of every pair under the key
-                prop = _separate(*self.contexts(change), agreement(change),
-                                 self._max_literals)
-                if prop is not None:  # unseparable mixed evidence: take another c
-                    result = (total, False, prop)
+        n_same = counts.labelled.get(key * counts.scale, 0)
+        if n_same in (0, total):
+            result = (total, n_same == total, None)
+        else:  # mixed evidence votes only through a separating property
+            change = diff(c, query)  # that of every pair under the key
+            prop = _separate(*self.contexts(change), agreement(change),
+                             self._max_literals)
+            if prop is not None:  # unseparable mixed evidence: take another c
+                result = (total, False, prop)
         self._analysis[key] = result
         return result
 
@@ -692,8 +680,6 @@ class BongardModel:
         distance from the query (ties by dataset order)."""
         _check_query(self._train, query)
         keys = self._index.pair_keys.keys_to(query)
-        if keys is None:
-            return  # no pair of rows shares a change with the query
         items, codes = self._train.items, self._index.codes
         for idx in self._index.pair_keys.rank(keys):
             key = keys[idx]
@@ -748,7 +734,8 @@ class KnnModel:
         takes every row."""
         _check_query(self._train, query)
         labels = self._train.labels
-        stream = ((labels[i], 0) for i in self._pair_keys.nearest(query))
+        ranking = self._pair_keys.rank(self._pair_keys.keys_to(query))
+        stream = ((labels[i], 0) for i in ranking)
         return _prefix_predictions(stream, ks, self._label_order)
 
     def classify(self, query: Item) -> Prediction:
@@ -826,11 +813,10 @@ class CvReport:
     std_accuracy: float
     abstention_rate: float
     triplets_total: int
-    wall_time_s: float
 
     def canonical(self) -> dict:
-        """JSON-ready payload; wall time is excluded so reruns with the
-        same inputs and seed are byte-identical."""
+        """JSON-ready payload, byte-identical across reruns with the same
+        inputs and seed."""
         return {
             # Every config field but ``workers``, which has no effect.
             "config": {name: value for name, value in vars(self.config).items()
@@ -959,12 +945,10 @@ def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
 
 def _cross_validate_all(data: Dataset, configs: Sequence[CvConfig]) -> list[CvReport]:
     """One report per config from one pass over the folds."""
-    started = time.perf_counter()
     config = configs[0]
     assignment, stratified = make_folds(data, config.folds, config.seed)
     per_fold = [_evaluate_fold(data, configs, f, assignment)
                 for f in range(config.folds)]
-    wall_time = time.perf_counter() - started
     counts = Counter(data.labels)
     reports = []
     for v, cfg in enumerate(configs):
@@ -984,7 +968,6 @@ def _cross_validate_all(data: Dataset, configs: Sequence[CvConfig]) -> list[CvRe
             std_accuracy=statistics.stdev(accuracies) if len(accuracies) > 1 else 0.0,
             abstention_rate=abstained / total if total else 0.0,
             triplets_total=sum(fr.triplets for fr in fold_results),
-            wall_time_s=wall_time,
         ))
     return reports
 
@@ -1004,8 +987,7 @@ def cross_validate_grid(data: Dataset, config: CvConfig,
 
     Each fold builds one model: the case-analysis predictions for every
     budget are prefixes of one vote stream, and the kNN predictions for
-    every k are prefixes of one Hamming ranking.  Every report's
-    ``wall_time_s`` is the time of that shared pass."""
+    every k are prefixes of one Hamming ranking."""
     if not grid:
         raise DataError("grid must not be empty")
     param = GRID_PARAMETERS.get(config.strategy)

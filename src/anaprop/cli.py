@@ -94,12 +94,7 @@ def _cmd_ap(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _apply_profile(args) -> None:
-    if not args.profile:
-        return
-    if args.profile not in PROFILES:
-        raise _UsageError(f"unknown profile {args.profile!r}; "
-                          f"available: {sorted(PROFILES)}")
-    for key, value in PROFILES[args.profile].items():
+    for key, value in PROFILES.get(args.profile, {}).items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 

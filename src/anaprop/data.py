@@ -302,9 +302,9 @@ def generate_affine(n: int, coefficients: Optional[Sequence[int]] = None,
             raise DataError("affine generator needs coefficients or a seed")
         rng = random.Random(seed)
         coefficients = tuple(rng.randint(0, 1) for _ in range(n + 1))
-    coefficients = tuple(int(c) for c in coefficients)
     if len(coefficients) != n + 1 or any(c not in (0, 1) for c in coefficients):
-        raise DataError(f"need n+1 coefficients in {{0,1}}, got {coefficients!r}")
+        raise DataError(f"need n+1 coefficients in {{0,1}}, got {tuple(coefficients)!r}")
+    coefficients = tuple(map(int, coefficients))
     schema = Schema.from_pairs((f"x{i}", ("0", "1")) for i in range(1, n + 1))
     class_attr = Attribute("f", ("0", "1"))
     items = []
@@ -336,6 +336,9 @@ class PlantedRule:
     alt_label: str = "c1"
 
     def __post_init__(self) -> None:
+        # A fractional count would be reported but not planted.
+        if not all(type(n) is int for n in (self.pairs, self.exceptions)):
+            raise DataError("a planted rule's pairs and exceptions must be integers")
         if self.pairs < 1:
             raise DataError("a planted rule needs at least one pair")
         if not 0 <= self.exceptions < self.pairs:

@@ -1105,15 +1105,20 @@ class TestPairKeys:
                 assert keys.change_key(d) == key
         assert all(len(v) == 1 for v in by_key.values())
         assert all(len(v) == 1 for v in by_diff.values())
-        assert keys.keys_from(queries[-1]) is None
-        assert keys.keys_to(queries[-1]) is None
+        # A value outside its domain keys no pair of in-domain items, and
+        # its keys still give the Hamming distance.
+        alien = queries[-1]
+        for alien_keys in (keys.keys_from(alien), keys.keys_to(alien)):
+            assert not by_key.keys() & set(alien_keys)
+            assert [key % keys.modulus for key in alien_keys] == \
+                [hamming(alien, b) for b in items]
 
     @given(keyed_datasets())
-    def test_nearest_is_the_literal_hamming_ranking(self, case):
+    def test_rank_is_the_literal_hamming_ranking(self, case):
         ds, queries = case
         keys = PairKeys(ds.schema, ds.items)
         for query in queries:  # the last one has a value outside its domain
-            assert keys.nearest(query) == sorted(
+            assert keys.rank(keys.keys_to(query)) == sorted(
                 range(len(ds)), key=lambda i: (hamming(ds.items[i], query), i))
 
 
@@ -1273,12 +1278,18 @@ class TestCountingAgainstTupleOracles:
 
     def test_out_of_domain_query_abstains(self):
         ds = case3_dataset()
-        alien = ("alien",) + ds.items[0][1:]
+        c, label = ds.items[0], ds.labels[0]
+        alien = ("alien",) + c[1:]
         pairs = extract_competent_pairs(ds, min_support=1, min_confidence=0.0)
-        for pred in (brute_force_classify(ds, alien),
-                     selected_triplet_classify(ds, pairs, alien, ds.schema.arity),
-                     bongard_classify(ds, alien, 3, 2)):
-            assert as_tuple(pred) == (None, {}, 0, True)
+        # A listed pair that changes c's first value to another outside
+        # value: were it keyed, it would share the key of (c, alien).
+        stray = ("stray",) + c[1:]
+        pairs.append(CompetentPair(c, stray, label, label, diff(c, stray), 1, 1.0))
+        for query in (alien, ("alien",) * ds.schema.arity):
+            for pred in (brute_force_classify(ds, query),
+                         selected_triplet_classify(ds, pairs, query, ds.schema.arity),
+                         bongard_classify(ds, query, 3, 2)):
+                assert as_tuple(pred) == (None, {}, 0, True)
 
 
 class TestPrefixReader:

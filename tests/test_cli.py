@@ -9,11 +9,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import anaprop
 from anaprop.cli import main
+from anaprop.data import generate_monk, write_dataset
 
 DATA = Path(__file__).parent / "data"
 COFFEE = [str(DATA / "coffee.csv"), "--schema", str(DATA / "coffee.schema.json")]
@@ -254,6 +256,64 @@ class TestMalformedInputsExitCleanly:
         assert code == expected_code
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    # (argv, text of the spec file or None, exit code).  SPEC, OUT and MONK
+    # stand for that spec file, an output file and the 432-row Monk-1
+    # relation, all under the test's tmp_path.
+    GENERATE = ["generate", "--spec", "SPEC", "--out", "OUT", "--kind"]
+    EXIT_PATHS = [
+        pytest.param(["ap", "solve", "0", "1"], None, 1, id="ap-solve-two-values"),
+        pytest.param(["explain", "--data", "MONK", "--query", "1,1,1,1,1,1,1",
+                      "--query-index", "0", "--why", "class"], None, 1,
+                     id="explain-query-and-query-index"),
+        pytest.param(["explain", "--data", "MONK", "--query-index", "0",
+                      "--why-not", "class"], None, 1, id="why-not-without-equals"),
+        pytest.param(["deps", "--data", "MONK", "--mode", "single", "--x", "a1"],
+                     None, 1, id="single-mode-without-y"),
+        pytest.param(GENERATE + ["planted-rule"], "{", 1, id="spec-not-json"),
+        pytest.param(GENERATE + ["planted-rule"], "[]", 1, id="spec-a-json-array"),
+        pytest.param(GENERATE + ["affine"], "{}", 1, id="affine-without-n"),
+        pytest.param(GENERATE + ["planted-rule"], '{"rules": []}', 1,
+                     id="planted-rule-without-rules"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1", "--tuples", "2"],
+                     "{}", 1, id="random-relation-without-attributes"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
+                     '{"attributes": [{"name": "a", "domain": ["0", "1"]}]}', 1,
+                     id="random-relation-without-tuples"),
+        pytest.param(["explain", "--data", "MONK", "--query-index", "999",
+                      "--why", "class"], None, 2, id="query-index-out-of-range"),
+        pytest.param(GENERATE + ["planted-rule"],
+                     '{"rules": [{"pairs": 3, "exceptions": 1.5}]}', 2,
+                     id="planted-rule-fractional-exceptions"),
+        pytest.param(GENERATE + ["affine"], '{"n": 2, "coefficients": [1, "x", 0]}',
+                     2, id="affine-coefficient-x"),
+        pytest.param(GENERATE + ["affine"], '{"n": 2, "coefficients": [1.5, 0, 1]}',
+                     2, id="affine-coefficient-1.5"),
+    ]
+
+    @pytest.mark.parametrize("argv, spec, expected_code", EXIT_PATHS)
+    def test_exit_path(self, capsys, tmp_path, argv, spec, expected_code):
+        paths = {"SPEC": tmp_path / "spec.json", "OUT": tmp_path / "out.csv",
+                 "MONK": tmp_path / "monk1.csv"}
+        if spec is not None:
+            paths["SPEC"].write_text(spec)
+        if "MONK" in argv:
+            write_dataset(generate_monk(1), paths["MONK"])
+        code, out, err = run(capsys, [str(paths.get(arg, arg)) for arg in argv])
+        self.assert_clean(code, err, expected_code)
+        assert out == ""
+        assert not paths["OUT"].exists()
+
+    def test_affine_spec_writes_what_the_options_write(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"n": 2, "coefficients": [1, 0, 1]}')
+        from_spec, from_options = tmp_path / "spec.csv", tmp_path / "options.csv"
+        for extra, out in ((["--spec", str(spec)], from_spec),
+                           (["--n", "2", "--coeffs", "1,0,1"], from_options)):
+            code, _, err = run(capsys, ["generate", "--kind", "affine", "--out",
+                                        str(out), *extra])
+            assert (code, err) == (0, "")
+        assert from_spec.read_bytes() == from_options.read_bytes()
 
     def test_truncated_schema_sidecar_is_data_error(self, tmp_path):
         sidecar = tmp_path / "bad.schema.json"

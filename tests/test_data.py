@@ -189,6 +189,12 @@ class TestAffineGenerator:
         with pytest.raises(DataError):
             generate_affine(2, (2, 0, 0))
 
+    @pytest.mark.parametrize("bad", ["x", 1.5, "1"])
+    def test_a_coefficient_is_checked_before_conversion(self, bad):
+        # int() would read 1.5 as 1 and "1" as 1, and fail on "x".
+        with pytest.raises(DataError):
+            generate_affine(2, (1, bad, 0))
+
 
 class TestPlantedRules:
     def test_exception_free_rule(self):
@@ -242,6 +248,16 @@ class TestPlantedRules:
         _, truths = generate_planted_rules(
             [PlantedRule(pairs=3, label_to=None, alt_label="c0")])
         assert (truths[0].support, truths[0].confidence) == (3, 1.0)
+
+    @pytest.mark.parametrize("counts", [
+        {"pairs": 2.5}, {"pairs": 3, "exceptions": 1.5},
+        {"pairs": True}, {"pairs": 3, "exceptions": True},
+    ], ids=["pairs-2.5", "exceptions-1.5", "pairs-True", "exceptions-True"])
+    def test_counts_must_be_integers(self, counts):
+        # PlantedRule(pairs=3, exceptions=1.5) planted one exception but
+        # reported support 1.5 and confidence 0.5.
+        with pytest.raises(DataError):
+            PlantedRule(**counts)
 
 
 class TestRandomRelation:

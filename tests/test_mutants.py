@@ -1,0 +1,25 @@
+"""The mutation list (``mutants.json``) cannot rot silently: every
+mutant's old string occurs exactly once in its package file, and its
+selector names an existing test file.  ``tests/mutate.py`` runs them."""
+
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MUTANTS = json.loads((ROOT / "tests" / "mutants.json").read_text(encoding="utf-8"))
+
+
+def test_the_list_is_seeded_with_distinct_names():
+    names = [m["name"] for m in MUTANTS]
+    assert len(names) >= 6
+    assert len(set(names)) == len(names)
+
+
+def test_every_mutant_still_applies():
+    for mutant in MUTANTS:
+        path = ROOT / mutant["file"]
+        assert path.parent == ROOT / "src" / "anaprop", mutant["name"]
+        assert path.read_text(encoding="utf-8").count(mutant["old"]) == 1, mutant["name"]
+        assert mutant["new"] != mutant["old"], mutant["name"]
+        test_file = mutant["selector"].split("::")[0]
+        assert (ROOT / test_file).is_file(), mutant["name"]
