@@ -656,12 +656,12 @@ class BongardModel:
         (c, query), computed once per key; None when its pairs cannot
         vote: no pair has the key, or the group is mixed and no property
         separates it."""
-        counts = self._index.counts
-        total = counts.total.get(key)
-        if total is None:
-            return None
         if key in self._analysis:
             return self._analysis[key]
+        counts = self._index.counts
+        total = counts.total.get(key)
+        if total is None:  # not cached, so an out-of-domain query adds no entry
+            return None
         result = None
         n_same = counts.labelled.get(key * counts.scale, 0)
         if n_same in (0, total):

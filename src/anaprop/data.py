@@ -302,9 +302,10 @@ def generate_affine(n: int, coefficients: Optional[Sequence[int]] = None,
             raise DataError("affine generator needs coefficients or a seed")
         rng = random.Random(seed)
         coefficients = tuple(rng.randint(0, 1) for _ in range(n + 1))
-    if len(coefficients) != n + 1 or any(c not in (0, 1) for c in coefficients):
+    # 1.0 and True compare equal to 1, so the type is checked as well.
+    if len(coefficients) != n + 1 or any(
+            type(c) is not int or c not in (0, 1) for c in coefficients):
         raise DataError(f"need n+1 coefficients in {{0,1}}, got {tuple(coefficients)!r}")
-    coefficients = tuple(map(int, coefficients))
     schema = Schema.from_pairs((f"x{i}", ("0", "1")) for i in range(1, n + 1))
     class_attr = Attribute("f", ("0", "1"))
     items = []

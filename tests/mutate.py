@@ -4,8 +4,7 @@ that copy.  A mutant survives when its selector still passes.  Prints
 one line per mutant and exits 1 if any survives (2 if one cannot be
 applied or run).  The checkout itself is never edited.
 
-    python tests/mutate.py            # every mutant
-    python tests/mutate.py NAME ...   # the mutants with these names
+    python tests/mutate.py
 
 The copy holds ``src/``, ``tests/`` and ``pyproject.toml``: the last puts
 ``src`` on pytest's path, so a copy of ``src/`` alone would test the
@@ -52,14 +51,9 @@ def run_mutant(mutant: dict) -> str:
     return f"error: pytest exited {proc.returncode}"
 
 
-def main(names: list[str]) -> int:
-    mutants = [m for m in json.loads(MUTANTS.read_text(encoding="utf-8"))
-               if not names or m["name"] in names]
-    if names and len(mutants) != len(set(names)):
-        print(f"unknown mutant name in {names}", file=sys.stderr)
-        return 2
+def main() -> int:
     survivors, errors = [], []
-    for mutant in mutants:
+    for mutant in json.loads(MUTANTS.read_text(encoding="utf-8")):
         outcome = run_mutant(mutant)
         print(f"{outcome:>8}  {mutant['name']}  ({mutant['selector']})", flush=True)
         if outcome == "survived":
@@ -74,4 +68,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -189,9 +189,9 @@ class TestAffineGenerator:
         with pytest.raises(DataError):
             generate_affine(2, (2, 0, 0))
 
-    @pytest.mark.parametrize("bad", ["x", 1.5, "1"])
-    def test_a_coefficient_is_checked_before_conversion(self, bad):
-        # int() would read 1.5 as 1 and "1" as 1, and fail on "x".
+    @pytest.mark.parametrize("bad", ["x", 1.5, "1", True, 1.0])
+    def test_a_coefficient_must_be_an_int_0_or_1(self, bad):
+        # int() would read 1.5, "1", True and 1.0 as 1, and fail on "x".
         with pytest.raises(DataError):
             generate_affine(2, (1, bad, 0))
 
