@@ -12,9 +12,10 @@ filled in bulk, one ``Counter.update`` per row and table, and a group's
 statistics (pair total, same-label count, tilts) are read by lookup only
 when a vote or a rule needs them; no pair list is stored.  The vote
 counts are identical to the cubic enumeration; tests cross-check against
-a literal triple loop.  The pair index can take one row out and put it
-back, so leave-one-out scoring downdates a single index instead of
-rebuilding it per row.
+a literal triple loop.  The baseline classifier, ``BruteForceModel``, is
+that pair index: it can take one row out and put it back, so
+leave-one-out scoring downdates a single index instead of rebuilding it
+per row, and the case-analysis classifier votes from one of its own.
 
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
@@ -42,7 +43,7 @@ import statistics
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, compress, islice, repeat
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
@@ -291,10 +292,23 @@ class _PairCounts:
         return _prediction(counted, examined, self.label_order)
 
 
-class PairIndex:
-    """All ordered pairs of live training rows (including identical
-    indices) counted by their pair key (see ``PairKeys``) and label slot
-    (see ``_PairCounts``).
+def _check_train(train: Dataset) -> None:
+    if len(train) == 0:
+        raise DataError("cannot classify from an empty training set")
+
+
+def _check_query(train: Dataset, query: Item) -> None:
+    if len(query) != train.schema.arity:
+        raise SchemaError(
+            f"query arity {len(query)} does not match schema arity "
+            f"{train.schema.arity}"
+        )
+
+
+class BruteForceModel:
+    """Baseline triplet-vote classifier over all ordered pairs of live
+    training rows (including identical indices), counted by their pair
+    key (see ``PairKeys``) and label slot (see ``_PairCounts``).
 
     The build is one bulk count per row: the keys of (row, every row)
     with the label slots of those pairs, so no Python code runs per
@@ -302,15 +316,16 @@ class PairIndex:
     row out of the index and put it back, counting only the pairs that
     touch it, so leaving one row out costs O(n·m) instead of a fresh
     O(n²·m) build; the result equals a fresh build over the live rows.
+    With no live row the index holds no pair, so every query abstains.
     """
 
     def __init__(self, train: Dataset):
+        self._train = train
         self.pair_keys = PairKeys(train.schema, train.items)
         self.counts = _PairCounts(train.class_attr.domain)
-        self._items = train.items
         self.codes = self.counts.codes(train.labels)
         self._live = [True] * len(train)
-        self._outgoing = self.counts.count_pairs(self.pair_keys, self._items, self.codes)
+        self._outgoing = self.counts.count_pairs(self.pair_keys, train.items, self.codes)
         # Per label code c: the label slots of the pairs (row j, row of
         # label c), for every row j.
         self._incoming = [[self.counts.slot(cj, c) for cj in self.codes]
@@ -319,7 +334,7 @@ class PairIndex:
     def _touch(self, i: int, step: int) -> None:
         c = self.codes[i]
         live = self._live  # row i itself is not live here
-        item = self._items[i]
+        item = self._train.items[i]
         keys = (list(compress(self.pair_keys.keys_from(item), live))
                 + list(compress(self.pair_keys.keys_to(item), live)) + [0])
         slots = (list(compress(self._outgoing[c], live))
@@ -340,38 +355,18 @@ class PairIndex:
         self._touch(i, +1)
         self._live[i] = True
 
-    def vote(self, query: Item) -> Prediction:
+    def classify(self, query: Item) -> Prediction:
         """Baseline triplet vote for ``query`` with c ranging over the
         live rows in dataset order."""
+        _check_query(self._train, query)
         keys = self.pair_keys.keys_to(query)
         return self.counts.vote(compress(zip(keys, self.codes), self._live))
-
-
-def _check_query(train: Dataset, query: Item) -> None:
-    if len(query) != train.schema.arity:
-        raise SchemaError(
-            f"query arity {len(query)} does not match schema arity "
-            f"{train.schema.arity}"
-        )
-
-
-class BruteForceModel:
-    """Baseline triplet-vote classifier with the pair index built once."""
-
-    def __init__(self, train: Dataset):
-        if len(train) == 0:
-            raise DataError("cannot classify from an empty training set")
-        self._train = train
-        self._index = PairIndex(train)
-
-    def classify(self, query: Item) -> Prediction:
-        _check_query(self._train, query)
-        return self._index.vote(query)
 
 
 def brute_force_classify(train: Dataset, query: Item) -> Prediction:
     """Vote over all ordered training triplets (a,b,c) with a:b::c:query
     and a solvable class equation; abstain when none qualifies."""
+    _check_train(train)
     return BruteForceModel(train).classify(query)
 
 
@@ -397,13 +392,12 @@ def analogical_suitability(train: Dataset) -> SuitabilityReport:
     if n < 4:
         raise DataError(f"suitability needs at least 4 examples, got {n}")
     model = BruteForceModel(train)
-    index = model._index
     wrong = 0
     abstained = 0
     for i in range(n):
-        index.remove_row(i)
+        model.remove_row(i)
         pred = model.classify(train.items[i])
-        index.add_row(i)
+        model.add_row(i)
         if pred.abstained:
             abstained += 1
         elif pred.label != train.labels[i]:
@@ -462,7 +456,7 @@ def extract_competent_pairs(train: Dataset, min_support: int = 2,
     thresholds; emitted in pair-enumeration order.  Pairs of equal items
     (key 0) carry no change and are skipped."""
     _check_thresholds(min_support, min_confidence)
-    index = PairIndex(train)
+    index = BruteForceModel(train)
     counts, codes = index.counts, index.codes
     items = train.items
     labels = train.labels
@@ -620,13 +614,12 @@ class BongardModel:
     """
 
     def __init__(self, train: Dataset, max_literals: int = 2):
-        if len(train) == 0:
-            raise DataError("cannot classify from an empty training set")
+        _check_train(train)
         if max_literals < 1:
             raise DataError("max_literals must be at least 1")
         self._train = train
         self._max_literals = max_literals
-        self._index = PairIndex(train)
+        self.baseline = BruteForceModel(train)
         self._label_order = train.class_attr.domain
         self._analysis: dict[int, Optional[tuple]] = {}
         self._rows_of: dict[Item, list[int]] = {}
@@ -658,7 +651,7 @@ class BongardModel:
         separates it."""
         if key in self._analysis:
             return self._analysis[key]
-        counts = self._index.counts
+        counts = self.baseline.counts
         total = counts.total.get(key)
         if total is None:  # not cached, so an out-of-domain query adds no entry
             return None
@@ -679,9 +672,9 @@ class BongardModel:
         """Yield (neighbor index, vote, pair count) in increasing Hamming
         distance from the query (ties by dataset order)."""
         _check_query(self._train, query)
-        keys = self._index.pair_keys.keys_to(query)
-        items, codes = self._train.items, self._index.codes
-        for idx in self._index.pair_keys.rank(keys):
+        keys = self.baseline.pair_keys.keys_to(query)
+        items, codes = self._train.items, self.baseline.codes
+        for idx in self.baseline.pair_keys.rank(keys):
             key = keys[idx]
             analysis = self._analyze(key, items[idx], query)
             if analysis is None:
@@ -690,7 +683,7 @@ class BongardModel:
             lc = codes[idx]
             # Case 1, or case 3 on the property's side, copies c's label.
             copies = same or (prop is not None and prop.satisfied_by(query))
-            vote = self._label_order[lc] if copies else self._index.counts.tilt(key, lc)
+            vote = self._label_order[lc] if copies else self.baseline.counts.tilt(key, lc)
             if vote is not None:
                 yield idx, vote, total
 
@@ -718,13 +711,9 @@ def bongard_classify(train: Dataset, query: Item, neighbor_budget: int,
 # ---------------------------------------------------------------------------
 
 class KnnModel:
-    def __init__(self, train: Dataset, k: int):
-        if len(train) == 0:
-            raise DataError("cannot classify from an empty training set")
-        if not 1 <= k <= len(train):
-            raise DataError(f"k must be in [1, {len(train)}], got {k}")
+    def __init__(self, train: Dataset):
+        _check_train(train)
         self._train = train
-        self._k = k
         self._label_order = train.class_attr.domain
         self._pair_keys = PairKeys(train.schema, train.items)
 
@@ -738,14 +727,17 @@ class KnnModel:
         stream = ((labels[i], 0) for i in ranking)
         return _prefix_predictions(stream, ks, self._label_order)
 
-    def classify(self, query: Item) -> Prediction:
-        return self.predictions(query, [self._k])[0]
+    def classify(self, query: Item, k: int) -> Prediction:
+        return self.predictions(query, [k])[0]
 
 
 def knn_classify(train: Dataset, query: Item, k: int) -> Prediction:
     """Majority label among the k Hamming-nearest training items
     (neighbor ties by dataset order, label ties by domain order)."""
-    return KnnModel(train, k).classify(query)
+    model = KnnModel(train)
+    if not 1 <= k <= len(train):
+        raise DataError(f"k must be in [1, {len(train)}], got {k}")
+    return model.classify(query, k)
 
 
 # ---------------------------------------------------------------------------
@@ -755,9 +747,7 @@ def knn_classify(train: Dataset, query: Item, k: int) -> Prediction:
 @dataclass(frozen=True)
 class CvConfig:
     """Everything a cross-validation run depends on; the seed drives all
-    randomness (fold shuffling and per-fold pair-mining subsamples).
-    ``workers`` is accepted for compatibility and has no effect: folds run
-    one after another."""
+    randomness (fold shuffling and per-fold pair-mining subsamples)."""
 
     strategy: str = "baseline"
     folds: int = 10
@@ -770,7 +760,6 @@ class CvConfig:
     min_confidence: float = 0.9
     subsample: Optional[float] = None
     fallback: str = "knn1"
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -781,8 +770,6 @@ class CvConfig:
             raise DataError(f"unknown fallback {self.fallback!r}; pick from {FALLBACKS}")
         if self.subsample is not None and not 0.0 < self.subsample <= 1.0:
             raise DataError("subsample must lie in (0, 1]")
-        if self.workers < 1:
-            raise DataError("workers must be at least 1")
         if self.radius < 0:
             raise DataError("radius must be non-negative")
         if self.neighbor_budget < 1 or self.max_literals < 1 or self.k < 1:
@@ -818,9 +805,7 @@ class CvReport:
         """JSON-ready payload, byte-identical across reruns with the same
         inputs and seed."""
         return {
-            # Every config field but ``workers``, which has no effect.
-            "config": {name: value for name, value in vars(self.config).items()
-                       if name != "workers"},
+            "config": dict(vars(self.config)),
             "dataset": {
                 "rows": self.dataset_rows,
                 "attributes": self.dataset_attributes,
@@ -900,8 +885,8 @@ def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int):
     if config.strategy == "bongard":
         model = BongardModel(train, config.max_literals)
         budgets = [c.neighbor_budget for c in configs]
-        return lambda q: model.predictions(q, budgets), lambda: model._index.vote
-    model = KnnModel(train, 1)  # its own k is unused: each config's k is a cut
+        return lambda q: model.predictions(q, budgets), lambda: model.baseline.classify
+    model = KnnModel(train)
     ks = [c.k for c in configs]
     return lambda q: model.predictions(q, ks), None  # kNN never abstains
 
@@ -914,7 +899,7 @@ def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
     train_idx.sort()
     train = data.subset(train_idx)
     predict, brute = _fold_model(train, configs, fold)
-    build = {"knn1": lambda: KnnModel(train, 1).classify,
+    build = {"knn1": lambda: partial(KnnModel(train).classify, k=1),
              "brute": brute}.get(configs[0].fallback)
     # The fallback classifier is built on the fold's first abstention.
     fallback = cache(build) if build is not None else None

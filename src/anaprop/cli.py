@@ -40,6 +40,12 @@ PROFILES = {
 }
 
 
+#: The top-level keys a ``generate --spec`` file may hold, per kind.
+SPEC_KEYS = {"affine": ("n", "coefficients"), "planted-rule": ("rules",),
+             "random-relation": ("attributes", "tuples"),
+             "monk1": (), "monk2": (), "monk3": ()}
+
+
 class _UsageError(Exception):
     pass
 
@@ -119,9 +125,6 @@ def _cmd_evaluate(args) -> int:
         grid = _parse_int_list(args.grid)
         if not grid or min(grid) < 1:
             raise _UsageError(f"--grid needs values of at least 1, got {args.grid!r}")
-    if config.workers > 1:
-        print(f"[evaluate] --workers {config.workers} has no effect; "
-              f"folds run one after another", file=sys.stderr)
     dataset = data.load_dataset(args.data, delimiter=args.delimiter,
                                 class_column=args.class_column,
                                 schema_file=args.schema)
@@ -302,6 +305,10 @@ def _load_spec(args) -> dict:
         raise _UsageError(f"spec {args.spec} is not valid JSON ({exc})") from exc
     if not isinstance(spec, dict):
         raise _UsageError(f"spec {args.spec} must be a JSON object")
+    for key in spec:
+        if key not in SPEC_KEYS[args.kind]:
+            raise _UsageError(f"spec {args.spec} has unknown key {key!r} "
+                              f"for --kind {args.kind}")
     return spec
 
 
@@ -314,11 +321,7 @@ def _generate(args, spec: dict):
         n = args.n if args.n is not None else spec.get("n")
         if n is None:
             raise _UsageError("affine generation needs --n")
-        coeffs = None
-        if args.coeffs:
-            coeffs = _parse_int_list(args.coeffs)
-        elif "coefficients" in spec:
-            coeffs = spec["coefficients"]
+        coeffs = _parse_int_list(args.coeffs) if args.coeffs else spec.get("coefficients")
         return data.generate_affine(n, coeffs, args.seed)
     if kind == "planted-rule":
         raw_rules = spec.get("rules")
@@ -342,7 +345,6 @@ def _generate(args, spec: dict):
 
 
 def _cmd_generate(args) -> int:
-    kind = args.kind
     spec = _load_spec(args)
     try:
         made = _generate(args, spec)
@@ -369,7 +371,7 @@ def _cmd_generate(args) -> int:
     except OSError as exc:  # a missing directory, a directory as --out, ...
         raise _UsageError(f"cannot write {exc.filename or args.out}: "
                           f"{exc.strerror or exc}") from exc
-    payload = {"command": "generate", "kind": kind, "out": str(args.out),
+    payload = {"command": "generate", "kind": args.kind, "out": str(args.out),
                "rows": rows}
     _emit(payload, args.format, f"wrote {rows} rows to {args.out}")
     return EXIT_OK
@@ -434,7 +436,6 @@ def build_parser() -> _Parser:
                       help="classifier for abstained queries (default knn1)")
     p_ev.add_argument("--grid",
                       help="comma-separated neighbor grid (bongard/knn)")
-    p_ev.add_argument("--workers", type=int)
     _add_format(p_ev)
     p_ev.set_defaults(func=_cmd_evaluate)
 
@@ -459,9 +460,7 @@ def build_parser() -> _Parser:
     p_dep.set_defaults(func=_cmd_deps)
 
     p_gen = sub.add_parser("generate", help="write a synthetic dataset")
-    p_gen.add_argument("--kind", required=True,
-                       choices=("affine", "planted-rule", "random-relation",
-                                "monk1", "monk2", "monk3"))
+    p_gen.add_argument("--kind", required=True, choices=tuple(SPEC_KEYS))
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--n", type=int, help="attribute count (affine)")
     p_gen.add_argument("--coeffs", help="comma-separated 0/1 coefficients (affine)")

@@ -289,6 +289,16 @@ class TestMalformedInputsExitCleanly:
                      2, id="affine-coefficient-x"),
         pytest.param(GENERATE + ["affine"], '{"n": 2, "coefficients": [1.5, 0, 1]}',
                      2, id="affine-coefficient-1.5"),
+        # A top-level key the kind does not read is a usage error.
+        pytest.param(GENERATE + ["affine", "--seed", "1"],
+                     '{"n": 2, "coeficients": [1, 0, 1]}', 1, id="affine-misspelt-key"),
+        pytest.param(GENERATE + ["planted-rule"],
+                     '{"rules": [{"pairs": 3}], "rule": [{"pairs": 4}]}', 1,
+                     id="planted-rule-second-list"),
+        pytest.param(GENERATE + ["monk1"], '{"n": 3}', 1, id="monk-with-a-key"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
+                     '{"attributes": [{"name": "a", "domain": ["0", "1"]}], '
+                     '"tuples": 2, "seed": 1}', 1, id="random-relation-seed-key"),
     ]
 
     @pytest.mark.parametrize("argv, spec, expected_code", EXIT_PATHS)
@@ -485,8 +495,7 @@ class TestExplicitOptionValues:
         base = ["evaluate", "--data", self.table(tmp_path), "--folds", "2",
                 "--seed", "1"]
         for strategy, option in (("knn", "--k"), ("bongard", "--neighbor-budget"),
-                                 ("bongard", "--max-literals"),
-                                 ("baseline", "--workers")):
+                                 ("bongard", "--max-literals")):
             code, out, err = run_subprocess(base + ["--strategy", strategy,
                                                     option, "0"])
             assert (code, out) == (1, ""), option
@@ -513,16 +522,12 @@ class TestExplicitOptionValues:
             assert (code, out) == (1, "")
             assert err.startswith("error: ") and "grid" in err
 
-    def test_workers_above_one_has_no_effect_and_says_so(self, tmp_path):
-        base = ["evaluate", "--data", self.table(tmp_path), "--strategy", "knn",
-                "--folds", "2", "--seed", "1", "--format", "json"]
-        code1, out1, err1 = run_subprocess(base)
-        code3, out3, err3 = run_subprocess(base + ["--workers", "3"])
-        assert (code1, code3) == (0, 0) and out1 == out3
-        assert "--workers" not in err1
-        said = [line for line in err3.splitlines() if "--workers" in line]
-        assert said == ["[evaluate] --workers 3 has no effect; "
-                        "folds run one after another"]
+    def test_workers_is_no_longer_an_option(self, tmp_path):
+        code, out, err = run_subprocess([
+            "evaluate", "--data", self.table(tmp_path), "--strategy", "knn",
+            "--folds", "2", "--seed", "1", "--workers", "1"])
+        assert (code, out) == (1, "") and "Traceback" not in err
+        assert err.splitlines() == ["error: unrecognized arguments: --workers 1"]
 
 
 # Cells and names drawn from a small alphabet so that some tables load and
@@ -640,14 +645,6 @@ class TestEvaluateCommand:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "wall_time" in err1 and "wall_time" not in out1
-
-    def test_worker_count_invariance(self, capsys, tmp_path):
-        path = self.small_dataset(tmp_path)
-        base = ["evaluate", "--data", str(path), "--strategy", "knn", "--k", "3",
-                "--folds", "3", "--seed", "4", "--format", "json"]
-        _, out1, _ = run(capsys, base + ["--workers", "1"])
-        _, out3, _ = run(capsys, base + ["--workers", "3"])
-        assert out1 == out3
 
     def test_profile_table2_fills_settings(self, capsys, tmp_path):
         path = self.small_dataset(tmp_path)
