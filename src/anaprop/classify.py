@@ -12,10 +12,13 @@ filled in bulk, one ``Counter.update`` per row and table, and a group's
 statistics (pair total, same-label count, tilts) are read by lookup only
 when a vote or a rule needs them; no pair list is stored.  The vote
 counts are identical to the cubic enumeration; tests cross-check against
-a literal triple loop.  The baseline classifier, ``BruteForceModel``, is
-that pair index: it can take one row out and put it back, so
-leave-one-out scoring downdates a single index instead of rebuilding it
-per row, and the case-analysis classifier votes from one of its own.
+a literal triple loop.  One table (``_PairCounts``) holds a dataset's
+keyed rows, label codes, counts and vote, and every triplet-vote
+classifier reads one.  The baseline classifier, ``BruteForceModel``,
+counts every pair of its rows in it and can take one row out and put it
+back, so leave-one-out scoring downdates a single table instead of
+rebuilding it per row; the case-analysis classifier votes from one of
+its own.
 
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
@@ -197,32 +200,34 @@ class PairKeys:
 
 
 class _PairCounts:
-    """Counts of labelled ordered pairs, per pair key.
+    """The ordered pairs of a dataset's rows, counted per pair key.
 
-    Labels are coded by their place in the class domain (L labels), and a
-    pair's label slot is 0 when both labels are equal and
+    The table keys its rows (``pair_keys``, see ``PairKeys``) and codes
+    their labels by their place in the class domain (``codes``, L
+    labels).  A pair's label slot is 0 when both labels are equal and
     ``code(la) * L + code(lb)`` (never 0) when they differ.  ``total``
     counts the pairs of each key and ``labelled`` counts them per slot
     under the extended key ``key * L² + slot``, so a key's same-label
     count and each of its tilts is one lookup.  A key absent from
-    ``total`` has no pairs; neither table holds a zero entry.
+    ``total`` has no pairs; neither table holds a zero entry.  The
+    tables start empty: ``count_pairs`` counts the rows' own pairs, and
+    ``count`` any others.  The rows marked in ``live`` vote as c.
     """
 
-    def __init__(self, label_order: Sequence[str]):
-        self.label_order = label_order
-        self.width = len(label_order)
-        self._code = {label: c for c, label in enumerate(label_order)}
+    def __init__(self, data: Dataset):
+        self.data = data
+        self.label_order = data.class_attr.domain
+        self.width = len(self.label_order)
         self.scale = self.width ** 2
+        self.pair_keys = PairKeys(data.schema, data.items)
+        self.codes = list(map(self.label_order.index, data.labels))
+        self.live = [True] * len(data)
         self.total: Counter = Counter()
         self.labelled: Counter = Counter()
         #: Per label code la: (code lb, slot of the tilt la -> lb) for lb != la.
         self._tilts_from = [[(lb, self.slot(la, lb))
                              for lb in range(self.width) if lb != la]
                             for la in range(self.width)]
-
-    def codes(self, labels: Iterable[str]) -> list[int]:
-        """The codes of these labels."""
-        return [self._code[label] for label in labels]
 
     def slot(self, la: int, lb: int) -> int:
         """The label slot of a pair whose labels have codes la and lb."""
@@ -243,18 +248,16 @@ class _PairCounts:
                 else:
                     table.pop(entry)
 
-    def count_pairs(self, pair_keys: PairKeys, items: Sequence[Item],
-                    codes: Sequence[int], radius: Optional[int] = None) -> list[list[int]]:
-        """Count the ordered pairs (a, b) of ``items`` (``pair_keys``'s
-        rows, label codes ``codes``), identical indices included, in one
-        bulk count per a; with a ``radius``, only the pairs at Hamming
-        distance 1 to ``radius`` (``key % modulus``).  Returns, per label
-        code c, the label slots of the pairs (row of label c, row j) for
-        every row j."""
-        outgoing = [[self.slot(c, cj) for cj in codes] for c in range(self.width)]
-        modulus = pair_keys.modulus
-        for a, c in zip(items, codes):
-            keys, slots = pair_keys.keys_from(a), outgoing[c]
+    def count_pairs(self, radius: Optional[int] = None) -> list[list[int]]:
+        """Count the ordered pairs (a, b) of the rows, identical indices
+        included, in one bulk count per a; with a ``radius``, only the
+        pairs at Hamming distance 1 to ``radius`` (``key % modulus``).
+        Returns, per label code c, the label slots of the pairs (row of
+        label c, row j) for every row j."""
+        outgoing = [[self.slot(c, cj) for cj in self.codes] for c in range(self.width)]
+        modulus = self.pair_keys.modulus
+        for a, c in zip(self.data.items, self.codes):
+            keys, slots = self.pair_keys.keys_from(a), outgoing[c]
             if radius is not None:
                 near = [0 < key % modulus <= radius for key in keys]
                 keys, slots = list(compress(keys, near)), compress(slots, near)
@@ -270,16 +273,18 @@ class _PairCounts:
                  for lb, slot in self._tilts_from[la]}
         return _majority(tilts, self.label_order) if any(tilts.values()) else None
 
-    def vote(self, keyed_codes: Iterable[tuple[int, int]]) -> Prediction:
-        """Triplet vote over (key of (c, query), label code of c) entries:
-        each pair (a, b) counted under that key is one triplet; a
-        same-label pair votes for c's label, a tilt from c's label votes
-        for its target.  L + 1 lookups per c."""
+    def vote(self, query: Item) -> Prediction:
+        """Triplet vote for ``query`` with c ranging over the live rows in
+        row order: each pair (a, b) counted under the key of (c, query)
+        is one triplet; a same-label pair votes for c's label, a tilt
+        from c's label votes for its target.  L + 1 lookups per c."""
+        _check_query(self.data, query)
+        keys = self.pair_keys.keys_to(query)
         total, labelled = self.total, self.labelled
         scale, tilts_from = self.scale, self._tilts_from
         votes = [0] * self.width
         examined = 0
-        for key, lc in keyed_codes:
+        for key, lc in compress(zip(keys, self.codes), self.live):
             n = total.get(key)
             if n is None:
                 continue
@@ -307,60 +312,54 @@ def _check_query(train: Dataset, query: Item) -> None:
 
 class BruteForceModel:
     """Baseline triplet-vote classifier over all ordered pairs of live
-    training rows (including identical indices), counted by their pair
-    key (see ``PairKeys``) and label slot (see ``_PairCounts``).
+    training rows (including identical indices), counted in one
+    ``_PairCounts`` table, ``counts``.
 
     The build is one bulk count per row: the keys of (row, every row)
     with the label slots of those pairs, so no Python code runs per
     pair.  Every row starts live.  ``remove_row`` and ``add_row`` take a
-    row out of the index and put it back, counting only the pairs that
+    row out of the table and put it back, counting only the pairs that
     touch it, so leaving one row out costs O(n·m) instead of a fresh
     O(n²·m) build; the result equals a fresh build over the live rows.
-    With no live row the index holds no pair, so every query abstains.
+    With no live row the table holds no pair, so every query abstains.
     """
 
     def __init__(self, train: Dataset):
-        self._train = train
-        self.pair_keys = PairKeys(train.schema, train.items)
-        self.counts = _PairCounts(train.class_attr.domain)
-        self.codes = self.counts.codes(train.labels)
-        self._live = [True] * len(train)
-        self._outgoing = self.counts.count_pairs(self.pair_keys, train.items, self.codes)
+        self.counts = _PairCounts(train)
+        self._outgoing = self.counts.count_pairs()
         # Per label code c: the label slots of the pairs (row j, row of
         # label c), for every row j.
-        self._incoming = [[self.counts.slot(cj, c) for cj in self.codes]
+        self._incoming = [[self.counts.slot(cj, c) for cj in self.counts.codes]
                           for c in range(self.counts.width)]
 
     def _touch(self, i: int, step: int) -> None:
-        c = self.codes[i]
-        live = self._live  # row i itself is not live here
-        item = self._train.items[i]
-        keys = (list(compress(self.pair_keys.keys_from(item), live))
-                + list(compress(self.pair_keys.keys_to(item), live)) + [0])
+        counts = self.counts
+        c, live = counts.codes[i], counts.live  # row i itself is not live here
+        item = counts.data.items[i]
+        keys = (list(compress(counts.pair_keys.keys_from(item), live))
+                + list(compress(counts.pair_keys.keys_to(item), live)) + [0])
         slots = (list(compress(self._outgoing[c], live))
                  + list(compress(self._incoming[c], live)) + [0])
-        self.counts.count(keys, slots, step)
+        counts.count(keys, slots, step)
 
     def remove_row(self, i: int) -> None:
         """Take row ``i`` out: drop the pairs (i,j), (j,i) and (i,i)."""
-        if not self._live[i]:
+        if not self.counts.live[i]:
             raise ValueError(f"row {i} is not in the index")
-        self._live[i] = False
+        self.counts.live[i] = False
         self._touch(i, -1)
 
     def add_row(self, i: int) -> None:
         """Put a removed row ``i`` back with all its pairs."""
-        if self._live[i]:
+        if self.counts.live[i]:
             raise ValueError(f"row {i} is already in the index")
         self._touch(i, +1)
-        self._live[i] = True
+        self.counts.live[i] = True
 
     def classify(self, query: Item) -> Prediction:
         """Baseline triplet vote for ``query`` with c ranging over the
         live rows in dataset order."""
-        _check_query(self._train, query)
-        keys = self.pair_keys.keys_to(query)
-        return self.counts.vote(compress(zip(keys, self.codes), self._live))
+        return self.counts.vote(query)
 
 
 def brute_force_classify(train: Dataset, query: Item) -> Prediction:
@@ -445,91 +444,85 @@ def _check_thresholds(min_support: int, min_confidence: float) -> None:
         raise DataError("min_confidence must lie in [0, 1]")
 
 
-def _competent(support: int, total: int, min_support: int,
-               min_confidence: float) -> bool:
-    return support >= min_support and support / total >= min_confidence
+def _competent_behaviours(data: Dataset, min_support: int, min_confidence: float,
+                          radius: int) -> tuple[_PairCounts, dict[int, int]]:
+    """The pairs of ``data`` at Hamming distance 1 to ``radius``, counted,
+    and the behaviours among them that clear both thresholds, as
+    {extended key: support}.  A pair's support and confidence depend only
+    on its key's group and its behaviour in it (same-label, or one
+    tilt), so each behaviour clears the thresholds or fails them as a
+    whole.  Every pair under one key lies at one distance, so the totals
+    of the keys counted are complete."""
+    _check_thresholds(min_support, min_confidence)
+    counts = _PairCounts(data)
+    counts.count_pairs(radius)
+    total, scale = counts.total, counts.scale
+    return counts, {extended: support for extended, support in counts.labelled.items()
+                    if support >= min_support
+                    and support / total[extended // scale] >= min_confidence}
 
 
 def extract_competent_pairs(train: Dataset, min_support: int = 2,
                             min_confidence: float = 0.9) -> list[CompetentPair]:
     """Mine all ordered example pairs whose change rule clears both
     thresholds; emitted in pair-enumeration order.  Pairs of equal items
-    (key 0) carry no change and are skipped."""
-    _check_thresholds(min_support, min_confidence)
-    index = BruteForceModel(train)
-    counts, codes = index.counts, index.codes
-    items = train.items
-    labels = train.labels
+    carry no change and are skipped: they are the pairs at distance 0,
+    and every other pair lies within distance ``arity``."""
+    counts, competent = _competent_behaviours(train, min_support, min_confidence,
+                                              train.schema.arity)
+    items, labels, codes = train.items, train.labels, counts.codes
     out: list[CompetentPair] = []
     for i, a in enumerate(items):
-        for j, key in enumerate(index.pair_keys.keys_from(a)):
-            if not key:
-                continue
-            total = counts.total[key]
-            support = counts.labelled[key * counts.scale + counts.slot(codes[i], codes[j])]
-            if _competent(support, total, min_support, min_confidence):
-                out.append(CompetentPair(a, items[j], labels[i], labels[j],
-                                         diff(a, items[j]), support, support / total))
+        for j, key in enumerate(counts.pair_keys.keys_from(a)):
+            support = competent.get(key * counts.scale + counts.slot(codes[i], codes[j]))
+            if support is not None:
+                out.append(CompetentPair(a, items[j], labels[i], labels[j], diff(a, items[j]),
+                                         support, support / counts.total[key]))
     return out
 
 
 class SelectedTripletModel:
     """Triplet voting restricted to competent pairs and near neighbors.
 
-    The competent pairs within the Hamming radius are held as counts: per
-    pair key, how many are same-label and how many carry each tilt.  A
-    query's vote reads, for every c, the counts under the key of
-    (c, query).  All pairs under one key lie at one distance
+    The competent pairs within the Hamming radius are held as counts
+    (``counts``): per pair key, how many are same-label and how many
+    carry each tilt.  A query's vote reads, for every c, the counts under
+    the key of (c, query).  All pairs under one key lie at one distance
     (``key % modulus``), which is that of each c whose key it is, so
     only the c within the radius find counts."""
 
     def __init__(self, train: Dataset, pairs: Sequence[CompetentPair], radius: int):
         if radius < 0:
             raise DataError("radius must be non-negative")
-        self._train = train
-        self._pair_keys = PairKeys(train.schema, train.items)
-        self._counts = _PairCounts(train.class_attr.domain)
-        self._codes = self._counts.codes(train.labels)
+        self.counts = counts = _PairCounts(train)
+        pair_keys = counts.pair_keys
         for p in pairs:
-            key = self._pair_keys.change_key(p.change)
+            key = pair_keys.change_key(p.change)
             # An out-of-domain change matches no c, and one beyond the
             # radius matches no c near enough to vote.
-            if key is not None and key % self._pair_keys.modulus <= radius:
-                slot = self._counts.slot(*self._counts.codes(p.tilt))
-                self._counts.count([key], [slot], 1)
+            if key is not None and key % pair_keys.modulus <= radius:
+                slot = counts.slot(*map(counts.label_order.index, p.tilt))
+                counts.count([key], [slot], 1)
 
     @classmethod
     def mined(cls, train: Dataset, mining: Dataset, min_support: int,
               min_confidence: float, radius: int) -> "SelectedTripletModel":
         """The model over ``extract_competent_pairs(mining, ...)``, counted
-        from ``mining``'s pairs without listing them: each behaviour of a
-        group (same-label, or one tilt) clears the thresholds or fails
-        them as a whole, so only the behaviours with at least
-        ``min_support`` pairs are decoded.
-
-        Only the pairs at Hamming distance 1 to ``radius`` are counted,
-        as the listed pairs are bounded.  This is exact: every pair under
-        one key has the same distance (``key % modulus``), so the totals
-        of the keys within the radius stay complete, and key 0 holds the
-        pairs of equal items, which carry no change."""
-        _check_thresholds(min_support, min_confidence)
+        from ``mining``'s pairs without listing them: the competent
+        behaviours are copied in whole.  Only the pairs at Hamming
+        distance 1 to ``radius`` are counted, as the listed pairs are
+        bounded; key 0 holds the pairs of equal items, which carry no
+        change."""
+        competent = _competent_behaviours(mining, min_support, min_confidence, radius)[1]
         model = cls(train, (), radius)
-        found = _PairCounts(mining.class_attr.domain)
-        found.count_pairs(PairKeys(mining.schema, mining.items), mining.items,
-                          found.codes(mining.labels), radius)
-        kept = model._counts
-        # No behaviour with fewer than min_support pairs is competent.
-        supported = map(min_support.__le__, found.labelled.values())
-        for extended, count in compress(found.labelled.items(), supported):
-            key = extended // found.scale
-            if _competent(count, found.total[key], min_support, min_confidence):
-                kept.labelled[extended] = count
-                kept.total[key] += count
+        kept = model.counts
+        for extended, support in competent.items():
+            kept.labelled[extended] = support
+            kept.total[extended // kept.scale] += support
         return model
 
     def classify(self, query: Item) -> Prediction:
-        _check_query(self._train, query)
-        return self._counts.vote(zip(self._pair_keys.keys_to(query), self._codes))
+        return self.counts.vote(query)
 
 
 def selected_triplet_classify(train: Dataset, pairs: Sequence[CompetentPair],
@@ -672,18 +665,18 @@ class BongardModel:
         """Yield (neighbor index, vote, pair count) in increasing Hamming
         distance from the query (ties by dataset order)."""
         _check_query(self._train, query)
-        keys = self.baseline.pair_keys.keys_to(query)
-        items, codes = self._train.items, self.baseline.codes
-        for idx in self.baseline.pair_keys.rank(keys):
+        counts = self.baseline.counts
+        keys = counts.pair_keys.keys_to(query)
+        for idx in counts.pair_keys.rank(keys):
             key = keys[idx]
-            analysis = self._analyze(key, items[idx], query)
+            analysis = self._analyze(key, self._train.items[idx], query)
             if analysis is None:
                 continue
             total, same, prop = analysis
-            lc = codes[idx]
+            lc = counts.codes[idx]
             # Case 1, or case 3 on the property's side, copies c's label.
             copies = same or (prop is not None and prop.satisfied_by(query))
-            vote = self._label_order[lc] if copies else self.baseline.counts.tilt(key, lc)
+            vote = self._label_order[lc] if copies else counts.tilt(key, lc)
             if vote is not None:
                 yield idx, vote, total
 

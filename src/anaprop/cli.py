@@ -335,7 +335,7 @@ def _generate(args, spec: dict):
             raise _UsageError("random-relation generation needs --spec with 'attributes'")
         if args.seed is None:
             raise _UsageError("random-relation generation is seeded; pass --seed")
-        schema = data.Schema.from_pairs((a["name"], tuple(a["domain"])) for a in attrs)
+        schema = data.Schema(tuple(data.Attribute(a["name"], a["domain"]) for a in attrs))
         count = args.tuples if args.tuples is not None else spec.get("tuples")
         if count is None:
             raise _UsageError("random-relation generation needs --tuples")

@@ -39,7 +39,9 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class Attribute:
-    """A named attribute with a finite domain of at least two symbols.
+    """A named attribute with a finite domain of at least two symbols,
+    given as a list or tuple of strings (a string is not read as its
+    characters).
 
     The domain is stored sorted; this fixed total order is what every
     deterministic tie-break in the package refers to.
@@ -49,6 +51,10 @@ class Attribute:
     domain: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.domain, (list, tuple))
+                and all(isinstance(v, str) for v in self.domain)):
+            raise SchemaError(f"attribute {self.name!r} needs a list of strings "
+                              f"as its domain, got {self.domain!r}")
         symbols = tuple(sorted(set(self.domain)))
         if len(symbols) < 2:
             raise SchemaError(

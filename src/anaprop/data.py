@@ -153,7 +153,7 @@ def _load_sidecar_schema(path: str | Path, table: str | Path,
         raise DataError(f"{path}: schema sidecar must be a JSON object")
     try:
         schema = Schema(tuple(
-            Attribute(entry["name"], tuple(entry["domain"]))
+            Attribute(entry["name"], entry["domain"])
             for entry in spec["attributes"]
         ))
     except (KeyError, TypeError) as exc:  # also unhashable attribute names

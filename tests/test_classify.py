@@ -20,6 +20,8 @@ from anaprop.data import (
     generate_planted_rules,
 )
 from anaprop.classify import (
+    FALLBACKS,
+    STRATEGIES,
     BongardModel,
     BruteForceModel,
     CompetentPair,
@@ -658,18 +660,37 @@ def knn_classify_oracle(train: Dataset, query, k: int) -> Prediction:
     return Prediction(*prediction_oracle(votes, 0, train.class_attr.domain))
 
 
+def mining_subset_oracle(train: Dataset, cfg: CvConfig, fold: int) -> Dataset:
+    """The fold's mining rows: a seeded sample of ``subsample`` of the
+    training rows, at least 2, or all of them."""
+    if cfg.subsample is None:
+        return train
+    order = list(range(len(train)))
+    random.Random(cfg.seed * 1_000_003 + fold).shuffle(order)
+    return train.subset(sorted(order[:max(2, round(cfg.subsample * len(train)))]))
+
+
 def literal_cv_folds(ds: Dataset, cfg: CvConfig):
     """Per-fold (correct, abstained, triplets) by the definition: a fresh
-    model per query, the fallback asked on each abstention."""
+    model per query, and a freshly built fallback asked on each
+    abstention."""
     assignment, _ = make_folds(ds, cfg.folds, cfg.seed)
     out = []
     for fold, test_idx in enumerate(assignment):
         train = ds.subset(sorted(i for f, part in enumerate(assignment)
                                  if f != fold for i in part))
+        if cfg.strategy == "selected":
+            pairs = extract_competent_pairs_oracle(
+                mining_subset_oracle(train, cfg, fold), cfg.min_support,
+                cfg.min_confidence)
         correct = abstained = triplets = 0
         for i in test_idx:
             query = ds.items[i]
-            if cfg.strategy == "bongard":
+            if cfg.strategy == "baseline":
+                pred = Prediction(*baseline_vote_oracle(train, query))
+            elif cfg.strategy == "selected":
+                pred = Prediction(*selected_vote_oracle(train, pairs, query, cfg.radius))
+            elif cfg.strategy == "bongard":
                 pred = bongard_classify_oracle(train, query, cfg.neighbor_budget,
                                                cfg.max_literals)
             else:
@@ -680,11 +701,18 @@ def literal_cv_folds(ds: Dataset, cfg: CvConfig):
                 if cfg.fallback == "knn1":
                     pred = knn_classify_oracle(train, query, 1)
                 elif cfg.fallback == "brute":
-                    pred = brute_force_classify(train, query)
+                    pred = Prediction(*baseline_vote_oracle(train, query))
             if not pred.abstained and pred.label == ds.labels[i]:
                 correct += 1
         out.append((correct, abstained, triplets))
     return out
+
+
+def monk1_sample():
+    """60 rows of Monk-1, drawn with seed 0."""
+    from anaprop.data import generate_monk
+    ds = generate_monk(1)
+    return ds.subset(sorted(random.Random(0).sample(range(len(ds)), 60)))
 
 
 def make_folds_oracle(ds: Dataset, folds: int, seed: int):
@@ -865,9 +893,7 @@ class TestCrossValidation:
         # abstained budget would show too.  The case analysis's brute
         # fallback is its own index, built with the model on every fold.
         import anaprop.classify as classify
-        from anaprop.data import generate_monk
-        ds = generate_monk(1)
-        ds = ds.subset(sorted(random.Random(0).sample(range(len(ds)), 60)))
+        ds = monk1_sample()
         models = {"brute": classify.BruteForceModel, "knn1": classify.KnnModel}
         selected = CvConfig(strategy="selected", folds=5, seed=0, radius=2,
                             min_support=1)
@@ -901,6 +927,20 @@ class TestCrossValidation:
             else:
                 assert len(builds) == len(abstained) - abstained.count(0)
             assert len(asked) == sum(abstained)
+
+    @pytest.mark.parametrize("fallback", FALLBACKS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_strategy_and_fallback_matches_the_literal_folds(self, strategy,
+                                                                   fallback):
+        # Every strategy but kNN abstains on this sample, so each fallback
+        # is asked; the selected strategy mines a subsample.
+        ds = monk1_sample()
+        config = CvConfig(strategy=strategy, folds=5, seed=0, fallback=fallback,
+                          subsample=0.8 if strategy == "selected" else None)
+        report = cross_validate(ds, config)
+        assert [(fr.correct, fr.abstained, fr.triplets)
+                for fr in report.fold_results] == literal_cv_folds(ds, config)
+        assert (strategy == "knn") == (report.abstention_rate == 0)
 
     def test_unminable_pairs_abstain_then_fall_back(self):
         ds, _ = generate_planted_rules([PlantedRule(pairs=4)])
@@ -1241,22 +1281,22 @@ class TestCountingAgainstTupleOracles:
             self, case, min_support, min_confidence, radius):
         ds, _ = case
         pairs = extract_competent_pairs_oracle(ds, min_support, min_confidence)
-        listed = SelectedTripletModel(ds, pairs, radius)._counts
+        listed = SelectedTripletModel(ds, pairs, radius).counts
         modulus = PairKeys(ds.schema, ds.items).modulus
 
         def near(key):
             return 1 <= key % modulus <= radius
 
         mined = SelectedTripletModel.mined(ds, ds, min_support, min_confidence,
-                                           radius)._counts
+                                           radius).counts
         assert mined.total == {k: n for k, n in listed.total.items() if near(k)}
         assert mined.labelled == {e: n for e, n in listed.labelled.items()
                                   if near(e // listed.scale)}
         # A radius of at least the arity reaches every pair of distinct items.
         reach = ds.schema.arity + radius
         unbounded = SelectedTripletModel.mined(ds, ds, min_support, min_confidence,
-                                               reach)._counts
-        everything = SelectedTripletModel(ds, pairs, reach)._counts
+                                               reach).counts
+        everything = SelectedTripletModel(ds, pairs, reach).counts
         assert (unbounded.total, unbounded.labelled) == \
             (everything.total, everything.labelled)
 

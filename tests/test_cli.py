@@ -299,6 +299,13 @@ class TestMalformedInputsExitCleanly:
         pytest.param(GENERATE + ["random-relation", "--seed", "1"],
                      '{"attributes": [{"name": "a", "domain": ["0", "1"]}], '
                      '"tuples": 2, "seed": 1}', 1, id="random-relation-seed-key"),
+        # A domain must be a list of strings, not a string's characters.
+        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
+                     '{"attributes": [{"name": "a", "domain": "yes"}], "tuples": 2}',
+                     2, id="random-relation-string-domain"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
+                     '{"attributes": [{"name": "a", "domain": [0, 1]}], "tuples": 2}',
+                     2, id="random-relation-number-domain"),
     ]
 
     @pytest.mark.parametrize("argv, spec, expected_code", EXIT_PATHS)

@@ -126,6 +126,21 @@ def test_unseen_value_rejected_against_sidecar(tmp_path):
         load_dataset(path, schema_file=sidecar)
 
 
+@pytest.mark.parametrize("domain", ["yes", [0, 1], ["x", 1], {"x": 1, "y": 2}])
+def test_sidecar_domain_must_be_a_list_of_strings(tmp_path, domain):
+    path = tmp_path / "t.csv"
+    path.write_text("size,b\ny,p\ne,q\n")
+    sidecar = tmp_path / "t.schema.json"
+    sidecar.write_text(json.dumps({
+        "attributes": [
+            {"name": "size", "domain": domain},
+            {"name": "b", "domain": ["p", "q"]},
+        ],
+    }))
+    with pytest.raises(SchemaError, match="attribute 'size' needs a list of strings"):
+        load_dataset(path, schema_file=sidecar)
+
+
 def test_relation_deduplicates_with_count(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("a,b\nx,p\nx,p\ny,q\n")

@@ -1,7 +1,9 @@
 """The mutation list (``mutants.json``) cannot rot silently: every
 mutant's old string occurs exactly once in its package file, and its
-selector names an existing test file.  ``tests/mutate.py`` runs them."""
+selector names a test that exists in its test file.  ``tests/mutate.py``
+runs them."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -23,3 +25,20 @@ def test_every_mutant_still_applies():
         assert mutant["new"] != mutant["old"], mutant["name"]
         test_file = mutant["selector"].split("::")[0]
         assert (ROOT / test_file).is_file(), mutant["name"]
+
+
+def test_every_selector_names_a_test_in_its_file():
+    # Each name after the file is a class or function defined directly in
+    # the scope before it; a parametrize id in brackets is not a name.
+    for mutant in MUTANTS:
+        test_file, *names = mutant["selector"].split("::")
+        assert names, mutant["name"]
+        scope = ast.parse((ROOT / test_file).read_text(encoding="utf-8"))
+        for name in names:
+            found = [node for node in scope.body
+                     if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                     and node.name == name.split("[")[0]]
+            assert found, (mutant["name"], name)
+            scope = found[0]
+        assert isinstance(scope, ast.FunctionDef) and scope.name.startswith("test_"), \
+            mutant["name"]
