@@ -13,12 +13,12 @@ statistics (pair total, same-label count, tilts) are read by lookup only
 when a vote or a rule needs them; no pair list is stored.  The vote
 counts are identical to the cubic enumeration; tests cross-check against
 a literal triple loop.  One table (``_PairCounts``) holds a dataset's
-keyed rows, label codes, counts and vote, and every triplet-vote
-classifier reads one.  The baseline classifier, ``BruteForceModel``,
-counts every pair of its rows in it and can take one row out and put it
-back, so leave-one-out scoring downdates a single table instead of
-rebuilding it per row; the case-analysis classifier votes from one of
-its own.
+keyed rows, label codes, counts and vote, and every classifier is one
+such table.  The baseline classifier, ``BruteForceModel``, counts every
+pair of its rows and can take one row out and put it back, so
+leave-one-out scoring downdates a single table instead of rebuilding it
+per row; the case-analysis classifier counts every pair too, but never
+downdates; kNN counts none.
 
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
@@ -273,13 +273,21 @@ class _PairCounts:
                  for lb, slot in self._tilts_from[la]}
         return _majority(tilts, self.label_order) if any(tilts.values()) else None
 
+    def query_keys(self, query: Item) -> list[int]:
+        """The key of (row, ``query``) for every row, for a query of the
+        schema's arity."""
+        arity = self.data.schema.arity
+        if len(query) != arity:
+            raise SchemaError(f"query arity {len(query)} does not match "
+                              f"schema arity {arity}")
+        return self.pair_keys.keys_to(query)
+
     def vote(self, query: Item) -> Prediction:
         """Triplet vote for ``query`` with c ranging over the live rows in
         row order: each pair (a, b) counted under the key of (c, query)
         is one triplet; a same-label pair votes for c's label, a tilt
         from c's label votes for its target.  L + 1 lookups per c."""
-        _check_query(self.data, query)
-        keys = self.pair_keys.keys_to(query)
+        keys = self.query_keys(query)
         total, labelled = self.total, self.labelled
         scale, tilts_from = self.scale, self._tilts_from
         votes = [0] * self.width
@@ -302,18 +310,9 @@ def _check_train(train: Dataset) -> None:
         raise DataError("cannot classify from an empty training set")
 
 
-def _check_query(train: Dataset, query: Item) -> None:
-    if len(query) != train.schema.arity:
-        raise SchemaError(
-            f"query arity {len(query)} does not match schema arity "
-            f"{train.schema.arity}"
-        )
-
-
-class BruteForceModel:
+class BruteForceModel(_PairCounts):
     """Baseline triplet-vote classifier over all ordered pairs of live
-    training rows (including identical indices), counted in one
-    ``_PairCounts`` table, ``counts``.
+    training rows (including identical indices), counted in its table.
 
     The build is one bulk count per row: the keys of (row, every row)
     with the label slots of those pairs, so no Python code runs per
@@ -325,41 +324,40 @@ class BruteForceModel:
     """
 
     def __init__(self, train: Dataset):
-        self.counts = _PairCounts(train)
-        self._outgoing = self.counts.count_pairs()
+        super().__init__(train)
+        self._outgoing = self.count_pairs()
         # Per label code c: the label slots of the pairs (row j, row of
         # label c), for every row j.
-        self._incoming = [[self.counts.slot(cj, c) for cj in self.counts.codes]
-                          for c in range(self.counts.width)]
+        self._incoming = [[self.slot(cj, c) for cj in self.codes]
+                          for c in range(self.width)]
 
     def _touch(self, i: int, step: int) -> None:
-        counts = self.counts
-        c, live = counts.codes[i], counts.live  # row i itself is not live here
-        item = counts.data.items[i]
-        keys = (list(compress(counts.pair_keys.keys_from(item), live))
-                + list(compress(counts.pair_keys.keys_to(item), live)) + [0])
+        c, live = self.codes[i], self.live  # row i itself is not live here
+        item = self.data.items[i]
+        keys = (list(compress(self.pair_keys.keys_from(item), live))
+                + list(compress(self.pair_keys.keys_to(item), live)) + [0])
         slots = (list(compress(self._outgoing[c], live))
                  + list(compress(self._incoming[c], live)) + [0])
-        counts.count(keys, slots, step)
+        self.count(keys, slots, step)
 
     def remove_row(self, i: int) -> None:
         """Take row ``i`` out: drop the pairs (i,j), (j,i) and (i,i)."""
-        if not self.counts.live[i]:
+        if not self.live[i]:
             raise ValueError(f"row {i} is not in the index")
-        self.counts.live[i] = False
+        self.live[i] = False
         self._touch(i, -1)
 
     def add_row(self, i: int) -> None:
         """Put a removed row ``i`` back with all its pairs."""
-        if self.counts.live[i]:
+        if self.live[i]:
             raise ValueError(f"row {i} is already in the index")
         self._touch(i, +1)
-        self.counts.live[i] = True
+        self.live[i] = True
 
     def classify(self, query: Item) -> Prediction:
         """Baseline triplet vote for ``query`` with c ranging over the
         live rows in dataset order."""
-        return self.counts.vote(query)
+        return self.vote(query)
 
 
 def brute_force_classify(train: Dataset, query: Item) -> Prediction:
@@ -481,12 +479,12 @@ def extract_competent_pairs(train: Dataset, min_support: int = 2,
     return out
 
 
-class SelectedTripletModel:
+class SelectedTripletModel(_PairCounts):
     """Triplet voting restricted to competent pairs and near neighbors.
 
-    The competent pairs within the Hamming radius are held as counts
-    (``counts``): per pair key, how many are same-label and how many
-    carry each tilt.  A query's vote reads, for every c, the counts under
+    The competent pairs within the Hamming radius are the counts of its
+    table: per pair key, how many are same-label and how many carry each
+    tilt.  A query's vote reads, for every c, the counts under
     the key of (c, query).  All pairs under one key lie at one distance
     (``key % modulus``), which is that of each c whose key it is, so
     only the c within the radius find counts."""
@@ -494,15 +492,13 @@ class SelectedTripletModel:
     def __init__(self, train: Dataset, pairs: Sequence[CompetentPair], radius: int):
         if radius < 0:
             raise DataError("radius must be non-negative")
-        self.counts = counts = _PairCounts(train)
-        pair_keys = counts.pair_keys
+        super().__init__(train)
         for p in pairs:
-            key = pair_keys.change_key(p.change)
+            key = self.pair_keys.change_key(p.change)
             # An out-of-domain change matches no c, and one beyond the
             # radius matches no c near enough to vote.
-            if key is not None and key % pair_keys.modulus <= radius:
-                slot = counts.slot(*map(counts.label_order.index, p.tilt))
-                counts.count([key], [slot], 1)
+            if key is not None and key % self.pair_keys.modulus <= radius:
+                self.count([key], [self.slot(*map(self.label_order.index, p.tilt))], 1)
 
     @classmethod
     def mined(cls, train: Dataset, mining: Dataset, min_support: int,
@@ -515,14 +511,13 @@ class SelectedTripletModel:
         change."""
         competent = _competent_behaviours(mining, min_support, min_confidence, radius)[1]
         model = cls(train, (), radius)
-        kept = model.counts
         for extended, support in competent.items():
-            kept.labelled[extended] = support
-            kept.total[extended // kept.scale] += support
+            model.labelled[extended] = support
+            model.total[extended // model.scale] += support
         return model
 
     def classify(self, query: Item) -> Prediction:
-        return self.counts.vote(query)
+        return self.vote(query)
 
 
 def selected_triplet_classify(train: Dataset, pairs: Sequence[CompetentPair],
@@ -596,24 +591,24 @@ def bongard_separation(same_label_pairs: Sequence[tuple[Item, Item]],
     return _separate(same_ctx, diff_ctx, ctx, max_literals)
 
 
-class BongardModel:
+class BongardModel(_PairCounts):
     """Per-neighbor case analysis with cached per-difference verdicts.
 
     For a neighbor c of the query, the pairs sharing diff(c, query) are
     read as evidence: uniformly same-label pairs copy c's label (case 1),
     uniformly label-changing pairs tilt it (case 2), and mixed groups are
     resolved by a separation property over the shared context (case 3);
-    neighbors without usable evidence are skipped.
+    neighbors without usable evidence are skipped.  Its table counts every
+    pair of its rows, so ``vote`` is the baseline vote on them.
     """
 
     def __init__(self, train: Dataset, max_literals: int = 2):
         _check_train(train)
         if max_literals < 1:
             raise DataError("max_literals must be at least 1")
-        self._train = train
+        super().__init__(train)
+        self.count_pairs()
         self._max_literals = max_literals
-        self.baseline = BruteForceModel(train)
-        self._label_order = train.class_attr.domain
         self._analysis: dict[int, Optional[tuple]] = {}
         self._rows_of: dict[Item, list[int]] = {}
         for i, item in enumerate(train.items):
@@ -622,8 +617,7 @@ class BongardModel:
     def contexts(self, change: Diff) -> tuple[set[tuple[str, ...]], set[tuple[str, ...]]]:
         """Agreement contexts of the same-label and of the label-changing
         pairs with the difference vector ``change``, found by lookup."""
-        items = self._train.items
-        labels = self._train.labels
+        items, labels = self.data.items, self.data.labels
         ag = agreement(change)
         same_ctx = set()
         diff_ctx = set()
@@ -644,12 +638,11 @@ class BongardModel:
         separates it."""
         if key in self._analysis:
             return self._analysis[key]
-        counts = self.baseline.counts
-        total = counts.total.get(key)
+        total = self.total.get(key)
         if total is None:  # not cached, so an out-of-domain query adds no entry
             return None
         result = None
-        n_same = counts.labelled.get(key * counts.scale, 0)
+        n_same = self.labelled.get(key * self.scale, 0)
         if n_same in (0, total):
             result = (total, n_same == total, None)
         else:  # mixed evidence votes only through a separating property
@@ -664,19 +657,17 @@ class BongardModel:
     def votes(self, query: Item):
         """Yield (neighbor index, vote, pair count) in increasing Hamming
         distance from the query (ties by dataset order)."""
-        _check_query(self._train, query)
-        counts = self.baseline.counts
-        keys = counts.pair_keys.keys_to(query)
-        for idx in counts.pair_keys.rank(keys):
+        keys = self.query_keys(query)
+        for idx in self.pair_keys.rank(keys):
             key = keys[idx]
-            analysis = self._analyze(key, self._train.items[idx], query)
+            analysis = self._analyze(key, self.data.items[idx], query)
             if analysis is None:
                 continue
             total, same, prop = analysis
-            lc = counts.codes[idx]
+            lc = self.codes[idx]
             # Case 1, or case 3 on the property's side, copies c's label.
             copies = same or (prop is not None and prop.satisfied_by(query))
-            vote = self._label_order[lc] if copies else counts.tilt(key, lc)
+            vote = self.label_order[lc] if copies else self.tilt(key, lc)
             if vote is not None:
                 yield idx, vote, total
 
@@ -686,7 +677,7 @@ class BongardModel:
         ``budget`` voting neighbors, their pair counts summed as the
         triplets examined."""
         stream = ((vote, count) for _, vote, count in self.votes(query))
-        return _prefix_predictions(stream, budgets, self._label_order)
+        return _prefix_predictions(stream, budgets, self.label_order)
 
     def classify(self, query: Item, neighbor_budget: int) -> Prediction:
         return self.predictions(query, [neighbor_budget])[0]
@@ -703,22 +694,21 @@ def bongard_classify(train: Dataset, query: Item, neighbor_budget: int,
 # kNN baseline
 # ---------------------------------------------------------------------------
 
-class KnnModel:
+class KnnModel(_PairCounts):
+    """Hamming kNN over the rows of its table, which counts no pairs."""
+
     def __init__(self, train: Dataset):
         _check_train(train)
-        self._train = train
-        self._label_order = train.class_attr.domain
-        self._pair_keys = PairKeys(train.schema, train.items)
+        super().__init__(train)
 
     def predictions(self, query: Item, ks: Sequence[int]) -> list[Prediction]:
         """The majority label among the k nearest rows for each k, in the
         order given, from one Hamming ranking; a k past the training size
         takes every row."""
-        _check_query(self._train, query)
-        labels = self._train.labels
-        ranking = self._pair_keys.rank(self._pair_keys.keys_to(query))
+        labels = self.data.labels
+        ranking = self.pair_keys.rank(self.query_keys(query))
         stream = ((labels[i], 0) for i in ranking)
-        return _prefix_predictions(stream, ks, self._label_order)
+        return _prefix_predictions(stream, ks, self.label_order)
 
     def classify(self, query: Item, k: int) -> Prediction:
         return self.predictions(query, [k])[0]
@@ -863,8 +853,9 @@ def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int):
     """One model for a training fold, shared by every config (they differ
     only in the grid parameter).  Returns ``(predict, brute)``: ``predict``
     maps a query to one Prediction per config, and ``brute()`` gives the
-    brute-force fallback classifier; ``brute`` is None where that fallback
-    is never asked (kNN does not abstain) or would abstain on the same
+    brute-force fallback classifier (the case analysis's own vote, whose
+    table counts every pair); ``brute`` is None where that fallback is
+    never asked (kNN does not abstain) or would abstain on the same
     queries as the strategy (the baseline is that classifier)."""
     config = configs[0]
     if config.strategy == "baseline":
@@ -878,7 +869,7 @@ def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int):
     if config.strategy == "bongard":
         model = BongardModel(train, config.max_literals)
         budgets = [c.neighbor_budget for c in configs]
-        return lambda q: model.predictions(q, budgets), lambda: model.baseline.classify
+        return lambda q: model.predictions(q, budgets), lambda: model.vote
     model = KnnModel(train)
     ks = [c.k for c in configs]
     return lambda q: model.predictions(q, ks), None  # kNN never abstains

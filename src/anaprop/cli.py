@@ -40,10 +40,13 @@ PROFILES = {
 }
 
 
-#: The top-level keys a ``generate --spec`` file may hold, per kind.
-SPEC_KEYS = {"affine": ("n", "coefficients"), "planted-rule": ("rules",),
-             "random-relation": ("attributes", "tuples"),
-             "monk1": (), "monk2": (), "monk3": ()}
+#: The top-level keys a ``generate --spec`` file may hold, per kind, with
+#: the JSON type of each key's value (true and false are not integers).
+SPEC_KEYS = {"affine": {"n": "integer", "coefficients": "array"},
+             "planted-rule": {"rules": "array"},
+             "random-relation": {"attributes": "array", "tuples": "integer"},
+             "monk1": {}, "monk2": {}, "monk3": {}}
+_JSON_TYPES = {"integer": int, "array": list}  # the exact types json.load gives
 
 
 class _UsageError(Exception):
@@ -305,10 +308,13 @@ def _load_spec(args) -> dict:
         raise _UsageError(f"spec {args.spec} is not valid JSON ({exc})") from exc
     if not isinstance(spec, dict):
         raise _UsageError(f"spec {args.spec} must be a JSON object")
-    for key in spec:
-        if key not in SPEC_KEYS[args.kind]:
+    for key, value in spec.items():
+        expected = SPEC_KEYS[args.kind].get(key)
+        if expected is None:
             raise _UsageError(f"spec {args.spec} has unknown key {key!r} "
                               f"for --kind {args.kind}")
+        if type(value) is not _JSON_TYPES[expected]:
+            raise _UsageError(f"spec {args.spec} key {key!r} must be a JSON {expected}")
     return spec
 
 

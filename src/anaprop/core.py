@@ -88,6 +88,8 @@ class Schema:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Iterable[str]]]) -> "Schema":
+        """Literal-schema helper (no table reader calls it): a string domain
+        is read as its characters, so ``("a", "01")`` gives the domain 0, 1."""
         return cls(tuple(Attribute(n, tuple(d)) for n, d in pairs))
 
     @property

@@ -186,11 +186,8 @@ def weak_mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
     xy_idx = tuple(sorted(xy))
     rest_idx = tuple(i for i in range(rel.schema.arity) if i not in xy or i in xi)
     members = rel.as_set()
-    by_xy: dict[tuple, list[Item]] = {}
-    by_xrest: dict[tuple, list[Item]] = {}
-    for t in rel.tuples:
-        by_xy.setdefault(_proj(t, xy_idx), []).append(t)
-        by_xrest.setdefault(_proj(t, rest_idx), []).append(t)
+    by_xy = _group_by(rel.tuples, xy_idx)
+    by_xrest = _group_by(rel.tuples, rest_idx)
     for t1 in rel.tuples:
         for t2 in by_xy[_proj(t1, xy_idx)]:
             for t3 in by_xrest[_proj(t1, rest_idx)]:

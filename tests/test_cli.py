@@ -299,6 +299,21 @@ class TestMalformedInputsExitCleanly:
         pytest.param(GENERATE + ["random-relation", "--seed", "1"],
                      '{"attributes": [{"name": "a", "domain": ["0", "1"]}], '
                      '"tuples": 2, "seed": 1}', 1, id="random-relation-seed-key"),
+        # Each top-level value must have its key's JSON type; a bool is
+        # not an integer.
+        pytest.param(GENERATE + ["affine"], '{"n": 2, "coefficients": "101"}', 1,
+                     id="affine-coefficients-a-string"),
+        pytest.param(GENERATE + ["affine"], '{"n": "3"}', 1, id="affine-n-a-string"),
+        pytest.param(GENERATE + ["affine"], '{"n": true, "coefficients": [1, 0]}', 1,
+                     id="affine-n-a-bool"),
+        pytest.param(GENERATE + ["planted-rule"], '{"rules": {"pairs": 3}}', 1,
+                     id="planted-rule-rules-an-object"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
+                     '{"attributes": [{"name": "a", "domain": ["0", "1"]}], '
+                     '"tuples": "2"}', 1, id="random-relation-tuples-a-string"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
+                     '{"attributes": {"name": "a", "domain": ["0", "1"]}, '
+                     '"tuples": 2}', 1, id="random-relation-attributes-an-object"),
         # A domain must be a list of strings, not a string's characters.
         pytest.param(GENERATE + ["random-relation", "--seed", "1"],
                      '{"attributes": [{"name": "a", "domain": "yes"}], "tuples": 2}',

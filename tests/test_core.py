@@ -292,6 +292,11 @@ class TestSchema:
         with pytest.raises(SchemaError):
             Attribute("x", ("only",))
 
+    def test_only_the_literal_helper_reads_a_string_as_its_characters(self):
+        assert Schema.from_pairs([("a", "01")]).attributes == (Attribute("a", ("0", "1")),)
+        with pytest.raises(SchemaError, match="needs a list of strings"):
+            Attribute("a", "01")
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):
             Schema.from_pairs([("x", "01"), ("x", "01")])
