@@ -31,7 +31,11 @@ over the shared context (the pairs of a mixed group are found by lookup
 from diff(c, query), which every pair under its key shares), a Hamming
 kNN baseline, and a seeded stratified cross-validation harness that
 builds one model per fold, whatever the size of a grid search over the
-neighbor parameter.  The case-analysis and kNN classifiers share one
+neighbor parameter.  Where that model counts every pair (the baseline
+and the case analysis), the run counts the pairs of all rows once, and
+each fold copies those counts and takes away the pairs that touch its
+test rows (``_PairCounts.without``) instead of counting its training
+rows afresh.  The case-analysis and kNN classifiers share one
 ranking of the rows by Hamming distance to the query (``PairKeys.rank``,
 the lowest digit of the pair keys) and one prefix reader: a list of
 neighbor budgets or k's is answered from one vote stream or one ranking,
@@ -45,8 +49,9 @@ import random
 import statistics
 import warnings
 from collections import Counter
+from copy import copy
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import combinations, compress, islice, repeat
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
@@ -211,7 +216,8 @@ class _PairCounts:
     count and each of its tilts is one lookup.  A key absent from
     ``total`` has no pairs; neither table holds a zero entry.  The
     tables start empty: ``count_pairs`` counts the rows' own pairs, and
-    ``count`` any others.  The rows marked in ``live`` vote as c.
+    ``count`` any others; ``without`` gives copies of them less the pairs
+    that touch some rows.  The rows marked in ``live`` vote as c.
     """
 
     def __init__(self, data: Dataset):
@@ -233,6 +239,18 @@ class _PairCounts:
         """The label slot of a pair whose labels have codes la and lb."""
         return 0 if la == lb else la * self.width + lb
 
+    @cached_property
+    def _outgoing(self) -> list[list[int]]:
+        """Per label code c, the label slots of the pairs (row of label c,
+        row j) for every row j."""
+        return [[self.slot(c, cj) for cj in self.codes] for c in range(self.width)]
+
+    @cached_property
+    def _incoming(self) -> list[list[int]]:
+        """Per label code c, the label slots of the pairs (row j, row of
+        label c) for every row j."""
+        return [[self.slot(cj, c) for cj in self.codes] for c in range(self.width)]
+
     def count(self, keys: Sequence[int], slots: Iterable[int], step: int) -> None:
         """Add (step 1) or take away (step -1) one pair per entry of
         ``keys``, with its label slot from the parallel ``slots``."""
@@ -248,21 +266,51 @@ class _PairCounts:
                 else:
                     table.pop(entry)
 
-    def count_pairs(self, radius: Optional[int] = None) -> list[list[int]]:
+    def count_pairs(self, radius: Optional[int] = None) -> None:
         """Count the ordered pairs (a, b) of the rows, identical indices
         included, in one bulk count per a; with a ``radius``, only the
-        pairs at Hamming distance 1 to ``radius`` (``key % modulus``).
-        Returns, per label code c, the label slots of the pairs (row of
-        label c, row j) for every row j."""
-        outgoing = [[self.slot(c, cj) for cj in self.codes] for c in range(self.width)]
+        pairs at Hamming distance 1 to ``radius`` (``key % modulus``)."""
         modulus = self.pair_keys.modulus
         for a, c in zip(self.data.items, self.codes):
-            keys, slots = self.pair_keys.keys_from(a), outgoing[c]
+            keys, slots = self.pair_keys.keys_from(a), self._outgoing[c]
             if radius is not None:
                 near = [0 < key % modulus <= radius for key in keys]
                 keys, slots = list(compress(keys, near)), compress(slots, near)
             self.count(keys, slots, 1)
-        return outgoing
+
+    def without(self, rows: Sequence[int]) -> tuple[Counter, Counter]:
+        """Copies of ``total`` and ``labelled`` less every pair that
+        touches one of ``rows``, taken away in one count: (r, j) for every
+        row j and (i, r) for every row i not in ``rows``, so a pair of two
+        of them is taken away once.  On a table that counts every pair of
+        its rows, what is left is what ``count_pairs`` gives on a table of
+        the other rows of the same schema, with no zero entry: both tables
+        key a value by its place in its attribute's domain (``PairKeys``)
+        and a label by its place in the class domain, not by the rows
+        they hold."""
+        kept = [True] * len(self.codes)
+        for r in rows:
+            kept[r] = False
+        keys: list[int] = []
+        slots: list[int] = []
+        for r in rows:
+            item, c = self.data.items[r], self.codes[r]
+            keys += self.pair_keys.keys_from(item)
+            slots += self._outgoing[c]
+            keys += compress(self.pair_keys.keys_to(item), kept)
+            slots += compress(self._incoming[c], kept)
+        left = copy(self)
+        left.total, left.labelled = Counter(self.total), Counter(self.labelled)
+        left.count(keys, slots, -1)
+        return left.total, left.labelled
+
+    def _count_all(self, counts: Optional[tuple[Counter, Counter]]) -> None:
+        """Count every pair of the rows, unless ``counts`` already holds
+        them (the tables that ``without`` gives)."""
+        if counts is None:
+            self.count_pairs()
+        else:
+            self.total, self.labelled = counts
 
     def tilt(self, key: int, la: int) -> Optional[str]:
         """The label that most pairs under ``key`` tilt to from label code
@@ -316,20 +364,19 @@ class BruteForceModel(_PairCounts):
 
     The build is one bulk count per row: the keys of (row, every row)
     with the label slots of those pairs, so no Python code runs per
-    pair.  Every row starts live.  ``remove_row`` and ``add_row`` take a
-    row out of the table and put it back, counting only the pairs that
-    touch it, so leaving one row out costs O(n·m) instead of a fresh
-    O(n²·m) build; the result equals a fresh build over the live rows.
+    pair; or it takes ``counts``, the tables that ``without`` leaves of
+    a table of more rows.  Every row starts live.  ``remove_row`` and
+    ``add_row`` take a row out of the table and put it back, counting
+    only the pairs that touch it, so leaving one row out costs O(n·m)
+    instead of a fresh O(n²·m) build; the result equals a fresh build
+    over the live rows.
     With no live row the table holds no pair, so every query abstains.
     """
 
-    def __init__(self, train: Dataset):
+    def __init__(self, train: Dataset, *,
+                 counts: Optional[tuple[Counter, Counter]] = None):
         super().__init__(train)
-        self._outgoing = self.count_pairs()
-        # Per label code c: the label slots of the pairs (row j, row of
-        # label c), for every row j.
-        self._incoming = [[self.slot(cj, c) for cj in self.codes]
-                          for c in range(self.width)]
+        self._count_all(counts)
 
     def _touch(self, i: int, step: int) -> None:
         c, live = self.codes[i], self.live  # row i itself is not live here
@@ -599,15 +646,17 @@ class BongardModel(_PairCounts):
     uniformly label-changing pairs tilt it (case 2), and mixed groups are
     resolved by a separation property over the shared context (case 3);
     neighbors without usable evidence are skipped.  Its table counts every
-    pair of its rows, so ``vote`` is the baseline vote on them.
+    pair of its rows, or takes them as ``counts`` (as ``BruteForceModel``
+    does), so ``vote`` is the baseline vote on them.
     """
 
-    def __init__(self, train: Dataset, max_literals: int = 2):
+    def __init__(self, train: Dataset, max_literals: int = 2, *,
+                 counts: Optional[tuple[Counter, Counter]] = None):
         _check_train(train)
         if max_literals < 1:
             raise DataError("max_literals must be at least 1")
         super().__init__(train)
-        self.count_pairs()
+        self._count_all(counts)
         self._max_literals = max_literals
         self._analysis: dict[int, Optional[tuple]] = {}
         self._rows_of: dict[Item, list[int]] = {}
@@ -849,17 +898,24 @@ def _mining_subset(train: Dataset, fraction: Optional[float],
 GRID_PARAMETERS = {"bongard": "neighbor_budget", "knn": "k"}
 
 
-def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int):
+#: The strategies whose fold model counts every pair of its rows; a run
+#: of one counts its rows' pairs once and derives each fold's counts.
+_COUNTING = ("baseline", "bongard")
+
+
+def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int,
+                counts: Optional[tuple[Counter, Counter]]):
     """One model for a training fold, shared by every config (they differ
-    only in the grid parameter).  Returns ``(predict, brute)``: ``predict``
-    maps a query to one Prediction per config, and ``brute()`` gives the
-    brute-force fallback classifier (the case analysis's own vote, whose
-    table counts every pair); ``brute`` is None where that fallback is
-    never asked (kNN does not abstain) or would abstain on the same
-    queries as the strategy (the baseline is that classifier)."""
+    only in the grid parameter), over ``counts`` where the strategy counts
+    every pair.  Returns ``(predict, brute)``: ``predict`` maps a query
+    to one Prediction per config, and ``brute()`` gives the brute-force
+    fallback classifier (the case analysis's own vote, whose table counts
+    every pair); ``brute`` is None where that fallback is never asked
+    (kNN does not abstain) or would abstain on the same queries as the
+    strategy (the baseline is that classifier)."""
     config = configs[0]
     if config.strategy == "baseline":
-        model = BruteForceModel(train)
+        model = BruteForceModel(train, counts=counts)
         return lambda q: [model.classify(q)], None
     if config.strategy == "selected":
         mining = _mining_subset(train, config.subsample, config.seed, fold)
@@ -867,7 +923,7 @@ def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int):
                                            config.min_confidence, config.radius)
         return lambda q: [model.classify(q)], lambda: BruteForceModel(train).classify
     if config.strategy == "bongard":
-        model = BongardModel(train, config.max_literals)
+        model = BongardModel(train, config.max_literals, counts=counts)
         budgets = [c.neighbor_budget for c in configs]
         return lambda q: model.predictions(q, budgets), lambda: model.vote
     model = KnnModel(train)
@@ -876,13 +932,17 @@ def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int):
 
 
 def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
-                   assignment: Sequence[Sequence[int]]) -> list[FoldResult]:
-    """Score one fold for every config with a single model build."""
+                   assignment: Sequence[Sequence[int]],
+                   run: Optional[_PairCounts]) -> list[FoldResult]:
+    """Score one fold for every config with a single model build; given
+    the run's table ``run``, the model takes that table's counts less the
+    pairs that touch the fold's test rows."""
     test_idx = assignment[fold]
     train_idx = [i for f, part in enumerate(assignment) if f != fold for i in part]
     train_idx.sort()
     train = data.subset(train_idx)
-    predict, brute = _fold_model(train, configs, fold)
+    counts = run.without(test_idx) if run is not None else None
+    predict, brute = _fold_model(train, configs, fold, counts)
     build = {"knn1": lambda: partial(KnnModel(train).classify, k=1),
              "brute": brute}.get(configs[0].fallback)
     # The fallback classifier is built on the fold's first abstention.
@@ -913,10 +973,16 @@ def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
 
 
 def _cross_validate_all(data: Dataset, configs: Sequence[CvConfig]) -> list[CvReport]:
-    """One report per config from one pass over the folds."""
+    """One report per config from one pass over the folds.  Where the
+    fold models count every pair, the pairs of all rows are counted once,
+    and each fold takes away those that touch its test rows."""
     config = configs[0]
     assignment, stratified = make_folds(data, config.folds, config.seed)
-    per_fold = [_evaluate_fold(data, configs, f, assignment)
+    run = None
+    if config.strategy in _COUNTING:
+        run = _PairCounts(data)
+        run.count_pairs()
+    per_fold = [_evaluate_fold(data, configs, f, assignment, run)
                 for f in range(config.folds)]
     counts = Counter(data.labels)
     reports = []
@@ -956,7 +1022,9 @@ def cross_validate_grid(data: Dataset, config: CvConfig,
 
     Each fold builds one model: the case-analysis predictions for every
     budget are prefixes of one vote stream, and the kNN predictions for
-    every k are prefixes of one Hamming ranking."""
+    every k are prefixes of one Hamming ranking.  The case analysis's
+    fold models count no pairs: the run counts them once, and each fold's
+    counts are the run's without the pairs that touch its test rows."""
     if not grid:
         raise DataError("grid must not be empty")
     param = GRID_PARAMETERS.get(config.strategy)

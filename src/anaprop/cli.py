@@ -18,7 +18,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -47,6 +47,14 @@ SPEC_KEYS = {"affine": {"n": "integer", "coefficients": "array"},
              "random-relation": {"attributes": "array", "tuples": "integer"},
              "monk1": {}, "monk2": {}, "monk3": {}}
 _JSON_TYPES = {"integer": int, "array": list}  # the exact types json.load gives
+#: The fields of each item of a spec array, as (required, optional): a
+#: planted rule's are those of ``data.PlantedRule``, required where it
+#: has no default.
+SPEC_ITEMS = {
+    "rules": (tuple(f.name for f in fields(data.PlantedRule) if f.default is MISSING),
+              tuple(f.name for f in fields(data.PlantedRule) if f.default is not MISSING)),
+    "attributes": (("name", "domain"), ()),
+}
 
 
 class _UsageError(Exception):
@@ -315,7 +323,30 @@ def _load_spec(args) -> dict:
                               f"for --kind {args.kind}")
         if type(value) is not _JSON_TYPES[expected]:
             raise _UsageError(f"spec {args.spec} key {key!r} must be a JSON {expected}")
+        if key in SPEC_ITEMS:
+            _check_items(args.spec, key, value)
     return spec
+
+
+def _check_items(path: str, key: str, items: list) -> None:
+    """A usage error naming the first item of the spec array ``key`` that
+    is not an object with the fields ``SPEC_ITEMS`` gives it."""
+    required, optional = SPEC_ITEMS[key]
+    shape = "an object with " + " and ".join(map(repr, required))
+    if optional:
+        shape += " and optionally " + ", ".join(map(repr, optional))
+    for index, item in enumerate(items):
+        if not isinstance(item, dict):
+            problem = "is not an object"
+        else:
+            missing = [name for name in required if name not in item]
+            unknown = [name for name in item if name not in required + optional]
+            if not missing and not unknown:
+                continue
+            problem = (f"lacks {missing[0]!r}" if missing
+                       else f"has unknown field {unknown[0]!r}")
+        raise _UsageError(f"malformed spec {path}: {key!r} item {index} {problem}; "
+                          f"expected {shape}")
 
 
 def _generate(args, spec: dict):

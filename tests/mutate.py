@@ -4,7 +4,10 @@ that copy.  A mutant survives when its selector still passes.  Prints
 one line per mutant and exits 1 if any survives (2 if one cannot be
 applied or run).  The checkout itself is never edited.
 
-    python tests/mutate.py
+    python tests/mutate.py [NAME ...]
+
+With names, only the mutants of those names run; an unknown name exits
+2 before any copy is made.  With none, every mutant runs.
 
 The copy holds ``src/``, ``tests/`` and ``pyproject.toml``: the last puts
 ``src`` on pytest's path, so a copy of ``src/`` alone would test the
@@ -51,9 +54,16 @@ def run_mutant(mutant: dict) -> str:
     return f"error: pytest exited {proc.returncode}"
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    mutants = json.loads(MUTANTS.read_text(encoding="utf-8"))
+    unknown = sorted(set(names) - {mutant["name"] for mutant in mutants})
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(map(repr, unknown))}", file=sys.stderr)
+        return 2
     survivors, errors = [], []
-    for mutant in json.loads(MUTANTS.read_text(encoding="utf-8")):
+    for mutant in mutants:
+        if names and mutant["name"] not in names:
+            continue
         outcome = run_mutant(mutant)
         print(f"{outcome:>8}  {mutant['name']}  ({mutant['selector']})", flush=True)
         if outcome == "survived":
@@ -68,4 +78,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

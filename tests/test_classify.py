@@ -30,6 +30,7 @@ from anaprop.classify import (
     PairKeys,
     Prediction,
     SelectedTripletModel,
+    _PairCounts,
     analogical_suitability,
     bongard_classify,
     bongard_separation,
@@ -227,6 +228,93 @@ class TestBruteForceModelDowndating:
         index.remove_row(0)
         with pytest.raises(ValueError):
             index.remove_row(0)
+
+
+@st.composite
+def fold_scenarios(draw):
+    """A dataset with duplicate rows and several labels (see
+    ``keyed_datasets``), and a random assignment of its rows to 2-4
+    folds, each non-empty, so a test fold may be a single row."""
+    ds, _ = draw(keyed_datasets(max_classes=4))
+    n_folds = draw(st.integers(2, min(4, len(ds))))
+    owner = draw(st.permutations(list(range(n_folds))
+                                 + draw(st.lists(st.integers(0, n_folds - 1),
+                                                 min_size=len(ds) - n_folds,
+                                                 max_size=len(ds) - n_folds))))
+    return ds, [[i for i, f in enumerate(owner) if f == fold]
+                for fold in range(n_folds)]
+
+
+class TestRunTableDerivation:
+    def run_table(self, ds):
+        run = _PairCounts(ds)
+        run.count_pairs()
+        return run
+
+    @given(fold_scenarios())
+    def test_derived_fold_counts_equal_a_fresh_count(self, scenario):
+        ds, assignment = scenario
+        run = self.run_table(ds)
+        for test_idx in assignment:
+            train = ds.subset([i for i in range(len(ds)) if i not in test_idx])
+            fresh = self.run_table(train)
+            total, labelled = run.without(test_idx)
+            assert (dict(total), dict(labelled)) == (dict(fresh.total),
+                                                     dict(fresh.labelled))
+            assert 0 not in total.values() and 0 not in labelled.values()
+        # The run's own tables are left as they were.
+        assert index_snapshot(run) == index_snapshot(self.run_table(ds))
+
+    @given(fold_scenarios())
+    def test_a_fold_keys_its_rows_as_the_run_does(self, scenario):
+        # Values are coded by their place in the schema's domains, so the
+        # key of a pair is the same in a table of any rows of the schema.
+        ds, assignment = scenario
+        run = self.run_table(ds)
+        train_idx = [i for part in assignment[1:] for i in part]
+        fold = _PairCounts(ds.subset(train_idx)).pair_keys
+        for item in ds.items:
+            for ours, runs in ((fold.keys_from, run.pair_keys.keys_from),
+                               (fold.keys_to, run.pair_keys.keys_to)):
+                assert ours(item) == [runs(item)[i] for i in train_idx]
+
+    @given(fold_scenarios())
+    def test_models_on_derived_counts_answer_as_fresh_ones(self, scenario):
+        ds, assignment = scenario
+        run = self.run_table(ds)
+        test_idx = assignment[0]
+        train = ds.subset([i for i in range(len(ds)) if i not in test_idx])
+        for model in (BruteForceModel, BongardModel):
+            derived, fresh = model(train, counts=run.without(test_idx)), model(train)
+            assert index_snapshot(derived) == index_snapshot(fresh)
+            for query in map(ds.items.__getitem__, test_idx):
+                assert as_tuple(derived.vote(query)) == as_tuple(fresh.vote(query))
+        for query in map(ds.items.__getitem__, test_idx):
+            assert derived.predictions(query, [1, 2, 3]) == \
+                fresh.predictions(query, [1, 2, 3])
+
+    def test_a_run_counts_its_pairs_once(self, monkeypatch):
+        # Baseline and case-analysis folds derive their counts from one
+        # run table; only the selected strategy's mining and its brute
+        # fallback count per fold.
+        ds = monk1_sample()
+        calls = []
+        count_pairs = _PairCounts.count_pairs
+
+        def counted(table, *args):
+            calls.append(len(table.data))
+            return count_pairs(table, *args)
+
+        monkeypatch.setattr(_PairCounts, "count_pairs", counted)
+        for config, grid in ((CvConfig(strategy="baseline", folds=5), None),
+                             (CvConfig(strategy="bongard", folds=5, fallback="brute"),
+                              [1, 3])):
+            calls.clear()
+            if grid is None:
+                cross_validate(ds, config)
+            else:
+                cross_validate_grid(ds, config, grid)
+            assert calls == [len(ds)]
 
 
 class TestSuitability:

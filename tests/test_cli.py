@@ -314,6 +314,20 @@ class TestMalformedInputsExitCleanly:
         pytest.param(GENERATE + ["random-relation", "--seed", "1"],
                      '{"attributes": {"name": "a", "domain": ["0", "1"]}, '
                      '"tuples": 2}', 1, id="random-relation-attributes-an-object"),
+        # Each item of a spec array must be an object with its fields.
+        pytest.param(GENERATE + ["planted-rule"], '{"rules": [3]}', 1,
+                     id="planted-rule-rule-a-number"),
+        pytest.param(GENERATE + ["planted-rule"], '{"rules": [{"exceptions": 1}]}', 1,
+                     id="planted-rule-rule-without-pairs"),
+        pytest.param(GENERATE + ["planted-rule"],
+                     '{"rules": [{"pairs": 3}, {"pairs": 3, "colour": "red"}]}', 1,
+                     id="planted-rule-unknown-rule-field"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
+                     '{"attributes": [{"nam": "a"}], "tuples": 2}', 1,
+                     id="random-relation-attribute-without-name"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
+                     '{"attributes": ["a"], "tuples": 2}', 1,
+                     id="random-relation-attribute-a-string"),
         # A domain must be a list of strings, not a string's characters.
         pytest.param(GENERATE + ["random-relation", "--seed", "1"],
                      '{"attributes": [{"name": "a", "domain": "yes"}], "tuples": 2}',
@@ -322,6 +336,17 @@ class TestMalformedInputsExitCleanly:
                      '{"attributes": [{"name": "a", "domain": [0, 1]}], "tuples": 2}',
                      2, id="random-relation-number-domain"),
     ]
+
+    def test_a_malformed_spec_item_is_named_with_its_shape(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"attributes": [{"name": "a", "domain": ["0"]}, {"nam": "b"}], '
+                        '"tuples": 2}')
+        code, out, err = run(capsys, ["generate", "--kind", "random-relation", "--seed",
+                                      "1", "--spec", str(spec), "--out",
+                                      str(tmp_path / "r.csv")])
+        assert (code, out) == (1, "")
+        assert err == (f"error: malformed spec {spec}: 'attributes' item 1 lacks 'name'; "
+                       "expected an object with 'name' and 'domain'\n")
 
     @pytest.mark.parametrize("argv, spec, expected_code", EXIT_PATHS)
     def test_exit_path(self, capsys, tmp_path, argv, spec, expected_code):

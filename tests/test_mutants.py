@@ -5,6 +5,9 @@ runs them."""
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,3 +45,16 @@ def test_every_selector_names_a_test_in_its_file():
             scope = found[0]
         assert isinstance(scope, ast.FunctionDef) and scope.name.startswith("test_"), \
             mutant["name"]
+
+
+def test_an_unknown_mutant_name_exits_2_before_any_copy(tmp_path):
+    # The runner copies the project under the temporary directory, so an
+    # empty one afterwards shows that no mutant ran, not even the known one.
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "mutate.py"), MUTANTS[0]["name"],
+         "no such mutant"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "'no such mutant'" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
