@@ -14,11 +14,10 @@ when a vote or a rule needs them; no pair list is stored.  The vote
 counts are identical to the cubic enumeration; tests cross-check against
 a literal triple loop.  One table (``_PairCounts``) holds a dataset's
 keyed rows, label codes, counts and vote, and every classifier is one
-such table.  The baseline classifier, ``BruteForceModel``, counts every
-pair of its rows and can take one row out and put it back, so
-leave-one-out scoring downdates a single table instead of rebuilding it
-per row; the case-analysis classifier counts every pair too, but never
-downdates; kNN counts none.
+such table.  A table can take rows out and put them back, counting only
+the pairs that touch them: leave-one-out scoring does so in place on one
+baseline table, and each cross-validation fold takes a copy less its test
+rows (``without``); kNN counts no pairs.
 
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
@@ -32,15 +31,14 @@ from diff(c, query), which every pair under its key shares), a Hamming
 kNN baseline, and a seeded stratified cross-validation harness that
 builds one model per fold, whatever the size of a grid search over the
 neighbor parameter.  Where that model counts every pair (the baseline
-and the case analysis), the run counts the pairs of all rows once, and
-each fold copies those counts and takes away the pairs that touch its
-test rows (``_PairCounts.without``) instead of counting its training
-rows afresh.  The case-analysis and kNN classifiers share one
-ranking of the rows by Hamming distance to the query (``PairKeys.rank``,
-the lowest digit of the pair keys) and one prefix reader: a list of
-neighbor budgets or k's is answered from one vote stream or one ranking,
-and a single classification is its one-value case, so a grid search and
-a single run read their votes the same way.
+and the case analysis), the run builds it once over all rows, and each
+fold's model is that one less its test rows, sharing its keys and rows.
+The case-analysis and kNN classifiers share one ranking of the rows by
+Hamming distance to the query (``PairKeys.rank``, the lowest digit of
+the pair keys) and one prefix reader: a list of neighbor budgets or k's
+is answered from one vote stream or one ranking, and a single
+classification is its one-value case, so a grid search and a single run
+read their votes the same way.
 """
 
 from __future__ import annotations
@@ -216,8 +214,10 @@ class _PairCounts:
     count and each of its tilts is one lookup.  A key absent from
     ``total`` has no pairs; neither table holds a zero entry.  The
     tables start empty: ``count_pairs`` counts the rows' own pairs, and
-    ``count`` any others; ``without`` gives copies of them less the pairs
-    that touch some rows.  The rows marked in ``live`` vote as c.
+    ``count`` any others.  Only the rows marked in ``live`` vote as c;
+    ``remove_rows`` and ``add_rows`` take rows out of a table that counts
+    every pair of its live rows and put them back, and ``without`` takes
+    them out of a copy, each with the pairs that touch them.
     """
 
     def __init__(self, data: Dataset):
@@ -278,39 +278,55 @@ class _PairCounts:
                 keys, slots = list(compress(keys, near)), compress(slots, near)
             self.count(keys, slots, 1)
 
-    def without(self, rows: Sequence[int]) -> tuple[Counter, Counter]:
-        """Copies of ``total`` and ``labelled`` less every pair that
-        touches one of ``rows``, taken away in one count: (r, j) for every
-        row j and (i, r) for every row i not in ``rows``, so a pair of two
-        of them is taken away once.  On a table that counts every pair of
-        its rows, what is left is what ``count_pairs`` gives on a table of
-        the other rows of the same schema, with no zero entry: both tables
-        key a value by its place in its attribute's domain (``PairKeys``)
-        and a label by its place in the class domain, not by the rows
-        they hold."""
-        kept = [True] * len(self.codes)
-        for r in rows:
-            kept[r] = False
+    def _touching(self, rows: Sequence[int]) -> tuple[list[int], list[int]]:
+        """The keys and label slots of the pairs of live rows and ``rows``
+        that touch one of ``rows``: (r, j) for every j live or in ``rows``
+        and (i, r) for every live i not in ``rows``, for each r in
+        ``rows``, so a pair of two of them, or of one with itself, is
+        listed once."""
+        moved = set(rows)
+        others = [live and i not in moved for i, live in enumerate(self.live)]
+        reach = [live or i in moved for i, live in enumerate(self.live)]
         keys: list[int] = []
         slots: list[int] = []
         for r in rows:
             item, c = self.data.items[r], self.codes[r]
-            keys += self.pair_keys.keys_from(item)
-            slots += self._outgoing[c]
-            keys += compress(self.pair_keys.keys_to(item), kept)
-            slots += compress(self._incoming[c], kept)
+            keys += compress(self.pair_keys.keys_from(item), reach)
+            slots += compress(self._outgoing[c], reach)
+            keys += compress(self.pair_keys.keys_to(item), others)
+            slots += compress(self._incoming[c], others)
+        return keys, slots
+
+    def _toggle(self, rows: Sequence[int], live: bool) -> None:
+        """Put ``rows`` back (``live`` True) or take them out, with the
+        pairs that touch them; refused, with the table unchanged, unless
+        they are distinct and each is in the other state."""
+        if len(set(rows)) < len(rows) or any(self.live[r] == live for r in rows):
+            state = "out of" if live else "in"
+            raise ValueError(f"rows {list(rows)} are not distinct rows {state} the table")
+        self.count(*self._touching(rows), 1 if live else -1)
+        for r in rows:
+            self.live[r] = live
+
+    def remove_rows(self, rows: Sequence[int]) -> None:
+        """Take the distinct live ``rows`` out of the table, with every
+        pair that touches one of them, in one count; what is left equals
+        a fresh count of the live rows."""
+        self._toggle(rows, False)
+
+    def add_rows(self, rows: Sequence[int]) -> None:
+        """Put the distinct removed ``rows`` back with all their pairs."""
+        self._toggle(rows, True)
+
+    def without(self, rows: Sequence[int]) -> "_PairCounts":
+        """A copy of the table with ``rows`` taken out (``remove_rows``).
+        The copy has its own counts and ``live`` mask and shares the rest:
+        keys, label codes and the rows themselves."""
         left = copy(self)
         left.total, left.labelled = Counter(self.total), Counter(self.labelled)
-        left.count(keys, slots, -1)
-        return left.total, left.labelled
-
-    def _count_all(self, counts: Optional[tuple[Counter, Counter]]) -> None:
-        """Count every pair of the rows, unless ``counts`` already holds
-        them (the tables that ``without`` gives)."""
-        if counts is None:
-            self.count_pairs()
-        else:
-            self.total, self.labelled = counts
+        left.live = list(self.live)
+        left.remove_rows(rows)
+        return left
 
     def tilt(self, key: int, la: int) -> Optional[str]:
         """The label that most pairs under ``key`` tilt to from label code
@@ -364,42 +380,16 @@ class BruteForceModel(_PairCounts):
 
     The build is one bulk count per row: the keys of (row, every row)
     with the label slots of those pairs, so no Python code runs per
-    pair; or it takes ``counts``, the tables that ``without`` leaves of
-    a table of more rows.  Every row starts live.  ``remove_row`` and
-    ``add_row`` take a row out of the table and put it back, counting
-    only the pairs that touch it, so leaving one row out costs O(n·m)
-    instead of a fresh O(n²·m) build; the result equals a fresh build
-    over the live rows.
+    pair.  Every row starts live; ``remove_rows`` and ``add_rows`` (or
+    ``without``, on a copy) take rows out and put them back, counting
+    only the pairs that touch them, so leaving one row out costs O(n·m)
+    instead of a fresh O(n²·m) build.
     With no live row the table holds no pair, so every query abstains.
     """
 
-    def __init__(self, train: Dataset, *,
-                 counts: Optional[tuple[Counter, Counter]] = None):
+    def __init__(self, train: Dataset):
         super().__init__(train)
-        self._count_all(counts)
-
-    def _touch(self, i: int, step: int) -> None:
-        c, live = self.codes[i], self.live  # row i itself is not live here
-        item = self.data.items[i]
-        keys = (list(compress(self.pair_keys.keys_from(item), live))
-                + list(compress(self.pair_keys.keys_to(item), live)) + [0])
-        slots = (list(compress(self._outgoing[c], live))
-                 + list(compress(self._incoming[c], live)) + [0])
-        self.count(keys, slots, step)
-
-    def remove_row(self, i: int) -> None:
-        """Take row ``i`` out: drop the pairs (i,j), (j,i) and (i,i)."""
-        if not self.live[i]:
-            raise ValueError(f"row {i} is not in the index")
-        self.live[i] = False
-        self._touch(i, -1)
-
-    def add_row(self, i: int) -> None:
-        """Put a removed row ``i`` back with all its pairs."""
-        if self.live[i]:
-            raise ValueError(f"row {i} is already in the index")
-        self._touch(i, +1)
-        self.live[i] = True
+        self.count_pairs()
 
     def classify(self, query: Item) -> Prediction:
         """Baseline triplet vote for ``query`` with c ranging over the
@@ -439,9 +429,9 @@ def analogical_suitability(train: Dataset) -> SuitabilityReport:
     wrong = 0
     abstained = 0
     for i in range(n):
-        model.remove_row(i)
+        model.remove_rows([i])
         pred = model.classify(train.items[i])
-        model.add_row(i)
+        model.add_rows([i])
         if pred.abstained:
             abstained += 1
         elif pred.label != train.labels[i]:
@@ -646,32 +636,40 @@ class BongardModel(_PairCounts):
     uniformly label-changing pairs tilt it (case 2), and mixed groups are
     resolved by a separation property over the shared context (case 3);
     neighbors without usable evidence are skipped.  Its table counts every
-    pair of its rows, or takes them as ``counts`` (as ``BruteForceModel``
-    does), so ``vote`` is the baseline vote on them.
+    pair of its rows, so ``vote`` is the baseline vote on them; only live
+    rows are neighbors or pair members, so a copy ``without`` some rows
+    answers as a fresh model of the others.
     """
 
-    def __init__(self, train: Dataset, max_literals: int = 2, *,
-                 counts: Optional[tuple[Counter, Counter]] = None):
+    def __init__(self, train: Dataset, max_literals: int = 2):
         _check_train(train)
         if max_literals < 1:
             raise DataError("max_literals must be at least 1")
         super().__init__(train)
-        self._count_all(counts)
+        self.count_pairs()
         self._max_literals = max_literals
         self._analysis: dict[int, Optional[tuple]] = {}
         self._rows_of: dict[Item, list[int]] = {}
         for i, item in enumerate(train.items):
             self._rows_of.setdefault(item, []).append(i)
 
+    def without(self, rows: Sequence[int]) -> "BongardModel":
+        left = super().without(rows)
+        left._analysis = {}  # its verdicts read the copy's own counts
+        return left
+
     def contexts(self, change: Diff) -> tuple[set[tuple[str, ...]], set[tuple[str, ...]]]:
         """Agreement contexts of the same-label and of the label-changing
-        pairs with the difference vector ``change``, found by lookup."""
-        items, labels = self.data.items, self.data.labels
+        pairs of live rows with the difference vector ``change``, found by
+        lookup."""
+        items, labels, live = self.data.items, self.data.labels, self.live
         ag = agreement(change)
         same_ctx = set()
         diff_ctx = set()
         steps = [(k, *step) for k, step in enumerate(change) if step is not None]
         for i, j in pairs_with_change(items, self._rows_of, steps):
+            if not (live[i] and live[j]):
+                continue
             ctx = tuple(items[i][k] for k in ag)
             if labels[i] == labels[j]:
                 same_ctx.add(ctx)
@@ -704,10 +702,10 @@ class BongardModel(_PairCounts):
         return result
 
     def votes(self, query: Item):
-        """Yield (neighbor index, vote, pair count) in increasing Hamming
-        distance from the query (ties by dataset order)."""
+        """Yield (neighbor index, vote, pair count) over the live rows in
+        increasing Hamming distance from the query (ties by row order)."""
         keys = self.query_keys(query)
-        for idx in self.pair_keys.rank(keys):
+        for idx in filter(self.live.__getitem__, self.pair_keys.rank(keys)):
             key = keys[idx]
             analysis = self._analyze(key, self.data.items[idx], query)
             if analysis is None:
@@ -898,24 +896,31 @@ def _mining_subset(train: Dataset, fraction: Optional[float],
 GRID_PARAMETERS = {"bongard": "neighbor_budget", "knn": "k"}
 
 
-#: The strategies whose fold model counts every pair of its rows; a run
-#: of one counts its rows' pairs once and derives each fold's counts.
-_COUNTING = ("baseline", "bongard")
+def _run_model(data: Dataset, config: CvConfig) -> Optional[_PairCounts]:
+    """The model over all rows, for the strategies whose model counts every
+    pair of its rows (the baseline and the case analysis): each fold's
+    model is this one ``without`` its test rows.  None for the others,
+    which build their model per fold."""
+    if config.strategy == "baseline":
+        return BruteForceModel(data)
+    if config.strategy == "bongard":
+        return BongardModel(data, config.max_literals)
+    return None
 
 
 def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int,
-                counts: Optional[tuple[Counter, Counter]]):
+                model: Optional[_PairCounts]):
     """One model for a training fold, shared by every config (they differ
-    only in the grid parameter), over ``counts`` where the strategy counts
-    every pair.  Returns ``(predict, brute)``: ``predict`` maps a query
-    to one Prediction per config, and ``brute()`` gives the brute-force
-    fallback classifier (the case analysis's own vote, whose table counts
-    every pair); ``brute`` is None where that fallback is never asked
-    (kNN does not abstain) or would abstain on the same queries as the
-    strategy (the baseline is that classifier)."""
+    only in the grid parameter): ``model``, the run's model less the
+    fold's test rows, where the strategy has one.  Returns ``(predict,
+    brute)``: ``predict`` maps a query to one Prediction per config, and
+    ``brute()`` gives the brute-force fallback classifier (the case
+    analysis's own vote, whose table counts every pair); ``brute`` is
+    None where that fallback is never asked (kNN does not abstain) or
+    would abstain on the same queries as the strategy (the baseline is
+    that classifier)."""
     config = configs[0]
     if config.strategy == "baseline":
-        model = BruteForceModel(train, counts=counts)
         return lambda q: [model.classify(q)], None
     if config.strategy == "selected":
         mining = _mining_subset(train, config.subsample, config.seed, fold)
@@ -923,7 +928,6 @@ def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int,
                                            config.min_confidence, config.radius)
         return lambda q: [model.classify(q)], lambda: BruteForceModel(train).classify
     if config.strategy == "bongard":
-        model = BongardModel(train, config.max_literals, counts=counts)
         budgets = [c.neighbor_budget for c in configs]
         return lambda q: model.predictions(q, budgets), lambda: model.vote
     model = KnnModel(train)
@@ -934,15 +938,14 @@ def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int,
 def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
                    assignment: Sequence[Sequence[int]],
                    run: Optional[_PairCounts]) -> list[FoldResult]:
-    """Score one fold for every config with a single model build; given
-    the run's table ``run``, the model takes that table's counts less the
-    pairs that touch the fold's test rows."""
+    """Score one fold for every config with a single model: the run's
+    model ``run`` less the fold's test rows, or one built on the fold."""
     test_idx = assignment[fold]
     train_idx = [i for f, part in enumerate(assignment) if f != fold for i in part]
     train_idx.sort()
     train = data.subset(train_idx)
-    counts = run.without(test_idx) if run is not None else None
-    predict, brute = _fold_model(train, configs, fold, counts)
+    model = run.without(test_idx) if run is not None else None
+    predict, brute = _fold_model(train, configs, fold, model)
     build = {"knn1": lambda: partial(KnnModel(train).classify, k=1),
              "brute": brute}.get(configs[0].fallback)
     # The fallback classifier is built on the fold's first abstention.
@@ -974,14 +977,11 @@ def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
 
 def _cross_validate_all(data: Dataset, configs: Sequence[CvConfig]) -> list[CvReport]:
     """One report per config from one pass over the folds.  Where the
-    fold models count every pair, the pairs of all rows are counted once,
-    and each fold takes away those that touch its test rows."""
+    fold models count every pair, one model counts the pairs of all rows,
+    and each fold's model is a copy of it less its test rows."""
     config = configs[0]
     assignment, stratified = make_folds(data, config.folds, config.seed)
-    run = None
-    if config.strategy in _COUNTING:
-        run = _PairCounts(data)
-        run.count_pairs()
+    run = _run_model(data, config)
     per_fold = [_evaluate_fold(data, configs, f, assignment, run)
                 for f in range(config.folds)]
     counts = Counter(data.labels)
@@ -1022,9 +1022,7 @@ def cross_validate_grid(data: Dataset, config: CvConfig,
 
     Each fold builds one model: the case-analysis predictions for every
     budget are prefixes of one vote stream, and the kNN predictions for
-    every k are prefixes of one Hamming ranking.  The case analysis's
-    fold models count no pairs: the run counts them once, and each fold's
-    counts are the run's without the pairs that touch its test rows."""
+    every k are prefixes of one Hamming ranking."""
     if not grid:
         raise DataError("grid must not be empty")
     param = GRID_PARAMETERS.get(config.strategy)

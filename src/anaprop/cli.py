@@ -18,7 +18,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,14 +46,20 @@ SPEC_KEYS = {"affine": {"n": "integer", "coefficients": "array"},
              "planted-rule": {"rules": "array"},
              "random-relation": {"attributes": "array", "tuples": "integer"},
              "monk1": {}, "monk2": {}, "monk3": {}}
-_JSON_TYPES = {"integer": int, "array": list}  # the exact types json.load gives
-#: The fields of each item of a spec array, as (required, optional): a
-#: planted rule's are those of ``data.PlantedRule``, required where it
-#: has no default.
+#: The exact types json.load gives for each JSON type named here.
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "array": (list,),
+               "string": (str,), "string or null": (str, type(None))}
+#: The fields of each item of a spec array, as (required, optional) maps
+#: of field to JSON type: a planted rule's are those of
+#: ``data.PlantedRule``, required where it has no default.  A count may
+#: be any number and a domain (None) any value: ``data.PlantedRule`` and
+#: ``data.Attribute`` reject a fractional count and a domain other than
+#: a list of strings as data errors.
 SPEC_ITEMS = {
-    "rules": (tuple(f.name for f in fields(data.PlantedRule) if f.default is MISSING),
-              tuple(f.name for f in fields(data.PlantedRule) if f.default is not MISSING)),
-    "attributes": (("name", "domain"), ()),
+    "rules": ({"pairs": "number"},
+              {"exceptions": "number", "label_from": "string",
+               "label_to": "string or null", "alt_label": "string"}),
+    "attributes": ({"name": "string", "domain": None}, {}),
 }
 
 
@@ -321,7 +327,7 @@ def _load_spec(args) -> dict:
         if expected is None:
             raise _UsageError(f"spec {args.spec} has unknown key {key!r} "
                               f"for --kind {args.kind}")
-        if type(value) is not _JSON_TYPES[expected]:
+        if type(value) not in _JSON_TYPES[expected]:
             raise _UsageError(f"spec {args.spec} key {key!r} must be a JSON {expected}")
         if key in SPEC_ITEMS:
             _check_items(args.spec, key, value)
@@ -330,23 +336,27 @@ def _load_spec(args) -> dict:
 
 def _check_items(path: str, key: str, items: list) -> None:
     """A usage error naming the first item of the spec array ``key`` that
-    is not an object with the fields ``SPEC_ITEMS`` gives it."""
+    is not an object with the fields ``SPEC_ITEMS`` gives it, or the
+    first of its fields whose value is not of that field's JSON type."""
     required, optional = SPEC_ITEMS[key]
+    types = {**required, **optional}
     shape = "an object with " + " and ".join(map(repr, required))
     if optional:
         shape += " and optionally " + ", ".join(map(repr, optional))
     for index, item in enumerate(items):
+        where = f"malformed spec {path}: {key!r} item {index}"
         if not isinstance(item, dict):
-            problem = "is not an object"
-        else:
-            missing = [name for name in required if name not in item]
-            unknown = [name for name in item if name not in required + optional]
-            if not missing and not unknown:
-                continue
+            raise _UsageError(f"{where} is not an object; expected {shape}")
+        missing = [name for name in required if name not in item]
+        unknown = [name for name in item if name not in types]
+        if missing or unknown:
             problem = (f"lacks {missing[0]!r}" if missing
                        else f"has unknown field {unknown[0]!r}")
-        raise _UsageError(f"malformed spec {path}: {key!r} item {index} {problem}; "
-                          f"expected {shape}")
+            raise _UsageError(f"{where} {problem}; expected {shape}")
+        for name, value in item.items():
+            expected = types[name]
+            if expected is not None and type(value) not in _JSON_TYPES[expected]:
+                raise _UsageError(f"{where} field {name!r} must be a JSON {expected}")
 
 
 def _generate(args, spec: dict):

@@ -28,6 +28,9 @@ from typing import Iterable, Optional, Sequence
 
 from .core import Attribute, Diff, Item, Schema
 
+#: The cell that marks a missing value in a table file.
+MISSING = "?"
+
 
 class DataError(ValueError):
     """Malformed input data or an unsatisfiable generator request."""
@@ -180,13 +183,13 @@ def write_sidecar_schema(schema: Schema, path: str | Path,
         fh.write("\n")
 
 
-def _handle_missing(body: list[list[str]], missing_token: str,
-                    policy: str, path: str | Path) -> list[list[str]]:
+def _handle_missing(body: list[list[str]], policy: str,
+                    path: str | Path) -> list[list[str]]:
     if policy not in ("error", "drop"):
         raise DataError(f"unknown missing-value policy {policy!r}")
     kept = []
     for lineno, row in enumerate(body, start=2):
-        if missing_token in row:
+        if MISSING in row:
             if policy == "error":
                 raise DataError(
                     f"{path}: missing value at line {lineno}; methods here need "
@@ -219,14 +222,14 @@ def _infer_attribute(name: str, column: Iterable[str]) -> Attribute:
 
 
 def _read_columns(path: str | Path, delimiter: str,
-                  schema_file: Optional[str | Path], missing_token: str,
+                  schema_file: Optional[str | Path],
                   missing_policy: str) -> tuple[Schema, Optional[str], list[list[str]]]:
     """A table's schema over all its columns, the class column its sidecar
     names (if any) and its data rows.  With a sidecar, the schema is the
     sidecar's and every column is checked against it; otherwise each
     column's domain is inferred from its values, in header order."""
     header, body = _read_table(path, delimiter)
-    body = _handle_missing(body, missing_token, missing_policy, path)
+    body = _handle_missing(body, missing_policy, path)
     columns = list(zip(*body))
     if schema_file is None:
         schema = Schema(tuple(_infer_attribute(name, column)
@@ -241,11 +244,10 @@ def _read_columns(path: str | Path, delimiter: str,
 def load_dataset(path: str | Path, *, delimiter: str = ",",
                  class_column: Optional[str] = None,
                  schema_file: Optional[str | Path] = None,
-                 missing_token: str = "?",
                  missing_policy: str = "error") -> Dataset:
     """Load a labeled dataset; the class column defaults to the last one."""
     schema, declared_class, body = _read_columns(path, delimiter, schema_file,
-                                                 missing_token, missing_policy)
+                                                 missing_policy)
     names = list(schema.names)
     class_name = class_column or declared_class or names[-1]
     if class_name not in names:
@@ -259,11 +261,9 @@ def load_dataset(path: str | Path, *, delimiter: str = ",",
 
 def load_relation(path: str | Path, *, delimiter: str = ",",
                   schema_file: Optional[str | Path] = None,
-                  missing_token: str = "?",
                   missing_policy: str = "error") -> Relation:
     """Load a relation (all columns are attributes; duplicate rows dropped)."""
-    schema, _, body = _read_columns(path, delimiter, schema_file,
-                                    missing_token, missing_policy)
+    schema, _, body = _read_columns(path, delimiter, schema_file, missing_policy)
     return Relation.from_rows(schema, body)
 
 

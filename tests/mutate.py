@@ -9,10 +9,14 @@ applied or run).  The checkout itself is never edited.
 With names, only the mutants of those names run; an unknown name exits
 2 before any copy is made.  With none, every mutant runs.
 
+A kill counts only if the selector passes on the unmutated code, so each
+distinct selector is first run once on an unmutated copy; if one fails
+there, the runner names it and exits 2 before any mutant runs.
+
 The copy holds ``src/``, ``tests/`` and ``pyproject.toml``: the last puts
 ``src`` on pytest's path, so a copy of ``src/`` alone would test the
-unmutated package.  Not collected by pytest; ``test_mutants.py`` only
-checks that every mutant still applies.
+unmutated package.  Not collected by pytest; ``test_mutants.py`` checks
+that every mutant still applies and runs the runner on a small project.
 """
 
 from __future__ import annotations
@@ -29,29 +33,45 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = Path(__file__).with_name("mutants.json")
 
 
+def _copy_project(tmp: str) -> Path:
+    copy = Path(tmp)
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", copy)
+    return copy
+
+
+def _pytest(copy: Path, selector: str) -> int:
+    """The exit code of pytest running ``selector`` in ``copy``."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", selector],
+        cwd=copy, env=env, capture_output=True, text=True).returncode
+
+
+def failing_selectors(selectors: list[str]) -> list[str]:
+    """The selectors that do not pass on an unmutated copy."""
+    with tempfile.TemporaryDirectory(prefix="unmutated-") as tmp:
+        copy = _copy_project(tmp)
+        return [selector for selector in selectors if _pytest(copy, selector) != 0]
+
+
 def run_mutant(mutant: dict) -> str:
     """'killed', 'survived', or an error message."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        copy = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
-        shutil.copy2(ROOT / "pyproject.toml", copy)
+        copy = _copy_project(tmp)
         target = copy / mutant["file"]
         text = target.read_text(encoding="utf-8")
         if text.count(mutant["old"]) != 1:
             return f"error: the old string does not occur exactly once in {mutant['file']}"
         target.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             mutant["selector"]],
-            cwd=copy, env=env, capture_output=True, text=True)
-    if proc.returncode == 0:
+        code = _pytest(copy, mutant["selector"])
+    if code == 0:
         return "survived"
-    if proc.returncode == 1:  # some test failed
+    if code == 1:  # some test failed
         return "killed"
-    return f"error: pytest exited {proc.returncode}"
+    return f"error: pytest exited {code}"
 
 
 def main(names: list[str]) -> int:
@@ -60,10 +80,14 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutant(s): {', '.join(map(repr, unknown))}", file=sys.stderr)
         return 2
+    chosen = [mutant for mutant in mutants if not names or mutant["name"] in names]
+    failing = failing_selectors(list(dict.fromkeys(m["selector"] for m in chosen)))
+    if failing:
+        print(f"selector(s) failing on the unmutated code: {', '.join(failing)}",
+              file=sys.stderr)
+        return 2
     survivors, errors = [], []
-    for mutant in mutants:
-        if names and mutant["name"] not in names:
-            continue
+    for mutant in chosen:
         outcome = run_mutant(mutant)
         print(f"{outcome:>8}  {mutant['name']}  ({mutant['selector']})", flush=True)
         if outcome == "survived":

@@ -183,6 +183,8 @@ def index_groups(counts: BruteForceModel):
 
 @st.composite
 def downdate_scenarios(draw):
+    """A dataset, a list of steps, each a list of row indices in any
+    order and possibly repeated, and a query."""
     n_attrs = draw(st.integers(1, 3))
     n_rows = draw(st.integers(1, 8))
     item = st.tuples(*[st.sampled_from("xyz") for _ in range(n_attrs)])
@@ -191,43 +193,49 @@ def downdate_scenarios(draw):
                                  max_size=n_rows)))
     schema = Schema.from_pairs((f"a{i}", tuple("xyz")) for i in range(n_attrs))
     ds = Dataset(schema, Attribute("c", ("p", "q", "r")), items, labels)
-    toggles = draw(st.lists(st.integers(0, n_rows - 1), max_size=12))
+    steps = draw(st.lists(st.lists(st.integers(0, n_rows - 1), max_size=4),
+                          max_size=8))
     query = draw(item)
-    return ds, toggles, query
+    return ds, steps, query
 
 
 class TestBruteForceModelDowndating:
     @given(downdate_scenarios())
     def test_downdated_index_equals_fresh_build(self, scenario):
-        ds, toggles, query = scenario
+        ds, steps, query = scenario
         index = BruteForceModel(ds)
         live = set(range(len(ds)))
-        for row in toggles:  # each toggle removes a live row or adds it back
-            if row in live:
-                index.remove_row(row)
-                live.remove(row)
-            else:
-                index.add_row(row)
-                live.add(row)
-            rows = sorted(live)
-            fresh = BruteForceModel(ds.subset(rows))
-            assert index_snapshot(index) == index_snapshot(fresh)
-            assert index_groups(index) == index_groups(fresh)
-            for total, _, tilts in index_groups(index).values():
-                assert total > 0 and all(tilts.values())
-            got, want = index.classify(query), fresh.classify(query)
-            assert (got.label, dict(got.votes), got.triplets_examined,
-                    got.abstained) == (want.label, dict(want.votes),
-                                       want.triplets_examined, want.abstained)
+        for step in steps:
+            # One call takes the step's live rows out, a second puts its
+            # removed rows back.
+            rows = list(dict.fromkeys(step))
+            for toggle, moved in ((index.remove_rows, [r for r in rows if r in live]),
+                                  (index.add_rows, [r for r in rows if r not in live])):
+                toggle(moved)
+                live ^= set(moved)
+                fresh = BruteForceModel(ds.subset(sorted(live)))
+                assert index.live == [i in live for i in range(len(ds))]
+                assert index_snapshot(index) == index_snapshot(fresh)
+                assert index_groups(index) == index_groups(fresh)
+                for total, _, tilts in index_groups(index).values():
+                    assert total > 0 and all(tilts.values())
+                assert as_tuple(index.classify(query)) == as_tuple(fresh.classify(query))
 
     def test_rows_must_be_toggled_in_turn(self):
+        # A dead row taken out, a live one put back, or a row named twice
+        # is refused, and the table is left as it was.
         ds = case3_dataset()
         index = BruteForceModel(ds)
-        with pytest.raises(ValueError):
-            index.add_row(0)
-        index.remove_row(0)
-        with pytest.raises(ValueError):
-            index.remove_row(0)
+        index.remove_rows([0, 3])
+        before = (index_snapshot(index), list(index.live))
+        for toggle, rows in ((index.remove_rows, [1, 0]), (index.remove_rows, [2, 2]),
+                             (index.add_rows, [0, 1]), (index.add_rows, [3, 3]),
+                             (index.add_rows, [0, 0])):
+            with pytest.raises(ValueError):
+                toggle(rows)
+            assert (index_snapshot(index), index.live) == before
+        index.add_rows([3, 0])
+        assert index_snapshot(index) == index_snapshot(BruteForceModel(ds))
 
 
 @st.composite
@@ -258,12 +266,14 @@ class TestRunTableDerivation:
         for test_idx in assignment:
             train = ds.subset([i for i in range(len(ds)) if i not in test_idx])
             fresh = self.run_table(train)
-            total, labelled = run.without(test_idx)
-            assert (dict(total), dict(labelled)) == (dict(fresh.total),
-                                                     dict(fresh.labelled))
-            assert 0 not in total.values() and 0 not in labelled.values()
+            left = run.without(test_idx)
+            assert index_snapshot(left) == index_snapshot(fresh)
+            assert 0 not in left.total.values() and 0 not in left.labelled.values()
+            assert left.live == [i not in test_idx for i in range(len(ds))]
+            assert (left.pair_keys, left.codes) == (run.pair_keys, run.codes)
         # The run's own tables are left as they were.
         assert index_snapshot(run) == index_snapshot(self.run_table(ds))
+        assert all(run.live)
 
     @given(fold_scenarios())
     def test_a_fold_keys_its_rows_as_the_run_does(self, scenario):
@@ -281,17 +291,35 @@ class TestRunTableDerivation:
     @given(fold_scenarios())
     def test_models_on_derived_counts_answer_as_fresh_ones(self, scenario):
         ds, assignment = scenario
-        run = self.run_table(ds)
         test_idx = assignment[0]
         train = ds.subset([i for i in range(len(ds)) if i not in test_idx])
         for model in (BruteForceModel, BongardModel):
-            derived, fresh = model(train, counts=run.without(test_idx)), model(train)
+            derived, fresh = model(ds).without(test_idx), model(train)
             assert index_snapshot(derived) == index_snapshot(fresh)
             for query in map(ds.items.__getitem__, test_idx):
                 assert as_tuple(derived.vote(query)) == as_tuple(fresh.vote(query))
-        for query in map(ds.items.__getitem__, test_idx):
-            assert derived.predictions(query, [1, 2, 3]) == \
-                fresh.predictions(query, [1, 2, 3])
+
+    @given(fold_scenarios(), st.integers(1, 2))
+    def test_a_derived_case_analysis_answers_as_a_fresh_one(self, scenario,
+                                                            max_literals):
+        # The run analyses every query first, so a fold that read the
+        # run's verdicts would answer from all rows' pairs.
+        ds, assignment = scenario
+        run = BongardModel(ds, max_literals)
+        for query in ds.items:
+            list(run.votes(query))
+        for test_idx in assignment:
+            train_idx = [i for i in range(len(ds)) if i not in test_idx]
+            derived = run.without(test_idx)
+            fresh = BongardModel(ds.subset(train_idx), max_literals)
+            assert derived._rows_of is run._rows_of
+            for a, b in product(ds.items, repeat=2):
+                assert derived.contexts(diff(a, b)) == fresh.contexts(diff(a, b))
+            for query in ds.items:
+                assert list(derived.votes(query)) == [
+                    (train_idx[i], vote, n) for i, vote, n in fresh.votes(query)]
+                assert derived.predictions(query, [1, 2, 5]) == \
+                    fresh.predictions(query, [1, 2, 5])
 
     def test_a_run_counts_its_pairs_once(self, monkeypatch):
         # Baseline and case-analysis folds derive their counts from one
@@ -1292,13 +1320,15 @@ class PerPairIndexOracle:
                 self._update(incoming[j], j, i, step)
         self._update(0, i, i, step)
 
-    def remove_row(self, i):
-        self._live[i] = False
-        self._touch(i, -1)
+    def remove_rows(self, rows):
+        for i in rows:
+            self._live[i] = False
+            self._touch(i, -1)
 
-    def add_row(self, i):
-        self._touch(i, +1)
-        self._live[i] = True
+    def add_rows(self, rows):
+        for i in rows:
+            self._touch(i, +1)
+            self._live[i] = True
 
 
 class TestCountingBuild:
@@ -1311,7 +1341,7 @@ class TestCountingBuild:
         live = set(range(len(ds)))
         for row in (t % len(ds) for t in toggles):
             for built in (index, oracle):
-                (built.remove_row if row in live else built.add_row)(row)
+                (built.remove_rows if row in live else built.add_rows)([row])
             live ^= {row}
             assert index_groups(index) == oracle.groups
             assert all(index.total.values())

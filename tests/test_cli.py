@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import anaprop
-from anaprop.cli import main
-from anaprop.data import generate_monk, write_dataset
+from anaprop.cli import SPEC_ITEMS, main
+from anaprop.data import PlantedRule, generate_monk, write_dataset
 
 DATA = Path(__file__).parent / "data"
 COFFEE = [str(DATA / "coffee.csv"), "--schema", str(DATA / "coffee.schema.json")]
@@ -328,6 +329,15 @@ class TestMalformedInputsExitCleanly:
         pytest.param(GENERATE + ["random-relation", "--seed", "1"],
                      '{"attributes": ["a"], "tuples": 2}', 1,
                      id="random-relation-attribute-a-string"),
+        # Each field of an item must have its field's JSON type.
+        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
+                     '{"attributes": [{"name": 5, "domain": ["0", "1"]}], "tuples": 2}',
+                     1, id="random-relation-attribute-name-a-number"),
+        pytest.param(GENERATE + ["planted-rule"],
+                     '{"rules": [{"pairs": 3, "label_from": ["x"]}]}', 1,
+                     id="planted-rule-label-from-an-array"),
+        pytest.param(GENERATE + ["planted-rule"], '{"rules": [{"pairs": 3, "label_to": 5}]}',
+                     1, id="planted-rule-label-to-a-number"),
         # A domain must be a list of strings, not a string's characters.
         pytest.param(GENERATE + ["random-relation", "--seed", "1"],
                      '{"attributes": [{"name": "a", "domain": "yes"}], "tuples": 2}',
@@ -347,6 +357,21 @@ class TestMalformedInputsExitCleanly:
         assert (code, out) == (1, "")
         assert err == (f"error: malformed spec {spec}: 'attributes' item 1 lacks 'name'; "
                        "expected an object with 'name' and 'domain'\n")
+
+    def test_a_spec_item_field_of_another_type_is_named(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"rules": [{"pairs": 3, "label_to": null}, '
+                        '{"pairs": 3, "alt_label": 4}]}')
+        code, out, err = run(capsys, ["generate", "--kind", "planted-rule", "--spec",
+                                      str(spec), "--out", str(tmp_path / "p.csv")])
+        assert (code, out) == (1, "")
+        assert err == (f"error: malformed spec {spec}: 'rules' item 1 field 'alt_label' "
+                       "must be a JSON string\n")
+
+    def test_spec_rule_fields_are_the_planted_rule_fields(self):
+        required, optional = SPEC_ITEMS["rules"]
+        assert {f.name: f.default is MISSING for f in fields(PlantedRule)} == \
+            {**dict.fromkeys(required, True), **dict.fromkeys(optional, False)}
 
     @pytest.mark.parametrize("argv, spec, expected_code", EXIT_PATHS)
     def test_exit_path(self, capsys, tmp_path, argv, spec, expected_code):

@@ -6,6 +6,7 @@ runs them."""
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +59,26 @@ def test_an_unknown_mutant_name_exits_2_before_any_copy(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == "" and "'no such mutant'" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_selector_that_fails_unmutated_exits_2_and_is_named(tmp_path):
+    # A project of one module and two tests, one of which fails whatever
+    # the code: its mutant must not count as killed, and no mutant runs.
+    project = tmp_path / "project"
+    (project / "src" / "anaprop").mkdir(parents=True)
+    (project / "src" / "anaprop" / "m.py").write_text("X = 1\n")
+    (project / "tests").mkdir()
+    shutil.copy(ROOT / "tests" / "mutate.py", project / "tests")
+    shutil.copy(ROOT / "pyproject.toml", project)
+    (project / "tests" / "test_m.py").write_text(
+        "def test_passes():\n    pass\n\n\ndef test_fails():\n    assert False\n")
+    mutants = [{"name": test, "file": "src/anaprop/m.py", "old": "X = 1", "new": "X = 2",
+                "selector": f"tests/test_m.py::{test}"}
+               for test in ("test_passes", "test_fails")]
+    (project / "tests" / "mutants.json").write_text(json.dumps(mutants))
+    proc = subprocess.run([sys.executable, str(project / "tests" / "mutate.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "tests/test_m.py::test_fails" in proc.stderr
+    assert "test_passes" not in proc.stderr
