@@ -42,6 +42,7 @@ from anaprop.classify import (
     make_folds,
     selected_triplet_classify,
 )
+from payload_digests import monk1_sample
 
 
 def cubic_votes(train: Dataset, query):
@@ -820,13 +821,6 @@ def literal_cv_folds(ds: Dataset, cfg: CvConfig):
                 correct += 1
         out.append((correct, abstained, triplets))
     return out
-
-
-def monk1_sample():
-    """60 rows of Monk-1, drawn with seed 0."""
-    from anaprop.data import generate_monk
-    ds = generate_monk(1)
-    return ds.subset(sorted(random.Random(0).sample(range(len(ds)), 60)))
 
 
 def make_folds_oracle(ds: Dataset, folds: int, seed: int):

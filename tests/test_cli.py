@@ -239,10 +239,11 @@ class TestGenerateCommand:
         assert code == 1 and "seed" in err
 
 
-def run_subprocess(argv):
+def run_subprocess(argv, **env_vars):
     """Run the CLI in a fresh interpreter so an escaped exception would
-    show as a traceback on stderr."""
-    env = dict(os.environ)
+    show as a traceback on stderr; ``env_vars`` are set in its
+    environment."""
+    env = dict(os.environ, **env_vars)
     src = str(Path(anaprop.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "anaprop.cli", *argv],
@@ -838,3 +839,26 @@ class TestEvaluateCommand:
         assert code == 0
         ds = load_dataset(out_file)
         assert (len(ds), ds.schema.arity, len(ds.class_attr.domain)) == (432, 6, 2)
+
+
+def test_json_stdout_does_not_depend_on_the_hash_seed(tmp_path):
+    # Set and dict iteration order varies with PYTHONHASHSEED; no payload
+    # may.  Monk-1's six attributes form a product relation, on which
+    # discovery finds hundreds of dependencies with witnesses.
+    monk = tmp_path / "monk1.csv"
+    write_dataset(generate_monk(1), monk)
+    attributes = tmp_path / "monk1_attributes.csv"
+    attributes.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                  for line in monk.read_text().splitlines()))
+    commands = [
+        ["evaluate", "--data", str(monk), "--profile", "table2"],
+        ["evaluate", "--data", str(monk), "--strategy", "bongard", "--grid", "1,3,5",
+         "--fallback", "brute", "--seed", "7"],
+        ["deps", "--data", str(attributes)],
+    ]
+    for argv in commands:
+        outputs = {run_subprocess(argv + ["--format", "json"], PYTHONHASHSEED=seed)[:2]
+                   for seed in ("0", "1")}
+        assert len(outputs) == 1, argv  # stderr differs: it reports the wall time
+        code, out = outputs.pop()
+        assert code == 0 and out.startswith("{")

@@ -3,14 +3,18 @@
 Commands run with the working directory set to tests/data so the
 payload's file paths stay relative and machine-independent.  To refresh
 after an intentional schema change, rerun each command from tests/data
-and overwrite the file under tests/data/golden/.
+and overwrite the file under tests/data/golden/.  The ``evaluate``
+payloads of many more settings are pinned by their sha256
+(``payload_digests.py``).
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from anaprop.cli import main
+from payload_digests import RECORD, digests
 
 DATA = Path(__file__).parent / "data"
 
@@ -43,3 +47,9 @@ def test_json_payloads_match_golden_files(golden_name, argv, capsys,
     assert code == 0
     expected = (DATA / "golden" / golden_name).read_text()
     assert out == expected
+
+
+def test_evaluate_payload_digests_match_the_recorded_matrix():
+    # Each cell names its input, strategy and settings; a changed cell
+    # shows in the dict diff.  See payload_digests.py to re-record.
+    assert digests() == json.loads(RECORD.read_text(encoding="utf-8"))
