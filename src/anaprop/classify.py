@@ -15,9 +15,8 @@ counts are identical to the cubic enumeration; tests cross-check against
 a literal triple loop.  One table (``_PairCounts``) holds a dataset's
 keyed rows, label codes, counts and vote, and every classifier is one
 such table.  A table can take rows out and put them back, counting only
-the pairs that touch them: leave-one-out scoring does so in place on one
-baseline table, and each cross-validation fold takes a copy less its test
-rows (``without``); kNN counts no pairs.
+the pairs that touch them (leave-one-out scoring does so in place), and
+a copy of it can have any of its rows live; kNN counts no pairs.
 
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
@@ -28,17 +27,15 @@ distance, so a vote needs no radius test), the case-analysis classifier
 that resolves mixed pair groups by solving a Bongard separation problem
 over the shared context (the pairs of a mixed group are found by lookup
 from diff(c, query), which every pair under its key shares), a Hamming
-kNN baseline, and a seeded stratified cross-validation harness that
-builds one model per fold, whatever the size of a grid search over the
-neighbor parameter.  Where that model counts every pair (the baseline
-and the case analysis), the run builds it once over all rows, and each
-fold's model is that one less its test rows, sharing its keys and rows.
-The case-analysis and kNN classifiers share one ranking of the rows by
-Hamming distance to the query (``PairKeys.rank``, the lowest digit of
-the pair keys) and one prefix reader: a list of neighbor budgets or k's
-is answered from one vote stream or one ranking, and a single
-classification is its one-value case, so a grid search and a single run
-read their votes the same way.
+kNN baseline, and a seeded stratified cross-validation harness.  A run
+builds one table over all rows, and each fold's model and fallback is a
+copy of it with the fold's training rows live, whatever the size of a
+grid search over the neighbor parameter, so every fold names rows by
+their dataset index.  The case analysis, kNN and the 1-NN fallback rank
+the live rows by Hamming distance to the query in one way
+(``_PairCounts.ranked``, the lowest digit of the pair keys), and one
+prefix reader answers a list of neighbor budgets or k's from one vote
+stream or one ranking; a single classification is its one-value case.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ import warnings
 from collections import Counter
 from copy import copy
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import combinations, compress, islice, repeat
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
@@ -160,12 +157,6 @@ class PairKeys:
         """The key of (row, item) for every row."""
         return self._keys(item, False)
 
-    def rank(self, keys: Sequence[int]) -> list[int]:
-        """Row indices by increasing Hamming distance (``key % modulus``)
-        of their ``keys``, one per row, ties by row order."""
-        distances = [key % self.modulus for key in keys]
-        return sorted(range(len(keys)), key=distances.__getitem__)
-
     def _keys(self, item: Item, outgoing: bool) -> list[int]:
         """Per row, the sum of the entries of ``item``'s values in their
         domains, plus the count of its values outside them."""
@@ -217,7 +208,8 @@ class _PairCounts:
     ``count`` any others.  Only the rows marked in ``live`` vote as c;
     ``remove_rows`` and ``add_rows`` take rows out of a table that counts
     every pair of its live rows and put them back, and ``without`` takes
-    them out of a copy, each with the pairs that touch them.
+    them out of a copy, each with the pairs that touch them.  A copy made
+    by ``_copy`` keeps the table's counts and has any of its rows live.
     """
 
     def __init__(self, data: Dataset):
@@ -266,17 +258,11 @@ class _PairCounts:
                 else:
                     table.pop(entry)
 
-    def count_pairs(self, radius: Optional[int] = None) -> None:
+    def count_pairs(self) -> None:
         """Count the ordered pairs (a, b) of the rows, identical indices
-        included, in one bulk count per a; with a ``radius``, only the
-        pairs at Hamming distance 1 to ``radius`` (``key % modulus``)."""
-        modulus = self.pair_keys.modulus
+        included, in one bulk count per a."""
         for a, c in zip(self.data.items, self.codes):
-            keys, slots = self.pair_keys.keys_from(a), self._outgoing[c]
-            if radius is not None:
-                near = [0 < key % modulus <= radius for key in keys]
-                keys, slots = list(compress(keys, near)), compress(slots, near)
-            self.count(keys, slots, 1)
+            self.count(self.pair_keys.keys_from(a), self._outgoing[c], 1)
 
     def _touching(self, rows: Sequence[int]) -> tuple[list[int], list[int]]:
         """The keys and label slots of the pairs of live rows and ``rows``
@@ -318,15 +304,36 @@ class _PairCounts:
         """Put the distinct removed ``rows`` back with all their pairs."""
         self._toggle(rows, True)
 
-    def without(self, rows: Sequence[int]) -> "_PairCounts":
-        """A copy of the table with ``rows`` taken out (``remove_rows``).
-        The copy has its own counts and ``live`` mask and shares the rest:
-        keys, label codes and the rows themselves."""
+    def _copy(self, rows: Iterable[int]) -> "_PairCounts":
+        """A copy of the table with only ``rows`` live.  It has its own
+        counts and ``live`` mask and shares the rest: keys, label codes and
+        the rows themselves, so it names rows by the same indices."""
         left = copy(self)
         left.total, left.labelled = Counter(self.total), Counter(self.labelled)
-        left.live = list(self.live)
+        live = set(rows)
+        left.live = [i in live for i in range(len(self.live))]
+        return left
+
+    def without(self, rows: Sequence[int]) -> "_PairCounts":
+        """A copy of the table with ``rows`` taken out (``remove_rows``)."""
+        left = self._copy(compress(range(len(self.live)), self.live))
         left.remove_rows(rows)
         return left
+
+    def ranked(self, keys: Sequence[int]) -> Iterable[int]:
+        """The live rows by increasing Hamming distance (``key % modulus``)
+        of their ``keys``, one per row, ties by row order."""
+        distances = [key % self.pair_keys.modulus for key in keys]
+        ranking = sorted(range(len(keys)), key=distances.__getitem__)
+        return filter(self.live.__getitem__, ranking)
+
+    def nearest(self, query: Item, ks: Sequence[int]) -> list[Prediction]:
+        """The majority label among the k live rows nearest to ``query``
+        for each k, in the order given, from one ranking; a k past the
+        live rows takes them all."""
+        labels = self.data.labels
+        stream = ((labels[i], 0) for i in self.ranked(self.query_keys(query)))
+        return _prefix_predictions(stream, ks, self.label_order)
 
     def tilt(self, key: int, la: int) -> Optional[str]:
         """The label that most pairs under ``key`` tilt to from label code
@@ -479,22 +486,19 @@ def _check_thresholds(min_support: int, min_confidence: float) -> None:
         raise DataError("min_confidence must lie in [0, 1]")
 
 
-def _competent_behaviours(data: Dataset, min_support: int, min_confidence: float,
-                          radius: int) -> tuple[_PairCounts, dict[int, int]]:
-    """The pairs of ``data`` at Hamming distance 1 to ``radius``, counted,
-    and the behaviours among them that clear both thresholds, as
-    {extended key: support}.  A pair's support and confidence depend only
-    on its key's group and its behaviour in it (same-label, or one
-    tilt), so each behaviour clears the thresholds or fails them as a
-    whole.  Every pair under one key lies at one distance, so the totals
-    of the keys counted are complete."""
+def _competent_behaviours(counts: _PairCounts, min_support: int,
+                          min_confidence: float) -> dict[int, int]:
+    """The behaviours among the pairs counted in ``counts`` that carry a
+    change (key 0 holds the pairs of equal items) and clear both
+    thresholds, as {extended key: support}.  A pair's support and
+    confidence depend only on its key's group and its behaviour in it
+    (same-label, or one tilt), so each behaviour clears the thresholds or
+    fails them as a whole."""
     _check_thresholds(min_support, min_confidence)
-    counts = _PairCounts(data)
-    counts.count_pairs(radius)
     total, scale = counts.total, counts.scale
-    return counts, {extended: support for extended, support in counts.labelled.items()
-                    if support >= min_support
-                    and support / total[extended // scale] >= min_confidence}
+    return {extended: support for extended, support in counts.labelled.items()
+            if extended >= scale and support >= min_support
+            and support / total[extended // scale] >= min_confidence}
 
 
 def extract_competent_pairs(train: Dataset, min_support: int = 2,
@@ -503,8 +507,9 @@ def extract_competent_pairs(train: Dataset, min_support: int = 2,
     thresholds; emitted in pair-enumeration order.  Pairs of equal items
     carry no change and are skipped: they are the pairs at distance 0,
     and every other pair lies within distance ``arity``."""
-    counts, competent = _competent_behaviours(train, min_support, min_confidence,
-                                              train.schema.arity)
+    counts = _PairCounts(train)
+    counts.count_pairs()
+    competent = _competent_behaviours(counts, min_support, min_confidence)
     items, labels, codes = train.items, train.labels, counts.codes
     out: list[CompetentPair] = []
     for i, a in enumerate(items):
@@ -530,6 +535,7 @@ class SelectedTripletModel(_PairCounts):
         if radius < 0:
             raise DataError("radius must be non-negative")
         super().__init__(train)
+        self.radius = radius
         for p in pairs:
             key = self.pair_keys.change_key(p.change)
             # An out-of-domain change matches no c, and one beyond the
@@ -537,21 +543,50 @@ class SelectedTripletModel(_PairCounts):
             if key is not None and key % self.pair_keys.modulus <= radius:
                 self.count([key], [self.slot(*map(self.label_order.index, p.tilt))], 1)
 
-    @classmethod
-    def mined(cls, train: Dataset, mining: Dataset, min_support: int,
-              min_confidence: float, radius: int) -> "SelectedTripletModel":
-        """The model over ``extract_competent_pairs(mining, ...)``, counted
-        from ``mining``'s pairs without listing them: the competent
-        behaviours are copied in whole.  Only the pairs at Hamming
-        distance 1 to ``radius`` are counted, as the listed pairs are
-        bounded; key 0 holds the pairs of equal items, which carry no
-        change."""
-        competent = _competent_behaviours(mining, min_support, min_confidence, radius)[1]
-        model = cls(train, (), radius)
-        for extended, support in competent.items():
+    @cached_property
+    def _near(self) -> list[tuple[list[int], list[int]]]:
+        """Per row a, the rows b and the keys of the pairs (a, b) at Hamming
+        distance 1 to the radius; listed once, and shared by the copies
+        made after."""
+        modulus, radius = self.pair_keys.modulus, self.radius
+        rows, keys = list(range(len(self.live))), {}  # the lists share one int per value
+        near = []
+        for item in self.data.items:
+            row_keys = self.pair_keys.keys_from(item)
+            mask = [0 < key % modulus <= radius for key in row_keys]
+            near.append((list(compress(rows, mask)),
+                         [keys.setdefault(key, key) for key in compress(row_keys, mask)]))
+        return near
+
+    def mined(self, rows: Sequence[int], mining: Sequence[int], min_support: int,
+              min_confidence: float) -> "SelectedTripletModel":
+        """A copy of this table, which holds no pairs, with ``rows`` live
+        and the counts of ``extract_competent_pairs`` over the ``mining``
+        rows, copied in whole without listing the pairs.  Only the pairs
+        of two mining rows within the radius are counted, as the listed
+        pairs are bounded; every pair under one key lies at one distance,
+        so the groups of the keys counted are complete."""
+        sample = self._copy(mining)
+        for a in mining:
+            near, keys = self._near[a]
+            keep = list(map(sample.live.__getitem__, near))
+            slots = map(self._outgoing[self.codes[a]].__getitem__, near)
+            sample.count(list(compress(keys, keep)), compress(slots, keep), 1)
+        model = self._copy(rows)
+        for extended, support in _competent_behaviours(sample, min_support,
+                                                       min_confidence).items():
             model.labelled[extended] = support
             model.total[extended // model.scale] += support
         return model
+
+    @cached_property
+    def _counted(self) -> "SelectedTripletModel":
+        """A copy of this table, which holds no pairs, with every row live
+        and every pair counted: the baseline's table on the same keys,
+        built when first asked."""
+        full = self._copy(range(len(self.live)))
+        full.count_pairs()
+        return full
 
     def classify(self, query: Item) -> Prediction:
         return self.vote(query)
@@ -705,7 +740,7 @@ class BongardModel(_PairCounts):
         """Yield (neighbor index, vote, pair count) over the live rows in
         increasing Hamming distance from the query (ties by row order)."""
         keys = self.query_keys(query)
-        for idx in filter(self.live.__getitem__, self.pair_keys.rank(keys)):
+        for idx in self.ranked(keys):
             key = keys[idx]
             analysis = self._analyze(key, self.data.items[idx], query)
             if analysis is None:
@@ -742,23 +777,17 @@ def bongard_classify(train: Dataset, query: Item, neighbor_budget: int,
 # ---------------------------------------------------------------------------
 
 class KnnModel(_PairCounts):
-    """Hamming kNN over the rows of its table, which counts no pairs."""
+    """Hamming kNN over the live rows of its table (``nearest``), which
+    counts no pairs."""
+
+    predictions = _PairCounts.nearest
 
     def __init__(self, train: Dataset):
         _check_train(train)
         super().__init__(train)
 
-    def predictions(self, query: Item, ks: Sequence[int]) -> list[Prediction]:
-        """The majority label among the k nearest rows for each k, in the
-        order given, from one Hamming ranking; a k past the training size
-        takes every row."""
-        labels = self.data.labels
-        ranking = self.pair_keys.rank(self.query_keys(query))
-        stream = ((labels[i], 0) for i in ranking)
-        return _prefix_predictions(stream, ks, self.label_order)
-
     def classify(self, query: Item, k: int) -> Prediction:
-        return self.predictions(query, [k])[0]
+        return self.nearest(query, [k])[0]
 
 
 def knn_classify(train: Dataset, query: Item, k: int) -> Prediction:
@@ -881,75 +910,72 @@ def make_folds(data: Dataset, folds: int, seed: int) -> tuple[list[list[int]], b
     return [sorted(order[f::folds]) for f in range(folds)], stratified
 
 
-def _mining_subset(train: Dataset, fraction: Optional[float],
-                   seed: int, fold: int) -> Dataset:
-    if fraction is None or fraction >= 1.0:
-        return train
-    rng = random.Random(seed * 1_000_003 + fold)
-    order = list(range(len(train)))
-    rng.shuffle(order)
-    take = max(2, round(fraction * len(train)))
-    return train.subset(sorted(order[:take]))
+def _mining_rows(train_idx: Sequence[int], config: CvConfig, fold: int) -> list[int]:
+    """The fold's mining rows, in dataset order: a seeded sample of
+    ``config.subsample`` of its training rows, at least 2, or all of
+    them."""
+    order = list(train_idx)
+    random.Random(config.seed * 1_000_003 + fold).shuffle(order)
+    take = len(order) if config.subsample is None else max(
+        2, round(config.subsample * len(order)))
+    return sorted(order[:take])
 
 
 #: The neighbor parameter a grid search varies, per strategy.
 GRID_PARAMETERS = {"bongard": "neighbor_budget", "knn": "k"}
 
 
-def _run_model(data: Dataset, config: CvConfig) -> Optional[_PairCounts]:
-    """The model over all rows, for the strategies whose model counts every
-    pair of its rows (the baseline and the case analysis): each fold's
-    model is this one ``without`` its test rows.  None for the others,
-    which build their model per fold."""
-    if config.strategy == "baseline":
-        return BruteForceModel(data)
-    if config.strategy == "bongard":
-        return BongardModel(data, config.max_literals)
-    return None
+def _run_model(data: Dataset, config: CvConfig) -> _PairCounts:
+    """The table over all rows of which each fold's model is a copy."""
+    return {"baseline": lambda: BruteForceModel(data),
+            "selected": lambda: SelectedTripletModel(data, (), config.radius),
+            "bongard": lambda: BongardModel(data, config.max_literals),
+            "knn": lambda: KnnModel(data)}[config.strategy]()
 
 
-def _fold_model(train: Dataset, configs: Sequence[CvConfig], fold: int,
-                model: Optional[_PairCounts]):
-    """One model for a training fold, shared by every config (they differ
-    only in the grid parameter): ``model``, the run's model less the
-    fold's test rows, where the strategy has one.  Returns ``(predict,
-    brute)``: ``predict`` maps a query to one Prediction per config, and
-    ``brute()`` gives the brute-force fallback classifier (the case
-    analysis's own vote, whose table counts every pair); ``brute`` is
-    None where that fallback is never asked (kNN does not abstain) or
-    would abstain on the same queries as the strategy (the baseline is
-    that classifier)."""
+def _fold_model(run: _PairCounts, configs: Sequence[CvConfig], fold: int,
+                test_idx: Sequence[int]):
+    """One fold's model, shared by every config (they differ only in the
+    grid parameter): a copy of the run's table ``run`` with only the
+    fold's training rows live (``run`` less the test rows, where the table
+    counts every pair).  Returns ``(predict, fallback)``, which map a
+    query to one Prediction per config and to the fallback's Prediction.
+    ``knn1`` is the model's own 1-NN.  ``brute`` is None where it is never
+    asked (kNN does not abstain) or would abstain on the same queries as
+    the strategy (the baseline is that classifier)."""
     config = configs[0]
-    if config.strategy == "baseline":
-        return lambda q: [model.classify(q)], None
+    train_idx = sorted(set(range(len(run.live))).difference(test_idx))
+    brute = None
     if config.strategy == "selected":
-        mining = _mining_subset(train, config.subsample, config.seed, fold)
-        model = SelectedTripletModel.mined(train, mining, config.min_support,
-                                           config.min_confidence, config.radius)
-        return lambda q: [model.classify(q)], lambda: BruteForceModel(train).classify
-    if config.strategy == "bongard":
-        budgets = [c.neighbor_budget for c in configs]
-        return lambda q: model.predictions(q, budgets), lambda: model.vote
-    model = KnnModel(train)
-    ks = [c.k for c in configs]
-    return lambda q: model.predictions(q, ks), None  # kNN never abstains
+        model = run.mined(train_idx, _mining_rows(train_idx, config, fold),
+                          config.min_support, config.min_confidence)
+        # The run's table with every pair counted, less the test rows,
+        # built on the fold's first abstention.
+        counted = cache(lambda: run._counted.without(test_idx))
+        brute = lambda q: counted().vote(q)
+    elif config.strategy == "knn":
+        model = run._copy(train_idx)
+    else:
+        model = run.without(test_idx)
+        if config.strategy == "bongard":
+            brute = model.vote  # its table counts every pair
+    param = GRID_PARAMETERS.get(config.strategy)
+    if param is None:
+        predict = lambda q: [model.classify(q)]
+    else:
+        values = [getattr(c, param) for c in configs]
+        predict = lambda q: model.predictions(q, values)
+    knn1 = lambda q: model.nearest(q, [1])[0]
+    return predict, {"knn1": knn1, "brute": brute}.get(config.fallback)
 
 
 def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
                    assignment: Sequence[Sequence[int]],
-                   run: Optional[_PairCounts]) -> list[FoldResult]:
-    """Score one fold for every config with a single model: the run's
-    model ``run`` less the fold's test rows, or one built on the fold."""
+                   run: _PairCounts) -> list[FoldResult]:
+    """Score one fold for every config with a single model, a copy of the
+    run's table ``run``."""
     test_idx = assignment[fold]
-    train_idx = [i for f, part in enumerate(assignment) if f != fold for i in part]
-    train_idx.sort()
-    train = data.subset(train_idx)
-    model = run.without(test_idx) if run is not None else None
-    predict, brute = _fold_model(train, configs, fold, model)
-    build = {"knn1": lambda: partial(KnnModel(train).classify, k=1),
-             "brute": brute}.get(configs[0].fallback)
-    # The fallback classifier is built on the fold's first abstention.
-    fallback = cache(build) if build is not None else None
+    predict, fallback = _fold_model(run, configs, fold, test_idx)
     width = len(configs)
     correct = [0] * width
     abstained = [0] * width
@@ -959,7 +985,7 @@ def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
         predictions = predict(query)
         rescue = None  # the fallback answer, asked at most once per query
         if fallback is not None and any(p.abstained for p in predictions):
-            rescue = fallback()(query)
+            rescue = fallback(query)
         for v, pred in enumerate(predictions):
             triplets[v] += pred.triplets_examined
             if pred.abstained:
@@ -976,9 +1002,9 @@ def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
 
 
 def _cross_validate_all(data: Dataset, configs: Sequence[CvConfig]) -> list[CvReport]:
-    """One report per config from one pass over the folds.  Where the
-    fold models count every pair, one model counts the pairs of all rows,
-    and each fold's model is a copy of it less its test rows."""
+    """One report per config from one pass over the folds.  One table
+    over all rows (one ``PairKeys``) serves the run: each fold's model
+    and fallback is a copy of it."""
     config = configs[0]
     assignment, stratified = make_folds(data, config.folds, config.seed)
     run = _run_model(data, config)

@@ -376,31 +376,22 @@ def _generate(args, spec: dict):
             raise _UsageError("planted-rule generation needs --spec with a 'rules' list")
         rules = [data.PlantedRule(**r) for r in raw_rules]
         return data.generate_planted_rules(rules)[0]
-    if kind == "random-relation":
-        attrs = spec.get("attributes")
-        if not attrs:
-            raise _UsageError("random-relation generation needs --spec with 'attributes'")
-        if args.seed is None:
-            raise _UsageError("random-relation generation is seeded; pass --seed")
-        schema = data.Schema(tuple(data.Attribute(a["name"], a["domain"]) for a in attrs))
-        count = args.tuples if args.tuples is not None else spec.get("tuples")
-        if count is None:
-            raise _UsageError("random-relation generation needs --tuples")
-        return data.generate_random_relation(schema, count, args.seed)
-    # pragma: no cover - argparse restricts choices
-    raise _UsageError(f"unknown kind {kind!r}")
+    # argparse restricts --kind to SPEC_KEYS, so what is left is random-relation.
+    attrs = spec.get("attributes")
+    if not attrs:
+        raise _UsageError("random-relation generation needs --spec with 'attributes'")
+    if args.seed is None:
+        raise _UsageError("random-relation generation is seeded; pass --seed")
+    schema = data.Schema(tuple(data.Attribute(a["name"], a["domain"]) for a in attrs))
+    count = args.tuples if args.tuples is not None else spec.get("tuples")
+    if count is None:
+        raise _UsageError("random-relation generation needs --tuples")
+    return data.generate_random_relation(schema, count, args.seed)
 
 
 def _cmd_generate(args) -> int:
     spec = _load_spec(args)
-    try:
-        made = _generate(args, spec)
-    except (KeyError, TypeError) as exc:
-        if args.spec is None:
-            raise
-        # Unknown or missing keys, or values of the wrong type, in the spec.
-        raise _UsageError(f"malformed spec {args.spec} "
-                          f"({type(exc).__name__}: {exc})") from exc
+    made = _generate(args, spec)
     rows = len(made)
     try:
         if isinstance(made, data.Relation):

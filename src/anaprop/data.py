@@ -138,6 +138,9 @@ def _read_table(path: str | Path, delimiter: str) -> tuple[list[str], list[list[
                 f"{path}: ragged row at line {lineno} "
                 f"({len(row)} cells, expected {width})"
             )
+        if MISSING in row:
+            raise DataError(f"{path}: missing value at line {lineno}; "
+                            f"methods here need complete tuples")
     return header, body
 
 
@@ -183,25 +186,6 @@ def write_sidecar_schema(schema: Schema, path: str | Path,
         fh.write("\n")
 
 
-def _handle_missing(body: list[list[str]], policy: str,
-                    path: str | Path) -> list[list[str]]:
-    if policy not in ("error", "drop"):
-        raise DataError(f"unknown missing-value policy {policy!r}")
-    kept = []
-    for lineno, row in enumerate(body, start=2):
-        if MISSING in row:
-            if policy == "error":
-                raise DataError(
-                    f"{path}: missing value at line {lineno}; methods here need "
-                    f"complete tuples (use policy 'drop' to skip such rows)"
-                )
-            continue
-        kept.append(row)
-    if not kept:
-        raise DataError(f"{path}: every row was dropped by the missing-value policy")
-    return kept
-
-
 def _check_column(attr: Attribute, column: Iterable[str], path) -> None:
     for v in set(column):
         if v not in attr.domain:
@@ -222,14 +206,13 @@ def _infer_attribute(name: str, column: Iterable[str]) -> Attribute:
 
 
 def _read_columns(path: str | Path, delimiter: str,
-                  schema_file: Optional[str | Path],
-                  missing_policy: str) -> tuple[Schema, Optional[str], list[list[str]]]:
+                  schema_file: Optional[str | Path]
+                  ) -> tuple[Schema, Optional[str], list[list[str]]]:
     """A table's schema over all its columns, the class column its sidecar
     names (if any) and its data rows.  With a sidecar, the schema is the
     sidecar's and every column is checked against it; otherwise each
     column's domain is inferred from its values, in header order."""
     header, body = _read_table(path, delimiter)
-    body = _handle_missing(body, missing_policy, path)
     columns = list(zip(*body))
     if schema_file is None:
         schema = Schema(tuple(_infer_attribute(name, column)
@@ -243,11 +226,9 @@ def _read_columns(path: str | Path, delimiter: str,
 
 def load_dataset(path: str | Path, *, delimiter: str = ",",
                  class_column: Optional[str] = None,
-                 schema_file: Optional[str | Path] = None,
-                 missing_policy: str = "error") -> Dataset:
+                 schema_file: Optional[str | Path] = None) -> Dataset:
     """Load a labeled dataset; the class column defaults to the last one."""
-    schema, declared_class, body = _read_columns(path, delimiter, schema_file,
-                                                 missing_policy)
+    schema, declared_class, body = _read_columns(path, delimiter, schema_file)
     names = list(schema.names)
     class_name = class_column or declared_class or names[-1]
     if class_name not in names:
@@ -260,10 +241,9 @@ def load_dataset(path: str | Path, *, delimiter: str = ",",
 
 
 def load_relation(path: str | Path, *, delimiter: str = ",",
-                  schema_file: Optional[str | Path] = None,
-                  missing_policy: str = "error") -> Relation:
+                  schema_file: Optional[str | Path] = None) -> Relation:
     """Load a relation (all columns are attributes; duplicate rows dropped)."""
-    schema, _, body = _read_columns(path, delimiter, schema_file, missing_policy)
+    schema, _, body = _read_columns(path, delimiter, schema_file)
     return Relation.from_rows(schema, body)
 
 

@@ -21,6 +21,7 @@ from anaprop.data import (
 )
 from anaprop.classify import (
     FALLBACKS,
+    GRID_PARAMETERS,
     STRATEGIES,
     BongardModel,
     BruteForceModel,
@@ -322,28 +323,80 @@ class TestRunTableDerivation:
                 assert derived.predictions(query, [1, 2, 5]) == \
                     fresh.predictions(query, [1, 2, 5])
 
-    def test_a_run_counts_its_pairs_once(self, monkeypatch):
-        # Baseline and case-analysis folds derive their counts from one
-        # run table; only the selected strategy's mining and its brute
-        # fallback count per fold.
+    @given(fold_scenarios(), st.lists(st.integers(1, 16), min_size=1, max_size=4))
+    def test_a_derived_knn_answers_as_a_fresh_one(self, scenario, ks):
+        # kNN's fold model is a copy of the run's table with the training
+        # rows live; the knn1 fallback of every fold model is its own 1-NN.
+        ds, assignment = scenario
+        run, counted = KnnModel(ds), BruteForceModel(ds)
+        for test_idx in assignment:
+            train_idx = [i for i in range(len(ds)) if i not in test_idx]
+            derived, fresh = run._copy(train_idx), KnnModel(ds.subset(train_idx))
+            assert derived.pair_keys is run.pair_keys
+            for query in ds.items:
+                assert list(derived.ranked(derived.query_keys(query))) == [
+                    train_idx[i] for i in fresh.ranked(fresh.query_keys(query))]
+                assert derived.predictions(query, ks) == fresh.predictions(query, ks)
+                assert counted.without(test_idx).nearest(query, [1]) == \
+                    [fresh.classify(query, 1)]
+        assert all(run.live)
+
+    @given(fold_scenarios(), st.integers(1, 3), st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+           st.integers(0, 4), st.randoms(use_true_random=False))
+    def test_a_derived_selected_model_answers_as_a_fresh_one(
+            self, scenario, min_support, min_confidence, radius, rng):
+        # Each fold mines a sample of its training rows; the fresh model
+        # lists the competent pairs of that sample.
+        ds, assignment = scenario
+        run = SelectedTripletModel(ds, (), radius)
+        for test_idx in assignment:
+            train_idx = [i for i in range(len(ds)) if i not in test_idx]
+            mining = sorted(rng.sample(train_idx, rng.randint(1, len(train_idx))))
+            derived = run.mined(train_idx, mining, min_support, min_confidence)
+            pairs = extract_competent_pairs_oracle(ds.subset(mining), min_support,
+                                                   min_confidence)
+            fresh = SelectedTripletModel(ds.subset(train_idx), pairs, radius)
+            assert index_snapshot(derived) == index_snapshot(fresh)
+            assert derived.live == [i in train_idx for i in range(len(ds))]
+            assert derived.pair_keys is run.pair_keys
+            for query in ds.items:
+                assert as_tuple(derived.vote(query)) == as_tuple(fresh.vote(query))
+        assert (run.total, run.labelled) == ({}, {}) and all(run.live)
+
+    def test_a_run_keys_its_rows_once(self, monkeypatch):
+        # Every fold model and fallback is a copy of one run table, so a
+        # run builds one PairKeys whatever its strategy, fallback or grid.
+        # It counts every pair at most once: the baseline and the case
+        # analysis when they build the table, the selected strategy's
+        # brute fallback on the run's first abstention.
         ds = monk1_sample()
-        calls = []
-        count_pairs = _PairCounts.count_pairs
+        built, counted = [], []
+        init, count_pairs = PairKeys.__init__, _PairCounts.count_pairs
 
-        def counted(table, *args):
-            calls.append(len(table.data))
-            return count_pairs(table, *args)
+        def building(keys, schema, items):
+            built.append(len(items))
+            init(keys, schema, items)
 
-        monkeypatch.setattr(_PairCounts, "count_pairs", counted)
-        for config, grid in ((CvConfig(strategy="baseline", folds=5), None),
-                             (CvConfig(strategy="bongard", folds=5, fallback="brute"),
-                              [1, 3])):
-            calls.clear()
-            if grid is None:
-                cross_validate(ds, config)
-            else:
-                cross_validate_grid(ds, config, grid)
-            assert calls == [len(ds)]
+        def counting(table):
+            counted.append(len(table.data))
+            count_pairs(table)
+
+        monkeypatch.setattr(PairKeys, "__init__", building)
+        monkeypatch.setattr(_PairCounts, "count_pairs", counting)
+        for strategy, fallback in product(STRATEGIES, FALLBACKS):
+            config = CvConfig(strategy=strategy, folds=5, fallback=fallback,
+                              subsample=0.8 if strategy == "selected" else None)
+            runs = [lambda: cross_validate(ds, config)]
+            if strategy in GRID_PARAMETERS:
+                runs.append(lambda: cross_validate_grid(ds, config, [1, 3]))
+            counts_all = strategy in ("baseline", "bongard") or \
+                (strategy, fallback) == ("selected", "brute")
+            for run in runs:
+                built.clear()
+                counted.clear()
+                run()
+                assert built == [len(ds)], (strategy, fallback)
+                assert counted == [len(ds)] * counts_all, (strategy, fallback)
 
 
 class TestSuitability:
@@ -517,7 +570,7 @@ class TestSelectedTriplets:
         with pytest.raises(DataError, match="radius"):
             SelectedTripletModel(ds, pairs, -1)
         with pytest.raises(DataError, match="radius"):
-            SelectedTripletModel.mined(ds, ds, 1, 0.0, -1)
+            SelectedTripletModel(ds, (), -1)
 
 
 def separation_oracle(same_ctx, diff_ctx, attrs, domains, max_literals):
@@ -993,17 +1046,16 @@ class TestCrossValidation:
         assert [fr.correct for fr in report.fold_results] == \
             [fr.correct for fr in direct.fold_results]
 
-    def test_brute_fallback_is_built_on_a_folds_first_abstention(self, monkeypatch):
-        # Either fallback is built once, on a fold's first abstention, and
-        # asked once per abstained query; some fold abstains twice, so a
-        # build per query would show.  The grid's budgets abstain on the
-        # same queries (those where no neighbor votes), so an ask per
-        # abstained budget would show too.  The case analysis's brute
-        # fallback is its own vote, since its table counts every pair, so
-        # no BruteForceModel is built for it; its asks are counted there.
-        import anaprop.classify as classify
+    def test_each_fallback_is_asked_once_per_abstained_query(self, monkeypatch):
+        # The knn1 fallback is the fold model's own 1-NN, so it builds
+        # nothing.  The selected strategy's brute fallback counts the run's
+        # pairs once, on the run's first abstention, and takes a fold's
+        # test rows out of that table on the fold's first.  The case
+        # analysis's is its own vote, since its table counts every pair.
+        # Some fold abstains twice, so a build per query would show.  The
+        # grid's budgets abstain on the same queries (those where no
+        # neighbor votes), so an ask per abstained budget would show too.
         ds = monk1_sample()
-        models = {"brute": classify.BruteForceModel, "knn1": classify.KnnModel}
         selected = CvConfig(strategy="selected", folds=5, seed=0, radius=2,
                             min_support=1)
         bongard = CvConfig(strategy="bongard", folds=5, seed=7, fallback="knn1")
@@ -1011,39 +1063,48 @@ class TestCrossValidation:
                 (replace(selected, fallback="knn1"), None),
                 (bongard, [1, 3]),
                 (replace(bongard, fallback="brute"), [1, 3])]
+        count_pairs, without = _PairCounts.count_pairs, _PairCounts.without
+        vote, nearest = _PairCounts.vote, _PairCounts.nearest
         for config, grid in runs:
-            builds, asked = [], []
+            counted, derived, asked = [], [], []
 
-            class Counting(models[config.fallback]):
-                def __init__(self, train, *args):
-                    builds.append(len(train))
-                    super().__init__(train, *args)
+            def counting(table):
+                counted.append(table)
+                count_pairs(table)
 
-                def classify(self, query, *args, **kwargs):
+            def deriving(table, rows):
+                derived.append(without(table, rows))
+                return derived[-1]
+
+            def voting(table, query):
+                # The selected model is mined, not derived, and the case
+                # analysis predicts through ``votes``: only a fallback votes
+                # on a derived table.
+                if any(table is d for d in derived):
                     asked.append(query)
-                    return super().classify(query, *args, **kwargs)
+                return vote(table, query)
 
-            own_vote = config.strategy == "bongard" and config.fallback == "brute"
-            vote = classify.BongardModel.vote
-
-            def counting_vote(model, query):
+            def ranking(table, query, ks):
                 asked.append(query)
-                return vote(model, query)
+                return nearest(table, query, ks)
 
             with monkeypatch.context() as patch:
-                patch.setattr(classify, models[config.fallback].__name__, Counting)
-                if own_vote:
-                    patch.setattr(classify.BongardModel, "vote", counting_vote)
+                for name, patched in (("count_pairs", counting), ("without", deriving),
+                                      ("vote", voting), ("nearest", ranking)):
+                    patch.setattr(_PairCounts, name, patched)
                 reports = ([cross_validate(ds, config)] if grid is None
                            else cross_validate_grid(ds, config, grid)[1])
             abstained = [fr.abstained for fr in reports[0].fold_results]
             assert all([fr.abstained for fr in r.fold_results] == abstained
                        for r in reports)
             assert 0 < abstained.count(0) < len(abstained) and max(abstained) > 1
-            if own_vote:
-                assert builds == []
+            if config.strategy == "bongard":  # the run's table and its folds
+                assert (len(counted), len(derived)) == (1, len(abstained))
+            elif config.fallback == "brute":
+                assert len(counted) == 1
+                assert len(derived) == len(abstained) - abstained.count(0)
             else:
-                assert len(builds) == len(abstained) - abstained.count(0)
+                assert counted == derived == []
             assert len(asked) == sum(abstained)
 
     @pytest.mark.parametrize("fallback", FALLBACKS)
@@ -1266,13 +1327,17 @@ class TestPairKeys:
             assert [key % keys.modulus for key in alien_keys] == \
                 [hamming(alien, b) for b in items]
 
-    @given(keyed_datasets())
-    def test_rank_is_the_literal_hamming_ranking(self, case):
+    @given(keyed_datasets(), st.randoms(use_true_random=False))
+    def test_rank_is_the_literal_hamming_ranking(self, case, rng):
         ds, queries = case
-        keys = PairKeys(ds.schema, ds.items)
+        table = _PairCounts(ds)
+        live = [i for i in range(len(ds)) if rng.random() < 0.7]
         for query in queries:  # the last one has a value outside its domain
-            assert keys.rank(keys.keys_to(query)) == sorted(
-                range(len(ds)), key=lambda i: (hamming(ds.items[i], query), i))
+            literal = sorted(range(len(ds)), key=lambda i: (hamming(ds.items[i], query), i))
+            assert list(table.ranked(table.query_keys(query))) == literal
+            fold = table._copy(live)
+            assert list(fold.ranked(fold.query_keys(query))) == \
+                [i for i in literal if i in live]
 
 
 class PerPairIndexOracle:
@@ -1382,13 +1447,14 @@ class TestCountingAgainstTupleOracles:
                                                       min_confidence, radius,
                                                       subsample, rng):
         ds, queries = case
-        mining = ds
+        mining = list(range(len(ds)))
         if subsample is not None:
             take = max(2, round(subsample * len(ds)))
-            mining = ds.subset(sorted(rng.sample(range(len(ds)), take)))
-        pairs = extract_competent_pairs_oracle(mining, min_support, min_confidence)
-        counted = SelectedTripletModel.mined(ds, mining, min_support,
-                                             min_confidence, radius)
+            mining = sorted(rng.sample(range(len(ds)), take))
+        pairs = extract_competent_pairs_oracle(ds.subset(mining), min_support,
+                                               min_confidence)
+        counted = SelectedTripletModel(ds, (), radius).mined(
+            range(len(ds)), mining, min_support, min_confidence)
         listed = SelectedTripletModel(ds, pairs, radius)
         for query in queries + list(ds.items[:3]):
             want = selected_vote_oracle(ds, pairs, query, radius)
@@ -1407,15 +1473,16 @@ class TestCountingAgainstTupleOracles:
         def near(key):
             return 1 <= key % modulus <= radius
 
-        mined = SelectedTripletModel.mined(ds, ds, min_support, min_confidence,
-                                           radius)
+        rows = range(len(ds))
+        mined = SelectedTripletModel(ds, (), radius).mined(rows, rows, min_support,
+                                                          min_confidence)
         assert mined.total == {k: n for k, n in listed.total.items() if near(k)}
         assert mined.labelled == {e: n for e, n in listed.labelled.items()
                                   if near(e // listed.scale)}
         # A radius of at least the arity reaches every pair of distinct items.
         reach = ds.schema.arity + radius
-        unbounded = SelectedTripletModel.mined(ds, ds, min_support, min_confidence,
-                                               reach)
+        unbounded = SelectedTripletModel(ds, (), reach).mined(rows, rows, min_support,
+                                                             min_confidence)
         everything = SelectedTripletModel(ds, pairs, reach)
         assert (unbounded.total, unbounded.labelled) == \
             (everything.total, everything.labelled)

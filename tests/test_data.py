@@ -103,13 +103,11 @@ def test_empty_file_rejected(tmp_path):
         load_dataset(path)
 
 
-def test_missing_value_policies(tmp_path):
+def test_missing_value_is_a_data_error(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b\nx,p\n?,q\ny,q\n")
     with pytest.raises(DataError):
         load_dataset(path)
-    ds = load_dataset(path, missing_policy="drop")
-    assert len(ds) == 2
 
 
 def test_unseen_value_rejected_against_sidecar(tmp_path):
