@@ -4,7 +4,8 @@ Commands run with the working directory set to tests/data so the
 payload's file paths stay relative and machine-independent.  To refresh
 after an intentional schema change, rerun each command from tests/data
 and overwrite the file under tests/data/golden/.  The ``evaluate``
-payloads of many more settings are pinned by their sha256
+payloads of many more settings, and the output of every other command
+over a matrix of cells, are pinned by their sha256
 (``payload_digests.py``).
 """
 
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from anaprop.cli import main
-from payload_digests import RECORD, digests
+from payload_digests import CLI_RECORD, RECORD, cli_digests, digests
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,3 +54,7 @@ def test_evaluate_payload_digests_match_the_recorded_matrix():
     # Each cell names its input, strategy and settings; a changed cell
     # shows in the dict diff.  See payload_digests.py to re-record.
     assert digests() == json.loads(RECORD.read_text(encoding="utf-8"))
+
+
+def test_cli_output_digests_match_the_recorded_matrix():
+    assert cli_digests() == json.loads(CLI_RECORD.read_text(encoding="utf-8"))
