@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import random
 import statistics
-import warnings
 from collections import Counter
 from copy import copy
 from dataclasses import dataclass, replace
@@ -883,7 +882,7 @@ class CvReport:
 def make_folds(data: Dataset, folds: int, seed: int) -> tuple[list[list[int]], bool]:
     """Stratified fold assignment (round-robin after a seeded per-class
     shuffle); falls back to plain shuffled dealing when some class has
-    fewer members than folds."""
+    fewer members than folds, and says which in the returned flag."""
     if folds < 2:
         raise DataError("folds must be at least 2")
     if len(data) < folds:
@@ -893,12 +892,6 @@ def make_folds(data: Dataset, folds: int, seed: int) -> tuple[list[list[int]], b
     for i, label in enumerate(data.labels):
         by_label[label].append(i)
     stratified = all(len(v) >= folds for v in by_label.values() if v)
-    if not stratified:
-        warnings.warn(
-            f"some class has fewer than {folds} members; "
-            f"falling back to non-stratified folds",
-            stacklevel=2,
-        )
     if stratified:
         order = []
         for members in by_label.values():  # in class-domain order

@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -147,22 +146,17 @@ def _cmd_evaluate(args) -> int:
                                 schema_file=args.schema)
     started = time.perf_counter()
     payload: dict = {"command": "evaluate", "data": str(args.data)}
-    with warnings.catch_warnings():
-        # make_folds warns about the non-stratified fallback; the report's
-        # ``stratified`` flag carries the same fact, said once below.
-        warnings.filterwarnings("ignore", message=".*non-stratified folds",
-                                category=UserWarning)
-        if args.grid:
-            best, reports = classify.cross_validate_grid(dataset, config, grid)
-            payload["grid"] = grid
-            payload["grid_parameter"] = classify.GRID_PARAMETERS[config.strategy]
-            payload["reports"] = [r.canonical() for r in reports]
-            payload["best"] = best.canonical()
-            headline = best
-        else:
-            report = classify.cross_validate(dataset, config)
-            payload["report"] = report.canonical()
-            headline = report
+    if args.grid:
+        best, reports = classify.cross_validate_grid(dataset, config, grid)
+        payload["grid"] = grid
+        payload["grid_parameter"] = classify.GRID_PARAMETERS[config.strategy]
+        payload["reports"] = [r.canonical() for r in reports]
+        payload["best"] = best.canonical()
+        headline = best
+    else:
+        report = classify.cross_validate(dataset, config)
+        payload["report"] = report.canonical()
+        headline = report
     elapsed = time.perf_counter() - started
     print(f"[evaluate] {args.data}: strategy={config.strategy} "
           f"wall_time={elapsed:.2f}s", file=sys.stderr)
@@ -219,12 +213,19 @@ def _adverse_payload(rel: data.Relation, ae: explain.AdverseExample) -> dict:
     }
 
 
-def _cmd_explain(args) -> int:
+def _load_relation(args) -> data.Relation:
+    """The relation ``--data`` names; dropped duplicate rows are reported
+    on stderr under the command's name."""
     rel = data.load_relation(args.data, delimiter=args.delimiter,
                              schema_file=args.schema)
     if rel.duplicates_dropped:
-        print(f"[explain] dropped {rel.duplicates_dropped} duplicate rows",
+        print(f"[{args.command}] dropped {rel.duplicates_dropped} duplicate rows",
               file=sys.stderr)
+    return rel
+
+
+def _cmd_explain(args) -> int:
+    rel = _load_relation(args)
     query = _parse_query(rel, args)
     if (args.why is None) == (args.why_not is None):
         raise _UsageError("pass exactly one of --why or --why-not")
@@ -265,11 +266,7 @@ def _cmd_explain(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_deps(args) -> int:
-    rel = data.load_relation(args.data, delimiter=args.delimiter,
-                             schema_file=args.schema)
-    if rel.duplicates_dropped:
-        print(f"[deps] dropped {rel.duplicates_dropped} duplicate rows",
-              file=sys.stderr)
+    rel = _load_relation(args)
     payload: dict = {
         "command": "deps",
         "data": str(args.data),
@@ -393,19 +390,21 @@ def _cmd_generate(args) -> int:
     spec = _load_spec(args)
     made = _generate(args, spec)
     rows = len(made)
+    if isinstance(made, data.Relation):  # every column is an attribute
+        write, schema, class_name = data.write_relation, made.schema, None
+    else:  # a dataset's class column is its table's last
+        write, class_name = data.write_dataset, made.class_attr.name
+        schema = data.Schema(made.schema.attributes + (made.class_attr,))
+    out = Path(args.out)
     try:
-        if isinstance(made, data.Relation):
-            data.write_relation(made, args.out)
-        else:
-            data.write_dataset(made, args.out)
-            if args.emit_schema:
-                sidecar = Path(args.out).with_suffix(".schema.json")
-                full = data.Schema(made.schema.attributes + (made.class_attr,))
-                try:
-                    data.write_sidecar_schema(full, sidecar, class_name=made.class_attr.name)
-                except OSError:
-                    Path(args.out).unlink()  # leave no table without its schema
-                    raise
+        write(made, out)
+        if args.emit_schema:
+            try:
+                data.write_sidecar_schema(schema, out.with_suffix(".schema.json"),
+                                          class_name=class_name)
+            except OSError:
+                out.unlink()  # leave no table without its schema
+                raise
     except OSError as exc:  # a missing directory, a directory as --out, ...
         raise _UsageError(f"cannot write {exc.filename or args.out}: "
                           f"{exc.strerror or exc}") from exc

@@ -21,7 +21,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -61,14 +61,9 @@ class Dataset:
         return len(self.items)
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        """The rows at ``indices``, in that order.  They are rows of this
-        validated dataset, so they are not validated again."""
-        out = object.__new__(Dataset)
-        for name, value in (("schema", self.schema), ("class_attr", self.class_attr),
-                            ("items", tuple(self.items[i] for i in indices)),
-                            ("labels", tuple(self.labels[i] for i in indices))):
-            object.__setattr__(out, name, value)
-        return out
+        """The rows at ``indices``, in that order."""
+        return replace(self, items=tuple(self.items[i] for i in indices),
+                       labels=tuple(self.labels[i] for i in indices))
 
     def to_relation(self) -> "Relation":
         """The dataset as a plain relation, class column last."""
@@ -247,20 +242,22 @@ def load_relation(path: str | Path, *, delimiter: str = ",",
     return Relation.from_rows(schema, body)
 
 
-def write_dataset(ds: Dataset, path: str | Path, *, delimiter: str = ",") -> None:
+def _write_table(path: str | Path, header: Sequence[str],
+                 rows: Iterable[Sequence[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(list(ds.schema.names) + [ds.class_attr.name])
-        for item, label in zip(ds.items, ds.labels):
-            writer.writerow(list(item) + [label])
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_relation(rel: Relation, path: str | Path, *, delimiter: str = ",") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(rel.schema.names)
-        for t in rel.tuples:
-            writer.writerow(t)
+def write_dataset(ds: Dataset, path: str | Path) -> None:
+    """Write a dataset as one table, class column last, every row kept."""
+    _write_table(path, (*ds.schema.names, ds.class_attr.name),
+                 ((*item, label) for item, label in zip(ds.items, ds.labels)))
+
+
+def write_relation(rel: Relation, path: str | Path) -> None:
+    _write_table(path, rel.schema.names, rel.tuples)
 
 
 # ---------------------------------------------------------------------------

@@ -259,13 +259,16 @@ def mvd_inference_check(rel: Relation) -> InferenceReport:
     Z subset of U) and transitivity over all attribute-subset combinations.
 
     Each instance is a lookup in the table of (X, Y') verdicts, where an
-    MVD X ->> Y is read at Y' = Y minus X and an FD at its own column."""
+    MVD X ->> Y is read at Y' = Y minus X and an FD at its own column;
+    one pass over the (X, Y) pairs checks every rule at each."""
     subsets = _subsets(rel.schema, "inference check")
     table = _table(rel, _Keys(rel))
     full = (1 << rel.schema.arity) - 1
     checked = {"fd_implies_mvd": 0, "complementation": 0,
                "augmentation": 0, "transitivity": 0}
     violations: list[tuple[str, str]] = []
+    within = {u: [(z_names, z) for z_names, z in subsets if not z & ~u]
+              for _, u in subsets}
 
     for x_names, x in subsets:
         for y_names, y in subsets:
@@ -276,12 +279,7 @@ def mvd_inference_check(rel: Relation) -> InferenceReport:
             checked["complementation"] += 1
             if verdict.mvd and not table[x, full & ~(x | y)].mvd:
                 violations.append(("complementation", f"X={x_names} Y={y_names}"))
-
-    within = {u: [(z_names, z) for z_names, z in subsets if not z & ~u]
-              for _, u in subsets}
-    for x_names, x in subsets:
-        for y_names, y in subsets:
-            if not table[x, y & ~x].mvd:
+            if not verdict.mvd:
                 continue
             for u_names, u in subsets:
                 xu = x | u
@@ -290,11 +288,6 @@ def mvd_inference_check(rel: Relation) -> InferenceReport:
                     if not table[xu, (y | z) & ~xu].mvd:
                         violations.append(("augmentation", f"X={x_names} "
                                            f"Y={y_names} U={u_names} Z={z_names}"))
-
-    for x_names, x in subsets:
-        for y_names, y in subsets:
-            if not table[x, y & ~x].mvd:
-                continue
             checked["transitivity"] += len(subsets)
             for z_names, z in subsets:
                 if table[y, z & ~y].mvd and not table[x, z & ~(x | y)].mvd:

@@ -38,7 +38,6 @@ import random
 import shutil
 import sys
 import tempfile
-import warnings
 from itertools import product
 from pathlib import Path
 
@@ -85,26 +84,24 @@ def _grid_payload(data, config: CvConfig, grid: list[int]) -> dict:
 def digests() -> dict[str, str]:
     """Cell name -> sha256 of its payload."""
     out = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the non-stratified fold notice
-        for name, make in INPUTS.items():
-            data = make()
-            for strategy, fallback in product(STRATEGIES, FALLBACKS):
-                config = CvConfig(strategy=strategy, folds=5, seed=0, fallback=fallback,
-                                  subsample=0.8 if strategy == "selected" else None)
-                out[f"{name} {strategy} fallback={fallback}"] = \
-                    _digest(cross_validate(data, config).canonical())
-            for (strategy, grid), fallback in product(GRIDS.items(), FALLBACKS):
-                config = CvConfig(strategy=strategy, folds=5, seed=0, fallback=fallback)
-                out[f"{name} {strategy} grid={grid} fallback={fallback}"] = \
-                    _digest(_grid_payload(data, config, grid))
-            for profile, settings in PROFILES.items():
-                settings = dict(settings)
-                grid = settings.pop("grid", None)
-                config = CvConfig(**settings)
-                payload = (cross_validate(data, config).canonical() if grid is None
-                           else _grid_payload(data, config, list(map(int, grid.split(",")))))
-                out[f"{name} profile={profile}"] = _digest(payload)
+    for name, make in INPUTS.items():
+        data = make()
+        for strategy, fallback in product(STRATEGIES, FALLBACKS):
+            config = CvConfig(strategy=strategy, folds=5, seed=0, fallback=fallback,
+                              subsample=0.8 if strategy == "selected" else None)
+            out[f"{name} {strategy} fallback={fallback}"] = \
+                _digest(cross_validate(data, config).canonical())
+        for (strategy, grid), fallback in product(GRIDS.items(), FALLBACKS):
+            config = CvConfig(strategy=strategy, folds=5, seed=0, fallback=fallback)
+            out[f"{name} {strategy} grid={grid} fallback={fallback}"] = \
+                _digest(_grid_payload(data, config, grid))
+        for profile, settings in PROFILES.items():
+            settings = dict(settings)
+            grid = settings.pop("grid", None)
+            config = CvConfig(**settings)
+            payload = (cross_validate(data, config).canonical() if grid is None
+                       else _grid_payload(data, config, list(map(int, grid.split(",")))))
+            out[f"{name} profile={profile}"] = _digest(payload)
     return out
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import warnings
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
@@ -935,7 +936,8 @@ class TestCrossValidation:
         items = tuple(product("01", repeat=2)) * 3
         labels = ("p",) * 11 + ("q",)
         ds = Dataset(schema, Attribute("c", ("p", "q")), items, labels)
-        with pytest.warns(UserWarning, match="non-stratified"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the report's flag says it, nothing else
             report = cross_validate(ds, CvConfig(strategy="knn", folds=3,
                                                  seed=0, k=1))
         assert report.stratified is False
@@ -952,7 +954,6 @@ class TestCrossValidation:
            shuffle_seed=st.integers(0, 2 ** 16))
     @example(sizes=[0, 4, 7], folds=3, seed=1, shuffle_seed=0)  # stratified
     @example(sizes=[0, 2, 7], folds=3, seed=1, shuffle_seed=0)  # plain dealing
-    @pytest.mark.filterwarnings("ignore:some class has fewer")
     def test_fold_dealing_matches_the_round_robin_loops(self, sizes, folds, seed,
                                                         shuffle_seed):
         # Class sizes from 0 up, so a class label may have no rows.
@@ -967,7 +968,6 @@ class TestCrossValidation:
         assert stratified == all(n >= folds for n in sizes if n)
         assert (assignment, stratified) == make_folds_oracle(ds, folds, seed)
 
-    @pytest.mark.filterwarnings("ignore:some class has fewer")
     def test_grid_reports_match_direct_runs(self):
         ds, _ = generate_planted_rules(
             [PlantedRule(pairs=6), PlantedRule(pairs=5, exceptions=1)]

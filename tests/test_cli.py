@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import anaprop
 from anaprop.cli import SPEC_ITEMS, main
-from anaprop.data import PlantedRule, generate_monk, write_dataset
+from anaprop.data import (PlantedRule, generate_affine, generate_monk, load_relation,
+                          write_dataset)
 
 DATA = Path(__file__).parent / "data"
 COFFEE = [str(DATA / "coffee.csv"), "--schema", str(DATA / "coffee.schema.json")]
@@ -227,6 +228,29 @@ class TestGenerateCommand:
         ])
         assert code == 0 and json.loads(out)["rows"] == 4
 
+    def test_random_relation_sidecar_declares_the_spec_domains(self, capsys, tmp_path):
+        # Seed 3 draws ('0', 'y') and ('1', 'y'): column b is constant, so
+        # only a sidecar gives its domain.
+        attributes = [{"name": "a", "domain": ["0", "1"]},
+                      {"name": "b", "domain": ["x", "y", "z"]}]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"attributes": attributes}))
+        table, sidecar = tmp_path / "rel.csv", tmp_path / "rel.schema.json"
+        code, out, _ = run(capsys, [
+            "generate", "--kind", "random-relation", "--spec", str(spec),
+            "--tuples", "2", "--seed", "3", "--out", str(table), "--emit-schema",
+        ])
+        assert (code, out) == (0, f"wrote 2 rows to {table}\n")
+        assert json.loads(sidecar.read_text()) == {"attributes": attributes}  # no class
+        assert run(capsys, ["deps", "--data", str(table)])[0] == 2
+        code, out, err = run(capsys, ["deps", "--data", str(table), "--schema",
+                                      str(sidecar), "--format", "json"])
+        assert (code, err) == (0, "") and json.loads(out)["rows"] == 2
+        rel = load_relation(table, schema_file=sidecar)
+        assert [list(a.domain) for a in rel.schema.attributes] == \
+            [a["domain"] for a in attributes]
+        assert {t[1] for t in rel.tuples} == {"y"}
+
     def test_seed_required_for_random_kind(self, capsys, tmp_path):
         spec = tmp_path / "schema.json"
         spec.write_text(json.dumps({"attributes": [
@@ -259,9 +283,10 @@ class TestMalformedInputsExitCleanly:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
-    # (argv, text of the spec file or None, exit code).  SPEC, OUT and MONK
-    # stand for that spec file, an output file and the 432-row Monk-1
-    # relation, all under the test's tmp_path.
+    # (argv, text of the spec file or None, exit code).  SPEC, OUT, MONK,
+    # FOUR and ABSENT stand for that spec file, an output file, the 432-row
+    # Monk-1 table, a 4-row table and a file that does not exist, all under
+    # the test's tmp_path.
     GENERATE = ["generate", "--spec", "SPEC", "--out", "OUT", "--kind"]
     EXIT_PATHS = [
         pytest.param(["ap", "solve", "0", "1"], None, 1, id="ap-solve-two-values"),
@@ -272,6 +297,24 @@ class TestMalformedInputsExitCleanly:
                       "--why-not", "class"], None, 1, id="why-not-without-equals"),
         pytest.param(["deps", "--data", "MONK", "--mode", "single", "--x", "a1"],
                      None, 1, id="single-mode-without-y"),
+        pytest.param(["evaluate", "--data", "MONK", "--strategy", "knn", "--seed", "1",
+                      "--grid", "a,b"], None, 1, id="grid-not-integers"),
+        pytest.param(["evaluate", "--data", "FOUR", "--seed", "1", "--folds", "5"],
+                     None, 2, id="more-folds-than-rows"),
+        pytest.param(["evaluate", "--data", "MONK", "--seed", "1", "--class-column",
+                      "nope"], None, 2, id="class-column-not-in-header"),
+        pytest.param(["deps", "--data", "MONK", "--schema", "ABSENT"], None, 2,
+                     id="missing-sidecar"),
+        pytest.param(["deps", "--data", "MONK", "--schema", "SPEC"],
+                     '{"attributes": [{"name": "a", "domain": ["0", "1"]}]}', 2,
+                     id="sidecar-names-differ-from-header"),
+        pytest.param(GENERATE + ["affine", "--n", "50"], "{}", 2, id="affine-n-50"),
+        pytest.param(GENERATE + ["affine", "--n", "3"], "{}", 2,
+                     id="affine-without-coefficients-or-seed"),
+        pytest.param(GENERATE + ["planted-rule"], '{"rules": [{"pairs": 0}]}', 2,
+                     id="planted-rule-zero-pairs"),
+        pytest.param(GENERATE + ["planted-rule"], '{"rules": [{"pairs": 1}]}', 2,
+                     id="one-planted-pair-in-all"),
         pytest.param(GENERATE + ["planted-rule"], "{", 1, id="spec-not-json"),
         pytest.param(GENERATE + ["planted-rule"], "[]", 1, id="spec-a-json-array"),
         pytest.param(GENERATE + ["affine"], "{}", 1, id="affine-without-n"),
@@ -377,11 +420,12 @@ class TestMalformedInputsExitCleanly:
     @pytest.mark.parametrize("argv, spec, expected_code", EXIT_PATHS)
     def test_exit_path(self, capsys, tmp_path, argv, spec, expected_code):
         paths = {"SPEC": tmp_path / "spec.json", "OUT": tmp_path / "out.csv",
-                 "MONK": tmp_path / "monk1.csv"}
+                 "MONK": tmp_path / "monk1.csv", "FOUR": tmp_path / "four.csv",
+                 "ABSENT": tmp_path / "absent.json"}
         if spec is not None:
             paths["SPEC"].write_text(spec)
-        if "MONK" in argv:
-            write_dataset(generate_monk(1), paths["MONK"])
+        write_dataset(generate_monk(1), paths["MONK"])
+        write_dataset(generate_affine(2, (0, 1, 1)), paths["FOUR"])
         code, out, err = run(capsys, [str(paths.get(arg, arg)) for arg in argv])
         self.assert_clean(code, err, expected_code)
         assert out == ""
@@ -535,6 +579,16 @@ class TestMalformedInputsExitCleanly:
             self.assert_clean(code, err, 2)
             assert out == "" and err.startswith(f"data error: {table}: ")
             assert "field limit" in err
+
+
+def test_dropped_duplicate_rows_are_one_stderr_line_per_command(capsys, tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("a,b\n0,p\n1,q\n0,p\n")
+    code, out, err = run(capsys, ["deps", "--data", str(table)])
+    assert (code, err) == (0, "[deps] dropped 1 duplicate rows\n") and out
+    code, out, err = run(capsys, ["explain", "--data", str(table), "--query-index", "0",
+                                  "--why", "b"])
+    assert err == "[explain] dropped 1 duplicate rows\n" and out
 
 
 def test_non_stratified_fallback_is_one_stderr_line(tmp_path):

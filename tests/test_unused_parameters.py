@@ -1,11 +1,14 @@
-"""Every parameter of a package function is read by its body, and every
-private definition of the package is used.
+"""Every parameter of a package function is read by its body, every
+private definition of the package is used, and only the command-line
+front end writes output.
 
 No linter is a dependency of the project, so this scans the source with
 ``ast``: a parameter other than ``self`` and ``cls`` that no expression
 in its function (nested functions included) loads is dead weight for
 every caller, and so is a private function, method or class whose name
-no expression in the package loads."""
+no expression in the package loads.  The library states what it finds
+in its return values; ``cli.py`` alone prints them, so stdout carries
+only payloads and stderr is one channel of diagnostics."""
 
 import ast
 from pathlib import Path
@@ -13,6 +16,8 @@ from pathlib import Path
 import anaprop
 
 SOURCE = Path(anaprop.__file__).resolve().parent
+#: Modules through which code can write diagnostics of its own.
+OUTPUT_MODULES = {"sys", "warnings", "logging"}
 
 
 def unused_parameters(tree: ast.AST) -> list[tuple[int, str, str]]:
@@ -47,6 +52,22 @@ def orphaned_private_definitions(modules: dict[str, ast.AST]) -> list[tuple[str,
             and node.name not in loaded]
 
 
+def output_channels(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) for each call of ``print`` and each import of one of
+    ``OUTPUT_MODULES`` (or of a module inside one)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "print":
+            out.append((node.lineno, "print"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) \
+                else [alias.name for alias in node.names]
+            out += [(node.lineno, name) for name in names
+                    if name and name.split(".")[0] in OUTPUT_MODULES]
+    return out
+
+
 def test_the_scan_finds_an_unread_parameter():
     tree = ast.parse("def f(a, b, *c, d, **e):\n    return a + d\n"
                      "g = lambda x, y: y\n")
@@ -76,3 +97,19 @@ def test_no_private_package_definition_is_orphaned():
                for path in sorted(SOURCE.glob("*.py"))}
     assert len(modules) > 1
     assert orphaned_private_definitions(modules) == []
+
+
+def test_the_scan_finds_each_output_channel():
+    tree = ast.parse("import json, warnings\nfrom logging import getLogger\n"
+                     "from . import sys_tools\nimport sys as system\n"
+                     "def f():\n    print('x')\n    log.print('y')\n")
+    assert output_channels(tree) == [(1, "warnings"), (2, "logging"),
+                                     (4, "sys"), (6, "print")]
+
+
+def test_only_the_command_line_front_end_writes_output():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert "cli.py" in [path.name for path in modules]
+    found = [(path.name, *hit) for path in modules if path.name != "cli.py"
+             for hit in output_channels(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
