@@ -2,14 +2,15 @@
 settings, and of the output of every other command over a matrix of
 cells, so that byte identity of the payloads is one mechanical check.
 
-A cell is the digest of ``json.dumps(payload, indent=2, sort_keys=True)``,
-the layout ``evaluate --format json`` prints.  Its payload is a report's
-``canonical()``, or for a grid ``{"best": ..., "reports": [...]}``, made
-in-process, so no file path enters it.  The cells cover every strategy
-and fallback as a single run, the case-analysis and kNN grids under each
-fallback, and the CLI's ``table2`` and ``table3`` profiles, on two
-inputs: a 60-row Monk-1 sample, on which every strategy but kNN
-abstains (so each fallback is asked), and a planted-rule set.
+An ``evaluate`` cell is the digest of ``json.dumps(payload, indent=2,
+sort_keys=True)``, the layout ``evaluate --format json`` prints.  Its
+payload is a report's ``canonical()``, or for a grid ``{"best": ...,
+"reports": [...]}``, made in-process, so no file path enters it.  The
+cells cover every strategy and fallback as a single run, the
+case-analysis and kNN grids under each fallback, and the CLI's
+``table2`` and ``table3`` profiles, on two inputs: a 60-row Monk-1
+sample, on which every strategy but kNN abstains (so each fallback is
+asked), and a planted-rule set.
 
 The other commands (``ap``, ``explain``, ``deps`` and every ``generate``
 kind, with and without ``--emit-schema``) run in-process through
@@ -119,6 +120,8 @@ CLI_CELLS = {
     "deps courses single": ["deps", "--data", "courses.csv", "--mode", "single",
                             "--x", "course", "--y", "teacher"],
     "deps random exhaustive": ["deps", "--data", "random.csv"],
+    "deps random single": ["deps", "--data", "random.csv", "--mode", "single",
+                           "--x", "a,b", "--y", "c"],
 }
 #: The options of each ``generate`` cell, run with and without
 #: ``--emit-schema``; the spec files are written by ``_write_inputs``.
