@@ -40,13 +40,13 @@ PROFILES = {
 
 
 #: The top-level keys a ``generate --spec`` file may hold, per kind, with
-#: the JSON type of each key's value (true and false are not integers).
-SPEC_KEYS = {"affine": {"n": "integer", "coefficients": "array"},
+#: the JSON type of each key's value: only what no option can say.
+SPEC_KEYS = {"affine": {},
              "planted-rule": {"rules": "array"},
-             "random-relation": {"attributes": "array", "tuples": "integer"},
+             "random-relation": {"attributes": "array"},
              "monk1": {}, "monk2": {}, "monk3": {}}
 #: The exact types json.load gives for each JSON type named here.
-_JSON_TYPES = {"integer": (int,), "number": (int, float), "array": (list,),
+_JSON_TYPES = {"number": (int, float), "array": (list,),
                "string": (str,), "string or null": (str, type(None))}
 #: The fields of each item of a spec array, as (required, optional) maps
 #: of field to JSON type: a planted rule's are those of
@@ -135,9 +135,13 @@ def _cmd_evaluate(args) -> int:
     except DataError as exc:
         raise _UsageError(str(exc)) from exc
     if args.grid:
-        if config.strategy not in classify.GRID_PARAMETERS:
-            origin = "" if given_grid else f" (set by --profile {args.profile})"
+        origin = "" if given_grid else f" (set by --profile {args.profile})"
+        param = classify.GRID_PARAMETERS.get(config.strategy)
+        if param is None:
             raise _UsageError(f"--grid{origin} applies to the bongard and knn strategies")
+        if options[param] is not None:
+            raise _UsageError(f"--grid{origin} and --{param.replace('_', '-')} "
+                              f"both set {param}; pass one of them")
         grid = _parse_int_list(args.grid)
         if not grid or min(grid) < 1:
             raise _UsageError(f"--grid needs values of at least 1, got {args.grid!r}")
@@ -230,14 +234,12 @@ def _cmd_explain(args) -> int:
     if (args.why is None) == (args.why_not is None):
         raise _UsageError("pass exactly one of --why or --why-not")
     if args.why is not None:
-        result_attr, question, target = args.why, "why", None
+        result_attr, target = args.why, None
     else:
         if "=" not in args.why_not:
             raise _UsageError("--why-not takes ATTRIBUTE=VALUE")
         result_attr, target = args.why_not.split("=", 1)
-        question = "why-not"
-    exp = explain.contrastive_explain(rel, query, result_attr,
-                                      question=question, target=target)
+    exp = explain.contrastive_explain(rel, query, result_attr, target)
     payload = {
         "command": "explain",
         "data": str(args.data),
@@ -266,17 +268,19 @@ def _cmd_explain(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_deps(args) -> int:
+    # --x and --y ask for one check; neither asks for discovery.
+    single = args.x is not None or args.y is not None
+    if single and not (args.x and args.y):
+        raise _UsageError("a single check needs both --x and --y attribute lists")
     rel = _load_relation(args)
     payload: dict = {
         "command": "deps",
         "data": str(args.data),
         "attributes": list(rel.schema.names),
         "rows": len(rel),
-        "mode": args.mode,
+        "mode": "single" if single else "exhaustive",
     }
-    if args.mode == "single":
-        if not args.x or not args.y:
-            raise _UsageError("single mode needs --x and --y attribute lists")
+    if single:
         f = relational.decide_dependency(rel, args.x.split(","), args.y.split(","))
         mvd_w = None if f.mvd else relational.mvd_witness(rel, f.x, f.y)
         weak_w = None if f.weak_mvd else relational.weak_mvd_witness(rel, f.x, f.y)
@@ -362,11 +366,10 @@ def _generate(args, spec: dict):
     if kind in ("monk1", "monk2", "monk3"):
         return data.generate_monk(int(kind[-1]))
     if kind == "affine":
-        n = args.n if args.n is not None else spec.get("n")
-        if n is None:
+        if args.n is None:
             raise _UsageError("affine generation needs --n")
-        coeffs = _parse_int_list(args.coeffs) if args.coeffs else spec.get("coefficients")
-        return data.generate_affine(n, coeffs, args.seed)
+        coeffs = _parse_int_list(args.coeffs) if args.coeffs else None
+        return data.generate_affine(args.n, coeffs, args.seed)
     if kind == "planted-rule":
         raw_rules = spec.get("rules")
         if not raw_rules:
@@ -380,10 +383,9 @@ def _generate(args, spec: dict):
     if args.seed is None:
         raise _UsageError("random-relation generation is seeded; pass --seed")
     schema = data.Schema(tuple(data.Attribute(a["name"], a["domain"]) for a in attrs))
-    count = args.tuples if args.tuples is not None else spec.get("tuples")
-    if count is None:
+    if args.tuples is None:
         raise _UsageError("random-relation generation needs --tuples")
-    return data.generate_random_relation(schema, count, args.seed)
+    return data.generate_random_relation(schema, args.tuples, args.seed)
 
 
 def _cmd_generate(args) -> int:
@@ -393,8 +395,7 @@ def _cmd_generate(args) -> int:
     if isinstance(made, data.Relation):  # every column is an attribute
         write, schema, class_name = data.write_relation, made.schema, None
     else:  # a dataset's class column is its table's last
-        write, class_name = data.write_dataset, made.class_attr.name
-        schema = data.Schema(made.schema.attributes + (made.class_attr,))
+        write, schema, class_name = data.write_dataset, made.table, made.class_attr.name
     out = Path(args.out)
     try:
         write(made, out)
@@ -489,9 +490,8 @@ def build_parser() -> _Parser:
 
     p_dep = sub.add_parser("deps", help="dependency analysis of a relation")
     _add_input(p_dep)
-    p_dep.add_argument("--mode", choices=("exhaustive", "single"),
-                       default="exhaustive")
-    p_dep.add_argument("--x", help="comma-separated attribute names")
+    p_dep.add_argument("--x", help="comma-separated attribute names; with --y, "
+                                   "check this one (X, Y) instead of discovering all")
     p_dep.add_argument("--y", help="comma-separated attribute names")
     _add_format(p_dep)
     p_dep.set_defaults(func=_cmd_deps)

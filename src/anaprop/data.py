@@ -21,7 +21,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -41,15 +41,19 @@ class Dataset:
     """Labeled nominal examples over a fixed schema.
 
     Row order is preserved from the source; duplicate items (even with
-    conflicting labels) are kept.
+    conflicting labels) are kept.  ``table`` is the schema of its table:
+    the attributes, then the class, which may not share an attribute's name.
     """
 
     schema: Schema
     class_attr: Attribute
     items: tuple[Item, ...]
     labels: tuple[str, ...]
+    table: Schema = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "table",
+                           Schema(self.schema.attributes + (self.class_attr,)))
         if len(self.items) != len(self.labels):
             raise DataError("items and labels differ in length")
         for item in self.items:
@@ -67,9 +71,8 @@ class Dataset:
 
     def to_relation(self) -> "Relation":
         """The dataset as a plain relation, class column last."""
-        schema = Schema(self.schema.attributes + (self.class_attr,))
         rows = [item + (label,) for item, label in zip(self.items, self.labels)]
-        return Relation.from_rows(schema, rows)
+        return Relation.from_rows(self.table, rows)
 
 
 @dataclass(frozen=True)
@@ -252,7 +255,7 @@ def _write_table(path: str | Path, header: Sequence[str],
 
 def write_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset as one table, class column last, every row kept."""
-    _write_table(path, (*ds.schema.names, ds.class_attr.name),
+    _write_table(path, ds.table.names,
                  ((*item, label) for item, label in zip(ds.items, ds.labels)))
 
 

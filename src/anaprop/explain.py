@@ -181,31 +181,21 @@ def rule_candidate(split: ContextSplit, schema_names: Sequence[str],
 
 
 def contrastive_explain(rel: Relation, query: Item, result_attr: str,
-                        question: str = "why",
                         target: Optional[str] = None) -> Explanation:
     """Best-supported contrastive explanation for the query's result value.
 
-    ``why`` contrasts the actual value against every alternative in the
-    result domain; ``why-not`` takes the single contrasted ``target``.
-    Candidates are ranked by strength, then smaller change set, then row
-    order.  With no adverse example the explanation is marked unsupported.
+    With no ``target`` this answers why: the actual value is contrasted
+    against every alternative in the result domain.  A ``target`` asks
+    why not: the single contrasted value.  Candidates are ranked by
+    strength, then smaller change set, then row order.  With no adverse
+    example the explanation is marked unsupported.
     """
-    if question not in ("why", "why-not"):
-        raise DataError(f"question must be 'why' or 'why-not', got {question!r}")
     rel.schema.validate_item(query)
     ridx = rel.schema.index(result_attr)
     actual = query[ridx]
-    if question == "why-not":
-        if target is None:
-            raise DataError("a why-not question needs the contrasted target value")
-        targets = [target]
-    else:
-        if target is not None and target != actual:
-            raise DataError(
-                f"a why question asks about the query's own value "
-                f"({actual!r}), not {target!r}"
-            )
-        targets = [v for v in rel.schema.attributes[ridx].domain if v != actual]
+    question = "why" if target is None else "why-not"
+    targets = ([v for v in rel.schema.attributes[ridx].domain if v != actual]
+               if target is None else [target])
 
     by_description: dict[Item, list[Item]] = {}
     for row in rel.tuples:

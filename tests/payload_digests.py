@@ -117,11 +117,10 @@ CLI_CELLS = {
     "explain coffee why-not": ["explain", *COFFEE, "--query-index", "1",
                                "--why-not", "with_milk=yes"],
     "deps courses exhaustive": ["deps", "--data", "courses.csv"],
-    "deps courses single": ["deps", "--data", "courses.csv", "--mode", "single",
-                            "--x", "course", "--y", "teacher"],
+    "deps courses single": ["deps", "--data", "courses.csv", "--x", "course",
+                            "--y", "teacher"],
     "deps random exhaustive": ["deps", "--data", "random.csv"],
-    "deps random single": ["deps", "--data", "random.csv", "--mode", "single",
-                           "--x", "a,b", "--y", "c"],
+    "deps random single": ["deps", "--data", "random.csv", "--x", "a,b", "--y", "c"],
 }
 #: The options of each ``generate`` cell, run with and without
 #: ``--emit-schema``; the spec files are written by ``_write_inputs``.

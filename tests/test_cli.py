@@ -139,7 +139,7 @@ class TestDepsCommand:
         broken = tmp_path / "broken.csv"
         broken.write_text("\n".join(rows) + "\n")
         code, out, _ = run(capsys, [
-            "deps", "--data", str(broken), "--mode", "single",
+            "deps", "--data", str(broken),
             "--x", "course", "--y", "teacher", "--format", "json",
         ])
         assert code == 0
@@ -158,7 +158,7 @@ class TestDepsCommand:
         ]}))
         code, out, _ = run(capsys, [
             "deps", "--data", str(table), "--schema", str(sidecar),
-            "--mode", "single", "--x", "a", "--y", "b", "--format", "json",
+            "--x", "a", "--y", "b", "--format", "json",
         ])
         assert code == 0
         finding = json.loads(out)["finding"]
@@ -169,7 +169,7 @@ class TestDepsCommand:
         assert code == 2
 
     def test_single_mode_echoes_canonical_attribute_lists(self, capsys):
-        argv = ["deps", "--data", str(DATA / "courses.csv"), "--mode", "single",
+        argv = ["deps", "--data", str(DATA / "courses.csv"),
                 "--x", "course,course", "--y", "time,teacher,time"]
         code, out, _ = run(capsys, argv + ["--format", "json"])
         assert code == 0
@@ -295,16 +295,25 @@ class TestMalformedInputsExitCleanly:
                      id="explain-query-and-query-index"),
         pytest.param(["explain", "--data", "MONK", "--query-index", "0",
                       "--why-not", "class"], None, 1, id="why-not-without-equals"),
-        pytest.param(["deps", "--data", "MONK", "--mode", "single", "--x", "a1"],
-                     None, 1, id="single-mode-without-y"),
+        pytest.param(["deps", "--data", "MONK", "--x", "a1"], None, 1, id="x-without-y"),
+        pytest.param(["deps", "--data", "MONK", "--y", "a1"], None, 1, id="y-without-x"),
         pytest.param(["evaluate", "--data", "MONK", "--strategy", "knn", "--seed", "1",
                       "--grid", "a,b"], None, 1, id="grid-not-integers"),
+        pytest.param(["evaluate", "--data", "MONK", "--strategy", "knn", "--seed", "1",
+                      "--k", "5", "--grid", "1,3"], None, 1, id="grid-and-k"),
+        pytest.param(["evaluate", "--data", "MONK", "--profile", "table3",
+                      "--neighbor-budget", "3"], None, 1, id="profile-grid-and-budget"),
+        pytest.param(["evaluate", "--data", "MONK", "--seed", "1", "--radius", "-1"],
+                     None, 1, id="negative-radius"),
         pytest.param(["evaluate", "--data", "FOUR", "--seed", "1", "--folds", "5"],
                      None, 2, id="more-folds-than-rows"),
         pytest.param(["evaluate", "--data", "MONK", "--seed", "1", "--class-column",
                       "nope"], None, 2, id="class-column-not-in-header"),
         pytest.param(["deps", "--data", "MONK", "--schema", "ABSENT"], None, 2,
                      id="missing-sidecar"),
+        pytest.param(["deps", "--data", "MONK", "--schema", "SPEC"], "[]", 2,
+                     id="sidecar-a-json-array"),
+        pytest.param(["deps", "--data", "SPEC"], "a,b\n", 2, id="header-only-table"),
         pytest.param(["deps", "--data", "MONK", "--schema", "SPEC"],
                      '{"attributes": [{"name": "a", "domain": ["0", "1"]}]}', 2,
                      id="sidecar-names-differ-from-header"),
@@ -330,35 +339,22 @@ class TestMalformedInputsExitCleanly:
         pytest.param(GENERATE + ["planted-rule"],
                      '{"rules": [{"pairs": 3, "exceptions": 1.5}]}', 2,
                      id="planted-rule-fractional-exceptions"),
-        pytest.param(GENERATE + ["affine"], '{"n": 2, "coefficients": [1, "x", 0]}',
-                     2, id="affine-coefficient-x"),
-        pytest.param(GENERATE + ["affine"], '{"n": 2, "coefficients": [1.5, 0, 1]}',
-                     2, id="affine-coefficient-1.5"),
-        # A top-level key the kind does not read is a usage error.
-        pytest.param(GENERATE + ["affine", "--seed", "1"],
-                     '{"n": 2, "coeficients": [1, 0, 1]}', 1, id="affine-misspelt-key"),
+        pytest.param(GENERATE + ["affine", "--n", "2", "--coeffs", "1,2,0"], "{}", 2,
+                     id="affine-coefficient-2"),
+        # A top-level key the kind does not read is a usage error, and so
+        # is a key that an option sets.
         pytest.param(GENERATE + ["planted-rule"],
                      '{"rules": [{"pairs": 3}], "rule": [{"pairs": 4}]}', 1,
                      id="planted-rule-second-list"),
-        pytest.param(GENERATE + ["monk1"], '{"n": 3}', 1, id="monk-with-a-key"),
-        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
-                     '{"attributes": [{"name": "a", "domain": ["0", "1"]}], '
-                     '"tuples": 2, "seed": 1}', 1, id="random-relation-seed-key"),
-        # Each top-level value must have its key's JSON type; a bool is
-        # not an integer.
-        pytest.param(GENERATE + ["affine"], '{"n": 2, "coefficients": "101"}', 1,
-                     id="affine-coefficients-a-string"),
-        pytest.param(GENERATE + ["affine"], '{"n": "3"}', 1, id="affine-n-a-string"),
-        pytest.param(GENERATE + ["affine"], '{"n": true, "coefficients": [1, 0]}', 1,
-                     id="affine-n-a-bool"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1", "--tuples", "2"],
+                     '{"attributes": [{"name": "a", "domain": ["0", "1"]}], "seed": 1}',
+                     1, id="random-relation-seed-key"),
+        # Each top-level value must have its key's JSON type.
         pytest.param(GENERATE + ["planted-rule"], '{"rules": {"pairs": 3}}', 1,
                      id="planted-rule-rules-an-object"),
-        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
-                     '{"attributes": [{"name": "a", "domain": ["0", "1"]}], '
-                     '"tuples": "2"}', 1, id="random-relation-tuples-a-string"),
-        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
-                     '{"attributes": {"name": "a", "domain": ["0", "1"]}, '
-                     '"tuples": 2}', 1, id="random-relation-attributes-an-object"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1", "--tuples", "2"],
+                     '{"attributes": {"name": "a", "domain": ["0", "1"]}}', 1,
+                     id="random-relation-attributes-an-object"),
         # Each item of a spec array must be an object with its fields.
         pytest.param(GENERATE + ["planted-rule"], '{"rules": [3]}', 1,
                      id="planted-rule-rule-a-number"),
@@ -367,36 +363,35 @@ class TestMalformedInputsExitCleanly:
         pytest.param(GENERATE + ["planted-rule"],
                      '{"rules": [{"pairs": 3}, {"pairs": 3, "colour": "red"}]}', 1,
                      id="planted-rule-unknown-rule-field"),
-        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
-                     '{"attributes": [{"nam": "a"}], "tuples": 2}', 1,
+        pytest.param(GENERATE + ["random-relation", "--seed", "1", "--tuples", "2"],
+                     '{"attributes": [{"nam": "a"}]}', 1,
                      id="random-relation-attribute-without-name"),
-        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
-                     '{"attributes": ["a"], "tuples": 2}', 1,
+        pytest.param(GENERATE + ["random-relation", "--seed", "1", "--tuples", "2"],
+                     '{"attributes": ["a"]}', 1,
                      id="random-relation-attribute-a-string"),
         # Each field of an item must have its field's JSON type.
-        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
-                     '{"attributes": [{"name": 5, "domain": ["0", "1"]}], "tuples": 2}',
-                     1, id="random-relation-attribute-name-a-number"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1", "--tuples", "2"],
+                     '{"attributes": [{"name": 5, "domain": ["0", "1"]}]}', 1,
+                     id="random-relation-attribute-name-a-number"),
         pytest.param(GENERATE + ["planted-rule"],
                      '{"rules": [{"pairs": 3, "label_from": ["x"]}]}', 1,
                      id="planted-rule-label-from-an-array"),
         pytest.param(GENERATE + ["planted-rule"], '{"rules": [{"pairs": 3, "label_to": 5}]}',
                      1, id="planted-rule-label-to-a-number"),
         # A domain must be a list of strings, not a string's characters.
-        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
-                     '{"attributes": [{"name": "a", "domain": "yes"}], "tuples": 2}',
-                     2, id="random-relation-string-domain"),
-        pytest.param(GENERATE + ["random-relation", "--seed", "1"],
-                     '{"attributes": [{"name": "a", "domain": [0, 1]}], "tuples": 2}',
-                     2, id="random-relation-number-domain"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1", "--tuples", "2"],
+                     '{"attributes": [{"name": "a", "domain": "yes"}]}', 2,
+                     id="random-relation-string-domain"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1", "--tuples", "2"],
+                     '{"attributes": [{"name": "a", "domain": [0, 1]}]}', 2,
+                     id="random-relation-number-domain"),
     ]
 
     def test_a_malformed_spec_item_is_named_with_its_shape(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
-        spec.write_text('{"attributes": [{"name": "a", "domain": ["0"]}, {"nam": "b"}], '
-                        '"tuples": 2}')
+        spec.write_text('{"attributes": [{"name": "a", "domain": ["0"]}, {"nam": "b"}]}')
         code, out, err = run(capsys, ["generate", "--kind", "random-relation", "--seed",
-                                      "1", "--spec", str(spec), "--out",
+                                      "1", "--tuples", "2", "--spec", str(spec), "--out",
                                       str(tmp_path / "r.csv")])
         assert (code, out) == (1, "")
         assert err == (f"error: malformed spec {spec}: 'attributes' item 1 lacks 'name'; "
@@ -431,16 +426,19 @@ class TestMalformedInputsExitCleanly:
         assert out == ""
         assert not paths["OUT"].exists()
 
-    def test_affine_spec_writes_what_the_options_write(self, capsys, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text('{"n": 2, "coefficients": [1, 0, 1]}')
-        from_spec, from_options = tmp_path / "spec.csv", tmp_path / "options.csv"
-        for extra, out in ((["--spec", str(spec)], from_spec),
-                           (["--n", "2", "--coeffs", "1,0,1"], from_options)):
-            code, _, err = run(capsys, ["generate", "--kind", "affine", "--out",
-                                        str(out), *extra])
-            assert (code, err) == (0, "")
-        assert from_spec.read_bytes() == from_options.read_bytes()
+    @pytest.mark.parametrize("kind, options, key, value", [
+        ("affine", ["--coeffs", "1,0,1"], "n", 2),
+        ("affine", ["--n", "2"], "coefficients", [1, 0, 1]),
+        ("random-relation", ["--seed", "1"], "tuples", 2)],
+        ids=["n", "coefficients", "tuples"])
+    def test_a_spec_key_that_an_option_sets_is_named(self, capsys, tmp_path, kind,
+                                                      options, key, value):
+        spec, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec.write_text(json.dumps({key: value}))
+        code, stdout, err = run(capsys, ["generate", "--kind", kind, "--spec", str(spec),
+                                         "--out", str(out), *options])
+        assert (code, stdout) == (1, "") and not out.exists()
+        assert err == f"error: spec {spec} has unknown key {key!r} for --kind {kind}\n"
 
     def test_truncated_schema_sidecar_is_data_error(self, tmp_path):
         sidecar = tmp_path / "bad.schema.json"
@@ -641,6 +639,17 @@ class TestExplicitOptionValues:
             assert (code, out) == (1, "")
             assert err == "error: --grid applies to the bongard and knn strategies\n"
 
+    def test_a_grid_and_its_single_value_are_one_setting(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        for argv, err_line in (
+                (["--strategy", "knn", "--seed", "1", "--k", "5", "--grid", "1,3"],
+                 "--grid and --k both set k"),
+                (["--profile", "table3", "--neighbor-budget", "3"],
+                 "--grid (set by --profile table3) and --neighbor-budget both set "
+                 "neighbor_budget")):
+            code, out, err = run(capsys, ["evaluate", "--data", missing, *argv])
+            assert (code, out, err) == (1, "", f"error: {err_line}; pass one of them\n")
+
     def test_grid_value_below_one_is_a_usage_error_before_loading(self, tmp_path):
         for data in (self.table(tmp_path), str(tmp_path / "missing.csv")):
             code, out, err = run_subprocess([
@@ -709,7 +718,7 @@ def fuzz_inputs(draw):
     elif command == "deps":
         args = []
         if draw(st.booleans()):
-            args = ["--mode", "single", "--x", draw(name), "--y", draw(name)]
+            args = ["--x", draw(name), "--y", draw(name)]
     else:
         args = ["--seed", "1", "--folds", str(draw(st.integers(2, 3))),
                 "--strategy", draw(st.sampled_from(

@@ -5,9 +5,10 @@ from collections import Counter
 
 import pytest
 
-from anaprop.core import Schema, SchemaError
+from anaprop.core import Attribute, Schema, SchemaError
 from anaprop.data import (
     DataError,
+    Dataset,
     PlantedRule,
     generate_affine,
     generate_monk,
@@ -36,13 +37,19 @@ def test_round_trip_write_then_load(tmp_path):
     out = tmp_path / "planted.csv"
     sidecar = tmp_path / "planted.schema.json"
     write_dataset(ds, out)
-    write_sidecar_schema(Schema(ds.schema.attributes + (ds.class_attr,)),
-                         sidecar, class_name=ds.class_attr.name)
+    write_sidecar_schema(ds.table, sidecar, class_name=ds.class_attr.name)
     again = load_dataset(out, schema_file=sidecar)
     assert again.items == ds.items
     assert again.labels == ds.labels
     assert again.schema == ds.schema
     assert again.class_attr == ds.class_attr
+
+
+def test_a_class_named_like_an_attribute_is_rejected():
+    # Its table would have the header a,a, which no loader reads back.
+    with pytest.raises(SchemaError, match=r"duplicate attribute names .* \['a', 'a'\]"):
+        Dataset(Schema.from_pairs([("a", "01")]), Attribute("a", ("p", "q")),
+                (("0",), ("1",)), ("p", "q"))
 
 
 def test_sidecar_schema_declares_domains(tmp_path):

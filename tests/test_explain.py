@@ -98,8 +98,8 @@ def pair_scan_oracle(rel, change, ridx, target, actual):
 
 class TestContrastiveExplain:
     def test_coffee_why_milk(self, coffee_table):
-        exp = contrastive_explain(coffee_table, COFFEE_D, "with_milk", "why")
-        assert exp.supported
+        exp = contrastive_explain(coffee_table, COFFEE_D, "with_milk")
+        assert exp.supported and exp.question == "why"  # no target asks why
         assert exp.target == "no" and exp.actual == "yes"
         names = coffee_table.schema.names
         assert [names[j] for j, _, _ in exp.adverse.change] == ["situation"]
@@ -108,7 +108,7 @@ class TestContrastiveExplain:
         assert exp.strength == 1.0
 
     def test_coffee_why_sugar(self, coffee_table):
-        exp = contrastive_explain(coffee_table, COFFEE_D, "with_sugar", "why")
+        exp = contrastive_explain(coffee_table, COFFEE_D, "with_sugar")
         names = coffee_table.schema.names
         assert [names[j] for j, _, _ in exp.adverse.change] == ["contraind."]
         assert "contraind. is no and not yes" in exp.sentence
@@ -116,8 +116,8 @@ class TestContrastiveExplain:
     def test_coffee_why_not_milk_for_b(self, coffee_table):
         # Row b has no milk; the contrast names the situation switch.
         row_b = ("sit_1", "no", "coffee", "yes", "no")
-        exp = contrastive_explain(coffee_table, row_b, "with_milk",
-                                  "why-not", target="yes")
+        exp = contrastive_explain(coffee_table, row_b, "with_milk", target="yes")
+        assert exp.question == "why-not"  # a target asks why not
         names = coffee_table.schema.names
         assert [names[j] for j, _, _ in exp.adverse.change] == ["situation"]
 
@@ -127,14 +127,14 @@ class TestContrastiveExplain:
         # analogical support.
         schema = Schema.from_pairs([("x", "01"), ("res", ("p", "q"))])
         rel = Relation.from_rows(schema, [("0", "p")])
-        exp = contrastive_explain(rel, ("1", "q"), "res", "why")
+        exp = contrastive_explain(rel, ("1", "q"), "res")
         assert not exp.supported
         assert exp.supporting_pairs == 0 and exp.strength == 0.0
 
     def test_no_adverse_example_at_all(self):
         schema = Schema.from_pairs([("x", "01"), ("res", ("p", "q"))])
         rel = Relation.from_rows(schema, [("0", "q"), ("1", "q")])
-        exp = contrastive_explain(rel, ("1", "q"), "res", "why")
+        exp = contrastive_explain(rel, ("1", "q"), "res")
         assert not exp.supported
         assert exp.adverse is None
         assert "no adverse example" in exp.sentence
@@ -142,17 +142,13 @@ class TestContrastiveExplain:
     def test_planted_strength(self):
         rel = strength_table()
         query = ("e", "w", "q")
-        exp = contrastive_explain(rel, query, "res", "why")
+        exp = contrastive_explain(rel, query, "res")
         assert exp.supported
         assert exp.adverse.row == ("e", "v", "p")
         assert (exp.supporting_pairs, exp.exception_pairs) == (3, 1)
         assert exp.strength == 0.75
         oracle = pair_scan_oracle(rel, exp.adverse.change, 2, "p", "q")
         assert oracle == (3, 1)
-
-    def test_why_not_needs_target(self, coffee_table):
-        with pytest.raises(DataError):
-            contrastive_explain(coffee_table, COFFEE_D, "with_milk", "why-not")
 
 
 def nested_pair_scan(rel, change, ridx, target, actual):
@@ -210,32 +206,52 @@ def explain_questions(draw):
         query = rel.tuples[draw(st.integers(0, len(rel) - 1))]
     else:
         query = draw(row)
-    question = draw(st.sampled_from(("why", "why-not")))
     target = None
-    if question == "why-not":
+    if draw(st.booleans()):  # a why-not question
         target = draw(st.sampled_from([v for v in results if v != query[ridx]]))
-    return rel, query, schema.names[ridx], question, target
+    return rel, query, schema.names[ridx], target
 
 
 def scan_pair_counts(rel, _by_description, change, ridx, target, actual):
     return nested_pair_scan(rel, change, ridx, target, actual)
 
 
+def ranked_rows(rel, query, result_attr, target):
+    """The row of every candidate adverse example, best first: by strength
+    from the literal pair scan, then change size, then row order."""
+    ridx = rel.schema.index(result_attr)
+    actual = query[ridx]
+    ranked = []
+    for i, row in enumerate(rel.tuples):
+        if row[ridx] == actual or target not in (None, row[ridx]):
+            continue
+        change = tuple((j, row[j], query[j]) for j in range(len(row))
+                       if j != ridx and row[j] != query[j])
+        if change:
+            supporting, exceptions, _ = nested_pair_scan(rel, change, ridx, row[ridx],
+                                                         actual)
+            total = supporting + exceptions
+            ranked.append((-(supporting / total if total else 0.0), len(change), i))
+    return [i for *_, i in sorted(ranked)]
+
+
 class TestPairCountsByLookup:
     @settings(max_examples=300)
     @given(explain_questions())
     def test_explanation_matches_nested_scan(self, case):
-        rel, query, result_attr, question, target = case
-        fast = contrastive_explain(rel, query, result_attr, question, target)
+        rel, query, result_attr, target = case
+        fast = contrastive_explain(rel, query, result_attr, target)
         with mock.patch.object(explain, "_pair_counts", scan_pair_counts):
-            literal = contrastive_explain(rel, query, result_attr, question,
-                                          target)
+            literal = contrastive_explain(rel, query, result_attr, target)
         assert fast == literal
+        candidates = (fast.adverse,) * (fast.adverse is not None) + fast.alternatives
+        assert [ae.row_index for ae in candidates] == \
+            ranked_rows(rel, query, result_attr, target)
 
 
 class TestRuleCandidate:
     def test_coffee_milk_rule(self, coffee_table):
-        exp = contrastive_explain(coffee_table, COFFEE_D, "with_milk", "why")
+        exp = contrastive_explain(coffee_table, COFFEE_D, "with_milk")
         rule = rule_candidate(exp.split, coffee_table.schema.names,
                               exp.supporting_pairs, exp.exception_pairs)
         assert rule.change_attributes == ("situation",)
@@ -246,14 +262,14 @@ class TestRuleCandidate:
 
     def test_exception_counted(self):
         rel = strength_table()
-        exp = contrastive_explain(rel, ("e", "w", "q"), "res", "why")
+        exp = contrastive_explain(rel, ("e", "w", "q"), "res")
         rule = rule_candidate(exp.split, rel.schema.names,
                               exp.supporting_pairs, exp.exception_pairs)
         assert rule.supporting_pairs == 3
         assert rule.exception_pairs == 1
 
     def test_split_roles(self, coffee_table):
-        exp = contrastive_explain(coffee_table, COFFEE_D, "with_milk", "why")
+        exp = contrastive_explain(coffee_table, COFFEE_D, "with_milk")
         split = exp.split
         names = coffee_table.schema.names
         assert [names[j] for j in split.change] == ["situation"]

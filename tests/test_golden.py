@@ -29,8 +29,8 @@ CASES = [
     ("deps_courses_exhaustive.json",
      ["deps", "--data", "courses.csv", "--format", "json"]),
     ("deps_courses_single.json",
-     ["deps", "--data", "courses.csv", "--mode", "single",
-      "--x", "course", "--y", "teacher", "--format", "json"]),
+     ["deps", "--data", "courses.csv", "--x", "course", "--y", "teacher",
+      "--format", "json"]),
     ("evaluate_planted.json",
      ["evaluate", "--data", "planted.csv", "--schema", "planted.schema.json",
       "--strategy", "selected", "--folds", "3", "--seed", "11",

@@ -660,7 +660,7 @@ class TestSingleModeAgreesWithDiscovery:
             subsets = all_subsets(rel.schema.names)[1:]
             for x in subsets:
                 for y in subsets:
-                    single = run_deps(path, "--schema", str(sidecar), "--mode", "single",
+                    single = run_deps(path, "--schema", str(sidecar),
                                       "--x", ",".join(x), "--y", ",".join(y))
                     expected = exhaustive.get((x, y), none_holds)
                     assert {k: single["finding"][k] for k in FINDING_KEYS} == \
@@ -703,7 +703,7 @@ class TestSingleChecksOnWideSchemas:
                 assert relational.decide_dependency(rel, x, y) == expected
                 assert mvd_holds(rel, x, y) == expected.mvd
                 assert weak_mvd_holds(rel, x, y) == expected.weak_mvd
-                single = run_deps(path, "--schema", str(sidecar), "--mode", "single",
+                single = run_deps(path, "--schema", str(sidecar),
                                   "--x", ",".join(x), "--y", ",".join(y))["finding"]
                 assert {k: single[k] for k in FINDING_KEYS} == json.loads(json.dumps(
                     {k: getattr(expected, k) for k in FINDING_KEYS}))
