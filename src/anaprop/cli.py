@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -73,14 +74,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(payload: dict, fmt: str, human: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(data.canonical_json(payload))
     else:
         print(human)
 
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
 
@@ -134,8 +135,8 @@ def _cmd_evaluate(args) -> int:
                                       if value is not None})
     except DataError as exc:
         raise _UsageError(str(exc)) from exc
-    if args.grid:
-        origin = "" if given_grid else f" (set by --profile {args.profile})"
+    if args.grid is not None:
+        origin = "" if given_grid is not None else f" (set by --profile {args.profile})"
         param = classify.GRID_PARAMETERS.get(config.strategy)
         if param is None:
             raise _UsageError(f"--grid{origin} applies to the bongard and knn strategies")
@@ -143,14 +144,14 @@ def _cmd_evaluate(args) -> int:
             raise _UsageError(f"--grid{origin} and --{param.replace('_', '-')} "
                               f"both set {param}; pass one of them")
         grid = _parse_int_list(args.grid)
-        if not grid or min(grid) < 1:
+        if min(grid) < 1:
             raise _UsageError(f"--grid needs values of at least 1, got {args.grid!r}")
     dataset = data.load_dataset(args.data, delimiter=args.delimiter,
                                 class_column=args.class_column,
                                 schema_file=args.schema)
     started = time.perf_counter()
     payload: dict = {"command": "evaluate", "data": str(args.data)}
-    if args.grid:
+    if args.grid is not None:
         best, reports = classify.cross_validate_grid(dataset, config, grid)
         payload["grid"] = grid
         payload["grid_parameter"] = classify.GRID_PARAMETERS[config.strategy]
@@ -171,7 +172,7 @@ def _cmd_evaluate(args) -> int:
         # kNN caps k at each training fold's size; the report echoes the
         # requested k, so say which k ran.
         smallest = headline.dataset_rows - max(map(len, headline.fold_indices))
-        for k in dict.fromkeys(grid if args.grid else [config.k]):
+        for k in dict.fromkeys(grid if args.grid is not None else [config.k]):
             if k > smallest:
                 print(f"[evaluate] k={k} exceeds the smallest training fold "
                       f"({smallest} rows); each fold ran with k capped at its "
@@ -180,7 +181,7 @@ def _cmd_evaluate(args) -> int:
              f"{headline.mean_accuracy:.2f} +/- {headline.std_accuracy:.2f} "
              f"({config.folds}-fold, seed {config.seed}, "
              f"abstention {100 * headline.abstention_rate:.2f}%)")
-    if args.grid:
+    if args.grid is not None:
         param = payload["grid_parameter"]
         human += (f" [best {param}={getattr(headline.config, param)} "
                   f"of grid {payload['grid']}]")
@@ -368,7 +369,7 @@ def _generate(args, spec: dict):
     if kind == "affine":
         if args.n is None:
             raise _UsageError("affine generation needs --n")
-        coeffs = _parse_int_list(args.coeffs) if args.coeffs else None
+        coeffs = _parse_int_list(args.coeffs) if args.coeffs is not None else None
         return data.generate_affine(args.n, coeffs, args.seed)
     if kind == "planted-rule":
         raw_rules = spec.get("rules")
@@ -438,6 +439,7 @@ def _add_format(parser) -> None:
                         help="output format on stdout")
 
 
+@functools.cache  # one parser per process: parsing writes only to its Namespace
 def build_parser() -> _Parser:
     parser = _Parser(prog="anaprop",
                      description="Analogical-proportion reasoning toolkit")

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import anaprop
-from anaprop.cli import SPEC_ITEMS, main
+from anaprop.cli import SPEC_ITEMS, build_parser, main
 from anaprop.data import (PlantedRule, generate_affine, generate_monk, load_relation,
                           write_dataset)
 
@@ -301,6 +301,8 @@ class TestMalformedInputsExitCleanly:
                       "--grid", "a,b"], None, 1, id="grid-not-integers"),
         pytest.param(["evaluate", "--data", "MONK", "--strategy", "knn", "--seed", "1",
                       "--k", "5", "--grid", "1,3"], None, 1, id="grid-and-k"),
+        pytest.param(["evaluate", "--data", "MONK", "--strategy", "knn", "--seed", "1",
+                      "--grid", "1,,3"], None, 1, id="grid-empty-item"),
         pytest.param(["evaluate", "--data", "MONK", "--profile", "table3",
                       "--neighbor-budget", "3"], None, 1, id="profile-grid-and-budget"),
         pytest.param(["evaluate", "--data", "MONK", "--seed", "1", "--radius", "-1"],
@@ -341,6 +343,8 @@ class TestMalformedInputsExitCleanly:
                      id="planted-rule-fractional-exceptions"),
         pytest.param(GENERATE + ["affine", "--n", "2", "--coeffs", "1,2,0"], "{}", 2,
                      id="affine-coefficient-2"),
+        pytest.param(GENERATE + ["affine", "--n", "3", "--coeffs", "1,,0,1"], "{}", 1,
+                     id="coeffs-empty-item"),
         # A top-level key the kind does not read is a usage error, and so
         # is a key that an option sets.
         pytest.param(GENERATE + ["planted-rule"],
@@ -406,6 +410,18 @@ class TestMalformedInputsExitCleanly:
         assert (code, out) == (1, "")
         assert err == (f"error: malformed spec {spec}: 'rules' item 1 field 'alt_label' "
                        "must be a JSON string\n")
+
+    @pytest.mark.parametrize("option, text", [
+        ("--grid", "1,,3"), ("--grid", "1,3,"), ("--grid", ""),
+        ("--coeffs", "1,,0,1"), ("--coeffs", "")])
+    def test_an_empty_integer_list_item_is_quoted(self, capsys, tmp_path, option, text):
+        command = (["evaluate", "--data", str(tmp_path / "absent.csv"), "--strategy",
+                    "knn", "--seed", "1"] if option == "--grid" else
+                   ["generate", "--kind", "affine", "--n", "3", "--out",
+                    str(tmp_path / "out.csv")])
+        code, out, err = run(capsys, command + [option, text])
+        assert (code, out) == (1, "")
+        assert err == f"error: expected a comma-separated integer list, got {text!r}\n"
 
     def test_spec_rule_fields_are_the_planted_rule_fields(self):
         required, optional = SPEC_ITEMS["rules"]
@@ -918,6 +934,8 @@ def test_json_stdout_does_not_depend_on_the_hash_seed(tmp_path):
         ["evaluate", "--data", str(monk), "--strategy", "bongard", "--grid", "1,3,5",
          "--fallback", "brute", "--seed", "7"],
         ["deps", "--data", str(attributes)],
+        ["explain", "--data", str(monk), "--query-index", "50", "--why", "class"],
+        ["explain", "--data", str(monk), "--query-index", "50", "--why-not", "class=1"],
     ]
     for argv in commands:
         outputs = {run_subprocess(argv + ["--format", "json"], PYTHONHASHSEED=seed)[:2]
@@ -925,3 +943,24 @@ def test_json_stdout_does_not_depend_on_the_hash_seed(tmp_path):
         assert len(outputs) == 1, argv  # stderr differs: it reports the wall time
         code, out = outputs.pop()
         assert code == 0 and out.startswith("{")
+
+
+def test_the_cached_parser_carries_nothing_between_calls(capsys, tmp_path):
+    # One parser serves every cli.main call of a process: a usage error, a
+    # profile's settings and one question must not reach the next call.
+    monk = tmp_path / "monk1.csv"
+    write_dataset(generate_monk(1), monk)
+    planted = str(DATA / "planted.csv")
+    explain = ["explain", "--data", str(monk), "--query-index", "50", "--format", "json"]
+    commands = [
+        ["evaluate", "--data", planted, "--folds", "x"],
+        ["evaluate", "--data", planted, "--profile", "table3", "--format", "json"],
+        ["evaluate", "--data", planted, "--strategy", "knn", "--k", "3", "--seed", "1",
+         "--format", "json"],
+        explain + ["--why", "class"],
+        explain + ["--why-not", "class=1"],
+    ]
+    for argv in commands:
+        code, out, _ = run(capsys, argv)
+        assert (code, out) == run_subprocess(argv)[:2], argv
+    assert build_parser() is build_parser()

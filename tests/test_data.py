@@ -1,15 +1,18 @@
 """Loading, round-trips and the synthetic generators."""
 
 import json
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from anaprop.core import Attribute, Schema, SchemaError
 from anaprop.data import (
     DataError,
     Dataset,
     PlantedRule,
+    canonical_json,
     generate_affine,
     generate_monk,
     generate_planted_rules,
@@ -320,3 +323,31 @@ class TestMonk:
     def test_unknown_problem(self):
         with pytest.raises(DataError):
             generate_monk(4)
+
+
+# Text with what JSON must escape (quotes, backslashes, control
+# characters) or may not pass through as ASCII, beside brackets.
+_TEXT = st.text(st.sampled_from('"\\/[]{}:, \x00\x1f\x7f\n\téß€\u2028\U0001f600')
+                | st.characters(), max_size=6)
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+           | st.floats() | _TEXT
+           | st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf]))
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(_JSON_VALUES)
+@example({"b": [], "a": {}, "c": [(), [True, False, None], {"\"\\": -0.0}],
+          "\u00e9": [1e16, 5e-324, math.nan, math.inf, -math.inf, -2**70, "\x01"]})
+def test_canonical_json_is_the_indented_sorted_json_dumps(value):
+    assert canonical_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{"a", "b"}, b"ab", {1: "a"}, {"a": [{("k",): 1}]}],
+                         ids=["set", "bytes", "int-key", "nested-tuple-key"])
+def test_canonical_json_rejects_what_json_has_no_type_for(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
