@@ -26,16 +26,17 @@ within that Hamming radius, since all pairs of a key lie at one
 distance, so a vote needs no radius test), the case-analysis classifier
 that resolves mixed pair groups by solving a Bongard separation problem
 over the shared context (the pairs of a mixed group are found by lookup
-from diff(c, query), which every pair under its key shares), a Hamming
-kNN baseline, and a seeded stratified cross-validation harness.  A run
-builds one table over all rows, and each fold's model and fallback is a
-copy of it with the fold's training rows live, whatever the size of a
-grid search over the neighbor parameter, so every fold names rows by
-their dataset index.  The case analysis, kNN and the 1-NN fallback rank
-the live rows by Hamming distance to the query in one way
-(``_PairCounts.ranked``, the lowest digit of the pair keys), and one
-prefix reader answers a list of neighbor budgets or k's from one vote
-stream or one ranking; a single classification is its one-value case.
+from diff(c, query), which every pair under its key shares, once per
+run), a Hamming kNN baseline, and a seeded stratified cross-validation
+harness.  A run builds one table over all rows, and each fold's model
+and fallback is a copy of it with the fold's training rows live,
+whatever the size of a grid search over the neighbor parameter, so
+every fold names rows by their dataset index.  The case analysis, kNN
+and the 1-NN fallback rank the live rows by Hamming distance to the
+query in one way (``_PairCounts.ranked``, the lowest digit of the pair
+keys), and one prefix reader answers a list of neighbor budgets or k's
+from one vote stream or one ranking; a single classification is its
+one-value case.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ import random
 import statistics
 from collections import Counter
 from copy import copy
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
-from itertools import combinations, compress, islice, repeat
+from functools import cached_property
+from itertools import chain, combinations, compress, islice, repeat
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -202,7 +204,8 @@ class _PairCounts:
     counts the pairs of each key and ``labelled`` counts them per slot
     under the extended key ``key * L² + slot``, so a key's same-label
     count and each of its tilts is one lookup.  A key absent from
-    ``total`` has no pairs; neither table holds a zero entry.  The
+    ``total`` has no pairs; neither table holds a zero entry, unless
+    ``remove_rows`` was asked to keep the keys it empties.  The
     tables start empty: ``count_pairs`` counts the rows' own pairs, and
     ``count`` any others.  Only the rows marked in ``live`` vote as c;
     ``remove_rows`` and ``add_rows`` take rows out of a table that counts
@@ -219,6 +222,10 @@ class _PairCounts:
         self.pair_keys = PairKeys(data.schema, data.items)
         self.codes = list(map(self.label_order.index, data.labels))
         self.live = [True] * len(data)
+        #: Per distinct item, the rows that hold it.
+        self._rows_of: dict[Item, list[int]] = {}
+        for i, item in enumerate(data.items):
+            self._rows_of.setdefault(item, []).append(i)
         self.total: Counter = Counter()
         self.labelled: Counter = Counter()
         #: Per label code la: (code lb, slot of the tilt la -> lb) for lb != la.
@@ -242,9 +249,11 @@ class _PairCounts:
         label c) for every row j."""
         return [[self.slot(cj, c) for cj in self.codes] for c in range(self.width)]
 
-    def count(self, keys: Sequence[int], slots: Iterable[int], step: int) -> None:
+    def count(self, keys: Sequence[int], slots: Iterable[int], step: int,
+              keep_keys: bool = False) -> None:
         """Add (step 1) or take away (step -1) one pair per entry of
-        ``keys``, with its label slot from the parallel ``slots``."""
+        ``keys``, with its label slot from the parallel ``slots``; an
+        emptied entry is dropped, or kept at 0 with ``keep_keys``."""
         extended = map(add, map(self.scale.__mul__, keys), slots)
         for table, entries in ((self.total, keys), (self.labelled, extended)):
             if step > 0:
@@ -252,7 +261,7 @@ class _PairCounts:
                 continue
             for entry, n in Counter(entries).items():
                 left = table[entry] - n
-                if left:
+                if left or keep_keys:
                     table[entry] = left
                 else:
                     table.pop(entry)
@@ -282,22 +291,24 @@ class _PairCounts:
             slots += compress(self._incoming[c], others)
         return keys, slots
 
-    def _toggle(self, rows: Sequence[int], live: bool) -> None:
+    def _toggle(self, rows: Sequence[int], live: bool, keep_keys: bool = False) -> None:
         """Put ``rows`` back (``live`` True) or take them out, with the
         pairs that touch them; refused, with the table unchanged, unless
         they are distinct and each is in the other state."""
         if len(set(rows)) < len(rows) or any(self.live[r] == live for r in rows):
             state = "out of" if live else "in"
             raise ValueError(f"rows {list(rows)} are not distinct rows {state} the table")
-        self.count(*self._touching(rows), 1 if live else -1)
+        self.count(*self._touching(rows), 1 if live else -1, keep_keys)
         for r in rows:
             self.live[r] = live
 
-    def remove_rows(self, rows: Sequence[int]) -> None:
+    def remove_rows(self, rows: Sequence[int], keep_keys: bool = False) -> None:
         """Take the distinct live ``rows`` out of the table, with every
         pair that touches one of them, in one count; what is left equals
-        a fresh count of the live rows."""
-        self._toggle(rows, False)
+        a fresh count of the live rows.  With ``keep_keys`` an emptied
+        entry stays at 0, which ``vote`` reads as absent, so putting the
+        rows back inserts no key (a dict that regains keys grows)."""
+        self._toggle(rows, False, keep_keys)
 
     def add_rows(self, rows: Sequence[int]) -> None:
         """Put the distinct removed ``rows`` back with all their pairs."""
@@ -357,12 +368,16 @@ class _PairCounts:
         row order: each pair (a, b) counted under the key of (c, query)
         is one triplet; a same-label pair votes for c's label, a tilt
         from c's label votes for its target.  L + 1 lookups per c."""
-        keys = self.query_keys(query)
+        return self._tally(zip(self.query_keys(query), self.codes), self.live)
+
+    def _tally(self, keyed: Iterable[tuple[int, int]], live: Iterable[bool]) -> Prediction:
+        """The vote of ``vote`` over the (key of (c, query), label code of
+        c) entries of ``keyed`` whose parallel ``live`` flag is set."""
         total, labelled = self.total, self.labelled
         scale, tilts_from = self.scale, self._tilts_from
         votes = [0] * self.width
         examined = 0
-        for key, lc in compress(zip(keys, self.codes), self.live):
+        for key, lc in compress(keyed, live):
             n = total.get(key)
             if n is None:
                 continue
@@ -528,7 +543,8 @@ class SelectedTripletModel(_PairCounts):
     tilt.  A query's vote reads, for every c, the counts under
     the key of (c, query).  All pairs under one key lie at one distance
     (``key % modulus``), which is that of each c whose key it is, so
-    only the c within the radius find counts."""
+    only the c within the radius find counts, and a query that is a row
+    reads only those c, from its near list (``_near``)."""
 
     def __init__(self, train: Dataset, pairs: Sequence[CompetentPair], radius: int):
         if radius < 0:
@@ -544,15 +560,15 @@ class SelectedTripletModel(_PairCounts):
 
     @cached_property
     def _near(self) -> list[tuple[list[int], list[int]]]:
-        """Per row a, the rows b and the keys of the pairs (a, b) at Hamming
-        distance 1 to the radius; listed once, and shared by the copies
+        """Per row b, the rows a and the keys of the pairs (a, b) at Hamming
+        distance 0 to the radius; listed once, and shared by the copies
         made after."""
         modulus, radius = self.pair_keys.modulus, self.radius
         rows, keys = list(range(len(self.live))), {}  # the lists share one int per value
         near = []
         for item in self.data.items:
-            row_keys = self.pair_keys.keys_from(item)
-            mask = [0 < key % modulus <= radius for key in row_keys]
+            row_keys = self.pair_keys.keys_to(item)
+            mask = [key % modulus <= radius for key in row_keys]
             near.append((list(compress(rows, mask)),
                          [keys.setdefault(key, key) for key in compress(row_keys, mask)]))
         return near
@@ -562,14 +578,16 @@ class SelectedTripletModel(_PairCounts):
         """A copy of this table, which holds no pairs, with ``rows`` live
         and the counts of ``extract_competent_pairs`` over the ``mining``
         rows, copied in whole without listing the pairs.  Only the pairs
-        of two mining rows within the radius are counted, as the listed
-        pairs are bounded; every pair under one key lies at one distance,
-        so the groups of the keys counted are complete."""
+        of two mining rows within the radius are counted, from the near
+        lists, as the listed pairs are bounded; every pair under one key
+        lies at one distance, so the groups of the keys counted are
+        complete.  Key 0, the pairs of equal items, is counted in the
+        sample and dropped by ``_competent_behaviours``."""
         sample = self._copy(mining)
-        for a in mining:
-            near, keys = self._near[a]
+        for b in mining:
+            near, keys = self._near[b]
             keep = list(map(sample.live.__getitem__, near))
-            slots = map(self._outgoing[self.codes[a]].__getitem__, near)
+            slots = map(self._incoming[self.codes[b]].__getitem__, near)
             sample.count(list(compress(keys, keep)), compress(slots, keep), 1)
         model = self._copy(rows)
         for extended, support in _competent_behaviours(sample, min_support,
@@ -581,14 +599,23 @@ class SelectedTripletModel(_PairCounts):
     @cached_property
     def _counted(self) -> "SelectedTripletModel":
         """A copy of this table, which holds no pairs, with every row live
-        and every pair counted: the baseline's table on the same keys,
-        built when first asked."""
+        and every pair counted, beyond the radius too: the baseline's
+        table on the same keys, built when first asked and read by
+        ``vote``."""
         full = self._copy(range(len(self.live)))
         full.count_pairs()
         return full
 
     def classify(self, query: Item) -> Prediction:
-        return self.vote(query)
+        """The vote of ``vote``; for a query that is one of the rows, read
+        from its near list, which holds every c whose key can be counted
+        (the first such query lists every row's)."""
+        rows = self._rows_of.get(query)
+        if rows is None:
+            return self.vote(query)
+        near, keys = self._near[rows[0]]
+        return self._tally(zip(keys, map(self.codes.__getitem__, near)),
+                           map(self.live.__getitem__, near))
 
 
 def selected_triplet_classify(train: Dataset, pairs: Sequence[CompetentPair],
@@ -597,7 +624,8 @@ def selected_triplet_classify(train: Dataset, pairs: Sequence[CompetentPair],
     lies within the Hamming radius of the query; abstain when none does."""
     if not pairs:
         raise DataError("selected-triplet classification needs competent pairs")
-    return SelectedTripletModel(train, pairs, radius).classify(query)
+    # One query: the dense vote costs less than listing every row's near pairs.
+    return SelectedTripletModel(train, pairs, radius).vote(query)
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +711,8 @@ class BongardModel(_PairCounts):
         self.count_pairs()
         self._max_literals = max_literals
         self._analysis: dict[int, Optional[tuple]] = {}
-        self._rows_of: dict[Item, list[int]] = {}
-        for i, item in enumerate(train.items):
-            self._rows_of.setdefault(item, []).append(i)
+        #: Per change, its pairs over all rows (``contexts``), shared by every copy.
+        self._pairs: dict[Diff, list[int]] = {}
 
     def without(self, rows: Sequence[int]) -> "BongardModel":
         left = super().without(rows)
@@ -694,14 +721,20 @@ class BongardModel(_PairCounts):
 
     def contexts(self, change: Diff) -> tuple[set[tuple[str, ...]], set[tuple[str, ...]]]:
         """Agreement contexts of the same-label and of the label-changing
-        pairs of live rows with the difference vector ``change``, found by
-        lookup."""
+        pairs of live rows with the difference vector ``change``, read
+        from the run's list of its pairs (found by lookup)."""
         items, labels, live = self.data.items, self.data.labels, self.live
+        pairs = self._pairs.get(change)
+        if pairs is None:
+            steps = [(k, *step) for k, step in enumerate(change) if step is not None]
+            # Flattened (i, j, i, j, ...), so the run keeps no tuple per pair.
+            pairs = self._pairs[change] = list(chain.from_iterable(
+                pairs_with_change(items, self._rows_of, steps)))
         ag = agreement(change)
         same_ctx = set()
         diff_ctx = set()
-        steps = [(k, *step) for k, step in enumerate(change) if step is not None]
-        for i, j in pairs_with_change(items, self._rows_of, steps):
+        rows = iter(pairs)
+        for i, j in zip(rows, rows):
             if not (live[i] and live[j]):
                 continue
             ctx = tuple(items[i][k] for k in ag)
@@ -926,26 +959,34 @@ def _run_model(data: Dataset, config: CvConfig) -> _PairCounts:
             "knn": lambda: KnnModel(data)}[config.strategy]()
 
 
+@contextmanager
 def _fold_model(run: _PairCounts, configs: Sequence[CvConfig], fold: int,
                 test_idx: Sequence[int]):
     """One fold's model, shared by every config (they differ only in the
     grid parameter): a copy of the run's table ``run`` with only the
     fold's training rows live (``run`` less the test rows, where the table
-    counts every pair).  Returns ``(predict, fallback)``, which map a
+    counts every pair).  Yields ``(predict, fallback)``, which map a
     query to one Prediction per config and to the fallback's Prediction.
     ``knn1`` is the model's own 1-NN.  ``brute`` is None where it is never
     asked (kNN does not abstain) or would abstain on the same queries as
-    the strategy (the baseline is that classifier)."""
+    the strategy (the baseline is that classifier); the selected
+    strategy's takes the test rows out of the run's one fully counted
+    table in place and puts them back when the block ends."""
     config = configs[0]
     train_idx = sorted(set(range(len(run.live))).difference(test_idx))
-    brute = None
+    brute = counted = None
     if config.strategy == "selected":
         model = run.mined(train_idx, _mining_rows(train_idx, config, fold),
                           config.min_support, config.min_confidence)
-        # The run's table with every pair counted, less the test rows,
-        # built on the fold's first abstention.
-        counted = cache(lambda: run._counted.without(test_idx))
-        brute = lambda q: counted().vote(q)
+
+        def brute(query: Item) -> Prediction:
+            # The run's table with every pair counted, less the test rows
+            # from the fold's first abstention until the fold ends.
+            nonlocal counted
+            if counted is None:
+                counted = run._counted
+                counted.remove_rows(test_idx, keep_keys=True)
+            return counted.vote(query)
     elif config.strategy == "knn":
         model = run._copy(train_idx)
     else:
@@ -959,7 +1000,11 @@ def _fold_model(run: _PairCounts, configs: Sequence[CvConfig], fold: int,
         values = [getattr(c, param) for c in configs]
         predict = lambda q: model.predictions(q, values)
     knn1 = lambda q: model.nearest(q, [1])[0]
-    return predict, {"knn1": knn1, "brute": brute}.get(config.fallback)
+    try:
+        yield predict, {"knn1": knn1, "brute": brute}.get(config.fallback)
+    finally:
+        if counted is not None:
+            counted.add_rows(test_idx)
 
 
 def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
@@ -968,24 +1013,24 @@ def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
     """Score one fold for every config with a single model, a copy of the
     run's table ``run``."""
     test_idx = assignment[fold]
-    predict, fallback = _fold_model(run, configs, fold, test_idx)
     width = len(configs)
     correct = [0] * width
     abstained = [0] * width
     triplets = [0] * width
-    for i in test_idx:
-        query = data.items[i]
-        predictions = predict(query)
-        rescue = None  # the fallback answer, asked at most once per query
-        if fallback is not None and any(p.abstained for p in predictions):
-            rescue = fallback(query)
-        for v, pred in enumerate(predictions):
-            triplets[v] += pred.triplets_examined
-            if pred.abstained:
-                abstained[v] += 1
-                pred = rescue or pred
-            if not pred.abstained and pred.label == data.labels[i]:
-                correct[v] += 1
+    with _fold_model(run, configs, fold, test_idx) as (predict, fallback):
+        for i in test_idx:
+            query = data.items[i]
+            predictions = predict(query)
+            rescue = None  # the fallback answer, asked at most once per query
+            if fallback is not None and any(p.abstained for p in predictions):
+                rescue = fallback(query)
+            for v, pred in enumerate(predictions):
+                triplets[v] += pred.triplets_examined
+                if pred.abstained:
+                    abstained[v] += 1
+                    pred = rescue or pred
+                if not pred.abstained and pred.label == data.labels[i]:
+                    correct[v] += 1
     size = len(test_idx)
     return [
         FoldResult(fold, size, correct[v], 100.0 * correct[v] / size,

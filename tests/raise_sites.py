@@ -10,9 +10,12 @@ statement none of whose lines ran, as ``file:line``.  The CLI tests'
 
 Extra arguments go to pytest.  ``test_c5_table2_baseline_window`` is
 left out: it is the known failure and the slowest test under the
-tracer.  Exits 0 when every raise site ran, 1 when some did not, and 2
-when a test failed (a failing test may stop short of a site).  The full
-run takes a few minutes.  Not collected by pytest, as ``mutate.py``.
+tracer.  The sites are parsed before the run, from the source the run
+imports.  Exits 0 when every raise site ran, 1 when some did not, and 2
+when a test failed (a failing test may stop short of a site) or a
+package file was modified during the run (the lines run no longer match
+the sites).  The full run takes a few minutes.  Not collected by
+pytest, as ``mutate.py``.
 """
 
 from __future__ import annotations
@@ -85,11 +88,21 @@ def lines_run(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     return int(code), {(Path(name).name, line) for name, line in seen}
 
 
+def _mtimes() -> dict[str, int]:
+    """Package file name -> its modification time in ns."""
+    return {path.name: path.stat().st_mtime_ns for path in PACKAGE.glob("*.py")}
+
+
 def main(pytest_args: list[str]) -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
+    before, sites = _mtimes(), raise_sites()
     code, seen = lines_run(pytest_args)
-    sites = raise_sites()
+    changed = sorted({name for name, _ in _mtimes().items() ^ before.items()})
+    if changed:
+        print(f"package files modified during the run: {', '.join(changed)}; "
+              "rerun on a tree left alone")
+        return 2
     unrun = [site for site, lines in sorted(sites.items())
              if not any((site[0], line) in seen for line in lines)]
     for name, line in unrun:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from anaprop.core import (
-    Attribute, Schema, SchemaError, ap_holds_vec, diff, hamming, solve,
+    Attribute, Schema, SchemaError, agreement, ap_holds_vec, diff, hamming,
+    pairs_with_change, solve,
 )
 from anaprop.data import (
     DataError,
@@ -33,6 +34,7 @@ from anaprop.classify import (
     Prediction,
     SelectedTripletModel,
     _PairCounts,
+    _fold_model,
     analogical_suitability,
     bongard_classify,
     bongard_separation,
@@ -323,6 +325,54 @@ class TestRunTableDerivation:
                     (train_idx[i], vote, n) for i, vote, n in fresh.votes(query)]
                 assert derived.predictions(query, [1, 2, 5]) == \
                     fresh.predictions(query, [1, 2, 5])
+
+    @given(fold_scenarios(), st.integers(1, 2), st.randoms(use_true_random=False))
+    def test_derived_contexts_are_live_filtered_pair_scans(self, scenario, max_literals,
+                                                           rng):
+        # The run lists each change's pairs once, for whichever table asks
+        # first, and every fold filters that list by its own live rows.
+        ds, assignment = scenario
+        run = BongardModel(ds, max_literals)
+        tables = [run] + [run.without(test_idx) for test_idx in assignment]
+        rows_of = {}
+        for i, item in enumerate(ds.items):
+            rows_of.setdefault(item, []).append(i)
+        changes = {diff(a, b) for a, b in product(ds.items, repeat=2)}
+        visits = list(product(range(len(tables)), sorted(changes, key=repr)))
+        rng.shuffle(visits)
+        for t, change in visits:
+            table, scanned = tables[t], (set(), set())
+            steps = [(k, *step) for k, step in enumerate(change) if step is not None]
+            for i, j in pairs_with_change(ds.items, rows_of, steps):
+                if table.live[i] and table.live[j]:
+                    ctx = tuple(ds.items[i][k] for k in agreement(change))
+                    scanned[ds.labels[i] != ds.labels[j]].add(ctx)
+            assert table.contexts(change) == scanned
+        assert all(table._pairs is run._pairs for table in tables)
+        assert run._pairs.keys() == changes
+
+    def test_the_selected_brute_fallback_takes_the_test_rows_out_in_place(self):
+        # One fully counted table serves every fold: its test rows are out
+        # from the fold's first abstention until the fold ends.  It keeps
+        # the keys they empty, at 0, so it never gains a key.
+        ds = monk1_sample()
+        config = CvConfig(strategy="selected", folds=5, min_support=10_000,
+                          fallback="brute")
+        run = SelectedTripletModel(ds, (), config.radius)
+        full = index_snapshot(BruteForceModel(ds))
+        for fold, test_idx in enumerate(make_folds(ds, config.folds, config.seed)[0]):
+            train = ds.subset([i for i in range(len(ds)) if i not in test_idx])
+            with _fold_model(run, [config], fold, test_idx) as (predict, fallback):
+                for i in test_idx:
+                    assert predict(ds.items[i])[0].abstained
+                    assert as_tuple(fallback(ds.items[i])) == \
+                        as_tuple(brute_force_classify(train, ds.items[i]))
+                    assert run._counted.live == [j not in test_idx for j in range(len(ds))]
+                counted = index_snapshot(run._counted)
+                assert [table.keys() for table in counted] == [t.keys() for t in full]
+                assert [{e: n for e, n in table.items() if n} for table in counted] == \
+                    list(index_snapshot(BruteForceModel(train)))
+            assert index_snapshot(run._counted) == full and all(run._counted.live)
 
     @given(fold_scenarios(), st.lists(st.integers(1, 16), min_size=1, max_size=4))
     def test_a_derived_knn_answers_as_a_fresh_one(self, scenario, ks):
@@ -1050,8 +1100,9 @@ class TestCrossValidation:
         # The knn1 fallback is the fold model's own 1-NN, so it builds
         # nothing.  The selected strategy's brute fallback counts the run's
         # pairs once, on the run's first abstention, and takes a fold's
-        # test rows out of that table on the fold's first.  The case
-        # analysis's is its own vote, since its table counts every pair.
+        # test rows out of that table, in place, on the fold's first.  The
+        # case analysis's is its own vote, since its table counts every
+        # pair; its fold copies take their test rows out with remove_rows.
         # Some fold abstains twice, so a build per query would show.  The
         # grid's budgets abstain on the same queries (those where no
         # neighbor votes), so an ask per abstained budget would show too.
@@ -1063,7 +1114,7 @@ class TestCrossValidation:
                 (replace(selected, fallback="knn1"), None),
                 (bongard, [1, 3]),
                 (replace(bongard, fallback="brute"), [1, 3])]
-        count_pairs, without = _PairCounts.count_pairs, _PairCounts.without
+        count_pairs, remove_rows = _PairCounts.count_pairs, _PairCounts.remove_rows
         vote, nearest = _PairCounts.vote, _PairCounts.nearest
         for config, grid in runs:
             counted, derived, asked = [], [], []
@@ -1072,9 +1123,9 @@ class TestCrossValidation:
                 counted.append(table)
                 count_pairs(table)
 
-            def deriving(table, rows):
-                derived.append(without(table, rows))
-                return derived[-1]
+            def deriving(table, rows, **keep_keys):
+                remove_rows(table, rows, **keep_keys)
+                derived.append(table)
 
             def voting(table, query):
                 # The selected model is mined, not derived, and the case
@@ -1089,7 +1140,7 @@ class TestCrossValidation:
                 return nearest(table, query, ks)
 
             with monkeypatch.context() as patch:
-                for name, patched in (("count_pairs", counting), ("without", deriving),
+                for name, patched in (("count_pairs", counting), ("remove_rows", deriving),
                                       ("vote", voting), ("nearest", ranking)):
                     patch.setattr(_PairCounts, name, patched)
                 reports = ([cross_validate(ds, config)] if grid is None
@@ -1486,6 +1537,28 @@ class TestCountingAgainstTupleOracles:
         everything = SelectedTripletModel(ds, pairs, reach)
         assert (unbounded.total, unbounded.labelled) == \
             (everything.total, everything.labelled)
+
+    @given(keyed_datasets(max_classes=4), st.data(), st.integers(1, 3),
+           st.randoms(use_true_random=False))
+    def test_a_near_list_vote_is_the_dense_vote(self, case, data, min_support, rng):
+        # A query that is a row (or a duplicate of one) votes from its near
+        # list, any other by the dense vote over every live c.  A mined
+        # fold counts no pair of equal items; a model of listed pairs with
+        # a no-change one counts key 0, which only a c equal to the query
+        # finds.
+        ds, queries = case
+        radius = data.draw(st.integers(0, ds.schema.arity))
+        train_idx = sorted(rng.sample(range(len(ds)), rng.randint(1, len(ds))))
+        mining = sorted(rng.sample(train_idx, rng.randint(1, len(train_idx))))
+        item, label = rng.choice(list(zip(ds.items, ds.labels)))
+        unchanged = CompetentPair(item, item, label, label, diff(item, item), 1, 1.0)
+        listed = SelectedTripletModel(
+            ds, extract_competent_pairs_oracle(ds, min_support, 0.5) + [unchanged], radius)
+        mined = SelectedTripletModel(ds, (), radius).mined(train_idx, mining, min_support, 0.5)
+        models = (mined, listed, listed._copy(train_idx))
+        for model in models:
+            for query in list(ds.items) + queries:
+                assert as_tuple(model.classify(query)) == as_tuple(model.vote(query))
 
     @given(keyed_datasets(max_classes=4), st.integers(1, 2))
     @example(no_tilt_from_c_case(), 1)
