@@ -5,7 +5,9 @@ that forms a proportion a:b::c:query with a solvable class equation.  A
 triplet qualifies exactly when diff(a,b) == diff(c,query), so the vote is
 computed by counting ordered training pairs once (quadratic) under an
 integer key that stands for their difference vector, and then, per
-query, looking up the key of (c,query) for each candidate c.  A query
+query, looking up the key of (c,query) for each candidate c.  A list
+of keys is a sum of cached per-attribute columns packed in the 64-bit
+lanes of one int, so it costs one big-int addition per attribute.  A query
 with a value outside its domain is keyed too, under keys that no pair of
 rows has (see ``PairKeys``), so it finds no counts.  The counts are
 filled in bulk, one ``Counter.update`` per row and table, and a group's
@@ -43,12 +45,13 @@ from __future__ import annotations
 
 import random
 import statistics
+from array import array
 from collections import Counter
 from copy import copy
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, compress, islice
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -58,6 +61,8 @@ from .data import DataError, Dataset
 
 STRATEGIES = ("baseline", "selected", "bongard", "knn")
 FALLBACKS = ("none", "knn1", "brute")
+_LANE = "Q"  # one lane of a packed column: an unsigned 64-bit word
+_ORDER = "little" if array("H", [1]).tobytes()[0] else "big"  # array's native order
 
 
 @dataclass(frozen=True)
@@ -129,8 +134,12 @@ class PairKeys:
     Hamming distance.  A value outside its domain differs from every row:
     it adds 1 to the key, so the distance stays exact and the key's
     lowest digit exceeds its count of changes, which no pair of rows
-    has.  Key lists are sums of per-attribute columns of entries over
-    the rows, each built once and cached.
+    has.  Each per-attribute column of entries over the rows is built
+    once and cached as one int of n 64-bit lanes, so a key list is m
+    big-int additions, plus the outside count times a column of ones,
+    and one unpack: no Python code runs per row.  Every key is below
+    ``modulus · ∏(sₖ² + 1)`` (sₖ values of attribute k); a schema for
+    which that exceeds 2⁶⁴ keeps its columns as lists, summed per row.
     """
 
     def __init__(self, schema: Schema, items: Sequence[Item]):
@@ -142,7 +151,14 @@ class PairKeys:
             self._weights.append(weight)
             weight *= len(codes) ** 2 + 1
         self._size = len(items)
-        self._columns: dict[tuple[int, int, bool], list[int]] = {}
+        self._lanes = weight <= 2 ** 64  # every key is below ``weight``
+        self._bytes = array(_LANE).itemsize * self._size
+        self._ones = self._pack([1] * self._size)
+        self._columns: dict[tuple[int, int, bool], int | list[int]] = {}
+
+    def _pack(self, column: list[int]) -> int | list[int]:
+        """``column`` in the 64-bit lanes of one int, or as it is past them."""
+        return int.from_bytes(array(_LANE, column), _ORDER) if self._lanes else column
 
     def _entry(self, k: int, x: int, y: int) -> int:
         """Attribute ``k``'s share of the key of a pair with codes x -> y."""
@@ -173,12 +189,13 @@ class PairKeys:
                 entry = self._entry
                 entries = [entry(k, x, y) if outgoing else entry(k, y, x)
                            for y in range(len(codes))]
-                column = list(map(entries.__getitem__, self._rows[k]))
+                column = self._pack(list(map(entries.__getitem__, self._rows[k])))
                 self._columns[(k, x, outgoing)] = column
             columns.append(column)
-        if outside or not columns:  # an item of no attributes has keys 0
-            columns.append(repeat(outside, self._size))
-        return list(map(sum, zip(*columns)))
+        if self._lanes:
+            lanes = sum(columns, outside * self._ones)
+            return array(_LANE, lanes.to_bytes(self._bytes, _ORDER)).tolist()
+        return list(map(sum, zip([outside] * self._size, *columns)))
 
     def change_key(self, change: Diff) -> Optional[int]:
         """Key of any pair with this difference vector; None when a value
@@ -442,7 +459,8 @@ def analogical_suitability(train: Dataset) -> SuitabilityReport:
 
     One pair index over all rows serves every holdout: the left-out row
     is removed from it before its vote and added back after, so the whole
-    sweep costs O(n²·m) instead of a fresh build per row."""
+    sweep costs O(n²·m) instead of a fresh build per row.  The keys a
+    removal empties stay at 0, so the table ends the size it began."""
     n = len(train)
     if n < 4:
         raise DataError(f"suitability needs at least 4 examples, got {n}")
@@ -450,7 +468,7 @@ def analogical_suitability(train: Dataset) -> SuitabilityReport:
     wrong = 0
     abstained = 0
     for i in range(n):
-        model.remove_rows([i])
+        model.remove_rows([i], keep_keys=True)
         pred = model.classify(train.items[i])
         model.add_rows([i])
         if pred.abstained:

@@ -2,10 +2,12 @@
 
 import json
 import random
+import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -499,6 +501,26 @@ class TestSuitability:
             seen_abstain |= report.abstained > 0
             seen_wrong |= report.wrong > 0
         assert seen_abstain and seen_wrong
+
+    def test_a_sweep_leaves_its_table_as_built(self, monkeypatch):
+        # Each holdout's emptied keys stay at 0 until the row is put back,
+        # so the swept table holds exactly a fresh build's keys and counts
+        # and its dicts have not grown.
+        ds = monk1_sample()
+        fresh = BruteForceModel(ds)
+        built = []
+        count_pairs = _PairCounts.count_pairs
+
+        def counting(table):
+            count_pairs(table)
+            built.append((table, sys.getsizeof(table.total), sys.getsizeof(table.labelled)))
+
+        monkeypatch.setattr(_PairCounts, "count_pairs", counting)
+        analogical_suitability(ds)
+        (swept, *sizes), = built
+        assert swept.total.items() == fresh.total.items()
+        assert swept.labelled.items() == fresh.labelled.items()
+        assert [sys.getsizeof(swept.total), sys.getsizeof(swept.labelled)] == sizes
 
     def test_needs_four_examples(self):
         ds = generate_affine(2, (0, 1, 1)).subset([0, 1, 2])
@@ -1350,7 +1372,45 @@ def keyed_datasets(draw, max_classes=3):
     return ds, queries + [tuple(alien)]
 
 
+def column_sum_keys(keys: PairKeys, item, outgoing: bool) -> list[int]:
+    """Reference key lists, one Python-level sum per row: the entries of
+    ``item``'s in-domain values against each row, plus its count of values
+    outside their domains."""
+    columns, outside = [], 0
+    for k, (codes, v) in enumerate(zip(keys._codes, item)):
+        x = codes.get(v)
+        if x is None:
+            outside += 1
+            continue
+        columns.append([keys._entry(k, x, y) if outgoing else keys._entry(k, y, x)
+                        for y in keys._rows[k]])
+    if not columns:
+        return [outside] * keys._size
+    return [outside + sum(entries) for entries in zip(*columns)]
+
+
+#: Keys below 18·10¹⁷ and 19·10¹⁸: the last schema of ternary attributes
+#: whose keys fit a 64-bit lane (2⁶⁴ ≈ 1.8·10¹⁹) and the first that exceeds it.
+LANE_BOUND_SIZES = ([3] * 17, [3] * 18)
+
+
 class TestPairKeys:
+    @given(st.one_of(st.sampled_from(LANE_BOUND_SIZES),
+                     st.lists(st.integers(2, 7), max_size=20)), st.data())
+    def test_lane_keys_are_the_column_sums(self, sizes, data):
+        schema = Schema.from_pairs((f"a{k}", tuple(f"v{i}" for i in range(s)))
+                                   for k, s in enumerate(sizes))
+        domains = [a.domain for a in schema.attributes]
+        rows = data.draw(st.lists(st.tuples(*map(st.sampled_from, domains)), max_size=6))
+        queries = data.draw(st.lists(st.tuples(*[st.sampled_from(d + ("alien",))
+                                                 for d in domains]), max_size=4))
+        keys = PairKeys(schema, rows)
+        # Both sides of the bound: 64-bit lanes, and per-row sums past it.
+        assert keys._lanes == ((len(sizes) + 1) * prod(s * s + 1 for s in sizes) <= 2 ** 64)
+        for item in [*rows[:2], *queries, ()]:  # () is an item of no attributes
+            assert keys.keys_from(item) == column_sum_keys(keys, item, True)
+            assert keys.keys_to(item) == column_sum_keys(keys, item, False)
+
     @given(keyed_datasets())
     def test_keys_stand_for_difference_vectors(self, case):
         ds, queries = case
