@@ -8,10 +8,8 @@ from .core import (
     ap_holds,
     ap_holds_vec,
     diff,
-    disagreement,
     hamming,
     inverse_paralogy,
-    sign_vector,
     solve,
     solve_vec,
 )
@@ -30,18 +28,18 @@ from .data import (
     write_relation,
 )
 from .classify import (
+    BongardModel,
+    BruteForceModel,
     CompetentPair,
     CvConfig,
+    KnnModel,
     Prediction,
+    SelectedTripletModel,
     analogical_suitability,
-    bongard_classify,
     bongard_separation,
-    brute_force_classify,
     cross_validate,
     cross_validate_grid,
     extract_competent_pairs,
-    knn_classify,
-    selected_triplet_classify,
 )
 from .explain import (
     Explanation,

@@ -435,13 +435,6 @@ class BruteForceModel(_PairCounts):
         return self.vote(query)
 
 
-def brute_force_classify(train: Dataset, query: Item) -> Prediction:
-    """Vote over all ordered training triplets (a,b,c) with a:b::c:query
-    and a solvable class equation; abstain when none qualifies."""
-    _check_train(train)
-    return BruteForceModel(train).classify(query)
-
-
 @dataclass(frozen=True)
 class SuitabilityReport:
     """Leave-one-out error profile of the baseline classifier."""
@@ -501,10 +494,6 @@ class CompetentPair:
     change: Diff
     support: int
     confidence: float
-
-    @property
-    def same_label(self) -> bool:
-        return self.label_a == self.label_b
 
     @property
     def tilt(self) -> tuple[str, str]:
@@ -634,16 +623,6 @@ class SelectedTripletModel(_PairCounts):
         near, keys = self._near[rows[0]]
         return self._tally(zip(keys, map(self.codes.__getitem__, near)),
                            map(self.live.__getitem__, near))
-
-
-def selected_triplet_classify(train: Dataset, pairs: Sequence[CompetentPair],
-                              query: Item, radius: int) -> Prediction:
-    """Vote only over triplets whose (a,b) is a competent pair and whose c
-    lies within the Hamming radius of the query; abstain when none does."""
-    if not pairs:
-        raise DataError("selected-triplet classification needs competent pairs")
-    # One query: the dense vote costs less than listing every row's near pairs.
-    return SelectedTripletModel(train, pairs, radius).vote(query)
 
 
 # ---------------------------------------------------------------------------
@@ -815,13 +794,6 @@ class BongardModel(_PairCounts):
         return self.predictions(query, [neighbor_budget])[0]
 
 
-def bongard_classify(train: Dataset, query: Item, neighbor_budget: int,
-                     max_literals: int) -> Prediction:
-    """Majority vote over the first ``neighbor_budget`` voting neighbors
-    under the three-case analysis; abstain when no neighbor votes."""
-    return BongardModel(train, max_literals).classify(query, neighbor_budget)
-
-
 # ---------------------------------------------------------------------------
 # kNN baseline
 # ---------------------------------------------------------------------------
@@ -838,15 +810,6 @@ class KnnModel(_PairCounts):
 
     def classify(self, query: Item, k: int) -> Prediction:
         return self.nearest(query, [k])[0]
-
-
-def knn_classify(train: Dataset, query: Item, k: int) -> Prediction:
-    """Majority label among the k Hamming-nearest training items
-    (neighbor ties by dataset order, label ties by domain order)."""
-    model = KnnModel(train)
-    if not 1 <= k <= len(train):
-        raise DataError(f"k must be in [1, {len(train)}], got {k}")
-    return model.classify(query, k)
 
 
 # ---------------------------------------------------------------------------

@@ -166,20 +166,14 @@ def _check_arity(*items: Sequence[str]) -> None:
             raise SchemaError(f"item arities differ: {[len(i) for i in items]}")
 
 
-def ap_holds_vec(a: Item, b: Item, c: Item, d: Item, schema: Optional[Schema] = None) -> bool:
+def ap_holds_vec(a: Item, b: Item, c: Item, d: Item) -> bool:
     """Component-wise ``ap_holds`` over items of equal arity."""
-    if schema is not None:
-        for it in (a, b, c, d):
-            schema.validate_item(it)
     _check_arity(a, b, c, d)
     return all(map(ap_holds, a, b, c, d))
 
 
-def solve_vec(a: Item, b: Item, c: Item, schema: Optional[Schema] = None) -> Optional[Item]:
+def solve_vec(a: Item, b: Item, c: Item) -> Optional[Item]:
     """Component-wise ``solve``; None when any component has no solution."""
-    if schema is not None:
-        for it in (a, b, c):
-            schema.validate_item(it)
     _check_arity(a, b, c)
     out = tuple(map(solve, a, b, c))
     return None if None in out else out
@@ -228,36 +222,6 @@ def pairs_with_change(rows: Sequence[Item], index: Mapping[Item, Sequence[T]],
 def agreement(d: Diff) -> tuple[int, ...]:
     """Indices where the two source items agree."""
     return tuple(i for i, e in enumerate(d) if e is None)
-
-
-def disagreement(d: Diff) -> tuple[int, ...]:
-    """Indices where the two source items differ."""
-    return tuple(i for i, e in enumerate(d) if e is not None)
-
-
-def sign_vector(d: Diff, schema: Schema) -> tuple[int, ...]:
-    """Boolean projection of a difference vector into {-1, 0, 1}.
-
-    Requires every attribute domain to have exactly two symbols.  With the
-    domain sorted as (lo, hi): equal -> 0, hi->lo -> +1, lo->hi -> -1.
-    Only equality of difference vectors carries meaning; the sign
-    convention is internal.
-    """
-    if len(d) != schema.arity:
-        raise SchemaError("difference vector arity does not match schema")
-    out = []
-    for entry, attr in zip(d, schema.attributes):
-        if len(attr.domain) != 2:
-            raise SchemaError(
-                f"attribute {attr.name!r} is not Boolean (domain size "
-                f"{len(attr.domain)})"
-            )
-        if entry is None:
-            out.append(0)
-        else:
-            lo, hi = attr.domain
-            out.append(1 if entry == (hi, lo) else -1)
-    return tuple(out)
 
 
 def hamming(a: Item, b: Item) -> int:

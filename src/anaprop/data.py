@@ -73,11 +73,6 @@ class Dataset:
         return replace(self, items=tuple(self.items[i] for i in indices),
                        labels=tuple(self.labels[i] for i in indices))
 
-    def to_relation(self) -> "Relation":
-        """The dataset as a plain relation, class column last."""
-        rows = [item + (label,) for item, label in zip(self.items, self.labels)]
-        return Relation.from_rows(self.table, rows)
-
 
 @dataclass(frozen=True)
 class Relation:

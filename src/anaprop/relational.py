@@ -423,15 +423,6 @@ def mvd_ap_correspondence(schema: Schema, t1: Item, t2: Item, t3: Item, t4: Item
     )
 
 
-def exchange_tuples(t1: Item, t2: Item, x: AttrSet, y: AttrSet,
-                    schema: Schema) -> tuple[Item, Item]:
-    """The two intermediary tuples the strong exchange builds from t1, t2."""
-    xi = schema.indices(x)
-    yi = schema.indices(y)
-    xy = frozenset(xi) | frozenset(yi)
-    return _exchange(t1, t2, xy), _exchange(t2, t1, xy)
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive discovery for the CLI
 # ---------------------------------------------------------------------------
@@ -456,8 +447,8 @@ def ap_witness(rel: Relation, x: tuple[str, ...], y: tuple[str, ...]
     schema = rel.schema
     xi = schema.indices(x)
     yi = schema.indices(y)
-    rest = tuple(i for i in range(schema.arity)
-                 if i not in set(xi) | set(yi))
+    xy = frozenset(xi) | frozenset(yi)
+    rest = tuple(i for i in range(schema.arity) if i not in xy)
     members = rel.as_set()
     for t1 in rel.tuples:
         for t2 in rel.tuples:
@@ -465,7 +456,7 @@ def ap_witness(rel: Relation, x: tuple[str, ...], y: tuple[str, ...]
                 continue
             if _proj(t1, yi) == _proj(t2, yi) or _proj(t1, rest) == _proj(t2, rest):
                 continue
-            t3, t4 = exchange_tuples(t1, t2, x, y, schema)
+            t3, t4 = _exchange(t1, t2, xy), _exchange(t2, t1, xy)
             if t3 in members and t4 in members:
                 return (t1, t2, t3, t4)
     return None

@@ -38,15 +38,11 @@ from anaprop.classify import (
     _PairCounts,
     _fold_model,
     analogical_suitability,
-    bongard_classify,
     bongard_separation,
-    brute_force_classify,
     cross_validate,
     cross_validate_grid,
     extract_competent_pairs,
-    knn_classify,
     make_folds,
-    selected_triplet_classify,
 )
 from payload_digests import monk1_sample
 
@@ -88,7 +84,7 @@ class TestBruteForce:
             ds = random_dataset(rng)
             query = tuple(rng.choice(a.domain) for a in ds.schema.attributes)
             expected_votes, expected_examined = cubic_votes(ds, query)
-            pred = brute_force_classify(ds, query)
+            pred = BruteForceModel(ds).vote(query)
             assert dict(pred.votes) == expected_votes
             assert pred.triplets_examined == expected_examined
             if not pred.abstained:
@@ -107,14 +103,14 @@ class TestBruteForce:
         ds = generate_affine(2, (0, 1, 1))
         for holdout in range(4):
             rest = ds.subset([i for i in range(4) if i != holdout])
-            pred = brute_force_classify(rest, ds.items[holdout])
+            pred = BruteForceModel(rest).vote(ds.items[holdout])
             votes, _ = cubic_votes(rest, ds.items[holdout])
             assert votes == {}
             assert pred.abstained
         ds = generate_affine(3, (0, 1, 1, 1))
         for holdout in range(8):
             rest = ds.subset([i for i in range(8) if i != holdout])
-            pred = brute_force_classify(rest, ds.items[holdout])
+            pred = BruteForceModel(rest).vote(ds.items[holdout])
             assert not pred.abstained
             assert pred.label == ds.labels[holdout]
 
@@ -122,7 +118,7 @@ class TestBruteForce:
         schema = Schema.from_pairs([("a", "01"), ("b", "01")])
         ds = Dataset(schema, Attribute("c", ("p", "q")),
                      (("0", "0"), ("0", "1"), ("1", "0")), ("p", "p", "p"))
-        pred = brute_force_classify(ds, ("1", "1"))
+        pred = BruteForceModel(ds).vote(("1", "1"))
         assert pred.abstained or pred.label == "p"
 
     def test_coffee_table_predicts_milk(self):
@@ -137,19 +133,23 @@ class TestBruteForce:
             ("sit_1", "no", "coffee", "yes"),
             ("sit_2", "yes", "coffee", "no"),
         ), ("no", "no", "yes"))
-        pred = brute_force_classify(ds, ("sit_2", "no", "coffee", "yes"))
+        pred = BruteForceModel(ds).vote(("sit_2", "no", "coffee", "yes"))
         assert pred.label == "yes"
 
     def test_empty_training_set(self):
+        # The baseline's table holds no pair, so it abstains; the case
+        # analysis and kNN refuse to build.
         schema = Schema.from_pairs([("a", "01")])
         ds = Dataset(schema, Attribute("c", ("p", "q")), (), ())
-        with pytest.raises(DataError):
-            brute_force_classify(ds, ("0",))
+        assert BruteForceModel(ds).vote(("0",)).abstained
+        for model in (BongardModel, KnnModel):
+            with pytest.raises(DataError, match="empty training set"):
+                model(ds)
 
     def test_arity_mismatch(self):
         ds = generate_affine(2, (0, 1, 1))
         with pytest.raises(SchemaError):
-            brute_force_classify(ds, ("0",))
+            BruteForceModel(ds).vote(("0",))
 
 
 def suitability_oracle(ds: Dataset):
@@ -159,7 +159,7 @@ def suitability_oracle(ds: Dataset):
     wrong = abstained = 0
     for i in range(n):
         rest = ds.subset([j for j in range(n) if j != i])
-        pred = brute_force_classify(rest, ds.items[i])
+        pred = BruteForceModel(rest).vote(ds.items[i])
         if pred.abstained:
             abstained += 1
         elif pred.label != ds.labels[i]:
@@ -368,7 +368,7 @@ class TestRunTableDerivation:
                 for i in test_idx:
                     assert predict(ds.items[i])[0].abstained
                     assert as_tuple(fallback(ds.items[i])) == \
-                        as_tuple(brute_force_classify(train, ds.items[i]))
+                        as_tuple(BruteForceModel(train).vote(ds.items[i]))
                     assert run._counted.live == [j not in test_idx for j in range(len(ds))]
                 counted = index_snapshot(run._counted)
                 assert [table.keys() for table in counted] == [t.keys() for t in full]
@@ -554,9 +554,9 @@ class TestCompetentPairs:
         ds, truths = generate_planted_rules([PlantedRule(pairs=4, exceptions=1)])
         pairs = extract_competent_pairs(ds, min_support=1, min_confidence=0.0)
         tilted = [p for p in pairs
-                  if p.change == truths[0].change and not p.same_label]
+                  if p.change == truths[0].change and p.label_a != p.label_b]
         exceptions = [p for p in pairs
-                      if p.change == truths[0].change and p.same_label]
+                      if p.change == truths[0].change and p.label_a == p.label_b]
         assert len(tilted) == 3 and all(p.confidence == 0.75 for p in tilted)
         assert len(exceptions) == 1 and exceptions[0].confidence == 0.25
 
@@ -574,14 +574,14 @@ class TestCompetentPairs:
             behavior = "same" if truth.tilt is None else truth.tilt
             assert group[behavior] == truth.support
             matching = [p for p in mined if p.change == truth.change
-                        and (p.same_label if truth.tilt is None
+                        and (p.label_a == p.label_b if truth.tilt is None
                              else p.tilt == truth.tilt)]
             assert len(matching) == truth.support
             assert all(p.confidence == truth.confidence for p in matching)
         # Everything mined must agree with the oracle's counts.
         for p in mined:
             group = oracle[p.change]
-            behavior = "same" if p.same_label else p.tilt
+            behavior = "same" if p.label_a == p.label_b else p.tilt
             assert p.support == group[behavior]
             assert p.confidence == group[behavior] / sum(group.values())
 
@@ -602,8 +602,8 @@ class TestSelectedTriplets:
             if not pairs:
                 continue
             query = tuple(rng.choice(a.domain) for a in ds.schema.attributes)
-            brute = brute_force_classify(ds, query)
-            sel = selected_triplet_classify(ds, pairs, query, ds.schema.arity)
+            brute = BruteForceModel(ds).vote(query)
+            sel = SelectedTripletModel(ds, pairs, ds.schema.arity).vote(query)
             for label, count in sel.votes.items():
                 assert count <= brute.votes.get(label, 0)
 
@@ -616,8 +616,8 @@ class TestSelectedTriplets:
         compared = 0
         for _ in range(50):
             query = tuple(rng.choice(a.domain) for a in ds.schema.attributes)
-            sel = selected_triplet_classify(ds, pairs, query, 2)
-            brute = brute_force_classify(ds, query)
+            sel = SelectedTripletModel(ds, pairs, 2).vote(query)
+            brute = BruteForceModel(ds).vote(query)
             if not sel.abstained and not brute.abstained:
                 compared += 1
                 assert sel.label == brute.label
@@ -627,15 +627,19 @@ class TestSelectedTriplets:
         ds, _ = generate_planted_rules([PlantedRule(pairs=3)])
         pairs = extract_competent_pairs(ds, min_support=1, min_confidence=0.0)
         query = ds.items[0]
-        pred = selected_triplet_classify(ds, pairs, query, 0)
+        pred = SelectedTripletModel(ds, pairs, 0).vote(query)
         # c must equal the query, and competent pairs all carry a change,
         # so no triplet can qualify at radius 0.
         assert pred.abstained
 
-    def test_empty_pair_list_rejected(self):
+    def test_empty_pair_list_abstains(self):
+        # With no competent pair the table counts nothing: every query,
+        # a row or not, is voted on by no triplet.
         ds, _ = generate_planted_rules([PlantedRule(pairs=2)])
-        with pytest.raises(DataError):
-            selected_triplet_classify(ds, [], ds.items[0], 1)
+        model = SelectedTripletModel(ds, [], ds.schema.arity)
+        fresh = tuple(a.domain[-1] for a in ds.schema.attributes)
+        for query in (ds.items[0], fresh):
+            assert as_tuple(model.vote(query)) == (None, {}, 0, True)
 
     def test_negative_radius_rejected(self):
         ds, _ = generate_planted_rules([PlantedRule(pairs=3)])
@@ -756,8 +760,7 @@ class TestBongardClassify:
         ds = Dataset(schema, Attribute("c", ("0", "1")), items, labels)
         for holdout in range(4):
             rest = ds.subset([i for i in range(4) if i != holdout])
-            pred = bongard_classify(rest, ds.items[holdout],
-                                    neighbor_budget=1, max_literals=2)
+            pred = BongardModel(rest, max_literals=2).classify(ds.items[holdout], 1)
             assert pred.label == ds.labels[holdout]
 
     def test_uniform_same_label_groups_copy_the_nearest_voting_label(self):
@@ -767,20 +770,17 @@ class TestBongardClassify:
         items = (("0", "0"), ("1", "0"), ("2", "1"), ("0", "1"))
         ds = Dataset(schema, Attribute("c", ("p", "q")), items, ("p",) * 4)
         for query in [("1", "1"), ("2", "0")]:
-            pred = bongard_classify(ds, query, neighbor_budget=1,
-                                    max_literals=2)
+            pred = BongardModel(ds, max_literals=2).classify(query, 1)
             assert pred.label == "p"
             assert pred.votes == {"p": 1}
 
     def test_case3_votes_follow_the_separator(self):
         ds = case3_dataset()
         # Query in context g: satisfies P = (A2=g), copies the neighbor.
-        pred = bongard_classify(ds, ("z", "g", "v"),
-                                neighbor_budget=1, max_literals=2)
+        pred = BongardModel(ds, max_literals=2).classify(("z", "g", "v"), 1)
         assert pred.label == "p"
         # Query in context h: fails P, takes the tilted label.
-        pred = bongard_classify(ds, ("z", "h", "v"),
-                                neighbor_budget=1, max_literals=2)
+        pred = BongardModel(ds, max_literals=2).classify(("z", "h", "v"), 1)
         assert pred.label == "q"
 
     def test_case3_matches_property_oracle(self):
@@ -829,26 +829,25 @@ class TestBongardClassify:
         ds = Dataset(schema, Attribute("c", ("p", "q")), (("0",),), ("p",))
         # The only difference group is the identity; a fresh query at
         # distance 1 meets an empty pair group and the neighbor is skipped.
-        pred = bongard_classify(ds, ("1",), neighbor_budget=1, max_literals=1)
+        pred = BongardModel(ds, max_literals=1).classify(("1",), 1)
         assert pred.abstained
 
     def test_parameter_validation(self):
         ds = case3_dataset()
         for budget in (0, -1):
             with pytest.raises(DataError):
-                bongard_classify(ds, ("z", "g", "v"), neighbor_budget=budget,
-                                 max_literals=1)
+                BongardModel(ds, max_literals=1).classify(("z", "g", "v"), budget)
             with pytest.raises(DataError):
                 BongardModel(ds).predictions(("z", "g", "v"), [3, budget])
         with pytest.raises(DataError):
-            bongard_classify(ds, ("z", "g", "v"), neighbor_budget=1, max_literals=0)
+            BongardModel(ds, max_literals=0)
 
 
 class TestKnn:
     def test_exact_match_with_k1(self):
         ds = case3_dataset()
         for i in range(len(ds)):
-            assert knn_classify(ds, ds.items[i], 1).label == ds.labels[i]
+            assert KnnModel(ds).classify(ds.items[i], 1).label == ds.labels[i]
 
     def test_five_point_hand_dataset(self):
         # Distances from query (0,0,0): row0=0, row1=1, row2=2, row3=2, row4=3.
@@ -861,16 +860,13 @@ class TestKnn:
             ("1", "1", "1"),
         ), ("p", "q", "q", "q", "q"))
         query = ("0", "0", "0")
-        assert knn_classify(ds, query, 1).label == "p"
-        assert knn_classify(ds, query, 3).label == "q"  # p,q,q by distance
+        assert KnnModel(ds).classify(query, 1).label == "p"
+        assert KnnModel(ds).classify(query, 3).label == "q"  # p,q,q by distance
         # k=2 ties p and q at one vote each; "p" < "q" in domain order.
-        assert knn_classify(ds, query, 2).label == "p"
+        assert KnnModel(ds).classify(query, 2).label == "p"
 
     def test_k_bounds(self):
         ds = case3_dataset()
-        for k in (0, -1, len(ds) + 1):
-            with pytest.raises(DataError):
-                knn_classify(ds, ds.items[0], k)
         for k in (0, -1):
             with pytest.raises(DataError):
                 KnnModel(ds).predictions(ds.items[0], [1, k])
@@ -1282,7 +1278,7 @@ def selected_vote_oracle(train: Dataset, pairs, query, radius: int):
         for p in pairs:
             if p.change == diff(c, query):
                 examined += 1
-                if p.same_label:
+                if p.label_a == p.label_b:
                     votes[lc] += 1
                 elif p.label_a == lc:
                     votes[p.label_b] += 1
@@ -1626,7 +1622,7 @@ class TestCountingAgainstTupleOracles:
         ds, queries = case
         bongard = BongardModel(ds, max_literals)
         for query in queries + list(ds.items[:3]):
-            assert as_tuple(brute_force_classify(ds, query)) == \
+            assert as_tuple(BruteForceModel(ds).vote(query)) == \
                 baseline_vote_oracle(ds, query)
             assert list(bongard.votes(query)) == \
                 bongard_stream_oracle(ds, query, max_literals)
@@ -1641,9 +1637,9 @@ class TestCountingAgainstTupleOracles:
         stray = ("stray",) + c[1:]
         pairs.append(CompetentPair(c, stray, label, label, diff(c, stray), 1, 1.0))
         for query in (alien, ("alien",) * ds.schema.arity):
-            for pred in (brute_force_classify(ds, query),
-                         selected_triplet_classify(ds, pairs, query, ds.schema.arity),
-                         bongard_classify(ds, query, 3, 2)):
+            for pred in (BruteForceModel(ds).vote(query),
+                         SelectedTripletModel(ds, pairs, ds.schema.arity).vote(query),
+                         BongardModel(ds, 2).classify(query, 3)):
                 assert as_tuple(pred) == (None, {}, 0, True)
 
 
@@ -1668,3 +1664,15 @@ class TestPrefixReader:
                 if v <= len(ds):
                     assert as_tuple(knn.classify(query, v)) == \
                         as_tuple(knn_classify_oracle(ds, query, v))
+
+
+def test_the_package_exports_one_call_per_classifier():
+    # Each strategy is reached through its model; the one-query wrappers
+    # that duplicated them are gone from the module and the package.
+    import anaprop
+    import anaprop.classify as classify
+    for model in (BruteForceModel, SelectedTripletModel, BongardModel, KnnModel):
+        assert getattr(anaprop, model.__name__) is model
+    for wrapper in ("brute_force_classify", "selected_triplet_classify",
+                    "bongard_classify", "knn_classify"):
+        assert not hasattr(anaprop, wrapper) and not hasattr(classify, wrapper)

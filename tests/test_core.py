@@ -11,13 +11,12 @@ from anaprop.core import (
     ap_holds,
     ap_holds_vec,
     diff,
-    disagreement,
     hamming,
     inverse_paralogy,
-    sign_vector,
     solve,
     solve_vec,
 )
+from anaprop.relational import mvd_ap_correspondence
 
 # The six Boolean valuations that make a proportion true.
 AP_TRUE = {
@@ -213,24 +212,25 @@ class TestVectorOperations:
         with pytest.raises(SchemaError):
             diff(("0",), ("0", "1"))
 
-    def test_schema_checks_every_item(self):
-        schema = Schema.from_pairs([("x", ("0", "1")), ("y", ("a", "b", "c"))])
+    def test_nominal_items(self):
         a, b, c, d = ("0", "a"), ("0", "b"), ("1", "a"), ("1", "b")
-        assert ap_holds_vec(a, b, c, d, schema=schema)
-        assert not ap_holds_vec(a, b, c, ("1", "c"), schema=schema)
-        assert solve_vec(a, b, c, schema=schema) == d
-        assert solve_vec(a, ("1", "b"), ("1", "c"), schema=schema) is None
-        outside = ("2", "a")  # "2" is not in x's domain
+        assert ap_holds_vec(a, b, c, d)
+        assert not ap_holds_vec(a, b, c, ("1", "c"))
+        assert solve_vec(a, b, c) == d
+        assert solve_vec(a, ("1", "b"), ("1", "c")) is None
+
+    def test_schema_checks_every_item(self):
+        # The vector operations take no schema; their package caller,
+        # mvd_ap_correspondence, checks all four items against it first.
+        schema = Schema.from_pairs([("x", ("0", "1")), ("y", ("a", "b", "c"))])
+        quad = [("0", "a"), ("0", "b"), ("1", "a"), ("1", "b")]
+        assert mvd_ap_correspondence(schema, *quad, ("x",), ("y",)).solution_is_t4
         for pos in range(4):
-            quad = [a, b, c, d]
-            quad[pos] = outside
-            with pytest.raises(SchemaError):
-                ap_holds_vec(*quad, schema=schema)
-            if pos < 3:
+            for outside in (("2", "a"), ("0",)):  # off x's domain; short
+                bad = list(quad)
+                bad[pos] = outside
                 with pytest.raises(SchemaError):
-                    solve_vec(*quad[:3], schema=schema)
-        with pytest.raises(SchemaError):  # wrong arity for the schema
-            solve_vec(("0",), ("0",), ("0",), schema=schema)
+                    mvd_ap_correspondence(schema, *bad, ("x",), ("y",))
 
     def test_coffee_rows(self):
         a = ("sit_1", "yes", "coffee", "no", "no")
@@ -247,19 +247,6 @@ class TestDiff:
         x = ("u", "v", "w")
         assert diff(x, x) == (None, None, None)
         assert agreement(diff(x, x)) == (0, 1, 2)
-        assert disagreement(diff(x, x)) == ()
-
-    def test_boolean_projection(self):
-        schema = Schema.from_pairs([("x1", "01"), ("x2", "01"), ("x3", "01")])
-        d = diff(("1", "0", "1"), ("0", "0", "1"))
-        assert sign_vector(d, schema) == (1, 0, 0)
-        assert sign_vector(diff(("0", "0"), ("1", "0")), Schema.from_pairs(
-            [("x1", "01"), ("x2", "01")])) == (-1, 0)
-
-    def test_sign_vector_needs_boolean_domains(self):
-        schema = Schema.from_pairs([("x", ("a", "b", "c"))])
-        with pytest.raises(SchemaError):
-            sign_vector(diff(("a",), ("b",)), schema)
 
     def test_coffee_diff(self):
         a = ("sit_1", "yes", "coffee", "no", "no")
@@ -315,8 +302,9 @@ class TestSchema:
     def test_validate_item(self):
         schema = Schema.from_pairs([("x", "01"), ("y", ("a", "b"))])
         schema.validate_item(("0", "a"))
-        with pytest.raises(SchemaError):
-            schema.validate_item(("0", "c"))
+        for outside in (("2", "a"), ("0", "c")):  # each attribute's domain
+            with pytest.raises(SchemaError):
+                schema.validate_item(outside)
         with pytest.raises(SchemaError):
             schema.validate_item(("0",))
 

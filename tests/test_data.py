@@ -178,18 +178,6 @@ def test_malformed_dataset_raises_and_subsets_keep_rows():
     assert ds.subset([]) == Dataset(schema, label, (), ())
 
 
-def test_dataset_to_relation_appends_class_and_deduplicates():
-    from anaprop.core import Attribute, Schema
-    from anaprop.data import Dataset
-    schema = Schema.from_pairs([("a", "01")])
-    ds = Dataset(schema, Attribute("c", ("p", "q")),
-                 (("0",), ("0",), ("1",)), ("p", "p", "q"))
-    rel = ds.to_relation()
-    assert rel.schema.names == ("a", "c")
-    assert rel.as_set() == {("0", "p"), ("1", "q")}
-    assert rel.duplicates_dropped == 1
-
-
 class TestAffineGenerator:
     def test_xor_truth_table(self):
         ds = generate_affine(2, (0, 1, 1))

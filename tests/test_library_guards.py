@@ -6,7 +6,7 @@ import pytest
 
 from anaprop.classify import (CvConfig, bongard_separation, cross_validate_grid,
                               make_folds)
-from anaprop.core import Schema, SchemaError, sign_vector
+from anaprop.core import Schema
 from anaprop.data import DataError, Relation, generate_affine
 from anaprop.explain import ContextSplit, relevant_attributes, rule_candidate
 
@@ -30,8 +30,6 @@ CASES = [
                  DataError, "grid must not be empty", id="empty-grid"),
     pytest.param(lambda: cross_validate_grid(XOR, CvConfig(folds=2), [1]),
                  DataError, "applies to the bongard and knn", id="grid-of-the-baseline"),
-    pytest.param(lambda: sign_vector((None,), BOOLEAN), SchemaError,
-                 "arity does not match", id="sign-vector-arity"),
     pytest.param(lambda: Relation(BOOLEAN, (("0", "p"), ("0", "p"))), DataError,
                  "tuples must be unique", id="relation-duplicate-tuples"),
     pytest.param(lambda: rule_candidate(NO_CHANGE, BOOLEAN.names), DataError,

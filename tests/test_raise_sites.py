@@ -1,10 +1,17 @@
 """``raise_sites.py`` refuses a run during which a package file changed:
-the lines it traced would no longer be those of the sites it parsed."""
+the lines it traced would no longer be those of the sites it parsed.  Its
+allowlist of functions (``KEPT``) cannot rot silently: each entry names a
+package function and gives a reason, as ``test_mutants.py`` checks the
+mutation list.  The traced runs themselves stay outside tier-1."""
 
+import importlib
+import inspect
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from raise_sites import KEPT, function_defs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,3 +40,27 @@ def test_an_untouched_run_lists_the_sites_it_did_not_reach(tmp_path):
     proc = _run(tmp_path, "    pass\n")
     assert proc.returncode == 1
     assert "src/anaprop/data.py:" in proc.stdout
+
+
+def test_every_kept_function_exists_and_has_a_reason():
+    defined = set(function_defs().values())
+    for name, reason in KEPT.items():
+        assert 2 <= len(name.split(".")) <= 3, name  # module, optional class, name
+        assert name in defined, name
+        assert isinstance(reason, str) and reason.strip(), name
+
+
+def test_functions_are_keyed_by_the_first_line_of_their_code():
+    # The call hook sees a code object's file and first line, the first
+    # decorator's for a decorated function; each parsed key must match.
+    for (file, line), name in function_defs().items():
+        module, *path = name.split(".")
+        if "<locals>" in path:
+            continue
+        owner = importlib.import_module(f"anaprop.{module}")
+        for part in path:
+            owner = inspect.getattr_static(owner, part)
+        for attr in ("fget", "func", "__func__"):  # property, cached_property, classmethod
+            owner = getattr(owner, attr, owner)
+        code = inspect.unwrap(owner).__code__  # a contextmanager's own generator
+        assert (Path(code.co_filename).name, code.co_firstlineno) == (file, line), name

@@ -19,7 +19,6 @@ from anaprop.relational import (
     DependencyFinding,
     InferenceReport,
     ap_witness,
-    exchange_tuples,
     discover_dependencies,
     fd_holds,
     is_trivial_mvd,
@@ -247,7 +246,8 @@ class TestApCorrespondence:
             cut = rng.randint(1, len(dis) - 1)
             y = tuple(names[i] for i in dis[:cut])
             x = tuple(names[i] for i in range(4) if i not in dis)
-            t3, t4 = exchange_tuples(t1, t2, x, y, schema)
+            xy = frozenset(schema.indices(x)) | frozenset(schema.indices(y))
+            t3, t4 = relational._exchange(t1, t2, xy), relational._exchange(t2, t1, xy)
             assert t3 not in (t1, t2) and t4 not in (t1, t2)
             assert not ap_holds_vec(t1, t2, t3, t4)
             assert ap_holds_vec(t1, t4, t3, t2)
