@@ -16,9 +16,10 @@ when a vote or a rule needs them; no pair list is stored.  The vote
 counts are identical to the cubic enumeration; tests cross-check against
 a literal triple loop.  One table (``_PairCounts``) holds a dataset's
 keyed rows, label codes, counts and vote, and every classifier is one
-such table.  A table can take rows out and put them back, counting only
-the pairs that touch them (leave-one-out scoring does so in place), and
-a copy of it can have any of its rows live; kNN counts no pairs.
+such table.  A table that counts every pair of its live rows can leave
+any rows out (``leave_out``), counting only the pairs that touch the rows
+it moves (leave-one-out scoring does so in place), and a copy of it can
+have any of its rows live; kNN counts no pairs.
 
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
@@ -48,7 +49,6 @@ import statistics
 from array import array
 from collections import Counter
 from copy import copy
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations, compress, islice
@@ -221,14 +221,14 @@ class _PairCounts:
     counts the pairs of each key and ``labelled`` counts them per slot
     under the extended key ``key * L² + slot``, so a key's same-label
     count and each of its tilts is one lookup.  A key absent from
-    ``total`` has no pairs; neither table holds a zero entry, unless
-    ``remove_rows`` was asked to keep the keys it empties.  The
-    tables start empty: ``count_pairs`` counts the rows' own pairs, and
-    ``count`` any others.  Only the rows marked in ``live`` vote as c;
-    ``remove_rows`` and ``add_rows`` take rows out of a table that counts
-    every pair of its live rows and put them back, and ``without`` takes
-    them out of a copy, each with the pairs that touch them.  A copy made
-    by ``_copy`` keeps the table's counts and has any of its rows live.
+    ``total``, or at 0 there, has no pairs: ``leave_out`` keeps the
+    entries it empties at 0, and every reader takes 0 as absent.  The
+    tables start empty: ``count_pairs`` counts the rows' own pairs and
+    marks the table ``complete``, and ``count`` counts any others.  Only
+    the rows marked in ``live`` vote as c.  ``leave_out`` sets which rows
+    of a complete table are out, in place, and ``without`` does so on a
+    copy that stays complete; a copy made by ``_copy`` keeps the table's
+    counts, has any of its rows live and is not marked complete.
     """
 
     def __init__(self, data: Dataset):
@@ -239,6 +239,9 @@ class _PairCounts:
         self.pair_keys = PairKeys(data.schema, data.items)
         self.codes = list(map(self.label_order.index, data.labels))
         self.live = [True] * len(data)
+        #: Whether the counts are exactly the pairs of the live rows, as
+        #: ``count_pairs`` leaves them; ``leave_out`` needs it.
+        self.complete = False
         #: Per distinct item, the rows that hold it.
         self._rows_of: dict[Item, list[int]] = {}
         for i, item in enumerate(data.items):
@@ -266,28 +269,21 @@ class _PairCounts:
         label c) for every row j."""
         return [[self.slot(cj, c) for cj in self.codes] for c in range(self.width)]
 
-    def count(self, keys: Sequence[int], slots: Iterable[int], step: int,
-              keep_keys: bool = False) -> None:
+    def count(self, keys: Sequence[int], slots: Iterable[int], step: int) -> None:
         """Add (step 1) or take away (step -1) one pair per entry of
         ``keys``, with its label slot from the parallel ``slots``; an
-        emptied entry is dropped, or kept at 0 with ``keep_keys``."""
-        extended = map(add, map(self.scale.__mul__, keys), slots)
-        for table, entries in ((self.total, keys), (self.labelled, extended)):
-            if step > 0:
-                table.update(entries)
-                continue
-            for entry, n in Counter(entries).items():
-                left = table[entry] - n
-                if left or keep_keys:
-                    table[entry] = left
-                else:
-                    table.pop(entry)
+        emptied entry stays at 0."""
+        change = Counter.update if step > 0 else Counter.subtract
+        change(self.total, keys)
+        change(self.labelled, map(add, map(self.scale.__mul__, keys), slots))
 
     def count_pairs(self) -> None:
         """Count the ordered pairs (a, b) of the rows, identical indices
-        included, in one bulk count per a."""
+        included, in one bulk count per a, into the empty tables of a table
+        with every row live, and mark it complete."""
         for a, c in zip(self.data.items, self.codes):
             self.count(self.pair_keys.keys_from(a), self._outgoing[c], 1)
+        self.complete = True
 
     def _touching(self, rows: Sequence[int]) -> tuple[list[int], list[int]]:
         """The keys and label slots of the pairs of live rows and ``rows``
@@ -308,43 +304,46 @@ class _PairCounts:
             slots += compress(self._incoming[c], others)
         return keys, slots
 
-    def _toggle(self, rows: Sequence[int], live: bool, keep_keys: bool = False) -> None:
-        """Put ``rows`` back (``live`` True) or take them out, with the
-        pairs that touch them; refused, with the table unchanged, unless
-        they are distinct and each is in the other state."""
-        if len(set(rows)) < len(rows) or any(self.live[r] == live for r in rows):
-            state = "out of" if live else "in"
-            raise ValueError(f"rows {list(rows)} are not distinct rows {state} the table")
-        self.count(*self._touching(rows), 1 if live else -1, keep_keys)
-        for r in rows:
-            self.live[r] = live
-
-    def remove_rows(self, rows: Sequence[int], keep_keys: bool = False) -> None:
-        """Take the distinct live ``rows`` out of the table, with every
-        pair that touches one of them, in one count; what is left equals
-        a fresh count of the live rows.  With ``keep_keys`` an emptied
-        entry stays at 0, which ``vote`` reads as absent, so putting the
-        rows back inserts no key (a dict that regains keys grows)."""
-        self._toggle(rows, False, keep_keys)
-
-    def add_rows(self, rows: Sequence[int]) -> None:
-        """Put the distinct removed ``rows`` back with all their pairs."""
-        self._toggle(rows, True)
+    def leave_out(self, rows: Iterable[int]) -> None:
+        """Leave exactly ``rows`` out: put back every other row that is
+        out, then take out each live row of ``rows``, each step in one
+        count of the pairs that touch the rows it moves, so the counts
+        equal a fresh count of the live rows.  An entry it empties stays
+        at 0, so putting its rows back inserts no key (a dict that regains
+        keys grows).  Refused, with the table unchanged, unless the table
+        is ``complete`` and every row lies in 0..n-1."""
+        n = len(self.live)
+        out = set(rows)
+        if not self.complete:
+            raise ValueError("only a table that counts every pair of its live rows "
+                             "can leave rows out")
+        if any(not 0 <= r < n for r in out):
+            raise ValueError(f"rows {sorted(out)} are not all rows 0..{n - 1} of the table")
+        back = [i for i, live in enumerate(self.live) if not live and i not in out]
+        for moved, live in ((back, True), ([r for r in out if self.live[r]], False)):
+            if moved:
+                self.count(*self._touching(moved), 1 if live else -1)
+                for r in moved:
+                    self.live[r] = live
 
     def _copy(self, rows: Iterable[int]) -> "_PairCounts":
-        """A copy of the table with only ``rows`` live.  It has its own
-        counts and ``live`` mask and shares the rest: keys, label codes and
-        the rows themselves, so it names rows by the same indices."""
+        """A copy of the table with only ``rows`` live, not marked
+        ``complete``.  It has its own counts and ``live`` mask and shares
+        the rest: keys, label codes and the rows themselves, so it names
+        rows by the same indices."""
         left = copy(self)
         left.total, left.labelled = Counter(self.total), Counter(self.labelled)
         live = set(rows)
         left.live = [i in live for i in range(len(self.live))]
+        left.complete = False
         return left
 
-    def without(self, rows: Sequence[int]) -> "_PairCounts":
-        """A copy of the table with ``rows`` taken out (``remove_rows``)."""
+    def without(self, rows: Iterable[int]) -> "_PairCounts":
+        """A copy of the table, still complete, with exactly ``rows`` out
+        (``leave_out``)."""
         left = self._copy(compress(range(len(self.live)), self.live))
-        left.remove_rows(rows)
+        left.complete = self.complete
+        left.leave_out(rows)
         return left
 
     def ranked(self, keys: Sequence[int]) -> Iterable[int]:
@@ -396,7 +395,7 @@ class _PairCounts:
         examined = 0
         for key, lc in compress(keyed, live):
             n = total.get(key)
-            if n is None:
+            if not n:
                 continue
             examined += n
             base = key * scale
@@ -418,11 +417,11 @@ class BruteForceModel(_PairCounts):
 
     The build is one bulk count per row: the keys of (row, every row)
     with the label slots of those pairs, so no Python code runs per
-    pair.  Every row starts live; ``remove_rows`` and ``add_rows`` (or
-    ``without``, on a copy) take rows out and put them back, counting
-    only the pairs that touch them, so leaving one row out costs O(n·m)
-    instead of a fresh O(n²·m) build.
-    With no live row the table holds no pair, so every query abstains.
+    pair.  Every row starts live and the table is complete, so
+    ``leave_out`` (or ``without``, on a copy) sets which rows are out,
+    counting only the pairs that touch the rows it moves: leaving one row
+    out costs O(n·m) instead of a fresh O(n²·m) build.  With no live row
+    the table holds no pair, so every query abstains.
     """
 
     def __init__(self, train: Dataset):
@@ -450,10 +449,10 @@ def analogical_suitability(train: Dataset) -> SuitabilityReport:
     """Leave each example out, classify it with the baseline, and report
     the error ratio over the non-abstained predictions.
 
-    One pair index over all rows serves every holdout: the left-out row
-    is removed from it before its vote and added back after, so the whole
-    sweep costs O(n²·m) instead of a fresh build per row.  The keys a
-    removal empties stay at 0, so the table ends the size it began."""
+    One pair index over all rows serves every holdout: before its vote
+    the row is left out of it, which puts the row before it back, so the
+    whole sweep costs O(n²·m) instead of a fresh build per row.  The keys
+    a removal empties stay at 0, so the table never grows."""
     n = len(train)
     if n < 4:
         raise DataError(f"suitability needs at least 4 examples, got {n}")
@@ -461,9 +460,8 @@ def analogical_suitability(train: Dataset) -> SuitabilityReport:
     wrong = 0
     abstained = 0
     for i in range(n):
-        model.remove_rows([i], keep_keys=True)
+        model.leave_out([i])
         pred = model.classify(train.items[i])
-        model.add_rows([i])
         if pred.abstained:
             abstained += 1
         elif pred.label != train.labels[i]:
@@ -750,7 +748,7 @@ class BongardModel(_PairCounts):
         if key in self._analysis:
             return self._analysis[key]
         total = self.total.get(key)
-        if total is None:  # not cached, so an out-of-domain query adds no entry
+        if not total:  # not cached, so an out-of-domain query adds no entry
             return None
         result = None
         n_same = self.labelled.get(key * self.scale, 0)
@@ -940,34 +938,30 @@ def _run_model(data: Dataset, config: CvConfig) -> _PairCounts:
             "knn": lambda: KnnModel(data)}[config.strategy]()
 
 
-@contextmanager
 def _fold_model(run: _PairCounts, configs: Sequence[CvConfig], fold: int,
                 test_idx: Sequence[int]):
     """One fold's model, shared by every config (they differ only in the
     grid parameter): a copy of the run's table ``run`` with only the
     fold's training rows live (``run`` less the test rows, where the table
-    counts every pair).  Yields ``(predict, fallback)``, which map a
+    counts every pair).  Returns ``(predict, fallback)``, which map a
     query to one Prediction per config and to the fallback's Prediction.
     ``knn1`` is the model's own 1-NN.  ``brute`` is None where it is never
     asked (kNN does not abstain) or would abstain on the same queries as
     the strategy (the baseline is that classifier); the selected
-    strategy's takes the test rows out of the run's one fully counted
-    table in place and puts them back when the block ends."""
+    strategy's leaves the fold's test rows out of the run's one fully
+    counted table, in place, before each vote."""
     config = configs[0]
     train_idx = sorted(set(range(len(run.live))).difference(test_idx))
-    brute = counted = None
+    brute = None
     if config.strategy == "selected":
         model = run.mined(train_idx, _mining_rows(train_idx, config, fold),
                           config.min_support, config.min_confidence)
 
         def brute(query: Item) -> Prediction:
-            # The run's table with every pair counted, less the test rows
-            # from the fold's first abstention until the fold ends.
-            nonlocal counted
-            if counted is None:
-                counted = run._counted
-                counted.remove_rows(test_idx, keep_keys=True)
-            return counted.vote(query)
+            # A no-op after the fold's first abstention; the next fold's
+            # first puts these rows back.
+            run._counted.leave_out(test_idx)
+            return run._counted.vote(query)
     elif config.strategy == "knn":
         model = run._copy(train_idx)
     else:
@@ -981,11 +975,7 @@ def _fold_model(run: _PairCounts, configs: Sequence[CvConfig], fold: int,
         values = [getattr(c, param) for c in configs]
         predict = lambda q: model.predictions(q, values)
     knn1 = lambda q: model.nearest(q, [1])[0]
-    try:
-        yield predict, {"knn1": knn1, "brute": brute}.get(config.fallback)
-    finally:
-        if counted is not None:
-            counted.add_rows(test_idx)
+    return predict, {"knn1": knn1, "brute": brute}.get(config.fallback)
 
 
 def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
@@ -998,20 +988,20 @@ def _evaluate_fold(data: Dataset, configs: Sequence[CvConfig], fold: int,
     correct = [0] * width
     abstained = [0] * width
     triplets = [0] * width
-    with _fold_model(run, configs, fold, test_idx) as (predict, fallback):
-        for i in test_idx:
-            query = data.items[i]
-            predictions = predict(query)
-            rescue = None  # the fallback answer, asked at most once per query
-            if fallback is not None and any(p.abstained for p in predictions):
-                rescue = fallback(query)
-            for v, pred in enumerate(predictions):
-                triplets[v] += pred.triplets_examined
-                if pred.abstained:
-                    abstained[v] += 1
-                    pred = rescue or pred
-                if not pred.abstained and pred.label == data.labels[i]:
-                    correct[v] += 1
+    predict, fallback = _fold_model(run, configs, fold, test_idx)
+    for i in test_idx:
+        query = data.items[i]
+        predictions = predict(query)
+        rescue = None  # the fallback answer, asked at most once per query
+        if fallback is not None and any(p.abstained for p in predictions):
+            rescue = fallback(query)
+        for v, pred in enumerate(predictions):
+            triplets[v] += pred.triplets_examined
+            if pred.abstained:
+                abstained[v] += 1
+                pred = rescue or pred
+            if not pred.abstained and pred.label == data.labels[i]:
+                correct[v] += 1
     size = len(test_idx)
     return [
         FoldResult(fold, size, correct[v], 100.0 * correct[v] / size,

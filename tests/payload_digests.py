@@ -10,7 +10,9 @@ cells cover every strategy and fallback as a single run, the
 case-analysis and kNN grids under each fallback, and the CLI's
 ``table2`` and ``table3`` profiles, on two inputs: a 60-row Monk-1
 sample, on which every strategy but kNN abstains (so each fallback is
-asked), and a planted-rule set.
+asked), and a planted-rule set.  One more cell (``UNSTRATIFIED``) deals
+the Monk-1 sample into more folds than its smaller class has rows, so
+its folds are not stratified and differ in size.
 
 The other commands (``ap``, ``explain``, ``deps`` and every ``generate``
 kind, with and without ``--emit-schema``) run in-process through
@@ -82,9 +84,19 @@ def _grid_payload(data, config: CvConfig, grid: list[int]) -> dict:
     return {"best": best.canonical(), "reports": [r.canonical() for r in reports]}
 
 
+#: The cell whose folds are dealt from one shuffled order: Monk-1's class
+#: 0 has 25 of the sample's rows, fewer than 26 folds.  The selected
+#: strategy abstains in most folds, so its brute fallback moves from one
+#: fold's test rows to the next, of 2 or 3 rows.
+UNSTRATIFIED = ("monk1-60 selected fallback=brute folds=26",
+                CvConfig(strategy="selected", folds=26, seed=0, fallback="brute",
+                         subsample=0.8))
+
+
 def digests() -> dict[str, str]:
     """Cell name -> sha256 of its payload."""
-    out = {}
+    name, config = UNSTRATIFIED
+    out = {name: _digest(cross_validate(monk1_sample(), config).canonical())}
     for name, make in INPUTS.items():
         data = make()
         for strategy, fallback in product(STRATEGIES, FALLBACKS):

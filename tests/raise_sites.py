@@ -14,7 +14,8 @@ pinned digest cells (``payload_digests.digests`` and ``cli_digests``),
 the acceptance tests and one round of each bench workload, under a
 ``sys.setprofile`` call hook.  It prints every package function that
 none of them entered and that ``KEPT`` does not name, as
-``file:line qualified.name``.
+``file:line qualified.name``, and then every function that ``KEPT``
+names and that one of them did enter, since its reason no longer holds.
 
 In both modes the test helpers that start a CLI process
 (``run_subprocess`` of the CLI tests, ``run_cli`` of the acceptance
@@ -23,7 +24,7 @@ tests run is recorded too, and ``test_c5_table2_baseline_window`` is
 left out: it is the known failure and the slowest test under the tracer.
 
 The sites or functions are parsed before the run, from the source the
-run imports.  Exits 0 when the list is empty, 1 when it is not, and 2
+run imports.  Exits 0 when the lists are empty, 1 when one is not, and 2
 when a run failed (a failing test or bench round may stop short of a
 site or function) or a package file was modified during the run (the
 lines run no longer match the source).  Each full run takes a few
@@ -194,6 +195,19 @@ def functions_entered() -> tuple[int, set[tuple[str, int]]]:
                              for code in entered if code.co_filename.startswith(prefix)}
 
 
+def functions_report(defs: dict[tuple[str, int], str],
+                     entered: set[tuple[str, int]]) -> tuple[list[str], list[str]]:
+    """The labels of the functions of ``defs`` (see ``function_defs``)
+    that ``KEPT`` does not name and that were not ``entered``, and of
+    those that it names and that were."""
+    unentered, stale = [], []
+    for (name, line), qualname in defs.items():
+        kept = qualname in KEPT
+        if kept == ((name, line) in entered):
+            (stale if kept else unentered).append(f"src/anaprop/{name}:{line} {qualname}")
+    return unentered, stale
+
+
 def _mtimes() -> dict[str, int]:
     """Package file name -> its modification time in ns."""
     return {path.name: path.stat().st_mtime_ns for path in PACKAGE.glob("*.py")}
@@ -203,18 +217,21 @@ def main(args: list[str]) -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
     before = _mtimes()
+    stale: list[str] = []
     if args[:1] == ["--functions"]:
-        targets = {f"src/anaprop/{name}:{line} {qualname}": [(name, line)]
-                   for (name, line), qualname in function_defs().items()
-                   if qualname not in KEPT}
+        defs = function_defs()
         code, seen = functions_entered()
-        summary = (f"of {len(targets)} functions outside the allowlist ran in no "
-                   "digest cell, acceptance test or bench round")
+        unrun, stale = functions_report(defs, seen)
+        summary = (f"of {sum(name not in KEPT for name in defs.values())} functions "
+                   "outside the allowlist ran in no digest cell, acceptance test or "
+                   "bench round")
         failed = "a run failed; it may stop short of a function"
     else:
         targets = {f"src/anaprop/{name}:{line}": [(name, step) for step in lines]
                    for (name, line), lines in sorted(raise_sites().items())}
         code, seen = lines_run(args)
+        unrun = [label for label, keys in targets.items()
+                 if not any(k in seen for k in keys)]
         summary = f"of {len(targets)} raise sites ran in no test"
         failed = f"pytest exited {code}; a failing test may stop short of a site"
     changed = sorted({name for name, _ in _mtimes().items() ^ before.items()})
@@ -222,14 +239,17 @@ def main(args: list[str]) -> int:
         print(f"package files modified during the run: {', '.join(changed)}; "
               "rerun on a tree left alone")
         return 2
-    unrun = [label for label, keys in targets.items() if not any(k in seen for k in keys)]
     for label in unrun:
         print(label)
     print(f"{len(unrun)} {summary}")
+    if stale:
+        print("\n".join(stale))
+        print(f"{len(stale)} of {len(KEPT)} allowlisted functions ran; "
+              "take them off KEPT")
     if code != 0:
         print(failed)
         return 2
-    return 1 if unrun else 0
+    return 1 if unrun or stale else 0
 
 
 if __name__ == "__main__":

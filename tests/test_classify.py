@@ -21,6 +21,7 @@ from anaprop.data import (
     Dataset,
     PlantedRule,
     generate_affine,
+    generate_monk,
     generate_planted_rules,
 )
 from anaprop.classify import (
@@ -169,28 +170,48 @@ def suitability_oracle(ds: Dataset):
             abstained, n)
 
 
-def index_snapshot(counts: BruteForceModel):
-    """Every count table of the index, zero entries included if any."""
-    return dict(counts.total), dict(counts.labelled)
+def index_snapshot(counts: _PairCounts, held=((), ())):
+    """The two count tables of the index without their 0 entries, which
+    every reader takes as absent.  No entry may be negative, and each 0
+    entry must be a key of the parallel table of ``held`` (the keys the
+    table held before rows were left out), so a removal can empty a key
+    but never invent one; a fresh build holds no 0 entry."""
+    snapshot = []
+    for table, keys in zip((counts.total, counts.labelled), held):
+        invented = [entry for entry, n in table.items()
+                    if n < 0 or (n == 0 and entry not in keys)]
+        assert not invented, invented
+        snapshot.append({entry: n for entry, n in table.items() if n})
+    return tuple(snapshot)
 
 
-def index_groups(counts: BruteForceModel):
-    """(total, same-label count, tilts per (la, lb)) per key, read from
-    the two count tables."""
+def held_keys(counts: _PairCounts):
+    """The keys of the two count tables, for ``index_snapshot``."""
+    return set(counts.total), set(counts.labelled)
+
+
+def index_groups(counts: _PairCounts):
+    """(total, same-label count, tilts per (la, lb)) per key that has
+    pairs, read from the two count tables."""
     order = counts.label_order
     groups = {key: (total, counts.labelled.get(key * counts.scale, 0), {})
-              for key, total in counts.total.items()}
+              for key, total in counts.total.items() if total}
     for extended, n in counts.labelled.items():
         key, slot = divmod(extended, counts.scale)
-        if slot:
+        if slot and n:
             la, lb = divmod(slot, counts.width)
             groups[key][2][(order[la], order[lb])] = n
     return groups
 
 
+def monk2_sample():
+    """Every fourth row of Monk-2: 108 rows."""
+    return generate_monk(2).subset(list(range(0, 432, 4)))
+
+
 @st.composite
 def downdate_scenarios(draw):
-    """A dataset, a list of steps, each a list of row indices in any
+    """A dataset, a list of out-sets, each a list of row indices in any
     order and possibly repeated, and a query."""
     n_attrs = draw(st.integers(1, 3))
     n_rows = draw(st.integers(1, 8))
@@ -209,40 +230,49 @@ def downdate_scenarios(draw):
 class TestBruteForceModelDowndating:
     @given(downdate_scenarios())
     def test_downdated_index_equals_fresh_build(self, scenario):
+        # Each step leaves exactly its rows out, whatever was out before:
+        # it puts some rows back and takes others out in one call.
         ds, steps, query = scenario
         index = BruteForceModel(ds)
-        live = set(range(len(ds)))
         for step in steps:
-            # One call takes the step's live rows out, a second puts its
-            # removed rows back.
-            rows = list(dict.fromkeys(step))
-            for toggle, moved in ((index.remove_rows, [r for r in rows if r in live]),
-                                  (index.add_rows, [r for r in rows if r not in live])):
-                toggle(moved)
-                live ^= set(moved)
-                fresh = BruteForceModel(ds.subset(sorted(live)))
-                assert index.live == [i in live for i in range(len(ds))]
-                assert index_snapshot(index) == index_snapshot(fresh)
-                assert index_groups(index) == index_groups(fresh)
-                for total, _, tilts in index_groups(index).values():
-                    assert total > 0 and all(tilts.values())
-                assert as_tuple(index.classify(query)) == as_tuple(fresh.classify(query))
+            held = held_keys(index)
+            index.leave_out(step)
+            live = [i for i in range(len(ds)) if i not in step]
+            fresh = BruteForceModel(ds.subset(live))
+            assert index.live == [i in live for i in range(len(ds))] and index.complete
+            assert index_snapshot(index, held) == index_snapshot(fresh)
+            assert index_groups(index) == index_groups(fresh)
+            assert as_tuple(index.classify(query)) == as_tuple(fresh.classify(query))
 
-    def test_rows_must_be_toggled_in_turn(self):
-        # A dead row taken out, a live one put back, or a row named twice
-        # is refused, and the table is left as it was.
-        ds = case3_dataset()
+    def test_a_refused_downdate_leaves_the_table_as_it_was(self):
+        # A row outside 0..n-1, or a table that does not count every pair
+        # of its live rows, is refused before anything moves; naming the
+        # rows that are out again, in any order, moves nothing.
+        ds = monk2_sample()
         index = BruteForceModel(ds)
-        index.remove_rows([0, 3])
-        before = (index_snapshot(index), list(index.live))
-        for toggle, rows in ((index.remove_rows, [1, 0]), (index.remove_rows, [2, 2]),
-                             (index.add_rows, [0, 1]), (index.add_rows, [3, 3]),
-                             (index.add_rows, [0, 0])):
+        index.leave_out([0, 3])
+        pairs = extract_competent_pairs(ds, 2, 0.9)
+        selected = SelectedTripletModel(ds, pairs, 2)
+        knn, mined = KnnModel(ds), selected.mined(range(len(ds)), range(len(ds)), 2, 0.9)
+        query = ds.items[5]
+        for table, rows in ((index, [len(ds)]), (index, [-1]), (index, [0, len(ds)]),
+                            (selected, [5]), (knn, [5]), (mined, [5]),
+                            (index._copy(range(len(ds))), [5])):
+            before = (dict(table.total), dict(table.labelled), list(table.live),
+                      as_tuple(table.vote(query)))
             with pytest.raises(ValueError):
-                toggle(rows)
-            assert (index_snapshot(index), index.live) == before
-        index.add_rows([3, 0])
-        assert index_snapshot(index) == index_snapshot(BruteForceModel(ds))
+                table.leave_out(rows)
+            assert (dict(table.total), dict(table.labelled), list(table.live),
+                    as_tuple(table.vote(query))) == before
+        assert as_tuple(selected.vote(query)) == \
+            as_tuple(SelectedTripletModel(ds, pairs, 2).vote(query))
+        sizes = [sys.getsizeof(index.total), sys.getsizeof(index.labelled)]
+        held, before = held_keys(index), index_snapshot(index, held_keys(index))
+        index.leave_out([3, 0, 3])
+        assert index_snapshot(index, held) == before
+        index.leave_out([])
+        assert index_snapshot(index, held) == index_snapshot(BruteForceModel(ds))
+        assert [sys.getsizeof(index.total), sys.getsizeof(index.labelled)] == sizes
 
 
 @st.composite
@@ -274,9 +304,9 @@ class TestRunTableDerivation:
             train = ds.subset([i for i in range(len(ds)) if i not in test_idx])
             fresh = self.run_table(train)
             left = run.without(test_idx)
-            assert index_snapshot(left) == index_snapshot(fresh)
-            assert 0 not in left.total.values() and 0 not in left.labelled.values()
+            assert index_snapshot(left, held_keys(run)) == index_snapshot(fresh)
             assert left.live == [i not in test_idx for i in range(len(ds))]
+            assert left.complete
             assert (left.pair_keys, left.codes) == (run.pair_keys, run.codes)
         # The run's own tables are left as they were.
         assert index_snapshot(run) == index_snapshot(self.run_table(ds))
@@ -301,8 +331,9 @@ class TestRunTableDerivation:
         test_idx = assignment[0]
         train = ds.subset([i for i in range(len(ds)) if i not in test_idx])
         for model in (BruteForceModel, BongardModel):
-            derived, fresh = model(ds).without(test_idx), model(train)
-            assert index_snapshot(derived) == index_snapshot(fresh)
+            run, fresh = model(ds), model(train)
+            derived = run.without(test_idx)
+            assert index_snapshot(derived, held_keys(run)) == index_snapshot(fresh)
             for query in map(ds.items.__getitem__, test_idx):
                 assert as_tuple(derived.vote(query)) == as_tuple(fresh.vote(query))
 
@@ -354,27 +385,30 @@ class TestRunTableDerivation:
         assert run._pairs.keys() == changes
 
     def test_the_selected_brute_fallback_takes_the_test_rows_out_in_place(self):
-        # One fully counted table serves every fold: its test rows are out
-        # from the fold's first abstention until the fold ends.  It keeps
-        # the keys they empty, at 0, so it never gains a key.
+        # One fully counted table serves every fold: each vote leaves the
+        # fold's test rows out of it, which puts the last fold's back, so
+        # at most one fold's rows are out at a time.  It keeps the keys
+        # they empty, at 0, so it never gains a key.
         ds = monk1_sample()
         config = CvConfig(strategy="selected", folds=5, min_support=10_000,
                           fallback="brute")
         run = SelectedTripletModel(ds, (), config.radius)
-        full = index_snapshot(BruteForceModel(ds))
-        for fold, test_idx in enumerate(make_folds(ds, config.folds, config.seed)[0]):
+        full = held_keys(BruteForceModel(ds))
+        assignment = make_folds(ds, config.folds, config.seed)[0]
+        out_sets = [[]] + assignment
+        for fold, test_idx in enumerate(assignment):
             train = ds.subset([i for i in range(len(ds)) if i not in test_idx])
-            with _fold_model(run, [config], fold, test_idx) as (predict, fallback):
-                for i in test_idx:
-                    assert predict(ds.items[i])[0].abstained
-                    assert as_tuple(fallback(ds.items[i])) == \
-                        as_tuple(BruteForceModel(train).vote(ds.items[i]))
-                    assert run._counted.live == [j not in test_idx for j in range(len(ds))]
-                counted = index_snapshot(run._counted)
-                assert [table.keys() for table in counted] == [t.keys() for t in full]
-                assert [{e: n for e, n in table.items() if n} for table in counted] == \
-                    list(index_snapshot(BruteForceModel(train)))
-            assert index_snapshot(run._counted) == full and all(run._counted.live)
+            predict, fallback = _fold_model(run, [config], fold, test_idx)
+            for i in test_idx:
+                assert predict(ds.items[i])[0].abstained
+                assert [j for j, live in enumerate(run._counted.live) if not live] \
+                    in out_sets[:fold + 2]
+                assert as_tuple(fallback(ds.items[i])) == \
+                    as_tuple(BruteForceModel(train).vote(ds.items[i]))
+                assert run._counted.live == [j not in test_idx for j in range(len(ds))]
+                assert held_keys(run._counted) == full
+            assert index_snapshot(run._counted, full) == \
+                index_snapshot(BruteForceModel(train))
 
     @given(fold_scenarios(), st.lists(st.integers(1, 16), min_size=1, max_size=4))
     def test_a_derived_knn_answers_as_a_fresh_one(self, scenario, ks):
@@ -502,10 +536,11 @@ class TestSuitability:
             seen_wrong |= report.wrong > 0
         assert seen_abstain and seen_wrong
 
-    def test_a_sweep_leaves_its_table_as_built(self, monkeypatch):
+    def test_a_sweep_never_grows_its_table(self, monkeypatch):
         # Each holdout's emptied keys stay at 0 until the row is put back,
-        # so the swept table holds exactly a fresh build's keys and counts
-        # and its dicts have not grown.
+        # so the swept table, with its last row still out, holds exactly a
+        # fresh build's keys, and its dicts have not grown.  Putting that
+        # row back restores a fresh build's counts.
         ds = monk1_sample()
         fresh = BruteForceModel(ds)
         built = []
@@ -518,9 +553,14 @@ class TestSuitability:
         monkeypatch.setattr(_PairCounts, "count_pairs", counting)
         analogical_suitability(ds)
         (swept, *sizes), = built
+        assert held_keys(swept) == held_keys(fresh)
+        assert swept.live == [i < len(ds) - 1 for i in range(len(ds))]
+        assert index_snapshot(swept, held_keys(fresh)) == \
+            index_snapshot(BruteForceModel(ds.subset(range(len(ds) - 1))))
+        assert [sys.getsizeof(swept.total), sys.getsizeof(swept.labelled)] == sizes
+        swept.leave_out([])
         assert swept.total.items() == fresh.total.items()
         assert swept.labelled.items() == fresh.labelled.items()
-        assert [sys.getsizeof(swept.total), sys.getsizeof(swept.labelled)] == sizes
 
     def test_needs_four_examples(self):
         ds = generate_affine(2, (0, 1, 1)).subset([0, 1, 2])
@@ -1117,10 +1157,11 @@ class TestCrossValidation:
     def test_each_fallback_is_asked_once_per_abstained_query(self, monkeypatch):
         # The knn1 fallback is the fold model's own 1-NN, so it builds
         # nothing.  The selected strategy's brute fallback counts the run's
-        # pairs once, on the run's first abstention, and takes a fold's
-        # test rows out of that table, in place, on the fold's first.  The
-        # case analysis's is its own vote, since its table counts every
-        # pair; its fold copies take their test rows out with remove_rows.
+        # pairs once, on the run's first abstention, and leaves a fold's
+        # test rows out of that table, in place, on every ask: only the
+        # fold's first moves rows.  The case analysis's is its own vote,
+        # since its table counts every pair; each fold copy leaves its test
+        # rows out once.
         # Some fold abstains twice, so a build per query would show.  The
         # grid's budgets abstain on the same queries (those where no
         # neighbor votes), so an ask per abstained budget would show too.
@@ -1132,18 +1173,21 @@ class TestCrossValidation:
                 (replace(selected, fallback="knn1"), None),
                 (bongard, [1, 3]),
                 (replace(bongard, fallback="brute"), [1, 3])]
-        count_pairs, remove_rows = _PairCounts.count_pairs, _PairCounts.remove_rows
+        count_pairs, leave_out = _PairCounts.count_pairs, _PairCounts.leave_out
         vote, nearest = _PairCounts.vote, _PairCounts.nearest
         for config, grid in runs:
-            counted, derived, asked = [], [], []
+            counted, derived, moved, asked = [], [], [], []
 
             def counting(table):
                 counted.append(table)
                 count_pairs(table)
 
-            def deriving(table, rows, **keep_keys):
-                remove_rows(table, rows, **keep_keys)
+            def deriving(table, rows):
+                live = list(table.live)
+                leave_out(table, rows)
                 derived.append(table)
+                if table.live != live:
+                    moved.append(table)
 
             def voting(table, query):
                 # The selected model is mined, not derived, and the case
@@ -1158,7 +1202,7 @@ class TestCrossValidation:
                 return nearest(table, query, ks)
 
             with monkeypatch.context() as patch:
-                for name, patched in (("count_pairs", counting), ("remove_rows", deriving),
+                for name, patched in (("count_pairs", counting), ("leave_out", deriving),
                                       ("vote", voting), ("nearest", ranking)):
                     patch.setattr(_PairCounts, name, patched)
                 reports = ([cross_validate(ds, config)] if grid is None
@@ -1168,10 +1212,10 @@ class TestCrossValidation:
                        for r in reports)
             assert 0 < abstained.count(0) < len(abstained) and max(abstained) > 1
             if config.strategy == "bongard":  # the run's table and its folds
-                assert (len(counted), len(derived)) == (1, len(abstained))
+                assert (len(counted), len(derived), len(moved)) == (1,) + (len(abstained),) * 2
             elif config.fallback == "brute":
-                assert len(counted) == 1
-                assert len(derived) == len(abstained) - abstained.count(0)
+                assert len(counted) == 1 and len(derived) == sum(abstained)
+                assert len(moved) == len(abstained) - abstained.count(0)
             else:
                 assert counted == derived == []
             assert len(asked) == sum(abstained)
@@ -1486,35 +1530,37 @@ class PerPairIndexOracle:
                 self._update(incoming[j], j, i, step)
         self._update(0, i, i, step)
 
-    def remove_rows(self, rows):
-        for i in rows:
-            self._live[i] = False
-            self._touch(i, -1)
-
-    def add_rows(self, rows):
-        for i in rows:
-            self._touch(i, +1)
-            self._live[i] = True
+    def leave_out(self, rows):
+        """Leave exactly ``rows`` out, one row taken out or put back at a
+        time."""
+        out = set(rows)
+        for i, live in enumerate(self._live):
+            if live and i in out:
+                self._live[i] = False
+                self._touch(i, -1)
+            elif not live and i not in out:
+                self._touch(i, +1)
+                self._live[i] = True
 
 
 class TestCountingBuild:
-    @given(keyed_datasets(max_classes=4), st.lists(st.integers(0, 15), max_size=8))
-    def test_counting_index_matches_per_pair_build(self, case, toggles):
+    @given(keyed_datasets(max_classes=4),
+           st.lists(st.lists(st.integers(0, 15), max_size=4), max_size=6))
+    def test_counting_index_matches_per_pair_build(self, case, out_sets):
         ds, queries = case
         index = BruteForceModel(ds)
         oracle = PerPairIndexOracle(ds)
         assert index_groups(index) == oracle.groups
-        live = set(range(len(ds)))
-        for row in (t % len(ds) for t in toggles):
+        full, live = held_keys(index), range(len(ds))
+        for out in ([r % len(ds) for r in rows] for rows in out_sets):
             for built in (index, oracle):
-                (built.remove_rows if row in live else built.add_rows)([row])
-            live ^= {row}
+                built.leave_out(out)
+            live = [i for i in range(len(ds)) if i not in out]
             assert index_groups(index) == oracle.groups
-            assert all(index.total.values())
-            assert all(index.labelled.values())
+            index_snapshot(index, full)
         for query in queries:
             assert as_tuple(index.classify(query)) == \
-                baseline_vote_oracle(ds.subset(sorted(live)), query)
+                baseline_vote_oracle(ds.subset(live), query)
 
     @given(keyed_datasets(max_classes=4), st.integers(1, 2))
     def test_bongard_contexts_match_pair_scan(self, case, max_literals):

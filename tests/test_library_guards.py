@@ -4,8 +4,9 @@ that no command reaches."""
 
 import pytest
 
-from anaprop.classify import (CvConfig, bongard_separation, cross_validate_grid,
-                              make_folds)
+from anaprop.classify import (BruteForceModel, CvConfig, KnnModel, SelectedTripletModel,
+                              bongard_separation, cross_validate_grid,
+                              extract_competent_pairs, make_folds)
 from anaprop.core import Schema
 from anaprop.data import DataError, Relation, generate_affine
 from anaprop.explain import ContextSplit, relevant_attributes, rule_candidate
@@ -30,6 +31,16 @@ CASES = [
                  DataError, "grid must not be empty", id="empty-grid"),
     pytest.param(lambda: cross_validate_grid(XOR, CvConfig(folds=2), [1]),
                  DataError, "applies to the bongard and knn", id="grid-of-the-baseline"),
+    pytest.param(lambda: SelectedTripletModel(XOR, extract_competent_pairs(XOR, 1, 0.0),
+                                              2).leave_out([1]),
+                 ValueError, "counts every pair of its live rows",
+                 id="downdate-of-a-selected-table"),
+    pytest.param(lambda: KnnModel(XOR).leave_out([1]), ValueError,
+                 "counts every pair of its live rows", id="downdate-of-a-knn-table"),
+    pytest.param(lambda: BruteForceModel(XOR).leave_out([-1]), ValueError,
+                 r"rows \[-1\] are not all rows 0..3", id="downdate-of-a-negative-row"),
+    pytest.param(lambda: BruteForceModel(XOR).leave_out([0, 4]), ValueError,
+                 r"rows \[0, 4\] are not all rows 0..3", id="downdate-past-the-last-row"),
     pytest.param(lambda: Relation(BOOLEAN, (("0", "p"), ("0", "p"))), DataError,
                  "tuples must be unique", id="relation-duplicate-tuples"),
     pytest.param(lambda: rule_candidate(NO_CHANGE, BOOLEAN.names), DataError,

@@ -2,7 +2,8 @@
 the lines it traced would no longer be those of the sites it parsed.  Its
 allowlist of functions (``KEPT``) cannot rot silently: each entry names a
 package function and gives a reason, as ``test_mutants.py`` checks the
-mutation list.  The traced runs themselves stay outside tier-1."""
+mutation list, and the functions mode lists an entry that its run did
+enter.  The traced runs themselves stay outside tier-1."""
 
 import importlib
 import inspect
@@ -11,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import raise_sites
 from raise_sites import KEPT, function_defs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,5 +64,21 @@ def test_functions_are_keyed_by_the_first_line_of_their_code():
             owner = inspect.getattr_static(owner, part)
         for attr in ("fget", "func", "__func__"):  # property, cached_property, classmethod
             owner = getattr(owner, attr, owner)
-        code = inspect.unwrap(owner).__code__  # a contextmanager's own generator
+        code = inspect.unwrap(owner).__code__  # the function a functools.cache wraps
         assert (Path(code.co_filename).name, code.co_firstlineno) == (file, line), name
+
+
+def test_a_kept_function_that_ran_is_listed_and_exits_1(monkeypatch, capsys):
+    # A fake run that entered every function outside KEPT, and then one
+    # that also entered one kept function: only the second is refused.
+    monkeypatch.chdir(ROOT)
+    defs = function_defs()
+    others = {key for key, name in defs.items() if name not in KEPT}
+    (file, line), = [key for key, name in defs.items() if name == "core.hamming"]
+    for entered, code in ((others, 0), (others | {(file, line)}, 1)):
+        monkeypatch.setattr(raise_sites, "functions_entered", lambda: (0, entered))
+        assert raise_sites.main(["--functions"]) == code
+        out = capsys.readouterr().out
+        assert out.startswith("0 of ")
+        assert (f"src/anaprop/{file}:{line} core.hamming" in out) == bool(code)
+    assert f"1 of {len(KEPT)} allowlisted functions ran; take them off KEPT" in out
