@@ -18,8 +18,9 @@ a literal triple loop.  One table (``_PairCounts``) holds a dataset's
 keyed rows, label codes, counts and vote, and every classifier is one
 such table.  A table that counts every pair of its live rows can leave
 any rows out (``leave_out``), counting only the pairs that touch the rows
-it moves (leave-one-out scoring does so in place), and a copy of it can
-have any of its rows live; kNN counts no pairs.
+it moves (leave-one-out scoring does so in place, and ``without`` on the
+one copy that carries the counts); any other copy starts uncounted, with
+any of its rows live.  kNN counts no pairs.
 
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
@@ -32,7 +33,7 @@ over the shared context (the pairs of a mixed group are found by lookup
 from diff(c, query), which every pair under its key shares, once per
 run), a Hamming kNN baseline, and a seeded stratified cross-validation
 harness.  A run builds one table over all rows, and each fold's model
-and fallback is a copy of it with the fold's training rows live,
+and fallback is it or a copy of it with the fold's training rows live,
 whatever the size of a grid search over the neighbor parameter, so
 every fold names rows by their dataset index.  The case analysis, kNN
 and the 1-NN fallback rank the live rows by Hamming distance to the
@@ -226,9 +227,9 @@ class _PairCounts:
     tables start empty: ``count_pairs`` counts the rows' own pairs and
     marks the table ``complete``, and ``count`` counts any others.  Only
     the rows marked in ``live`` vote as c.  ``leave_out`` sets which rows
-    of a complete table are out, in place, and ``without`` does so on a
-    copy that stays complete; a copy made by ``_copy`` keeps the table's
-    counts, has any of its rows live and is not marked complete.
+    of a complete table are out, in place.  A copy made by ``_copy`` has
+    any of its rows live and starts uncounted; ``without`` is the one copy
+    that carries the counts, so it stays complete.
     """
 
     def __init__(self, data: Dataset):
@@ -327,21 +328,22 @@ class _PairCounts:
                     self.live[r] = live
 
     def _copy(self, rows: Iterable[int]) -> "_PairCounts":
-        """A copy of the table with only ``rows`` live, not marked
-        ``complete``.  It has its own counts and ``live`` mask and shares
-        the rest: keys, label codes and the rows themselves, so it names
-        rows by the same indices."""
+        """A fresh table over the same keyed rows, uncounted, with only
+        ``rows`` live.  It has its own counts and ``live`` mask and shares
+        the rest: keys, label codes, the rows and what the run lists once,
+        so it names rows by the same indices."""
         left = copy(self)
-        left.total, left.labelled = Counter(self.total), Counter(self.labelled)
+        left.total, left.labelled = Counter(), Counter()
         live = set(rows)
         left.live = [i in live for i in range(len(self.live))]
         left.complete = False
         return left
 
     def without(self, rows: Iterable[int]) -> "_PairCounts":
-        """A copy of the table, still complete, with exactly ``rows`` out
-        (``leave_out``)."""
+        """A copy of the table and its counts, still complete, with exactly
+        ``rows`` out (``leave_out``)."""
         left = self._copy(compress(range(len(self.live)), self.live))
+        left.total, left.labelled = Counter(self.total), Counter(self.labelled)
         left.complete = self.complete
         left.leave_out(rows)
         return left
@@ -580,13 +582,12 @@ class SelectedTripletModel(_PairCounts):
 
     def mined(self, rows: Sequence[int], mining: Sequence[int], min_support: int,
               min_confidence: float) -> "SelectedTripletModel":
-        """A copy of this table, which holds no pairs, with ``rows`` live
-        and the counts of ``extract_competent_pairs`` over the ``mining``
-        rows, copied in whole without listing the pairs.  Only the pairs
-        of two mining rows within the radius are counted, from the near
-        lists, as the listed pairs are bounded; every pair under one key
-        lies at one distance, so the groups of the keys counted are
-        complete.  Key 0, the pairs of equal items, is counted in the
+        """A copy of this table with ``rows`` live and the counts of
+        ``extract_competent_pairs`` over the ``mining`` rows, copied in
+        whole without listing the pairs.  Only the pairs of two mining
+        rows within the radius are counted, from the near lists, as the
+        listed pairs are bounded; every pair under one key lies at one
+        distance, so the groups of the keys counted are complete.  Key 0, the pairs of equal items, is counted in the
         sample and dropped by ``_competent_behaviours``."""
         sample = self._copy(mining)
         for b in mining:
@@ -600,16 +601,6 @@ class SelectedTripletModel(_PairCounts):
             model.labelled[extended] = support
             model.total[extended // model.scale] += support
         return model
-
-    @cached_property
-    def _counted(self) -> "SelectedTripletModel":
-        """A copy of this table, which holds no pairs, with every row live
-        and every pair counted, beyond the radius too: the baseline's
-        table on the same keys, built when first asked and read by
-        ``vote``."""
-        full = self._copy(range(len(self.live)))
-        full.count_pairs()
-        return full
 
     def classify(self, query: Item) -> Prediction:
         """The vote of ``vote``; for a query that is one of the rows, read
@@ -694,8 +685,9 @@ class BongardModel(_PairCounts):
     resolved by a separation property over the shared context (case 3);
     neighbors without usable evidence are skipped.  Its table counts every
     pair of its rows, so ``vote`` is the baseline vote on them; only live
-    rows are neighbors or pair members, so a copy ``without`` some rows
-    answers as a fresh model of the others.
+    rows are neighbors or pair members, and ``leave_out`` and ``_copy``
+    start a fresh verdict cache, so it answers as a fresh model of its
+    live rows.
     """
 
     def __init__(self, train: Dataset, max_literals: int = 2):
@@ -709,8 +701,12 @@ class BongardModel(_PairCounts):
         #: Per change, its pairs over all rows (``contexts``), shared by every copy.
         self._pairs: dict[Diff, list[int]] = {}
 
-    def without(self, rows: Sequence[int]) -> "BongardModel":
-        left = super().without(rows)
+    def leave_out(self, rows: Iterable[int]) -> None:
+        super().leave_out(rows)
+        self._analysis = {}  # its verdicts read the rows now live
+
+    def _copy(self, rows: Iterable[int]) -> "BongardModel":
+        left = super()._copy(rows)
         left._analysis = {}  # its verdicts read the copy's own counts
         return left
 
@@ -948,8 +944,8 @@ def _fold_model(run: _PairCounts, configs: Sequence[CvConfig], fold: int,
     ``knn1`` is the model's own 1-NN.  ``brute`` is None where it is never
     asked (kNN does not abstain) or would abstain on the same queries as
     the strategy (the baseline is that classifier); the selected
-    strategy's leaves the fold's test rows out of the run's one fully
-    counted table, in place, before each vote."""
+    strategy's counts the run's own table on the run's first abstention
+    and leaves the fold's test rows out of it, in place, before each vote."""
     config = configs[0]
     train_idx = sorted(set(range(len(run.live))).difference(test_idx))
     brute = None
@@ -958,10 +954,12 @@ def _fold_model(run: _PairCounts, configs: Sequence[CvConfig], fold: int,
                           config.min_support, config.min_confidence)
 
         def brute(query: Item) -> Prediction:
+            if not run.complete:
+                run.count_pairs()
             # A no-op after the fold's first abstention; the next fold's
             # first puts these rows back.
-            run._counted.leave_out(test_idx)
-            return run._counted.vote(query)
+            run.leave_out(test_idx)
+            return run.vote(query)
     elif config.strategy == "knn":
         model = run._copy(train_idx)
     else:

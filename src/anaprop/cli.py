@@ -46,6 +46,12 @@ SPEC_KEYS = {"affine": {},
              "planted-rule": {"rules": "array"},
              "random-relation": {"attributes": "array"},
              "monk1": {}, "monk2": {}, "monk3": {}}
+#: The options of ``generate`` that only some kinds read, per kind: the
+#: ones it reads.  Passing any other of them is a usage error.
+KIND_OPTIONS = {"affine": ("n", "coeffs", "seed"),
+                "planted-rule": (),
+                "random-relation": ("tuples", "seed"),
+                "monk1": (), "monk2": (), "monk3": ()}
 #: The exact types json.load gives for each JSON type named here.
 _JSON_TYPES = {"number": (int, float), "array": (list,),
                "string": (str,), "string or null": (str, type(None))}
@@ -390,6 +396,12 @@ def _generate(args, spec: dict):
 
 
 def _cmd_generate(args) -> int:
+    for option in ("n", "coeffs", "tuples", "seed"):
+        if getattr(args, option) is not None and option not in KIND_OPTIONS[args.kind]:
+            raise _UsageError(f"--{option} does not apply to --kind {args.kind}")
+    if args.coeffs is not None and args.seed is not None:
+        raise _UsageError("--coeffs and --seed both set the affine coefficients; "
+                          "pass one of them")
     spec = _load_spec(args)
     made = _generate(args, spec)
     rows = len(made)
@@ -504,7 +516,8 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--n", type=int, help="attribute count (affine)")
     p_gen.add_argument("--coeffs", help="comma-separated 0/1 coefficients (affine)")
     p_gen.add_argument("--tuples", type=int, help="tuple count (random-relation)")
-    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--seed", type=int,
+                       help="random seed (affine without --coeffs, random-relation)")
     p_gen.add_argument("--spec", help="JSON generator spec file")
     p_gen.add_argument("--emit-schema", action="store_true",
                        help="also write a sidecar schema next to the output")

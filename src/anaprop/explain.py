@@ -222,7 +222,11 @@ def contrastive_explain(rel: Relation, query: Item, result_attr: str,
     else:
         tgt, ae, supporting, exceptions, first, strength = targets[0], None, 0, 0, None, 0.0
     names = rel.schema.names
-    if ae is None:
+    if ae is None and any(row[ridx] == tgt for row in rel.tuples):
+        # Every such row was skipped above: it has no change to explain by.
+        sentence = (f"unsupported: every row with {result_attr}={tgt} agrees "
+                    f"with the query on every other attribute")
+    elif ae is None:
         sentence = (f"unsupported: no adverse example with "
                     f"{result_attr}={tgt} exists in the table")
     elif question == "why":

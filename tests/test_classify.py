@@ -290,6 +290,25 @@ def fold_scenarios(draw):
                 for fold in range(n_folds)]
 
 
+@st.composite
+def lifecycle_scenarios(draw):
+    """A dataset with duplicate rows and several labels (see
+    ``keyed_datasets``), its queries, and steps: an operation, a number
+    that picks the table it applies to among those it applies to, and
+    rows."""
+    ds, queries = draw(keyed_datasets(max_classes=4))
+    rows = st.lists(st.integers(0, len(ds) - 1), max_size=4)
+    operation = st.sampled_from(("leave_out", "without", "_copy", "mined", "count_pairs"))
+    step = st.tuples(operation, st.integers(0, 63), rows)
+    return ds, queries, draw(st.lists(step, min_size=1, max_size=6))
+
+
+def two_rows(items, labels, steps):
+    """A lifecycle scenario over two rows of one attribute."""
+    schema = Schema.from_pairs([("a0", ("u", "v"))])
+    return Dataset(schema, Attribute("c", ("p", "q")), items, labels), [], steps
+
+
 class TestRunTableDerivation:
     def run_table(self, ds):
         run = _PairCounts(ds)
@@ -385,10 +404,13 @@ class TestRunTableDerivation:
         assert run._pairs.keys() == changes
 
     def test_the_selected_brute_fallback_takes_the_test_rows_out_in_place(self):
-        # One fully counted table serves every fold: each vote leaves the
+        # The run's own table is counted in full on the run's first
+        # abstention and then serves every fold: each vote leaves the
         # fold's test rows out of it, which puts the last fold's back, so
         # at most one fold's rows are out at a time.  It keeps the keys
-        # they empty, at 0, so it never gains a key.
+        # they empty, at 0, so it never gains a key.  A fold mined after
+        # the run is counted still counts only what it mines, so it
+        # abstains as the first fold does.
         ds = monk1_sample()
         config = CvConfig(strategy="selected", folds=5, min_support=10_000,
                           fallback="brute")
@@ -398,17 +420,17 @@ class TestRunTableDerivation:
         out_sets = [[]] + assignment
         for fold, test_idx in enumerate(assignment):
             train = ds.subset([i for i in range(len(ds)) if i not in test_idx])
+            assert run.complete == (fold > 0)
             predict, fallback = _fold_model(run, [config], fold, test_idx)
             for i in test_idx:
-                assert predict(ds.items[i])[0].abstained
-                assert [j for j, live in enumerate(run._counted.live) if not live] \
+                assert as_tuple(predict(ds.items[i])[0]) == (None, {}, 0, True)
+                assert [j for j, live in enumerate(run.live) if not live] \
                     in out_sets[:fold + 2]
                 assert as_tuple(fallback(ds.items[i])) == \
                     as_tuple(BruteForceModel(train).vote(ds.items[i]))
-                assert run._counted.live == [j not in test_idx for j in range(len(ds))]
-                assert held_keys(run._counted) == full
-            assert index_snapshot(run._counted, full) == \
-                index_snapshot(BruteForceModel(train))
+                assert run.live == [j not in test_idx for j in range(len(ds))]
+                assert held_keys(run) == full
+            assert index_snapshot(run, full) == index_snapshot(BruteForceModel(train))
 
     @given(fold_scenarios(), st.lists(st.integers(1, 16), min_size=1, max_size=4))
     def test_a_derived_knn_answers_as_a_fresh_one(self, scenario, ks):
@@ -484,6 +506,112 @@ class TestRunTableDerivation:
                 run()
                 assert built == [len(ds)], (strategy, fallback)
                 assert counted == [len(ds)] * counts_all, (strategy, fallback)
+
+
+class TestTableLifecycle:
+    """Tables that have already answered, so they hold counts and, for the
+    case analysis, verdicts, are changed in place or copied in any order.
+    After each step every table answers as a fresh model of its live
+    rows: a table that counts every pair of them as the baseline (and
+    the case analysis) of those rows, a copy made by ``_copy`` as one
+    that counts nothing, a mined one as the same ``mined`` call on a run
+    table that holds no pairs, and one of listed pairs as a fresh one."""
+
+    MIN_SUPPORT, MIN_CONFIDENCE, BUDGETS = 1, 0.5, [1, 3, 5, 200]
+
+    @staticmethod
+    def applies(step, table, tag):
+        if step in ("leave_out", "without"):
+            return table.complete
+        if step == "mined":
+            return isinstance(table, SelectedTripletModel)
+        if step == "count_pairs":  # only into empty counts with every row live
+            return tag == ("uncounted",) and all(table.live)
+        return True
+
+    def check(self, ds, queries, table, tag, max_literals, radius):
+        live = [i for i, on in enumerate(table.live) if on]
+        sub = ds.subset(live)
+        if tag[0] == "mined":
+            fresh = SelectedTripletModel(ds, (), radius).mined(*tag[1:])
+        elif tag[0] == "listed":
+            fresh = SelectedTripletModel(ds, tag[1], radius)
+        else:
+            fresh = BruteForceModel(sub) if tag[0] == "counted" else _PairCounts(sub)
+        assert index_groups(table) == index_groups(fresh)
+        for query in queries:
+            assert as_tuple(table.vote(query)) == as_tuple(fresh.vote(query))
+            assert table.nearest(query, [1, 3]) == _PairCounts(sub).nearest(query, [1, 3])
+            if isinstance(fresh, SelectedTripletModel):
+                assert as_tuple(table.classify(query)) == as_tuple(fresh.classify(query))
+            if isinstance(table, BongardModel):
+                want = [Prediction(None, {}, 0, True)] * len(self.BUDGETS)
+                if tag[0] == "counted" and live:
+                    want = BongardModel(sub, max_literals).predictions(query, self.BUDGETS)
+                assert table.predictions(query, self.BUDGETS) == want
+
+    @given(lifecycle_scenarios(), st.integers(1, 2), st.integers(0, 3))
+    # The case analysis leaves a row out, or is copied, after answering
+    # every row, and the table of listed pairs mines its own rows.
+    @example(two_rows((("u",), ("u",)), ("p", "p"), [("leave_out", 1, [0])]), 1, 0)
+    @example(two_rows((("u",), ("u",)), ("p", "p"), [("_copy", 1, [])]), 1, 0)
+    @example(two_rows((("u",), ("v",)), ("p", "q"), [("mined", 0, [])]), 1, 1)
+    def test_every_table_answers_as_a_fresh_one_of_its_live_rows(self, scenario,
+                                                                 max_literals, radius):
+        ds, queries, steps = scenario
+        queries = list(ds.items) + queries
+        pairs = extract_competent_pairs(ds, self.MIN_SUPPORT, self.MIN_CONFIDENCE)
+        tables = [(BruteForceModel(ds), ("counted",)),
+                  (BongardModel(ds, max_literals), ("counted",)),
+                  (SelectedTripletModel(ds, pairs, radius), ("listed", pairs)),
+                  (SelectedTripletModel(ds, (), radius), ("uncounted",)),
+                  (KnnModel(ds), ("uncounted",))]
+        for table, tag in tables:
+            self.check(ds, queries, table, tag, max_literals, radius)
+        for step, pick, rows in steps:
+            chosen = [(table, tag) for table, tag in tables
+                      if self.applies(step, table, tag)]
+            if not chosen:
+                continue
+            table, tag = chosen[pick % len(chosen)]
+            others = [i for i in range(len(ds)) if i not in rows]
+            if step == "leave_out":
+                table.leave_out(rows)
+            elif step == "without":
+                tables.append((table.without(rows), ("counted",)))
+            elif step == "_copy":
+                tables.append((table._copy(others), ("uncounted",)))
+            elif step == "mined":
+                mined = (others, others, self.MIN_SUPPORT, self.MIN_CONFIDENCE)
+                tables.append((table.mined(*mined), ("mined", *mined)))
+            else:
+                table.count_pairs()
+                tables[tables.index((table, tag))] = (table, ("counted",))
+            for table, tag in tables:
+                self.check(ds, queries, table, tag, max_literals, radius)
+
+    def test_the_two_answers_of_tables_that_kept_stale_counts(self):
+        # On Monk-2's every fourth row: a case analysis that answered
+        # every row before it left row 5 out once answered row 5 from the
+        # verdicts of all rows (298 triplets, {'0': 44}), and ``mined`` on
+        # a table of listed pairs added the mined counts to theirs (603
+        # triplets, {'0': 402}).
+        ds = monk2_sample()
+        n = len(ds)
+        case_analysis = BongardModel(ds)
+        for query in ds.items:
+            case_analysis.predictions(query, self.BUDGETS)
+        case_analysis.leave_out([5])
+        fresh = BongardModel(ds.subset([i for i in range(n) if i != 5]))
+        answer = case_analysis.predictions(ds.items[5], self.BUDGETS)
+        assert answer == fresh.predictions(ds.items[5], self.BUDGETS)
+        assert as_tuple(answer[-1]) == ("0", {"0": 28, "1": 4}, 242, False)
+        rows = range(n)
+        listed = SelectedTripletModel(ds, extract_competent_pairs(ds, 2, 0.9), 2)
+        mined = listed.mined(rows, rows, 2, 0.9)
+        assert index_groups(mined) == \
+            index_groups(SelectedTripletModel(ds, (), 2).mined(rows, rows, 2, 0.9))
+        assert as_tuple(mined.classify(ds.items[5])) == ("0", {"0": 201}, 201, False)
 
 
 class TestSuitability:
@@ -1654,10 +1782,13 @@ class TestCountingAgainstTupleOracles:
         mining = sorted(rng.sample(train_idx, rng.randint(1, len(train_idx))))
         item, label = rng.choice(list(zip(ds.items, ds.labels)))
         unchanged = CompetentPair(item, item, label, label, diff(item, item), 1, 1.0)
-        listed = SelectedTripletModel(
-            ds, extract_competent_pairs_oracle(ds, min_support, 0.5) + [unchanged], radius)
+        pairs = extract_competent_pairs_oracle(ds, min_support, 0.5) + [unchanged]
+        listed = SelectedTripletModel(ds, pairs, radius)
         mined = SelectedTripletModel(ds, (), radius).mined(train_idx, mining, min_support, 0.5)
-        models = (mined, listed, listed._copy(train_idx))
+        # Listed pairs counted with only the training rows live as c.
+        sparse = SelectedTripletModel(ds, pairs, radius)
+        sparse.live = [i in train_idx for i in range(len(ds))]
+        models = (mined, listed, sparse)
         for model in models:
             for query in list(ds.items) + queries:
                 assert as_tuple(model.classify(query)) == as_tuple(model.vote(query))

@@ -111,6 +111,16 @@ class TestExplainCommand:
         assert code == 3
         assert json.loads(out)["supported"] is False
 
+    def test_an_adverse_row_equal_elsewhere_is_not_denied(self, capsys, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("a,r\n0,p\n0,q\n1,p\n")
+        code, out, _ = run(capsys, ["explain", "--data", str(table), "--query-index", "0",
+                                    "--why", "r", "--format", "json"])
+        payload = json.loads(out)
+        assert (code, payload["supported"], payload["adverse_example"]) == (3, False, None)
+        assert payload["sentence"] == ("unsupported: every row with r=q agrees with "
+                                       "the query on every other attribute")
+
     def test_needs_exactly_one_question(self, capsys):
         code, _, err = run(capsys, [
             "explain", "--data", *COFFEE[:1], "--schema", COFFEE[2],
@@ -345,6 +355,21 @@ class TestMalformedInputsExitCleanly:
                      id="affine-coefficient-2"),
         pytest.param(GENERATE + ["affine", "--n", "3", "--coeffs", "1,,0,1"], "{}", 1,
                      id="coeffs-empty-item"),
+        # An option that the kind does not read is a usage error, and so
+        # are two options that set one thing.
+        pytest.param(GENERATE + ["monk1", "--n", "3", "--seed", "4", "--tuples", "9",
+                                 "--coeffs", "1,0"], "{}", 1, id="monk1-affine-options"),
+        pytest.param(GENERATE + ["monk2", "--seed", "4"], "{}", 1, id="monk2-seed"),
+        pytest.param(GENERATE + ["affine", "--n", "2", "--coeffs", "1,0,1", "--seed", "3"],
+                     "{}", 1, id="affine-coeffs-and-seed"),
+        pytest.param(GENERATE + ["affine", "--n", "2", "--seed", "3", "--tuples", "4"],
+                     "{}", 1, id="affine-tuples"),
+        pytest.param(GENERATE + ["planted-rule", "--seed", "9", "--n", "4"],
+                     '{"rules": [{"pairs": 3}]}', 1, id="planted-rule-seed-and-n"),
+        pytest.param(GENERATE + ["random-relation", "--seed", "1", "--tuples", "2",
+                                 "--n", "5", "--coeffs", "1"],
+                     '{"attributes": [{"name": "a", "domain": ["0", "1"]}]}', 1,
+                     id="random-relation-n-and-coeffs"),
         # A top-level key the kind does not read is a usage error, and so
         # is a key that an option sets.
         pytest.param(GENERATE + ["planted-rule"],
@@ -455,6 +480,30 @@ class TestMalformedInputsExitCleanly:
                                          "--out", str(out), *options])
         assert (code, stdout) == (1, "") and not out.exists()
         assert err == f"error: spec {spec} has unknown key {key!r} for --kind {kind}\n"
+
+    @pytest.mark.parametrize("kind, options, message", [
+        ("monk1", ["--n", "3", "--seed", "4", "--tuples", "9", "--coeffs", "1,0"],
+         "--n does not apply to --kind monk1"),
+        ("planted-rule", ["--spec", "SPEC", "--seed", "9"],
+         "--seed does not apply to --kind planted-rule"),
+        ("random-relation", ["--spec", "SPEC", "--seed", "1", "--tuples", "2",
+                             "--coeffs", "1"],
+         "--coeffs does not apply to --kind random-relation"),
+        ("affine", ["--n", "2", "--seed", "3", "--tuples", "4"],
+         "--tuples does not apply to --kind affine"),
+        ("affine", ["--n", "2", "--coeffs", "1,0,1", "--seed", "3"],
+         "--coeffs and --seed both set the affine coefficients; pass one of them")],
+        ids=["monk1", "planted-rule", "random-relation", "affine", "affine-coeffs-seed"])
+    def test_an_option_its_kind_does_not_read_is_named(self, capsys, tmp_path, kind,
+                                                       options, message):
+        spec, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec.write_text('{"rules": [{"pairs": 3}]}' if kind == "planted-rule" else
+                        '{"attributes": [{"name": "a", "domain": ["0", "1"]}]}')
+        argv = ["generate", "--kind", kind, "--out", str(out),
+                *[str(spec) if o == "SPEC" else o for o in options]]
+        code, stdout, err = run(capsys, argv)
+        assert (code, stdout, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
 
     def test_truncated_schema_sidecar_is_data_error(self, tmp_path):
         sidecar = tmp_path / "bad.schema.json"

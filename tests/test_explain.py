@@ -139,6 +139,17 @@ class TestContrastiveExplain:
         assert exp.adverse is None
         assert "no adverse example" in exp.sentence
 
+    def test_adverse_rows_that_agree_everywhere_else_are_named_as_such(self):
+        # Row 1 has the contrasted value but no change against the query,
+        # so it is skipped; the sentence must not deny that it exists.
+        schema = Schema.from_pairs([("a", "01"), ("r", ("p", "q"))])
+        rel = Relation.from_rows(schema, [("0", "p"), ("0", "q"), ("1", "p")])
+        exp = contrastive_explain(rel, rel.tuples[0], "r")
+        assert (exp.supported, exp.adverse, exp.alternatives) == (False, None, ())
+        assert (exp.target, exp.supporting_pairs, exp.strength) == ("q", 0, 0.0)
+        assert exp.sentence == ("unsupported: every row with r=q agrees with the "
+                                "query on every other attribute")
+
     def test_planted_strength(self):
         rel = strength_table()
         query = ("e", "w", "q")
