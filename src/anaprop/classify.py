@@ -16,11 +16,12 @@ when a vote or a rule needs them; no pair list is stored.  The vote
 counts are identical to the cubic enumeration; tests cross-check against
 a literal triple loop.  One table (``_PairCounts``) holds a dataset's
 keyed rows, label codes, counts and vote, and every classifier is one
-such table.  A table that counts every pair of its live rows can leave
-any rows out (``leave_out``), counting only the pairs that touch the rows
-it moves (leave-one-out scoring does so in place, and ``without`` on the
-one copy that carries the counts); any other copy starts uncounted, with
-any of its rows live.  kNN counts no pairs.
+such table, whose build writes its counts once.  A table that counts
+every pair of its rows can leave any rows out (``leave_out``) by
+counting apart the pairs that touch them (leave-one-out scoring does so
+in place, and ``without`` on the one copy that shares the counts); any
+other copy starts uncounted, with any of its rows live.  kNN counts no
+pairs.
 
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
@@ -203,9 +204,9 @@ class PairKeys:
         lies outside its domain, since two different outside values of one
         attribute would add the same 1 to a key."""
         key = 0
-        for k, step in enumerate(change):
-            if step is not None:
-                x, y = (self._codes[k].get(v) for v in step)
+        for k, values in enumerate(change):
+            if values is not None:
+                x, y = (self._codes[k].get(v) for v in values)
                 if x is None or y is None:
                     return None
                 key += self._entry(k, x, y)
@@ -221,15 +222,14 @@ class _PairCounts:
     ``code(la) * L + code(lb)`` (never 0) when they differ.  ``total``
     counts the pairs of each key and ``labelled`` counts them per slot
     under the extended key ``key * L² + slot``, so a key's same-label
-    count and each of its tilts is one lookup.  A key absent from
-    ``total``, or at 0 there, has no pairs: ``leave_out`` keeps the
-    entries it empties at 0, and every reader takes 0 as absent.  The
-    tables start empty: ``count_pairs`` counts the rows' own pairs and
-    marks the table ``complete``, and ``count`` counts any others.  Only
-    the rows marked in ``live`` vote as c.  ``leave_out`` sets which rows
-    of a complete table are out, in place.  A copy made by ``_copy`` has
-    any of its rows live and starts uncounted; ``without`` is the one copy
-    that carries the counts, so it stays complete.
+    count and each of its tilts is one lookup.  The build writes the
+    counts once: they start empty, and ``count_pairs`` counts every pair
+    and marks the table ``complete``.  Only the rows marked in ``live``
+    vote as c.  ``leave_out`` sets which rows of a complete table are
+    out, in place, by counting the pairs that touch them in out-counts,
+    and every reader takes a group as its count less its out-count.  A
+    copy made by ``_copy`` has any of its rows live and starts uncounted;
+    ``without`` is the one copy that shares the counts, so it is complete.
     """
 
     def __init__(self, data: Dataset):
@@ -240,8 +240,8 @@ class _PairCounts:
         self.pair_keys = PairKeys(data.schema, data.items)
         self.codes = list(map(self.label_order.index, data.labels))
         self.live = [True] * len(data)
-        #: Whether the counts are exactly the pairs of the live rows, as
-        #: ``count_pairs`` leaves them; ``leave_out`` needs it.
+        #: Whether the counts are every pair of the rows, as ``count_pairs``
+        #: leaves them; ``leave_out`` needs it.
         self.complete = False
         #: Per distinct item, the rows that hold it.
         self._rows_of: dict[Item, list[int]] = {}
@@ -249,6 +249,9 @@ class _PairCounts:
             self._rows_of.setdefault(item, []).append(i)
         self.total: Counter = Counter()
         self.labelled: Counter = Counter()
+        #: The pairs of ``total`` and ``labelled`` that touch a row out.
+        self._out_total: Counter = Counter()
+        self._out_labelled: Counter = Counter()
         #: Per label code la: (code lb, slot of the tilt la -> lb) for lb != la.
         self._tilts_from = [[(lb, self.slot(la, lb))
                              for lb in range(self.width) if lb != la]
@@ -270,49 +273,43 @@ class _PairCounts:
         label c) for every row j."""
         return [[self.slot(cj, c) for cj in self.codes] for c in range(self.width)]
 
-    def count(self, keys: Sequence[int], slots: Iterable[int], step: int) -> None:
-        """Add (step 1) or take away (step -1) one pair per entry of
-        ``keys``, with its label slot from the parallel ``slots``; an
-        emptied entry stays at 0."""
-        change = Counter.update if step > 0 else Counter.subtract
-        change(self.total, keys)
-        change(self.labelled, map(add, map(self.scale.__mul__, keys), slots))
+    def _count(self, keys: Sequence[int], slots: Iterable[int]) -> None:
+        """Add one pair per entry of ``keys``, with its label slot from the
+        parallel ``slots``, to the counts of the build."""
+        self.total.update(keys)
+        self.labelled.update(map(add, map(self.scale.__mul__, keys), slots))
 
     def count_pairs(self) -> None:
-        """Count the ordered pairs (a, b) of the rows, identical indices
-        included, in one bulk count per a, into the empty tables of a table
-        with every row live, and mark it complete."""
+        """Count every ordered pair (a, b) of the rows, one bulk count per
+        a, and mark the table complete.  Refused, with the table unchanged,
+        unless it holds no counts and every row is live."""
+        if self.total or self.labelled or not all(self.live):
+            raise ValueError("only an uncounted table with every row live counts its pairs")
         for a, c in zip(self.data.items, self.codes):
-            self.count(self.pair_keys.keys_from(a), self._outgoing[c], 1)
+            self._count(self.pair_keys.keys_from(a), self._outgoing[c])
         self.complete = True
 
-    def _touching(self, rows: Sequence[int]) -> tuple[list[int], list[int]]:
-        """The keys and label slots of the pairs of live rows and ``rows``
-        that touch one of ``rows``: (r, j) for every j live or in ``rows``
-        and (i, r) for every live i not in ``rows``, for each r in
-        ``rows``, so a pair of two of them, or of one with itself, is
-        listed once."""
-        moved = set(rows)
-        others = [live and i not in moved for i, live in enumerate(self.live)]
-        reach = [live or i in moved for i, live in enumerate(self.live)]
+    def _touching(self, rows: set[int]) -> tuple[Counter, Counter]:
+        """The counts, as in ``total`` and ``labelled``, of the pairs that
+        touch one of ``rows``: (r, j) for every row j and (i, r) for every
+        row i not in ``rows``, for each r in ``rows``, so a pair of two of
+        them, or of one with itself, is counted once."""
+        others = [i not in rows for i in range(len(self.live))]
         keys: list[int] = []
         slots: list[int] = []
         for r in rows:
             item, c = self.data.items[r], self.codes[r]
-            keys += compress(self.pair_keys.keys_from(item), reach)
-            slots += compress(self._outgoing[c], reach)
+            keys += self.pair_keys.keys_from(item)
+            slots += self._outgoing[c]
             keys += compress(self.pair_keys.keys_to(item), others)
             slots += compress(self._incoming[c], others)
-        return keys, slots
+        return Counter(keys), Counter(map(add, map(self.scale.__mul__, keys), slots))
 
     def leave_out(self, rows: Iterable[int]) -> None:
-        """Leave exactly ``rows`` out: put back every other row that is
-        out, then take out each live row of ``rows``, each step in one
-        count of the pairs that touch the rows it moves, so the counts
-        equal a fresh count of the live rows.  An entry it empties stays
-        at 0, so putting its rows back inserts no key (a dict that regains
-        keys grows).  Refused, with the table unchanged, unless the table
-        is ``complete`` and every row lies in 0..n-1."""
+        """Leave exactly ``rows`` out, whatever was out before: the
+        out-counts become those of the pairs that touch them
+        (``_touching``).  Refused, with the table unchanged, unless the
+        table is ``complete`` and every row lies in 0..n-1."""
         n = len(self.live)
         out = set(rows)
         if not self.complete:
@@ -320,12 +317,11 @@ class _PairCounts:
                              "can leave rows out")
         if any(not 0 <= r < n for r in out):
             raise ValueError(f"rows {sorted(out)} are not all rows 0..{n - 1} of the table")
-        back = [i for i, live in enumerate(self.live) if not live and i not in out]
-        for moved, live in ((back, True), ([r for r in out if self.live[r]], False)):
-            if moved:
-                self.count(*self._touching(moved), 1 if live else -1)
-                for r in moved:
-                    self.live[r] = live
+        live = [i not in out for i in range(n)]
+        if live != self.live:
+            del self._out_total, self._out_labelled  # freed before the next count
+            self._out_total, self._out_labelled = self._touching(out)
+            self.live = live
 
     def _copy(self, rows: Iterable[int]) -> "_PairCounts":
         """A fresh table over the same keyed rows, uncounted, with only
@@ -334,16 +330,17 @@ class _PairCounts:
         so it names rows by the same indices."""
         left = copy(self)
         left.total, left.labelled = Counter(), Counter()
+        left._out_total, left._out_labelled = Counter(), Counter()
         live = set(rows)
         left.live = [i in live for i in range(len(self.live))]
         left.complete = False
         return left
 
     def without(self, rows: Iterable[int]) -> "_PairCounts":
-        """A copy of the table and its counts, still complete, with exactly
-        ``rows`` out (``leave_out``)."""
-        left = self._copy(compress(range(len(self.live)), self.live))
-        left.total, left.labelled = Counter(self.total), Counter(self.labelled)
+        """A copy of the table that shares its counts, so it is complete
+        as the table is, with exactly ``rows`` out (``leave_out``)."""
+        left = self._copy(range(len(self.live)))
+        left.total, left.labelled = self.total, self.labelled
         left.complete = self.complete
         left.leave_out(rows)
         return left
@@ -369,6 +366,7 @@ class _PairCounts:
         L - 1 lookups, as in ``vote``."""
         base = key * self.scale
         tilts = {self.label_order[lb]: self.labelled.get(base + slot, 0)
+                 - self._out_labelled.get(base + slot, 0)
                  for lb, slot in self._tilts_from[la]}
         return _majority(tilts, self.label_order) if any(tilts.values()) else None
 
@@ -392,6 +390,7 @@ class _PairCounts:
         """The vote of ``vote`` over the (key of (c, query), label code of
         c) entries of ``keyed`` whose parallel ``live`` flag is set."""
         total, labelled = self.total, self.labelled
+        out_total, out_labelled = self._out_total, self._out_labelled
         scale, tilts_from = self.scale, self._tilts_from
         votes = [0] * self.width
         examined = 0
@@ -399,11 +398,11 @@ class _PairCounts:
             n = total.get(key)
             if not n:
                 continue
-            examined += n
+            examined += n - out_total.get(key, 0)
             base = key * scale
-            votes[lc] += labelled.get(base, 0)
+            votes[lc] += labelled.get(base, 0) - out_labelled.get(base, 0)
             for lb, slot in tilts_from[lc]:
-                votes[lb] += labelled.get(base + slot, 0)
+                votes[lb] += labelled.get(base + slot, 0) - out_labelled.get(base + slot, 0)
         counted = {label: n for label, n in zip(self.label_order, votes) if n}
         return _prediction(counted, examined, self.label_order)
 
@@ -420,10 +419,10 @@ class BruteForceModel(_PairCounts):
     The build is one bulk count per row: the keys of (row, every row)
     with the label slots of those pairs, so no Python code runs per
     pair.  Every row starts live and the table is complete, so
-    ``leave_out`` (or ``without``, on a copy) sets which rows are out,
-    counting only the pairs that touch the rows it moves: leaving one row
-    out costs O(n·m) instead of a fresh O(n²·m) build.  With no live row
-    the table holds no pair, so every query abstains.
+    ``leave_out`` (or ``without``, on a copy that shares the counts) sets
+    which rows are out, counting only the pairs that touch them, apart:
+    leaving one row out costs O(n·m) instead of a fresh O(n²·m) build.
+    With no live row no pair is left, so every query abstains.
     """
 
     def __init__(self, train: Dataset):
@@ -452,9 +451,9 @@ def analogical_suitability(train: Dataset) -> SuitabilityReport:
     the error ratio over the non-abstained predictions.
 
     One pair index over all rows serves every holdout: before its vote
-    the row is left out of it, which puts the row before it back, so the
-    whole sweep costs O(n²·m) instead of a fresh build per row.  The keys
-    a removal empties stay at 0, so the table never grows."""
+    the row is left out of it, which counts only the pairs that touch
+    that row, so the whole sweep costs O(n²·m) instead of a fresh build
+    per row, and the build's counts are never written after it."""
     n = len(train)
     if n < 4:
         raise DataError(f"suitability needs at least 4 examples, got {n}")
@@ -563,7 +562,7 @@ class SelectedTripletModel(_PairCounts):
             # An out-of-domain change matches no c, and one beyond the
             # radius matches no c near enough to vote.
             if key is not None and key % self.pair_keys.modulus <= radius:
-                self.count([key], [self.slot(*map(self.label_order.index, p.tilt))], 1)
+                self._count([key], [self.slot(*map(self.label_order.index, p.tilt))])
 
     @cached_property
     def _near(self) -> list[tuple[list[int], list[int]]]:
@@ -594,7 +593,7 @@ class SelectedTripletModel(_PairCounts):
             near, keys = self._near[b]
             keep = list(map(sample.live.__getitem__, near))
             slots = map(self._incoming[self.codes[b]].__getitem__, near)
-            sample.count(list(compress(keys, keep)), compress(slots, keep), 1)
+            sample._count(list(compress(keys, keep)), compress(slots, keep))
         model = self._copy(rows)
         for extended, support in _competent_behaviours(sample, min_support,
                                                        min_confidence).items():
@@ -717,10 +716,10 @@ class BongardModel(_PairCounts):
         items, labels, live = self.data.items, self.data.labels, self.live
         pairs = self._pairs.get(change)
         if pairs is None:
-            steps = [(k, *step) for k, step in enumerate(change) if step is not None]
+            changed = [(k, *values) for k, values in enumerate(change) if values]
             # Flattened (i, j, i, j, ...), so the run keeps no tuple per pair.
             pairs = self._pairs[change] = list(chain.from_iterable(
-                pairs_with_change(items, self._rows_of, steps)))
+                pairs_with_change(items, self._rows_of, changed)))
         ag = agreement(change)
         same_ctx = set()
         diff_ctx = set()
@@ -743,11 +742,12 @@ class BongardModel(_PairCounts):
         separates it."""
         if key in self._analysis:
             return self._analysis[key]
-        total = self.total.get(key)
+        total = self.total.get(key, 0) - self._out_total.get(key, 0)
         if not total:  # not cached, so an out-of-domain query adds no entry
             return None
         result = None
-        n_same = self.labelled.get(key * self.scale, 0)
+        base = key * self.scale
+        n_same = self.labelled.get(base, 0) - self._out_labelled.get(base, 0)
         if n_same in (0, total):
             result = (total, n_same == total, None)
         else:  # mixed evidence votes only through a separating property
@@ -937,15 +937,15 @@ def _run_model(data: Dataset, config: CvConfig) -> _PairCounts:
 def _fold_model(run: _PairCounts, configs: Sequence[CvConfig], fold: int,
                 test_idx: Sequence[int]):
     """One fold's model, shared by every config (they differ only in the
-    grid parameter): a copy of the run's table ``run`` with only the
-    fold's training rows live (``run`` less the test rows, where the table
-    counts every pair).  Returns ``(predict, fallback)``, which map a
-    query to one Prediction per config and to the fallback's Prediction.
-    ``knn1`` is the model's own 1-NN.  ``brute`` is None where it is never
-    asked (kNN does not abstain) or would abstain on the same queries as
-    the strategy (the baseline is that classifier); the selected
-    strategy's counts the run's own table on the run's first abstention
-    and leaves the fold's test rows out of it, in place, before each vote."""
+    grid parameter): a copy of the run's table ``run`` with only the fold's
+    training rows live (``run`` less the test rows, sharing its counts,
+    where the table counts every pair).  Returns ``(predict, fallback)``,
+    which map a query to one Prediction per config and to the fallback's
+    Prediction.  ``knn1`` is the model's own 1-NN.  ``brute`` is None where
+    it is never asked (kNN does not abstain) or would abstain on the same
+    queries as the strategy (the baseline is that classifier); the selected
+    strategy's counts the run's own table on its first abstention and
+    leaves the fold's test rows out of it, in place, before each vote."""
     config = configs[0]
     train_idx = sorted(set(range(len(run.live))).difference(test_idx))
     brute = None
@@ -956,8 +956,7 @@ def _fold_model(run: _PairCounts, configs: Sequence[CvConfig], fold: int,
         def brute(query: Item) -> Prediction:
             if not run.complete:
                 run.count_pairs()
-            # A no-op after the fold's first abstention; the next fold's
-            # first puts these rows back.
+            # A no-op after the fold's first abstention.
             run.leave_out(test_idx)
             return run.vote(query)
     elif config.strategy == "knn":

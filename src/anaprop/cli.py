@@ -97,7 +97,7 @@ def _parse_int_list(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _cmd_ap(args) -> int:
-    domain = args.domain.split(",") if args.domain else None
+    domain = args.domain.split(",") if args.domain is not None else None
     if args.action == "check":
         if len(args.values) != 4:
             raise _UsageError("ap check needs exactly 4 values")

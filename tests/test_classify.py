@@ -2,7 +2,6 @@
 
 import json
 import random
-import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -170,35 +169,32 @@ def suitability_oracle(ds: Dataset):
             abstained, n)
 
 
-def index_snapshot(counts: _PairCounts, held=((), ())):
-    """The two count tables of the index without their 0 entries, which
-    every reader takes as absent.  No entry may be negative, and each 0
-    entry must be a key of the parallel table of ``held`` (the keys the
-    table held before rows were left out), so a removal can empty a key
-    but never invent one; a fresh build holds no 0 entry."""
+def index_snapshot(counts: _PairCounts):
+    """The two count tables of the index, each less its out-counts, as
+    every reader reads them, without their 0 entries.  No entry may be
+    negative, so the out-counts never hold a pair the build did not
+    count."""
     snapshot = []
-    for table, keys in zip((counts.total, counts.labelled), held):
-        invented = [entry for entry, n in table.items()
-                    if n < 0 or (n == 0 and entry not in keys)]
-        assert not invented, invented
-        snapshot.append({entry: n for entry, n in table.items() if n})
+    for table, out in ((counts.total, counts._out_total),
+                       (counts.labelled, counts._out_labelled)):
+        held = {entry: table.get(entry, 0) - out.get(entry, 0)
+                for entry in table.keys() | out.keys()}
+        negative = [entry for entry, n in held.items() if n < 0]
+        assert not negative, negative
+        snapshot.append({entry: n for entry, n in held.items() if n})
     return tuple(snapshot)
-
-
-def held_keys(counts: _PairCounts):
-    """The keys of the two count tables, for ``index_snapshot``."""
-    return set(counts.total), set(counts.labelled)
 
 
 def index_groups(counts: _PairCounts):
     """(total, same-label count, tilts per (la, lb)) per key that has
-    pairs, read from the two count tables."""
+    pairs, read from the two count tables less their out-counts."""
     order = counts.label_order
-    groups = {key: (total, counts.labelled.get(key * counts.scale, 0), {})
-              for key, total in counts.total.items() if total}
-    for extended, n in counts.labelled.items():
+    total, labelled = index_snapshot(counts)
+    groups = {key: (n, labelled.get(key * counts.scale, 0), {})
+              for key, n in total.items()}
+    for extended, n in labelled.items():
         key, slot = divmod(extended, counts.scale)
-        if slot and n:
+        if slot:
             la, lb = divmod(slot, counts.width)
             groups[key][2][(order[la], order[lb])] = n
     return groups
@@ -235,12 +231,11 @@ class TestBruteForceModelDowndating:
         ds, steps, query = scenario
         index = BruteForceModel(ds)
         for step in steps:
-            held = held_keys(index)
             index.leave_out(step)
             live = [i for i in range(len(ds)) if i not in step]
             fresh = BruteForceModel(ds.subset(live))
             assert index.live == [i in live for i in range(len(ds))] and index.complete
-            assert index_snapshot(index, held) == index_snapshot(fresh)
+            assert index_snapshot(index) == index_snapshot(fresh)
             assert index_groups(index) == index_groups(fresh)
             assert as_tuple(index.classify(query)) == as_tuple(fresh.classify(query))
 
@@ -258,21 +253,51 @@ class TestBruteForceModelDowndating:
         for table, rows in ((index, [len(ds)]), (index, [-1]), (index, [0, len(ds)]),
                             (selected, [5]), (knn, [5]), (mined, [5]),
                             (index._copy(range(len(ds))), [5])):
-            before = (dict(table.total), dict(table.labelled), list(table.live),
-                      as_tuple(table.vote(query)))
+            before = table_state(table, query)
             with pytest.raises(ValueError):
                 table.leave_out(rows)
-            assert (dict(table.total), dict(table.labelled), list(table.live),
-                    as_tuple(table.vote(query))) == before
+            assert table_state(table, query) == before
         assert as_tuple(selected.vote(query)) == \
             as_tuple(SelectedTripletModel(ds, pairs, 2).vote(query))
-        sizes = [sys.getsizeof(index.total), sys.getsizeof(index.labelled)]
-        held, before = held_keys(index), index_snapshot(index, held_keys(index))
+        before = table_state(index, query)
         index.leave_out([3, 0, 3])
-        assert index_snapshot(index, held) == before
+        assert table_state(index, query) == before
         index.leave_out([])
-        assert index_snapshot(index, held) == index_snapshot(BruteForceModel(ds))
-        assert [sys.getsizeof(index.total), sys.getsizeof(index.labelled)] == sizes
+        assert index_snapshot(index) == index_snapshot(BruteForceModel(ds))
+
+    def test_count_pairs_refuses_a_table_that_holds_counts_or_rows_out(self):
+        # On Monk-2's every fourth row, counting the pairs into a table of
+        # listed competent pairs once marked it complete: row 5 then voted
+        # with 1,326 triplets, {'0': 958, '1': 192}, where the baseline
+        # gives 1,125, {'0': 757, '1': 192}, and it could leave rows out.
+        ds = monk2_sample()
+        query = ds.items[5]
+        assert as_tuple(BruteForceModel(ds).vote(query)) == \
+            ("0", {"0": 757, "1": 192}, 1125, False)
+        pairs = extract_competent_pairs(ds, 2, 0.9)
+        listed = SelectedTripletModel(ds, pairs, 2)
+        counted = BruteForceModel(ds)
+        left = counted.without([0])
+        for table in (listed, counted, left, counted._copy(range(1, len(ds)))):
+            before = table_state(table, query)
+            with pytest.raises(ValueError, match="uncounted table with every row live"):
+                table.count_pairs()
+            assert table_state(table, query) == before
+        assert as_tuple(listed.vote(query)) == \
+            as_tuple(SelectedTripletModel(ds, pairs, 2).vote(query))
+        with pytest.raises(ValueError, match="counts every pair"):
+            listed.leave_out([5])
+        uncounted = counted._copy(range(len(ds)))
+        uncounted.count_pairs()
+        assert index_groups(uncounted) == index_groups(BruteForceModel(ds))
+
+
+def table_state(table: _PairCounts, query):
+    """What a refused call must leave as it was: the counts, the
+    out-counts, the live rows, completeness and the vote on ``query``."""
+    return (dict(table.total), dict(table.labelled), dict(table._out_total),
+            dict(table._out_labelled), list(table.live), table.complete,
+            as_tuple(table.vote(query)))
 
 
 @st.composite
@@ -323,7 +348,7 @@ class TestRunTableDerivation:
             train = ds.subset([i for i in range(len(ds)) if i not in test_idx])
             fresh = self.run_table(train)
             left = run.without(test_idx)
-            assert index_snapshot(left, held_keys(run)) == index_snapshot(fresh)
+            assert index_snapshot(left) == index_snapshot(fresh)
             assert left.live == [i not in test_idx for i in range(len(ds))]
             assert left.complete
             assert (left.pair_keys, left.codes) == (run.pair_keys, run.codes)
@@ -352,7 +377,7 @@ class TestRunTableDerivation:
         for model in (BruteForceModel, BongardModel):
             run, fresh = model(ds), model(train)
             derived = run.without(test_idx)
-            assert index_snapshot(derived, held_keys(run)) == index_snapshot(fresh)
+            assert index_snapshot(derived) == index_snapshot(fresh)
             for query in map(ds.items.__getitem__, test_idx):
                 assert as_tuple(derived.vote(query)) == as_tuple(fresh.vote(query))
 
@@ -368,13 +393,16 @@ class TestRunTableDerivation:
         for test_idx in assignment:
             train_idx = [i for i in range(len(ds)) if i not in test_idx]
             derived = run.without(test_idx)
-            fresh = BongardModel(ds.subset(train_idx), max_literals)
+            train = ds.subset(train_idx)
+            fresh = BongardModel(train, max_literals)
             assert derived._rows_of is run._rows_of
             for a, b in product(ds.items, repeat=2):
                 assert derived.contexts(diff(a, b)) == fresh.contexts(diff(a, b))
             for query in ds.items:
+                stream = bongard_stream_oracle(train, query, max_literals)
+                assert list(fresh.votes(query)) == stream
                 assert list(derived.votes(query)) == [
-                    (train_idx[i], vote, n) for i, vote, n in fresh.votes(query)]
+                    (train_idx[i], vote, n) for i, vote, n in stream]
                 assert derived.predictions(query, [1, 2, 5]) == \
                     fresh.predictions(query, [1, 2, 5])
 
@@ -407,15 +435,15 @@ class TestRunTableDerivation:
         # The run's own table is counted in full on the run's first
         # abstention and then serves every fold: each vote leaves the
         # fold's test rows out of it, which puts the last fold's back, so
-        # at most one fold's rows are out at a time.  It keeps the keys
-        # they empty, at 0, so it never gains a key.  A fold mined after
+        # at most one fold's rows are out at a time.  Its counts stay
+        # those of the full build.  A fold mined after
         # the run is counted still counts only what it mines, so it
         # abstains as the first fold does.
         ds = monk1_sample()
         config = CvConfig(strategy="selected", folds=5, min_support=10_000,
                           fallback="brute")
         run = SelectedTripletModel(ds, (), config.radius)
-        full = held_keys(BruteForceModel(ds))
+        full = BruteForceModel(ds)
         assignment = make_folds(ds, config.folds, config.seed)[0]
         out_sets = [[]] + assignment
         for fold, test_idx in enumerate(assignment):
@@ -429,8 +457,8 @@ class TestRunTableDerivation:
                 assert as_tuple(fallback(ds.items[i])) == \
                     as_tuple(BruteForceModel(train).vote(ds.items[i]))
                 assert run.live == [j not in test_idx for j in range(len(ds))]
-                assert held_keys(run) == full
-            assert index_snapshot(run, full) == index_snapshot(BruteForceModel(train))
+                assert (run.total, run.labelled) == (full.total, full.labelled)
+            assert index_snapshot(run) == index_snapshot(BruteForceModel(train))
 
     @given(fold_scenarios(), st.lists(st.integers(1, 16), min_size=1, max_size=4))
     def test_a_derived_knn_answers_as_a_fresh_one(self, scenario, ks):
@@ -506,6 +534,62 @@ class TestRunTableDerivation:
                 run()
                 assert built == [len(ds)], (strategy, fallback)
                 assert counted == [len(ds)] * counts_all, (strategy, fallback)
+
+
+class TestWriteOnceCounts:
+    """A table's counts are written by its build alone: leaving rows out
+    and copying with ``without`` never change them, and every copy that
+    ``without`` makes shares them."""
+
+    @given(fold_scenarios(),
+           st.lists(st.tuples(st.booleans(), st.integers(0, 63),
+                              st.lists(st.integers(0, 15), max_size=4)), max_size=6))
+    def test_leave_out_and_without_keep_the_build_counts(self, scenario, steps):
+        ds, _ = scenario
+        fresh = BruteForceModel(ds)
+        for model in (BruteForceModel, BongardModel):
+            run = model(ds)
+            tables = [run]
+            for copying, pick, rows in steps:
+                table = tables[pick % len(tables)]
+                rows = [r % len(ds) for r in rows]
+                if copying:
+                    tables.append(table.without(rows))
+                else:
+                    table.leave_out(rows)
+                for table in tables:
+                    assert table.total is run.total and table.labelled is run.labelled
+                assert (run.total, run.labelled) == (fresh.total, fresh.labelled)
+
+    @pytest.mark.parametrize("strategy", ["baseline", "bongard", "selected"])
+    def test_a_cross_validation_keeps_its_run_counts(self, monkeypatch, strategy):
+        # The selected strategy's run table is counted by its brute
+        # fallback, which every fold's abstentions ask.
+        ds = monk1_sample()
+        fresh = BruteForceModel(ds)
+        counted, copies = [], []
+        count_pairs, without = _PairCounts.count_pairs, _PairCounts.without
+
+        def counting(table):
+            count_pairs(table)
+            counted.append(table)
+
+        def copying(table, rows):
+            left = without(table, rows)
+            copies.append((table, left))
+            return left
+
+        monkeypatch.setattr(_PairCounts, "count_pairs", counting)
+        monkeypatch.setattr(_PairCounts, "without", copying)
+        config = CvConfig(strategy=strategy, folds=5, fallback="brute",
+                          min_support=10_000)
+        report = cross_validate(ds, config)
+        assert len(counted) == 1 and report.abstention_rate > 0
+        for table in counted:
+            assert (table.total, table.labelled) == (fresh.total, fresh.labelled)
+        assert len(copies) == (0 if strategy == "selected" else config.folds)
+        for table, left in copies:
+            assert left.total is table.total and left.labelled is table.labelled
 
 
 class TestTableLifecycle:
@@ -665,30 +749,34 @@ class TestSuitability:
         assert seen_abstain and seen_wrong
 
     def test_a_sweep_never_grows_its_table(self, monkeypatch):
-        # Each holdout's emptied keys stay at 0 until the row is put back,
-        # so the swept table, with its last row still out, holds exactly a
-        # fresh build's keys, and its dicts have not grown.  Putting that
-        # row back restores a fresh build's counts.
+        # The sweep never writes the counts its build filled: they stay
+        # those of a fresh build, and the last holdout's out-counts are a
+        # fresh count of the pairs that touch the last row.
         ds = monk1_sample()
+        n, last = len(ds), len(ds) - 1
         fresh = BruteForceModel(ds)
         built = []
         count_pairs = _PairCounts.count_pairs
 
         def counting(table):
             count_pairs(table)
-            built.append((table, sys.getsizeof(table.total), sys.getsizeof(table.labelled)))
+            built.append((table, table.total, table.labelled))
 
         monkeypatch.setattr(_PairCounts, "count_pairs", counting)
         analogical_suitability(ds)
-        (swept, *sizes), = built
-        assert held_keys(swept) == held_keys(fresh)
-        assert swept.live == [i < len(ds) - 1 for i in range(len(ds))]
-        assert index_snapshot(swept, held_keys(fresh)) == \
-            index_snapshot(BruteForceModel(ds.subset(range(len(ds) - 1))))
-        assert [sys.getsizeof(swept.total), sys.getsizeof(swept.labelled)] == sizes
-        swept.leave_out([])
-        assert swept.total.items() == fresh.total.items()
-        assert swept.labelled.items() == fresh.labelled.items()
+        (swept, total, labelled), = built
+        assert swept.total is total and swept.labelled is labelled
+        assert (total, labelled) == (fresh.total, fresh.labelled)
+        assert swept.live == [i < last for i in range(n)]
+        touching = Counter(), Counter()
+        for i, j in product(range(n), repeat=2):
+            if last in (i, j):
+                key = fresh.pair_keys.keys_from(ds.items[i])[j]
+                touching[0][key] += 1
+                touching[1][key * fresh.scale + fresh.slot(fresh.codes[i],
+                                                           fresh.codes[j])] += 1
+        assert (swept._out_total, swept._out_labelled) == touching
+        assert index_snapshot(swept) == index_snapshot(BruteForceModel(ds.subset(range(last))))
 
     def test_needs_four_examples(self):
         ds = generate_affine(2, (0, 1, 1)).subset([0, 1, 2])
@@ -1679,13 +1767,12 @@ class TestCountingBuild:
         index = BruteForceModel(ds)
         oracle = PerPairIndexOracle(ds)
         assert index_groups(index) == oracle.groups
-        full, live = held_keys(index), range(len(ds))
+        live = range(len(ds))
         for out in ([r % len(ds) for r in rows] for rows in out_sets):
             for built in (index, oracle):
                 built.leave_out(out)
             live = [i for i in range(len(ds)) if i not in out]
             assert index_groups(index) == oracle.groups
-            index_snapshot(index, full)
         for query in queries:
             assert as_tuple(index.classify(query)) == \
                 baseline_vote_oracle(ds.subset(live), query)

@@ -300,6 +300,8 @@ class TestMalformedInputsExitCleanly:
     GENERATE = ["generate", "--spec", "SPEC", "--out", "OUT", "--kind"]
     EXIT_PATHS = [
         pytest.param(["ap", "solve", "0", "1"], None, 1, id="ap-solve-two-values"),
+        pytest.param(["ap", "check", "a", "b", "a", "b", "--domain", ""], None, 2,
+                     id="ap-empty-domain"),
         pytest.param(["explain", "--data", "MONK", "--query", "1,1,1,1,1,1,1",
                       "--query-index", "0", "--why", "class"], None, 1,
                      id="explain-query-and-query-index"),

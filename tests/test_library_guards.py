@@ -35,6 +35,10 @@ CASES = [
                                               2).leave_out([1]),
                  ValueError, "counts every pair of its live rows",
                  id="downdate-of-a-selected-table"),
+    pytest.param(lambda: SelectedTripletModel(XOR, extract_competent_pairs(XOR, 1, 0.0),
+                                              2).count_pairs(),
+                 ValueError, "only an uncounted table with every row live",
+                 id="count-pairs-into-a-selected-table"),
     pytest.param(lambda: KnnModel(XOR).leave_out([1]), ValueError,
                  "counts every pair of its live rows", id="downdate-of-a-knn-table"),
     pytest.param(lambda: BruteForceModel(XOR).leave_out([-1]), ValueError,
