@@ -58,7 +58,7 @@ from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (Diff, Item, Schema, SchemaError, agreement, code_columns, diff,
-                   pairs_with_change)
+                   pairs_with_change, value_masks)
 from .data import DataError, Dataset
 
 STRATEGIES = ("baseline", "selected", "bongard", "knn")
@@ -699,6 +699,8 @@ class BongardModel(_PairCounts):
         self._analysis: dict[int, Optional[tuple]] = {}
         #: Per change, its pairs over all rows (``contexts``), shared by every copy.
         self._pairs: dict[Diff, list[int]] = {}
+        #: The rows' ``value_masks``, which find those pairs; shared by every copy.
+        self._masks = value_masks(train.items)
 
     def leave_out(self, rows: Iterable[int]) -> None:
         super().leave_out(rows)
@@ -719,7 +721,7 @@ class BongardModel(_PairCounts):
             changed = [(k, *values) for k, values in enumerate(change) if values]
             # Flattened (i, j, i, j, ...), so the run keeps no tuple per pair.
             pairs = self._pairs[change] = list(chain.from_iterable(
-                pairs_with_change(items, self._rows_of, changed)))
+                pairs_with_change(items, self._masks, self._rows_of, changed)))
         ag = agreement(change)
         same_ctx = set()
         diff_ctx = set()

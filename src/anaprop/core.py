@@ -18,7 +18,6 @@ strings, items are tuples of strings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 Item = tuple[str, ...]
@@ -190,26 +189,39 @@ def diff(a: Item, b: Item) -> Diff:
     return tuple(None if x == y else (x, y) for x, y in zip(a, b))
 
 
-def pairs_with_change(rows: Sequence[Item], index: Mapping[Item, Sequence[T]],
+def value_masks(rows: Sequence[Item]) -> dict[tuple[int, str], int]:
+    """Each (attribute position, value) held by some row, mapped to its row
+    mask: one int whose bit i is set when row i holds that value there."""
+    masks: dict[tuple[int, str], int] = {}
+    for k, column in enumerate(zip(*rows)):
+        backwards = column[::-1]  # the last digit is bit 0, row 0
+        for v in set(column):
+            masks[k, v] = int("".join(["1" if x == v else "0" for x in backwards]), 2)
+    return masks
+
+
+def pairs_with_change(rows: Sequence[Item], masks: Mapping[tuple[int, str], int],
+                      index: Mapping[Item, Sequence[T]],
                       change: Sequence[ChangeEntry],
                       free: Optional[int] = None) -> Iterator[tuple[int, T]]:
     """Ordered pairs of rows that differ by exactly ``change``, found by
     lookup instead of a scan of all pairs.
 
-    Every row r1 of ``rows`` that carries each from-value of ``change`` is
-    paired with each entry that ``index`` files under r1 with every
-    to-value substituted; when ``free`` is given, that position is left
-    out of the lookup key, so the pair may differ there too.  Yields
-    (position of r1 in ``rows``, entry), r1-major in row order; O(n·m) in
-    all."""
-    if change:
-        carried = itemgetter(*(k for k, _, _ in change))
-        start = carried({k: x for k, x, _ in change})
-        firsts: Iterable[int] = [i for i, values in enumerate(map(carried, rows))
-                                 if values == start]
-    else:
-        firsts = range(len(rows))
-    for i in firsts:
+    ``masks`` are the ``value_masks`` of ``rows``.  The rows r1 that carry
+    each from-value of ``change`` are the AND of one mask per changed
+    attribute, read in row order.  Each r1 is paired with each entry that
+    ``index`` files under r1 with every to-value substituted; when
+    ``free`` is given, that position is left out of the lookup key, so the
+    pair may differ there too.  Yields (position of r1 in ``rows``,
+    entry), r1-major in row order; |change| ANDs of n-bit ints, then one
+    lookup per r1, with no pass over the rows."""
+    held = (1 << len(rows)) - 1
+    for k, x, _ in change:
+        held &= masks.get((k, x), 0)
+    while held:
+        low = held & -held
+        held ^= low
+        i = low.bit_length() - 1
         key = list(rows[i])
         for k, _, y in change:
             key[k] = y

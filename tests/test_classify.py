@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from anaprop.core import (
     Attribute, Schema, SchemaError, agreement, ap_holds_vec, diff, hamming,
-    pairs_with_change, solve,
+    pairs_with_change, solve, value_masks,
 )
 from anaprop.data import (
     DataError,
@@ -396,6 +396,7 @@ class TestRunTableDerivation:
             train = ds.subset(train_idx)
             fresh = BongardModel(train, max_literals)
             assert derived._rows_of is run._rows_of
+            assert derived._masks is run._masks
             for a, b in product(ds.items, repeat=2):
                 assert derived.contexts(diff(a, b)) == fresh.contexts(diff(a, b))
             for query in ds.items:
@@ -423,7 +424,7 @@ class TestRunTableDerivation:
         for t, change in visits:
             table, scanned = tables[t], (set(), set())
             steps = [(k, *step) for k, step in enumerate(change) if step is not None]
-            for i, j in pairs_with_change(ds.items, rows_of, steps):
+            for i, j in pairs_with_change(ds.items, value_masks(ds.items), rows_of, steps):
                 if table.live[i] and table.live[j]:
                     ctx = tuple(ds.items[i][k] for k in agreement(change))
                     scanned[ds.labels[i] != ds.labels[j]].add(ctx)
@@ -1650,17 +1651,33 @@ def column_sum_keys(keys: PairKeys, item, outgoing: bool) -> list[int]:
 LANE_BOUND_SIZES = ([3] * 17, [3] * 18)
 
 
+def sized_schema(sizes) -> Schema:
+    """Attributes a0, a1, ... whose domains hold v0 to v(s-1), one per size s."""
+    return Schema.from_pairs((f"a{k}", tuple(f"v{i}" for i in range(s)))
+                             for k, s in enumerate(sizes))
+
+
+@st.composite
+def lane_key_cases(draw):
+    """Domain sizes, either side of the lane bound or any small ones, up
+    to 6 rows of their schema, and up to 4 queries whose values may lie
+    outside their domains ("alien")."""
+    sizes = draw(st.one_of(st.sampled_from(LANE_BOUND_SIZES),
+                           st.lists(st.integers(2, 7), max_size=20)))
+    domains = [a.domain for a in sized_schema(sizes).attributes]
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, domains)), max_size=6))
+    queries = draw(st.lists(st.tuples(*[st.sampled_from(d + ("alien",)) for d in domains]),
+                            max_size=4))
+    return sizes, rows, queries
+
+
 class TestPairKeys:
-    @given(st.one_of(st.sampled_from(LANE_BOUND_SIZES),
-                     st.lists(st.integers(2, 7), max_size=20)), st.data())
-    def test_lane_keys_are_the_column_sums(self, sizes, data):
-        schema = Schema.from_pairs((f"a{k}", tuple(f"v{i}" for i in range(s)))
-                                   for k, s in enumerate(sizes))
-        domains = [a.domain for a in schema.attributes]
-        rows = data.draw(st.lists(st.tuples(*map(st.sampled_from, domains)), max_size=6))
-        queries = data.draw(st.lists(st.tuples(*[st.sampled_from(d + ("alien",))
-                                                 for d in domains]), max_size=4))
-        keys = PairKeys(schema, rows)
+    @given(lane_key_cases())
+    # Past the bound, where keys are summed per row, a query outside one domain.
+    @example(([3] * 18, [("v0",) * 18], [("alien",) + ("v0",) * 17]))
+    def test_lane_keys_are_the_column_sums(self, case):
+        sizes, rows, queries = case
+        keys = PairKeys(sized_schema(sizes), rows)
         # Both sides of the bound: 64-bit lanes, and per-row sums past it.
         assert keys._lanes == ((len(sizes) + 1) * prod(s * s + 1 for s in sizes) <= 2 ** 64)
         for item in [*rows[:2], *queries, ()]:  # () is an item of no attributes

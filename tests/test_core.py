@@ -1,7 +1,9 @@
 """Truth tables, postulates and solver laws for the proportion algebra."""
 
+from operator import itemgetter
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from anaprop.core import (
     Attribute,
@@ -13,8 +15,10 @@ from anaprop.core import (
     diff,
     hamming,
     inverse_paralogy,
+    pairs_with_change,
     solve,
     solve_vec,
+    value_masks,
 )
 from anaprop.relational import mvd_ap_correspondence
 
@@ -272,6 +276,65 @@ class TestDiff:
         draw_item = lambda: tuple(data.draw(symbol) for _ in range(arity))
         a, b, c, d = (draw_item() for _ in range(4))
         assert ap_holds_vec(a, b, c, d) == (diff(a, b) == diff(c, d))
+
+
+def scanned_pairs_with_change(rows, index, change, free=None):
+    """``pairs_with_change`` with its first rows found by a scan of every
+    row for the change's from-values: the literal oracle of the masks."""
+    if change:
+        carried = itemgetter(*(k for k, _, _ in change))
+        start = carried({k: x for k, x, _ in change})
+        firsts = [i for i, values in enumerate(map(carried, rows)) if values == start]
+    else:
+        firsts = range(len(rows))
+    for i in firsts:
+        key = list(rows[i])
+        for k, _, y in change:
+            key[k] = y
+        if free is not None:
+            del key[free]
+        for entry in index.get(tuple(key), ()):
+            yield i, entry
+
+
+@st.composite
+def change_questions(draw):
+    """Rows of three values a, b or c, so that rows repeat, few or more
+    than 64 (a mask of several 64-bit words); a change on distinct
+    positions in position order, whose from-values include z, which no
+    row holds; and maybe a free position."""
+    arity, value = 3, st.sampled_from("abc")
+    n = draw(st.integers(0, 8) | st.integers(60, 140))
+    rows = draw(st.lists(st.tuples(*[value] * arity), min_size=n, max_size=n))
+    positions = draw(st.lists(st.integers(0, arity - 1), unique=True, max_size=arity))
+    change = [(k, draw(st.sampled_from("abcz")), draw(value)) for k in sorted(positions)]
+    return rows, change, draw(st.none() | st.integers(0, arity - 1))
+
+
+class TestPairsWithChange:
+    @given(change_questions())
+    @example(([], [(0, "a", "b")], None))  # no rows
+    @example(([("a", "b", "c")] * 2 + [("b", "b", "c")], [], 0))  # no change
+    @example(([("a", "a", "a")] * 3, [(0, "z", "a"), (2, "a", "b")], None))  # z: no row
+    # Rows 64 and 65 lie past the first word; row 65 shows the to-value only,
+    # and in the second it differs from row 64 at the free position too.
+    @example(([("c", "c", "c")] * 64 + [("a", "a", "a"), ("b", "a", "a")],
+              [(0, "a", "b")], None))
+    @example(([("c", "c", "c")] * 64 + [("a", "a", "a"), ("b", "a", "b")],
+              [(0, "a", "b"), (1, "a", "a")], 2))
+    def test_the_masks_find_the_rows_a_scan_finds(self, question):
+        rows, change, free = question
+        index = {}
+        for i, row in enumerate(rows):
+            key = list(row)
+            if free is not None:
+                del key[free]
+            index.setdefault(tuple(key), []).append(i)
+        masks = value_masks(rows)
+        assert list(pairs_with_change(rows, masks, index, change, free)) == \
+            list(scanned_pairs_with_change(rows, index, change, free))
+        assert masks == {(k, v): sum(1 << i for i, r in enumerate(rows) if r[k] == v)
+                         for row in rows for k, v in enumerate(row)}
 
 
 class TestSchema:

@@ -223,7 +223,7 @@ def explain_questions(draw):
     return rel, query, schema.names[ridx], target
 
 
-def scan_pair_counts(rel, _by_description, change, ridx, target, actual):
+def scan_pair_counts(rel, _by_description, _masks, change, ridx, target, actual):
     return nested_pair_scan(rel, change, ridx, target, actual)
 
 
