@@ -40,6 +40,22 @@ class DataError(ValueError):
     """Malformed input data or an unsatisfiable generator request."""
 
 
+def _validate_rows(schema: Schema, rows: Sequence[Item]) -> None:
+    """``schema.validate_item`` on each row, at the cost of one arity test
+    and one domain test per column: the row loop runs only when a test
+    fails, to raise the error of the first bad cell in row order.  A row
+    without a length or an unhashable value fails the tests too."""
+    try:
+        fits = set(map(len, rows)) <= {schema.arity} and all(
+            frozenset(attr.domain).issuperset(column)
+            for attr, column in zip(schema.attributes, zip(*rows)))
+    except TypeError:
+        fits = False
+    if not fits:
+        for row in rows:
+            schema.validate_item(row)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Labeled nominal examples over a fixed schema.
@@ -60,10 +76,9 @@ class Dataset:
                            Schema(self.schema.attributes + (self.class_attr,)))
         if len(self.items) != len(self.labels):
             raise DataError("items and labels differ in length")
-        for item in self.items:
-            self.schema.validate_item(item)
-        for label in self.labels:
-            self.class_attr.check(label)
+        _validate_rows(self.schema, self.items)
+        # The labels, as the one-cell rows of the class attribute.
+        _validate_rows(Schema((self.class_attr,)), tuple(zip(self.labels)))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -83,8 +98,7 @@ class Relation:
     duplicates_dropped: int = 0
 
     def __post_init__(self) -> None:
-        for t in self.tuples:
-            self.schema.validate_item(t)
+        _validate_rows(self.schema, self.tuples)
         if len(set(self.tuples)) != len(self.tuples):
             raise DataError("relation tuples must be unique; use from_rows()")
 
@@ -115,7 +129,7 @@ class Relation:
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
-def canonical_json(payload, _indent: str = "\n") -> str:
+def canonical_json(payload) -> str:
     """``payload`` as canonical JSON: the text of ``json.dumps(payload,
     indent=2, sort_keys=True)``, built by one walk that joins strings.
 
@@ -123,35 +137,77 @@ def canonical_json(payload, _indent: str = "\n") -> str:
     encoder; this walk encodes strings with the same C escaper and is
     faster.  It takes only the exact types JSON has (str, int, float,
     bool, None, list, tuple, and dict with str keys): any other type, or
-    a key that is not a str, raises TypeError.  ``_indent`` is the line
-    break and indent of the enclosing level, passed down the recursion.
+    a key that is not a str, raises TypeError.
+
+    A str, bool or None inside a container is written in its parent's
+    loop, with no call of its own.  Two caches live for one call:
+    - a dict's sorted keys and their ``"key": `` prefixes, by the tuple
+      of its keys.  Dicts with equal key tuples sort alike; the keys'
+      exact type is still checked on every dict, since a str subclass
+      key equals the plain str it spells;
+    - a tuple's text, by the tuple's ``id`` and its indent, which the
+      text holds.  A tuple cannot change, nor can the lists it holds
+      while the walk runs; and the payload keeps every tuple alive
+      through the walk, so no other object takes its ``id``.
     """
-    kind = type(payload)
-    if kind is str:
-        return encode_basestring_ascii(payload)
-    if kind is dict:
-        if not payload:
-            return "{}"
-        inner = _indent + "  "
-        for key in payload:
-            if type(key) is not str:
-                raise TypeError(f"canonical JSON keys are str, got {key!r}")
-        return ("{" + inner + ("," + inner).join([
-            encode_basestring_ascii(key) + ": " + canonical_json(payload[key], inner)
-            for key in sorted(payload)]) + _indent + "}")
-    if kind is list or kind is tuple:
-        if not payload:
-            return "[]"
-        inner = _indent + "  "
-        return ("[" + inner + ("," + inner).join([
-            canonical_json(item, inner) for item in payload]) + _indent + "]")
-    if kind is int:
-        return int.__repr__(payload)
-    if kind is float:  # json.dumps spells NaN and the infinities
-        return float.__repr__(payload) if math.isfinite(payload) else json.dumps(payload)
-    if kind is bool or payload is None:
-        return _LITERALS[payload]
-    raise TypeError(f"canonical JSON has no {kind.__name__} values")
+    shapes: dict[tuple, list[tuple[str, str]]] = {}
+    shared: dict[tuple[int, str], str] = {}
+
+    def text(value, indent: str) -> str:
+        kind = type(value)
+        if kind is dict:
+            if not value:
+                return "{}"
+            keys = tuple(value)
+            for key in keys:
+                if type(key) is not str:
+                    raise TypeError(f"canonical JSON keys are str, got {key!r}")
+            shape = shapes.get(keys)
+            if shape is None:
+                shape = shapes[keys] = [(key, encode_basestring_ascii(key) + ": ")
+                                        for key in sorted(keys)]
+            inner = indent + "  "
+            parts = []
+            for key, prefix in shape:
+                item = value[key]
+                kind = type(item)
+                if kind is str:
+                    parts.append(prefix + encode_basestring_ascii(item))
+                elif kind is bool or item is None:
+                    parts.append(prefix + _LITERALS[item])
+                else:
+                    parts.append(prefix + text(item, inner))
+            return "{" + inner + ("," + inner).join(parts) + indent + "}"
+        if kind is tuple:
+            memo = (id(value), indent)
+            if memo not in shared:
+                shared[memo] = text(list(value), indent)
+            return shared[memo]
+        if kind is list:
+            if not value:
+                return "[]"
+            inner = indent + "  "
+            parts = []
+            for item in value:
+                kind = type(item)
+                if kind is str:
+                    parts.append(encode_basestring_ascii(item))
+                elif kind is bool or item is None:
+                    parts.append(_LITERALS[item])
+                else:
+                    parts.append(text(item, inner))
+            return "[" + inner + ("," + inner).join(parts) + indent + "]"
+        if kind is str:
+            return encode_basestring_ascii(value)
+        if kind is int:
+            return int.__repr__(value)
+        if kind is float:  # json.dumps spells NaN and the infinities
+            return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+        if kind is bool or value is None:
+            return _LITERALS[value]
+        raise TypeError(f"canonical JSON has no {kind.__name__} values")
+
+    return text(payload, "\n")
 
 
 def _read_table(path: str | Path, delimiter: str) -> tuple[list[str], list[list[str]]]:
@@ -225,7 +281,7 @@ def write_sidecar_schema(schema: Schema, path: str | Path,
 
 
 def _check_column(attr: Attribute, column: Iterable[str], path) -> None:
-    for v in set(column):
+    for v in dict.fromkeys(column):  # the first outside value in row order
         if v not in attr.domain:
             raise DataError(
                 f"{path}: value {v!r} in column {attr.name!r} is outside the "

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,13 @@ from anaprop.data import load_relation
 # Property tests do trivial work per example; drop the per-example deadline
 # so a loaded machine cannot flake them.
 settings.register_profile("anaprop", deadline=None)
-settings.load_profile("anaprop")
+# tests/mutate.py sets this variable, and nothing else does: under it every
+# run draws the same examples, so a mutant that survives survives again.
+# Without it the search stays random.
+MUTATION_RUN = "ANAPROP_MUTATION_RUN"
+settings.register_profile("anaprop-mutation", settings.get_profile("anaprop"),
+                          derandomize=True, database=None)
+settings.load_profile("anaprop-mutation" if os.environ.get(MUTATION_RUN) else "anaprop")
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -1,8 +1,9 @@
 """Run the mutants of ``mutants.json``: each is applied to a fresh
 temporary copy of the project, and its pytest selector is run inside
 that copy.  A mutant survives when its selector still passes.  Prints
-one line per mutant and exits 1 if any survives (2 if one cannot be
-applied or run).  The checkout itself is never edited.
+one line per mutant, with the seconds its selector ran, and exits 1 if
+any survives (2 if one cannot be applied or run).  The checkout itself
+is never edited.
 
     python tests/mutate.py [NAME ...]
 
@@ -12,6 +13,10 @@ With names, only the mutants of those names run; an unknown name exits
 A kill counts only if the selector passes on the unmutated code, so each
 distinct selector is first run once on an unmutated copy; if one fails
 there, the runner names it and exits 2 before any mutant runs.
+
+Every pytest run sets ``ANAPROP_MUTATION_RUN``, under which
+``conftest.py`` runs hypothesis derandomized: a run's result repeats, and
+a survivor is a stable finding.
 
 The copy holds ``src/``, ``tests/`` and ``pyproject.toml``: the last puts
 ``src`` on pytest's path, so a copy of ``src/`` alone would test the
@@ -27,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,7 +50,7 @@ def _copy_project(tmp: str) -> Path:
 
 def _pytest(copy: Path, selector: str) -> int:
     """The exit code of pytest running ``selector`` in ``copy``."""
-    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), ANAPROP_MUTATION_RUN="1")
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", selector],
         cwd=copy, env=env, capture_output=True, text=True).returncode
@@ -57,21 +63,25 @@ def failing_selectors(selectors: list[str]) -> list[str]:
         return [selector for selector in selectors if _pytest(copy, selector) != 0]
 
 
-def run_mutant(mutant: dict) -> str:
-    """'killed', 'survived', or an error message."""
+def run_mutant(mutant: dict) -> tuple[str, float]:
+    """'killed', 'survived', or an error message, and the seconds its
+    selector ran."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = _copy_project(tmp)
         target = copy / mutant["file"]
         text = target.read_text(encoding="utf-8")
         if text.count(mutant["old"]) != 1:
-            return f"error: the old string does not occur exactly once in {mutant['file']}"
+            return (f"error: the old string does not occur exactly once in "
+                    f"{mutant['file']}", 0.0)
         target.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
+        start = time.perf_counter()
         code = _pytest(copy, mutant["selector"])
+        seconds = time.perf_counter() - start
     if code == 0:
-        return "survived"
+        return "survived", seconds
     if code == 1:  # some test failed
-        return "killed"
-    return f"error: pytest exited {code}"
+        return "killed", seconds
+    return f"error: pytest exited {code}", seconds
 
 
 def main(names: list[str]) -> int:
@@ -88,8 +98,9 @@ def main(names: list[str]) -> int:
         return 2
     survivors, errors = [], []
     for mutant in chosen:
-        outcome = run_mutant(mutant)
-        print(f"{outcome:>8}  {mutant['name']}  ({mutant['selector']})", flush=True)
+        outcome, seconds = run_mutant(mutant)
+        print(f"{outcome:>8}  {seconds:5.1f} s  {mutant['name']}  ({mutant['selector']})",
+              flush=True)
         if outcome == "survived":
             survivors.append(mutant["name"])
         elif outcome != "killed":

@@ -996,6 +996,23 @@ def test_json_stdout_does_not_depend_on_the_hash_seed(tmp_path):
         assert code == 0 and out.startswith("{")
 
 
+def test_the_out_of_domain_error_does_not_depend_on_the_hash_seed(tmp_path):
+    # Three values outside a two-value sidecar column: the error names the
+    # first in row order, where a walk over the column as a set named
+    # '9' under hash seed 1 and '8' under seed 2.
+    table, sidecar = tmp_path / "t.csv", tmp_path / "t.schema.json"
+    table.write_text("a,b\n0,9\n1,8\n0,7\n")
+    sidecar.write_text(json.dumps({"attributes": [{"name": name, "domain": ["0", "1"]}
+                                                  for name in ("a", "b")]}))
+    argv = ["deps", "--data", str(table), "--schema", str(sidecar)]
+    results = {run_subprocess(argv, PYTHONHASHSEED=seed) for seed in ("1", "2")}
+    assert len(results) == 1
+    code, out, err = results.pop()
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"data error: {table}: value '9' in column 'b' is "
+                                f"outside the declared domain ['0', '1']"]
+
+
 def test_the_cached_parser_carries_nothing_between_calls(capsys, tmp_path):
     # One parser serves every cli.main call of a process: a usage error, a
     # profile's settings and one question must not reach the next call.

@@ -12,6 +12,7 @@ from anaprop.data import (
     DataError,
     Dataset,
     PlantedRule,
+    Relation,
     canonical_json,
     generate_affine,
     generate_monk,
@@ -178,6 +179,34 @@ def test_malformed_dataset_raises_and_subsets_keep_rows():
     assert ds.subset([]) == Dataset(schema, label, (), ())
 
 
+#: Rows of a schema over a in {0, 1} and b in {x, y}, each set with the
+#: error of its first bad cell in row order.
+_BAD_ROWS = {
+    "bad-values": ((("0", "x"), ("2", "z"), ("3", "y")), "value '2' .* 'a'"),
+    "arity-first": ((("0", "x"), ("1",), ("1", "z")), "item arity 1"),
+    "value-first": ((("0", "x"), ("1", "z"), ("1",)), "value 'z' .* 'b'"),
+    "unhashable-value": ((("0", ["x"]), ("1", "y")), r"value \['x'\] .* 'b'"),
+}
+_AB = Schema.from_pairs([("a", "01"), ("b", "xy")])
+
+
+@pytest.mark.parametrize("rows, message", _BAD_ROWS.values(), ids=_BAD_ROWS)
+def test_a_relation_names_its_first_bad_cell_in_row_order(rows, message):
+    with pytest.raises(SchemaError, match=f"^{message}"):
+        Relation(_AB, rows)
+
+
+@pytest.mark.parametrize("items, labels, message", [
+    *((rows, ("p",) * len(rows), message) for rows, message in _BAD_ROWS.values()),
+    ((("0", "x"), ("1", "z")), ("s", "q"), "value 'z' .* 'b'"),  # items first
+    ((("0", "x"), ("1", "y")), ("s", ["q"]), "value 's' .* 'c'"),
+    ((("0", "x"), ("1", "y")), ("p", ["q"]), r"value \['q'\] .* 'c'"),
+], ids=[*_BAD_ROWS, "items-first", "bad-labels", "unhashable-label"])
+def test_a_dataset_names_its_first_bad_cell_in_row_order(items, labels, message):
+    with pytest.raises(SchemaError, match=f"^{message}"):
+        Dataset(_AB, Attribute("c", ("p", "q")), items, labels)
+
+
 class TestAffineGenerator:
     def test_xor_truth_table(self):
         ds = generate_affine(2, (0, 1, 1))
@@ -320,22 +349,47 @@ _TEXT = st.text(st.sampled_from('"\\/[]{}:, \x00\x1f\x7f\n\téß€\u2028\U0001f
 _LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
            | st.floats() | _TEXT
            | st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf]))
+
+
+def _sharing(inner):
+    """Parts that share one object or one key set, as the writer's caches
+    see them: a tuple at two depths and twice at one, and a dict beside a
+    dict of the same items inserted in reverse."""
+    return (st.builds(lambda t: [t, [t], t], st.tuples(inner, inner))
+            | st.builds(lambda d: [d, dict(reversed(d.items()))],
+                        st.dictionaries(_TEXT, inner, max_size=4)))
+
+
 _JSON_VALUES = st.recursive(
     _LEAVES,
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
-                   | st.dictionaries(_TEXT, inner, max_size=4)),
+                   | st.dictionaries(_TEXT, inner, max_size=4) | _sharing(inner)),
     max_leaves=24)
+
+#: One tuple, holding a list, for the examples that share it.
+_SHARED = ("t", ["in a list", None])
 
 
 @given(_JSON_VALUES)
 @example({"b": [], "a": {}, "c": [(), [True, False, None], {"\"\\": -0.0}],
           "\u00e9": [1e16, 5e-324, math.nan, math.inf, -math.inf, -2**70, "\x01"]})
+@example([_SHARED, [_SHARED, {"k": _SHARED}], _SHARED])
+@example([{"b": 1, "a": True}, {"a": "x", "b": None}, {"b": [], "a": ("b", "a")}])
 def test_canonical_json_is_the_indented_sorted_json_dumps(value):
     assert canonical_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("value", [{"a", "b"}, b"ab", {1: "a"}, {"a": [{("k",): 1}]}],
-                         ids=["set", "bytes", "int-key", "nested-tuple-key"])
+class _Str(str):
+    """A str subclass: equal to, and hashed as, the plain str it spells."""
+
+
+@pytest.mark.parametrize("value", [
+    {"a", "b"}, b"ab", {1: "a"}, {"a": [{("k",): 1}]},
+    # After a plain-str twin, so that the writer has already seen the
+    # same key tuple or the same text.
+    [{"a": 1}, {_Str("a"): 1}], ["a", _Str("a")],
+], ids=["set", "bytes", "int-key", "nested-tuple-key", "str-subclass-key",
+        "str-subclass-value"])
 def test_canonical_json_rejects_what_json_has_no_type_for(value):
     with pytest.raises(TypeError):
         canonical_json(value)

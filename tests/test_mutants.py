@@ -1,7 +1,7 @@
 """The mutation list (``mutants.json``) cannot rot silently: every
 mutant's old string occurs exactly once in its package file, and its
 selector names a test that exists in its test file.  ``tests/mutate.py``
-runs them."""
+runs them, and hypothesis draws derandomized only under its variable."""
 
 import ast
 import json
@@ -10,6 +10,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import settings
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = json.loads((ROOT / "tests" / "mutants.json").read_text(encoding="utf-8"))
@@ -82,3 +84,19 @@ def test_a_selector_that_fails_unmutated_exits_2_and_is_named(tmp_path):
     assert proc.stdout == ""
     assert "tests/test_m.py::test_fails" in proc.stderr
     assert "test_passes" not in proc.stderr
+
+
+def test_hypothesis_is_derandomized_exactly_under_the_runner_s_variable():
+    assert settings.default.derandomize == bool(os.environ.get("ANAPROP_MUTATION_RUN"))
+
+
+def test_the_runner_s_variable_derandomizes_hypothesis():
+    # Tier-1 runs the test above without the variable, and so with a
+    # random search; the runner's pytest runs set it.
+    selector = ("tests/test_mutants.py::"
+                "test_hypothesis_is_derandomized_exactly_under_the_runner_s_variable")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", selector],
+        cwd=ROOT, env=dict(os.environ, ANAPROP_MUTATION_RUN="1"),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout
