@@ -275,10 +275,12 @@ def _cmd_explain(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_deps(args) -> int:
-    # --x and --y ask for one check; neither asks for discovery.
+    # --x and --y ask for one check; neither asks for discovery.  --x ''
+    # is X = {}, which discovery lists; no Y it lists is empty.
     single = args.x is not None or args.y is not None
-    if single and not (args.x and args.y):
-        raise _UsageError("a single check needs both --x and --y attribute lists")
+    if single and (args.x is None or not args.y):
+        raise _UsageError("a single check needs --x (empty for no attributes) "
+                          "and a non-empty --y attribute list")
     rel = _load_relation(args)
     payload: dict = {
         "command": "deps",
@@ -288,7 +290,8 @@ def _cmd_deps(args) -> int:
         "mode": "single" if single else "exhaustive",
     }
     if single:
-        f = relational.decide_dependency(rel, args.x.split(","), args.y.split(","))
+        f = relational.decide_dependency(rel, args.x.split(",") if args.x else (),
+                                        args.y.split(","))
         mvd_w = None if f.mvd else relational.mvd_witness(rel, f.x, f.y)
         weak_w = None if f.weak_mvd else relational.weak_mvd_witness(rel, f.x, f.y)
         payload["finding"] = {**vars(f), "mvd_witness": mvd_w,
@@ -504,8 +507,9 @@ def build_parser() -> _Parser:
 
     p_dep = sub.add_parser("deps", help="dependency analysis of a relation")
     _add_input(p_dep)
-    p_dep.add_argument("--x", help="comma-separated attribute names; with --y, "
-                                   "check this one (X, Y) instead of discovering all")
+    p_dep.add_argument("--x", help="comma-separated attribute names, '' for none; "
+                                   "with --y, check this one (X, Y) instead of "
+                                   "discovering all")
     p_dep.add_argument("--y", help="comma-separated attribute names")
     _add_format(p_dep)
     p_dep.set_defaults(func=_cmd_deps)

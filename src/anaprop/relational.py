@@ -18,11 +18,14 @@ place, ``_decide``, on integer keys.  Each column is coded once per
 relation by the value's place in its sorted domain, and every attribute
 subset S, a bitmask with bit i for the i-th attribute, gives each tuple
 one mixed-radix key, built on first read from the key on S minus its top
-attribute (the partitions refined from a parent set of TANE, Huhtala et
-al. 1999).  Discovery and the inference check read one table of every
-(X, Y') with Y' disjoint from X.  The literal references (``fd_holds``,
-the scan witnesses, ``lossless_join_check``, ``ap_witness``) and
-``nest_rewrite``, which prints values, stay on the string tuples.
+attribute, and a count of its distinct keys, which decides FDs (the
+partitions refined from a parent set, and the FD test, of TANE, Huhtala
+et al. 1999).  A Y' and its complement R minus (X u Y') are decided
+together, so discovery and the inference check read one table of every
+(X, Y') with Y' disjoint from X, from one decision per X and pair.  The
+literal references (``fd_holds``, the scan witnesses,
+``lossless_join_check``, ``ap_witness``) and ``nest_rewrite``, which
+prints values, stay on the string tuples.
 """
 
 from __future__ import annotations
@@ -93,12 +96,14 @@ class _Keys(dict):
     subset.  The key on S is the key on S minus its top attribute a, times
     |dom a|, plus the code of the tuple's a-value; each is built on first
     read and kept, so a check builds only the subsets it reads and their
-    parents."""
+    parents.  ``count(S)`` is counted on first read too."""
 
     def __init__(self, rel: Relation):
         super().__init__({0: [0] * len(rel)})
         codes, self._columns = code_columns(rel.schema, rel.tuples)
         self._radices = list(map(len, codes))
+        self.full = (1 << rel.schema.arity) - 1
+        self._counts: dict[int, int] = {}
 
     def __missing__(self, s: int) -> list[int]:
         top = s.bit_length() - 1
@@ -107,27 +112,44 @@ class _Keys(dict):
                                   self._columns[top]))
         return keys
 
+    def count(self, s: int) -> int:
+        """|pi_S(R)|: the number of distinct keys on S."""
+        if s not in self._counts:
+            self._counts[s] = len(set(self[s]))
+        return self._counts[s]
 
-def _decide(rel: Relation, keys: _Keys, x: int, y: int) -> Verdict:
-    """The verdict for the bitmasks X and Y, read from ``keys``.  With
-    Y' = Y minus X and Z = R minus (X u Y), each tuple joins its X u Y'
-    key to its X u Z key; X is inside both, so the graph splits by X.  The
-    weak MVD holds when every component is a complete bipartite graph:
-    Y'-values whose Z-sets meet have equal Z-sets, so the distinct Z-sets
-    are disjoint and their sizes add up to the number of Z-values.  Each
-    distinct Z-set is then one component: the MVD (equivalently the
-    lossless join) holds when every X-group is one component, and the FD
-    when every X-group has one Y'-value.  An incomplete component means
-    two Y'-values in one group, so a failed weak check fails all three."""
-    xz = (1 << rel.schema.arity) - 1 & ~y | x
+
+def _z_sets(keys: _Keys, xy: int, xz: int) -> set[frozenset[int]]:
+    """The distinct Z-sets of the graph joining each tuple's X u Y' key
+    (``xy``) to its X u Z key (``xz``)."""
     z_sets: dict[int, set[int]] = {}
-    for a, b in zip(keys[x | y], keys[xz]):
+    for a, b in zip(keys[xy], keys[xz]):
         z_sets.setdefault(a, set()).add(b)
-    distinct = set(map(frozenset, z_sets.values()))
-    if sum(map(len, distinct)) != len(set(keys[xz])):
-        return Verdict(False, False, False)
-    groups = len(set(keys[x]))
-    return Verdict(len(z_sets) == groups, len(distinct) == groups, True)
+    return set(map(frozenset, z_sets.values()))
+
+
+def _decide(keys: _Keys, x: int, y: int) -> tuple[Verdict, Verdict]:
+    """The verdicts for the bitmasks X and Y, read from ``keys``: for
+    Y' = Y minus X, then for its complement Z = R minus (X u Y).  A side is
+    an FD when X and X with it have equally many keys.  An FD is an MVD,
+    and X ->> Y' holds exactly when X ->> Z does (complementation; Beeri,
+    Fagin and Howard 1977), so an FD on either side makes both MVDs.
+    Otherwise one graph joins each tuple's X u Y' key to its X u Z key; it
+    splits by X.  The weak MVD holds when every component is complete
+    bipartite: the distinct Z-sets are then disjoint, and their sizes add
+    up to the number of Z-values.  The MVD (the lossless join) holds when,
+    in addition, every X-group is one component, one distinct Z-set.  The
+    two sides read one graph, its sides swapped, and share both verdicts."""
+    y &= ~x
+    z = keys.full & ~(x | y)
+    groups = keys.count(x)
+    fd_y, fd_z = keys.count(x | y) == groups, keys.count(x | z) == groups
+    if fd_y or fd_z:
+        return Verdict(fd_y, True, True), Verdict(fd_z, True, True)
+    distinct = _z_sets(keys, x | y, x | z)
+    weak = sum(map(len, distinct)) == keys.count(x | z)
+    verdict = Verdict(False, weak and len(distinct) == groups, weak)
+    return verdict, verdict
 
 
 def _keyed(rel: Relation, x: AttrSet, y: AttrSet) -> tuple[_Keys, int, int]:
@@ -149,11 +171,17 @@ def _subsets(schema: Schema, what: str) -> list[tuple[tuple[str, ...], int]]:
             for size in range(n + 1) for c in combinations(range(n), size)]
 
 
-def _table(rel: Relation, keys: _Keys) -> dict[tuple[int, int], Verdict]:
+def _table(keys: _Keys) -> dict[tuple[int, int], Verdict]:
     """The verdict of every X and every Y' disjoint from it, keyed by their
-    bitmasks and read from ``keys``: 3**n entries in all."""
-    masks = range(1 << rel.schema.arity)
-    return {(x, y): _decide(rel, keys, x, y) for x in masks for y in masks if not x & y}
+    bitmasks and read from ``keys``: 3**n entries in all, from one
+    ``_decide`` per X and pair {Y', R minus (X u Y')}."""
+    table = {}
+    for x in range(keys.full + 1):
+        rest = keys.full & ~x
+        for y in range(rest + 1):
+            if not y & x and y <= rest & ~y:
+                table[x, y], table[x, rest & ~y] = _decide(keys, x, y)
+    return table
 
 
 def mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
@@ -174,7 +202,7 @@ def mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
 def mvd_holds(rel: Relation, x: AttrSet, y: AttrSet) -> bool:
     """X ->> Y: the Y-part of tuples agreeing on X is freely exchangeable,
     i.e. every X-group is the product of its Y'- and Z-projections."""
-    return _decide(rel, *_keyed(rel, x, y)).mvd
+    return _decide(*_keyed(rel, x, y))[0].mvd
 
 
 def weak_mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
@@ -200,7 +228,7 @@ def weak_mvd_witness(rel: Relation, x: AttrSet, y: AttrSet
 def weak_mvd_holds(rel: Relation, x: AttrSet, y: AttrSet) -> bool:
     """X ->>_w Y: whenever t1,t2 agree on XY and t1,t3 agree on X(R\\Y),
     the exchanged fourth tuple is present."""
-    return _decide(rel, *_keyed(rel, x, y)).weak_mvd
+    return _decide(*_keyed(rel, x, y))[0].weak_mvd
 
 
 def is_trivial_mvd(schema: Schema, x: AttrSet, y: AttrSet) -> bool:
@@ -260,9 +288,14 @@ def mvd_inference_check(rel: Relation) -> InferenceReport:
 
     Each instance is a lookup in the table of (X, Y') verdicts, where an
     MVD X ->> Y is read at Y' = Y minus X and an FD at its own column;
-    one pass over the (X, Y) pairs checks every rule at each."""
+    one pass over the (X, Y) pairs checks every rule at each.  FD=>MVD and
+    complementation hold by how the table is built (``_decide`` gives a
+    Y' and its complement one MVD verdict, and an FD on either side makes
+    both MVDs), so here they guard the reading of the table;
+    ``test_verdict_table_matches_scans_on_six_attributes`` guards the
+    verdicts themselves against the literal scans."""
     subsets = _subsets(rel.schema, "inference check")
-    table = _table(rel, _Keys(rel))
+    table = _table(_Keys(rel))
     full = (1 << rel.schema.arity) - 1
     checked = {"fd_implies_mvd": 0, "complementation": 0,
                "augmentation": 0, "transitivity": 0}
@@ -470,7 +503,7 @@ def _first_exchange(rel: Relation, keys: _Keys, x: int, y: int
     t1 is the first tuple of a group with two Y'-values and two Z-values,
     counted per X key from the X u Y' and X u Z keys."""
     n = rel.schema.arity
-    kx, ky, kz = keys[x], keys[x | y], keys[(1 << n) - 1 & ~y | x]
+    kx, ky, kz = keys[x], keys[x | y], keys[keys.full & ~y | x]
     y_count = Counter(dict(zip(ky, kx)).values())
     z_count = Counter(dict(zip(kz, kx)).values())
     for i, k in enumerate(kx):
@@ -488,7 +521,7 @@ def _finding(rel: Relation, keys: _Keys, names: tuple[tuple[str, ...], tuple[str
     """The finding named ``names`` for the bitmasks X and Y with this
     verdict.  The exchange witness of a non-trivial MVD is searched once
     per Y' = Y minus X and kept in ``witnesses``."""
-    trivial = not y & ~x or x | y == (1 << rel.schema.arity) - 1
+    trivial = not y & ~x or x | y == keys.full
     if verdict.mvd and not trivial and y & ~x not in witnesses:
         witnesses[y & ~x] = _first_exchange(rel, keys, x, y)
     return DependencyFinding(*names, *verdict, trivial, verdict.mvd,
@@ -502,7 +535,7 @@ def decide_dependency(rel: Relation, x: AttrSet, y: AttrSet) -> DependencyFindin
     keys, x, y = _keyed(rel, x, y)
     names = tuple(tuple(rel.schema.names[i] for i in _bits(m, rel.schema.arity))
                   for m in (x, y))
-    return _finding(rel, keys, names, x, y, _decide(rel, keys, x, y), {})
+    return _finding(rel, keys, names, x, y, _decide(keys, x, y)[0], {})
 
 
 def discover_dependencies(rel: Relation) -> list[DependencyFinding]:
@@ -515,7 +548,7 @@ def discover_dependencies(rel: Relation) -> list[DependencyFinding]:
     (X, Y')."""
     subsets = _subsets(rel.schema, "discovery")
     keys = _Keys(rel)
-    table = _table(rel, keys)
+    table = _table(keys)
     findings = []
     for x_names, x in subsets:
         witnesses: dict[int, Optional[tuple[Item, Item, Item, Item]]] = {}

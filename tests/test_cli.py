@@ -309,6 +309,8 @@ class TestMalformedInputsExitCleanly:
                       "--why-not", "class"], None, 1, id="why-not-without-equals"),
         pytest.param(["deps", "--data", "MONK", "--x", "a1"], None, 1, id="x-without-y"),
         pytest.param(["deps", "--data", "MONK", "--y", "a1"], None, 1, id="y-without-x"),
+        pytest.param(["deps", "--data", "MONK", "--x", "a1", "--y", ""], None, 1,
+                     id="empty-y"),
         pytest.param(["evaluate", "--data", "MONK", "--strategy", "knn", "--seed", "1",
                       "--grid", "a,b"], None, 1, id="grid-not-integers"),
         pytest.param(["evaluate", "--data", "MONK", "--strategy", "knn", "--seed", "1",

@@ -388,6 +388,32 @@ class TestDiscovery:
         # The empty subset's key, 0 for every tuple, comes with the keys.
         assert sorted(keyed) == list(range(1, 1 << 6))
 
+    def test_each_complementary_pair_without_an_fd_builds_one_graph(self, monkeypatch):
+        # An FD on either side of X, {Y', Z} settles both sides with no graph.
+        schema = Schema.from_pairs((f"a{i}", ("0", "1", "2")) for i in range(6))
+        rel = generate_random_relation(schema, 40, seed=3)
+        z_sets = relational._z_sets
+        graphs = []
+
+        def counted(keys, xy, xz):
+            x = xy & xz
+            graphs.append((x, *sorted((xy & ~x, xz & ~x))))
+            return z_sets(keys, xy, xz)
+
+        monkeypatch.setattr(relational, "_z_sets", counted)
+        discover_dependencies(rel)
+
+        def names(mask):
+            return tuple(n for i, n in enumerate(rel.schema.names) if mask >> i & 1)
+
+        pairs = [(x, y, 63 & ~(x | y)) for x in range(64) for y in range(64)
+                 if not x & y and y < 63 & ~(x | y)]
+        expected = [(x, y, z) for x, y, z in pairs
+                    if not fd_holds(rel, names(x), names(y))
+                    and not fd_holds(rel, names(x), names(z))]
+        assert sorted(graphs) == expected
+        assert 0 < len(expected) < len(pairs) == 364
+
 
 @st.composite
 def relations(draw, min_attrs=1, max_attrs=5, max_rows=12):
@@ -469,15 +495,36 @@ PLANTED = Relation.from_rows(
 )
 
 
+def six_attributes(rows) -> Relation:
+    """The rows on a0..a5, where a0 takes 0 and 1 and the rest 0, 1 and 2:
+    a key on a subset is scaled by its top attribute's radix, not a0's."""
+    return Relation.from_rows(
+        Schema.from_pairs([("a0", "01")] + [(f"a{i}", "012") for i in range(1, 6)]), rows)
+
+
+# a0 -> a2..a5 holds and a0 -> a1 does not: the table decides them as one
+# complementary pair, with the FD on its Z side only.
+FD_ON_Z_ONLY = six_attributes([("0", "0", "0", "0", "0", "0"),
+                               ("0", "1", "0", "0", "0", "0"),
+                               ("1", "0", "1", "1", "1", "1")])
+
+# a0 ->> a1 holds, and neither a0 -> a1 nor a0 -> a2..a5: a0 = 0 carries
+# {0, 1} x {0000, 1111}.
+MVD_NOT_FD = six_attributes([("0", y, *z) for y in "01" for z in ("0000", "1111")])
+
+# a0 ->>_w a1 holds and a0 ->> a1 does not: the a0 = 0 group is two
+# components, 0 with 0000 and 1 with 1111.
+WEAK_NOT_MVD = six_attributes([("0", "0", "0", "0", "0", "0"),
+                               ("0", "1", "1", "1", "1", "1")])
+
+
 # On six attributes, a0 ->> a1 a2 holds and is not trivial: a0 = 0 carries
 # {01, 12} x {00, 11} on a1 a2 and a3 a4.  Its verdict table holds FDs,
 # MVDs that are not FDs, weak MVDs that are not MVDs and failures.
-PLANTED_6 = Relation.from_rows(
-    Schema.from_pairs([(f"a{i}", "012") for i in range(6)]),
+PLANTED_6 = six_attributes(
     [("0", *y, *z, "0") for y in ("01", "12") for z in ("00", "11")]
     + [("1", "0", "0", "2", "1", "0"), ("1", "0", "0", "2", "2", "0"),
-       ("1", "0", "0", "1", "1", "0")],
-)
+       ("1", "0", "0", "1", "1", "0")])
 
 
 class TestCountingAgainstOracles:
@@ -502,8 +549,11 @@ class TestCountingAgainstOracles:
     @settings(max_examples=40, deadline=None)
     @given(relations(min_attrs=6, max_attrs=6, max_rows=16))
     @example(PLANTED_6)
+    @example(FD_ON_Z_ONLY)
+    @example(MVD_NOT_FD)
+    @example(WEAK_NOT_MVD)
     def test_verdict_table_matches_scans_on_six_attributes(self, rel):
-        table = relational._table(rel, relational._Keys(rel))
+        table = relational._table(relational._Keys(rel))
         names = rel.schema.names
         for (x, y), verdict in table.items():
             xs = tuple(n for i, n in enumerate(names) if x >> i & 1)
@@ -596,17 +646,17 @@ class TestInferenceFromTheTable:
 
     @staticmethod
     def patch_course_teacher(monkeypatch, **fields):
-        """Override fields of the verdict for X = {course}, Y' = {teacher}
-        (bitmasks 0b001 and 0b010 on the courses schema)."""
-        decide = relational._decide
+        """Override fields of the table's verdict for X = {course},
+        Y' = {teacher} (bitmasks 0b001 and 0b010 on the courses schema),
+        and of no other entry."""
+        table = relational._table
 
-        def patched(rel, groups, x, y):
-            verdict = decide(rel, groups, x, y)
-            if (x, y & ~x) == (0b001, 0b010):
-                return verdict._replace(**fields)
-            return verdict
+        def patched(keys):
+            verdicts = table(keys)
+            verdicts[0b001, 0b010] = verdicts[0b001, 0b010]._replace(**fields)
+            return verdicts
 
-        monkeypatch.setattr(relational, "_decide", patched)
+        monkeypatch.setattr(relational, "_table", patched)
 
     def test_a_false_fd_verdict_is_reported(self, courses_relation, monkeypatch):
         self.patch_course_teacher(monkeypatch, fd=True, mvd=False)
@@ -657,9 +707,9 @@ class TestSingleModeAgreesWithDiscovery:
             path, sidecar = write_with_schema(rel, Path(tmp))
             exhaustive = {(tuple(f["x"]), tuple(f["y"])): f
                           for f in run_deps(path, "--schema", str(sidecar))["findings"]}
-            subsets = all_subsets(rel.schema.names)[1:]
-            for x in subsets:
-                for y in subsets:
+            subsets = all_subsets(rel.schema.names)
+            for x in subsets:  # X = () is sent as --x ''
+                for y in subsets[1:]:
                     single = run_deps(path, "--schema", str(sidecar),
                                       "--x", ",".join(x), "--y", ",".join(y))
                     expected = exhaustive.get((x, y), none_holds)
