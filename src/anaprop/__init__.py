@@ -45,8 +45,6 @@ from .explain import (
     Explanation,
     contrastive_explain,
     find_adverse_examples,
-    relevant_attributes,
-    rule_candidate,
 )
 from .relational import (
     discover_dependencies,

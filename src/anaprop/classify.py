@@ -25,10 +25,11 @@ pairs.
 
 On top of the baseline: leave-one-out suitability scoring, competent-pair
 mining (difference vectors as change-to-class rules with support and
-confidence), the selected-triplet classifier (competent pairs, counted
-per pair key, plus a near-neighbor bound on c; it counts only the pairs
-within that Hamming radius, since all pairs of a key lie at one
-distance, so a vote needs no radius test), the case-analysis classifier
+confidence), the selected-triplet classifier (the competent pairs of
+some rows, mined into the counts per pair key of a copy of its table
+with no pair listed, plus a near-neighbor bound on c; it counts only
+the pairs within that Hamming radius, since all pairs of a key lie at
+one distance, so a vote needs no radius test), the case-analysis classifier
 that resolves mixed pair groups by solving a Bongard separation problem
 over the shared context (the pairs of a mixed group are found by lookup
 from diff(c, query), which every pair under its key shares, once per
@@ -198,19 +199,6 @@ class PairKeys:
             lanes = sum(columns, outside * self._ones)
             return array(_LANE, lanes.to_bytes(self._bytes, _ORDER)).tolist()
         return list(map(sum, zip([outside] * self._size, *columns)))
-
-    def change_key(self, change: Diff) -> Optional[int]:
-        """Key of any pair with this difference vector; None when a value
-        lies outside its domain, since two different outside values of one
-        attribute would add the same 1 to a key."""
-        key = 0
-        for k, values in enumerate(change):
-            if values is not None:
-                x, y = (self._codes[k].get(v) for v in values)
-                if x is None or y is None:
-                    return None
-                key += self._entry(k, x, y)
-        return key
 
 
 class _PairCounts:
@@ -494,10 +482,6 @@ class CompetentPair:
     support: int
     confidence: float
 
-    @property
-    def tilt(self) -> tuple[str, str]:
-        return (self.label_a, self.label_b)
-
 
 def _check_thresholds(min_support: int, min_confidence: float) -> None:
     if min_support < 1:
@@ -544,25 +528,20 @@ def extract_competent_pairs(train: Dataset, min_support: int = 2,
 class SelectedTripletModel(_PairCounts):
     """Triplet voting restricted to competent pairs and near neighbors.
 
-    The competent pairs within the Hamming radius are the counts of its
-    table: per pair key, how many are same-label and how many carry each
-    tilt.  A query's vote reads, for every c, the counts under
+    A model is built over its rows with no counts, and ``mined`` copies it
+    with the competent pairs within the Hamming radius as the counts of
+    its table: per pair key, how many are same-label and how many carry
+    each tilt.  A query's vote reads, for every c, the counts under
     the key of (c, query).  All pairs under one key lie at one distance
     (``key % modulus``), which is that of each c whose key it is, so
     only the c within the radius find counts, and a query that is a row
     reads only those c, from its near list (``_near``)."""
 
-    def __init__(self, train: Dataset, pairs: Sequence[CompetentPair], radius: int):
+    def __init__(self, train: Dataset, radius: int):
         if radius < 0:
             raise DataError("radius must be non-negative")
         super().__init__(train)
         self.radius = radius
-        for p in pairs:
-            key = self.pair_keys.change_key(p.change)
-            # An out-of-domain change matches no c, and one beyond the
-            # radius matches no c near enough to vote.
-            if key is not None and key % self.pair_keys.modulus <= radius:
-                self._count([key], [self.slot(*map(self.label_order.index, p.tilt))])
 
     @cached_property
     def _near(self) -> list[tuple[list[int], list[int]]]:
@@ -584,10 +563,11 @@ class SelectedTripletModel(_PairCounts):
         """A copy of this table with ``rows`` live and the counts of
         ``extract_competent_pairs`` over the ``mining`` rows, copied in
         whole without listing the pairs.  Only the pairs of two mining
-        rows within the radius are counted, from the near lists, as the
-        listed pairs are bounded; every pair under one key lies at one
-        distance, so the groups of the keys counted are complete.  Key 0, the pairs of equal items, is counted in the
-        sample and dropped by ``_competent_behaviours``."""
+        rows within the radius are counted, from the near lists: no c
+        near enough to vote shares a key with a pair beyond it, and every
+        pair under one key lies at one distance, so the groups of the keys
+        counted are complete.  Key 0, the pairs of equal items, is counted
+        in the sample and dropped by ``_competent_behaviours``."""
         sample = self._copy(mining)
         for b in mining:
             near, keys = self._near[b]
@@ -632,10 +612,10 @@ class BongardProperty:
 def _separate(same_ctx: set[tuple[str, ...]], diff_ctx: set[tuple[str, ...]],
               context_attributes: Sequence[int],
               max_literals: int) -> Optional[BongardProperty]:
-    if same_ctx & diff_ctx:
-        return None  # identical context on both sides: nothing can separate
     # Any conjunction true on every same-side context can only use literals
     # whose value is shared by all of them, so those are the whole search pool.
+    # A context on both sides satisfies every literal of the pool, so no
+    # conjunction separates it and the search returns None.
     pool: list[tuple[int, str]] = []
     for pos, attr_idx in enumerate(context_attributes):
         values = {ctx[pos] for ctx in same_ctx}
@@ -931,7 +911,7 @@ GRID_PARAMETERS = {"bongard": "neighbor_budget", "knn": "k"}
 def _run_model(data: Dataset, config: CvConfig) -> _PairCounts:
     """The table over all rows of which each fold's model is a copy."""
     return {"baseline": lambda: BruteForceModel(data),
-            "selected": lambda: SelectedTripletModel(data, (), config.radius),
+            "selected": lambda: SelectedTripletModel(data, config.radius),
             "bongard": lambda: BongardModel(data, config.max_literals),
             "knn": lambda: KnnModel(data)}[config.strategy]()
 

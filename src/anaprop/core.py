@@ -242,27 +242,15 @@ def hamming(a: Item, b: Item) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
-def inverse_paralogy(a: str, b: str, c: str, d: str,
-                     domain: Optional[Iterable[str]] = None) -> bool:
+def inverse_paralogy(a: str, b: str, c: str, d: str) -> bool:
     """True iff IP(a,b,c,d): what a and b share, c and d do not, and vice versa.
 
-    Defined for two-symbol domains only.  The connective is code
-    independent, so which of the two symbols plays "true" is irrelevant.
+    Defined for two-symbol domains only, so more than two symbols are
+    refused.  The connective is code independent, so which of the two
+    symbols plays "true" is irrelevant: the larger one does.
     """
-    if domain is not None:
-        symbols = sorted(set(domain))
-        if len(symbols) != 2:
-            raise SchemaError(
-                f"inverse paralogy needs a two-symbol domain, got {symbols!r}"
-            )
-        _check_domain(symbols, a, b, c, d)
-        top = symbols[1]
-    else:
-        symbols = sorted({a, b, c, d})
-        if len(symbols) > 2:
-            raise SchemaError(
-                f"inverse paralogy needs a two-symbol domain, saw {symbols!r}"
-            )
-        top = symbols[-1]
-    ta, tb, tc, td = (v == top for v in (a, b, c, d))
+    symbols = sorted({a, b, c, d})
+    if len(symbols) > 2:
+        raise SchemaError(f"inverse paralogy needs a two-symbol domain, saw {symbols!r}")
+    ta, tb, tc, td = (v == symbols[-1] for v in (a, b, c, d))
     return ((ta and tb) == (not tc and not td)) and ((not ta and not tb) == (tc and td))

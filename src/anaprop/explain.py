@@ -8,16 +8,16 @@ change with the same result tilt support the explanation; pairs with the
 same change but no tilt are exceptions, and the ratio gives the
 explanation's strength.  Candidates are ranked by those counts alone;
 the sentence, the context split and the explanation are built for the
-winner only.  The whole pipeline reads only the table, never any
-classifier internals.
+winner only.  The explanation is also the abductive rule it suggests:
+its change attributes with the query's values, the result value, and
+the supporting and exception pair counts.  The whole pipeline reads
+only the table, never any classifier internals.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import ChangeEntry, Item, pairs_with_change, value_masks
 from .data import DataError, Relation
@@ -54,20 +54,6 @@ class ContextSplit:
     result_attribute: str
     result_from: str
     result_to: str
-
-
-@dataclass(frozen=True)
-class RuleCandidate:
-    """An abductive rule read off a split: setting the change attributes
-    to their target values drives the result value, whatever the context.
-    Never asserted as valid; the counts say how well the table agrees."""
-
-    change_attributes: tuple[str, ...]
-    change_values: tuple[str, ...]
-    result_attribute: str
-    result_value: str
-    supporting_pairs: int
-    exception_pairs: int
 
 
 @dataclass(frozen=True)
@@ -168,21 +154,6 @@ def _build_split(rel: Relation, adverse: AdverseExample, ridx: int,
     )
 
 
-def rule_candidate(split: ContextSplit, schema_names: Sequence[str],
-                   supporting: int = 0, exceptions: int = 0) -> RuleCandidate:
-    """Read the abductive change-drives-result rule off a context split."""
-    if not split.change:
-        raise DataError("degenerate split: no change attributes to build a rule from")
-    return RuleCandidate(
-        change_attributes=tuple(schema_names[j] for j in split.change),
-        change_values=split.change_to,
-        result_attribute=split.result_attribute,
-        result_value=split.result_to,
-        supporting_pairs=supporting,
-        exception_pairs=exceptions,
-    )
-
-
 def contrastive_explain(rel: Relation, query: Item, result_attr: str,
                         target: Optional[str] = None) -> Explanation:
     """Best-supported contrastive explanation for the query's result value.
@@ -255,43 +226,3 @@ def contrastive_explain(rel: Relation, query: Item, result_attr: str,
         supported=supporting > 0,
         sentence=sentence,
     )
-
-
-def relevant_attributes(rel: Relation, result_attr: str,
-                        method: str = "mi") -> list[tuple[str, float]]:
-    """Score each attribute against the result column and rank descending
-    (ties by attribute order).
-
-    ``mi`` is the natural-log plug-in mutual information; ``chi2`` the
-    plain chi-square statistic of the contingency table.  A constant
-    result column scores everything 0.
-    """
-    if method not in ("mi", "chi2"):
-        raise DataError(f"method must be 'mi' or 'chi2', got {method!r}")
-    if len(rel) == 0:
-        raise DataError("cannot rank attributes of an empty table")
-    ridx = rel.schema.index(result_attr)
-    n = len(rel.tuples)
-    py: Counter = Counter(row[ridx] for row in rel.tuples)
-    scores = []
-    for j, attr in enumerate(rel.schema.attributes):
-        if j == ridx:
-            continue
-        joint: Counter = Counter((row[j], row[ridx]) for row in rel.tuples)
-        px: Counter = Counter(row[j] for row in rel.tuples)
-        if method == "mi":
-            score = 0.0
-            for (x, y), c in joint.items():
-                pxy = c / n
-                score += pxy * math.log(pxy / ((px[x] / n) * (py[y] / n)))
-            score = max(score, 0.0)  # clamp -0.0 and float dust
-        else:
-            score = 0.0
-            for x in px:
-                for y in py:
-                    expected = px[x] * py[y] / n
-                    observed = joint.get((x, y), 0)
-                    score += (observed - expected) ** 2 / expected
-        scores.append((attr.name, score))
-    scores.sort(key=lambda pair: (-pair[1], rel.schema.index(pair[0])))
-    return scores

@@ -12,10 +12,13 @@ case-analysis and kNN grids under each fallback, and the CLI's
 sample, on which every strategy but kNN abstains (so each fallback is
 asked), and a planted-rule set.  One more cell (``UNSTRATIFIED``) deals
 the Monk-1 sample into more folds than its smaller class has rows, so
-its folds are not stratified and differ in size.
+its folds are not stratified and differ in size, and another (``WIDE``)
+has 18 ternary attributes, too many for the 64-bit lanes of
+``classify.PairKeys``, which then keys its pairs with lists.
 
-The other commands (``ap``, ``explain``, ``deps`` and every ``generate``
-kind, with and without ``--emit-schema``) run in-process through
+The commands (``ap``, ``explain``, ``deps``, every ``generate`` kind,
+with and without ``--emit-schema``, and two ``evaluate`` runs whose
+diagnostics only the command line writes) run in-process through
 ``cli.main`` from a temporary directory that holds their inputs, so the
 paths they print stay relative.  A cell records the exit code and the
 digest of stdout, and for ``generate`` those of the written table and
@@ -47,8 +50,8 @@ from pathlib import Path
 from anaprop.classify import (FALLBACKS, STRATEGIES, CvConfig, cross_validate,
                               cross_validate_grid)
 from anaprop.cli import PROFILES, main
-from anaprop.core import Schema
-from anaprop.data import (PlantedRule, generate_monk, generate_planted_rules,
+from anaprop.core import Attribute, Schema
+from anaprop.data import (Dataset, PlantedRule, generate_monk, generate_planted_rules,
                           generate_random_relation)
 
 DATA = Path(__file__).with_name("data")
@@ -93,10 +96,27 @@ UNSTRATIFIED = ("monk1-60 selected fallback=brute folds=26",
                          subsample=0.8))
 
 
+def wide_sample():
+    """12 rows of 18 ternary attributes and two labels, drawn with seed 0:
+    19 · 10¹⁸ bounds its pair keys, past 2⁶⁴."""
+    rng = random.Random(0)
+    schema = Schema.from_pairs((f"a{k}", "012") for k in range(18))
+    items = tuple(tuple(rng.choice("012") for _ in range(18)) for _ in range(12))
+    labels = tuple(rng.choice("pq") for _ in items)
+    return Dataset(schema, Attribute("c", ("p", "q")), items, labels)
+
+
+#: The cell whose pair keys are lists, not 64-bit lanes.
+WIDE = ("wide-18 baseline fallback=none folds=3",
+        CvConfig(strategy="baseline", folds=3, seed=0, fallback="none"))
+
+
 def digests() -> dict[str, str]:
     """Cell name -> sha256 of its payload."""
     name, config = UNSTRATIFIED
     out = {name: _digest(cross_validate(monk1_sample(), config).canonical())}
+    name, config = WIDE
+    out[name] = _digest(cross_validate(wide_sample(), config).canonical())
     for name, make in INPUTS.items():
         data = make()
         for strategy, fallback in product(STRATEGIES, FALLBACKS):
@@ -119,7 +139,13 @@ def digests() -> dict[str, str]:
 
 
 COFFEE = ["--data", "coffee.csv", "--schema", "coffee.schema.json"]
-#: Each cell's argv; ``--format json`` is added to every one.
+PLANTED = ["evaluate", "--data", "planted.csv", "--schema", "planted.schema.json",
+           "--seed", "0"]
+TWINS = ["explain", "--data", "twins.csv", "--schema", "twins.schema.json",
+         "--query", "x,p"]
+HUMAN = ["--format", "human"]
+#: Each cell's argv; ``--format json`` is added to every one that sets no
+#: format.
 CLI_CELLS = {
     "ap check": ["ap", "check", "g", "h", "g", "h"],
     "ap solve": ["ap", "solve", "g", "g", "h"],
@@ -133,6 +159,27 @@ CLI_CELLS = {
                             "--y", "teacher"],
     "deps random exhaustive": ["deps", "--data", "random.csv"],
     "deps random single": ["deps", "--data", "random.csv", "--x", "a,b", "--y", "c"],
+    # Cells pinning output that the cells above leave unpinned.
+    "ap check human": ["ap", "check", "g", "h", "g", "h", *HUMAN],
+    "ap check --domain": ["ap", "check", "0", "1", "0", "1", "--domain", "0,1"],
+    "ap solve --domain": ["ap", "solve", "0", "0", "1", "--domain", "0,1"],
+    "explain coffee why human": ["explain", *COFFEE, "--query", "sit_2,no,coffee,yes,yes",
+                                 "--why", "with_milk", *HUMAN],
+    # The one row with res=q differs from the query only in res.
+    "explain unsupported identical row": [*TWINS, "--why", "res"],
+    # No row has res=r, a value of its declared domain.
+    "explain unsupported no adverse example": [*TWINS, "--why-not", "res=r"],
+    "deps courses exhaustive human": ["deps", "--data", "courses.csv", *HUMAN],
+    "deps duplicate row": ["deps", "--data", "dupes.csv"],
+    # id is a key: id ->> b holds, with no X-group to exchange in.
+    "deps key attribute": ["deps", "--data", "keyed.csv"],
+    "evaluate knn k above the smallest training fold": [
+        *PLANTED, "--strategy", "knn", "--k", "30", "--folds", "2"],
+    # Class c1 has 10 rows, fewer than 12 folds.
+    "evaluate unstratified": [*PLANTED, "--strategy", "baseline", "--folds", "12"],
+    "generate planted-rule same-label with exceptions": [
+        "generate", "--out", "out.csv", "--kind", "planted-rule", "--spec",
+        "same_label.json"],
 }
 #: The options of each ``generate`` cell, run with and without
 #: ``--emit-schema``; the spec files are written by ``_write_inputs``.
@@ -153,12 +200,21 @@ CLI_CELLS |= {f"generate {name}{emit}": ["generate", "--out", "out.csv", *option
 
 
 def _write_inputs(where: Path) -> None:
-    """The cells' input files: the coffee and courses tables, two spec
-    files and a seeded random relation of 5 attributes and 40 tuples."""
-    for name in ("coffee.csv", "coffee.schema.json", "courses.csv"):
+    """The cells' input files: the coffee, courses and planted tables,
+    three spec files, a seeded random relation of 5 attributes and 40
+    tuples, and three small relations."""
+    for name in ("coffee.csv", "coffee.schema.json", "courses.csv", "planted.csv",
+                 "planted.schema.json"):
         shutil.copy(DATA / name, where / name)
     (where / "rules.json").write_text(json.dumps(
         {"rules": [{"pairs": 4, "exceptions": 1}, {"pairs": 3, "label_to": None}]}))
+    (where / "same_label.json").write_text(json.dumps(
+        {"rules": [{"pairs": 3, "exceptions": 1, "label_to": None}]}))
+    (where / "twins.csv").write_text("a,res\nx,p\nx,q\ny,p\n")
+    (where / "twins.schema.json").write_text(json.dumps({"attributes": [
+        {"name": "a", "domain": ["x", "y"]}, {"name": "res", "domain": ["p", "q", "r"]}]}))
+    (where / "dupes.csv").write_text("a,b\n0,x\n1,y\n0,x\n")
+    (where / "keyed.csv").write_text("id,b,c\n1,x,u\n2,x,v\n3,y,u\n")
     (where / "relation.json").write_text(json.dumps({"attributes": [
         {"name": "a", "domain": ["0", "1"]}, {"name": "b", "domain": ["x", "y", "z"]}]}))
     schema = Schema.from_pairs((name, "012") for name in "abcde")
@@ -185,7 +241,7 @@ def cli_digests() -> dict[str, dict]:
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout), \
                         contextlib.redirect_stderr(io.StringIO()):
-                    code = main([*argv, "--format", "json"])
+                    code = main(argv if "--format" in argv else [*argv, "--format", "json"])
                 cell = {"exit": code, "stdout": hashlib.sha256(
                     stdout.getvalue().encode("utf-8")).hexdigest()}
                 if argv[0] == "generate":

@@ -1,8 +1,11 @@
 """List the ``raise`` statements of ``src/anaprop`` that no test runs, or
-with ``--functions`` the package functions that only unit tests enter.
+with ``--functions`` the package functions that only unit tests enter,
+or with ``--lines`` the lines of package functions that only unit tests
+run.
 
     python tests/raise_sites.py [PYTEST_ARGS ...]
     python tests/raise_sites.py --functions
+    python tests/raise_sites.py --lines
 
 The raise mode runs the tier-1 suite in this process under
 ``sys.settrace``, recording each line run in a package frame, and then
@@ -16,6 +19,15 @@ the acceptance tests and one round of each bench workload, under a
 none of them entered and that ``KEPT`` does not name, as
 ``file:line qualified.name``, and then every function that ``KEPT``
 names and that one of them did enter, since its reason no longer holds.
+
+The lines mode runs the same, under the line hook of the raise mode.  It
+prints every line of a function body that has code (``co_lines``) and
+that none of them ran, as ``file:line qualified.name: text``, unless it
+is an error path (a ``raise`` statement, an ``if`` block that ends in
+one, an ``except`` handler), lies in a function ``KEPT`` names, or
+``KEPT_LINES`` lists it; and then every entry of ``KEPT_LINES`` none of
+whose lines stayed unrun.  A line belongs to the innermost ``def``
+around it: the lines of a lambda or a comprehension are its lines.
 
 In both modes the test helpers that start a CLI process
 (``run_subprocess`` of the CLI tests, ``run_cli`` of the acceptance
@@ -35,6 +47,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -51,10 +64,6 @@ KEPT = {
     # Reference oracles that tests compare against.
     "classify.extract_competent_pairs":
         "lists the pairs whose counts SelectedTripletModel.mined copies in whole",
-    "classify.PairKeys.change_key":
-        "keys a listed CompetentPair, the listed-pairs path that mined replaces",
-    "classify.CompetentPair.tilt":
-        "a listed pair's label behaviour, the listed-pairs path that mined replaces",
     "classify.bongard_separation":
         "the separation on listed pairs that BongardModel reads from its counts",
     "core.hamming": "the distance that _PairCounts.ranked reads from the pair keys",
@@ -65,13 +74,71 @@ KEPT = {
     "classify.BongardModel.classify": "a span wrap point of bench/tracing.py",
     "classify.KnnModel.classify": "a span wrap point of bench/tracing.py",
     # Checks on outside input that no digest cell sends.
-    "core._check_domain": "refuses a value outside `ap --domain`",
     "cli._Parser.error": "turns a usage error into exit code 1",
     # Features that README names.
-    "explain.rule_candidate": "README's abductive rule candidates",
-    "explain.relevant_attributes": "README's attribute-relevance ranking",
     "relational.nest_rewrite": "README's compact (nested) rewriting, the paper's MVD thread",
     "relational.NestedRelation.exact": "whether a nested rewrite keeps its relation",
+}
+
+
+#: The lines of function bodies that no command, acceptance test or bench
+#: round runs, kept for a reason: ("module.function", stripped line text)
+#: -> why.  Keyed by text, not number, so an edit elsewhere in the file
+#: leaves the entry valid; an entry covers every line of that function
+#: with that text.
+KEPT_LINES: dict[tuple[str, str], str] = {
+    # A value outside its domain: every command's query is a row of its table.
+    ("classify.PairKeys._keys", "outside += 1"):
+        "keys a library query with a value outside its domain",
+    ("classify.PairKeys._keys", "continue"):
+        "keys a library query with a value outside its domain",
+    ("classify.SelectedTripletModel.classify", "return self.vote(query)"):
+        "the dense vote for a library query that is no row; every fold's "
+        "query is a row of the run's table",
+    ("classify.analogical_suitability", "abstained += 1"):
+        "a row whose leave-one-out vote finds no triplet; suitability has no "
+        "command, and the bench's Monk rows all find one",
+    # The general JSON writer: no command's payload holds these values.
+    ("data.canonical_json.<locals>.text", 'return "{}"'):
+        "an empty object, as json.dumps writes it",
+    ("data.canonical_json.<locals>.text", "parts.append(_LITERALS[item])"):
+        "a literal inside an array, as json.dumps writes it",
+    ("data.canonical_json.<locals>.text", "return encode_basestring_ascii(value)"):
+        "a string as the whole payload, as json.dumps writes it",
+    ("data.canonical_json.<locals>.text", "if kind is bool or value is None:"):
+        "a literal as the whole payload, as json.dumps writes it",
+    ("data.canonical_json.<locals>.text", "return _LITERALS[value]"):
+        "a literal as the whole payload, as json.dumps writes it",
+    # Error paths that raise in a callee, not in a raise statement here.
+    ("data._validate_rows", "for row in rows:"):
+        "finds the bad cell of library rows; the loaders check each column first",
+    ("data._validate_rows", "schema.validate_item(row)"):
+        "finds the bad cell of library rows; the loaders check each column first",
+    # Answers no command asks for.
+    ("relational.mvd_witness", "return None"):
+        "an MVD that holds; deps asks for a witness only of one that fails",
+    ("relational.weak_mvd_witness", "return None"):
+        "a weak MVD that holds; deps asks for a witness only of one that fails",
+    ("relational.mvd_ap_correspondence",
+     "and _proj(t1, rest_idx) == _proj(t3, rest_idx))"):
+        "the second layout test; acceptance C8's strong-exchange quadruple "
+        "fails the first",
+    # A failed inference rule: only a wrong verdict table reaches these, as
+    # test_a_false_mvd_verdict_breaks_complementation makes one.
+    ("relational.mvd_inference_check",
+     'violations.append(("fd_implies_mvd", f"X={x_names} Y={y_names}"))'):
+        "reports an FD whose MVD verdict fails",
+    ("relational.mvd_inference_check",
+     'violations.append(("complementation", f"X={x_names} Y={y_names}"))'):
+        "reports an MVD whose complement's verdict fails",
+    ("relational.mvd_inference_check", 'violations.append(("augmentation", f"X={x_names} "'):
+        "reports a failed augmentation",
+    ("relational.mvd_inference_check", 'f"Y={y_names} U={u_names} Z={z_names}"))'):
+        "reports a failed augmentation",
+    ("relational.mvd_inference_check", 'violations.append(("transitivity",'):
+        "reports a failed transitivity",
+    ("relational.mvd_inference_check", 'f"X={x_names} Y={y_names} Z={z_names}"))'):
+        "reports a failed transitivity",
 }
 
 
@@ -85,25 +152,76 @@ def raise_sites() -> dict[tuple[str, int], range]:
     return sites
 
 
-def function_defs() -> dict[tuple[str, int], str]:
-    """(package file name, first line of its code object: the first
-    decorator's, if any) -> "module.qualified.name" of each function."""
-    defs = {}
+def _spans(path: Path) -> list[tuple[int, int, str]]:
+    """(first line of its code object: the first decorator's, if any,
+    last line, "module.qualified.name") of each function in ``path``,
+    each before the functions inside it."""
+    spans = []
 
-    def visit(node, path, prefix):
+    def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, path, f"{prefix}{child.name}.")
+                visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
-                defs[path.name, first] = f"{prefix}{child.name}"
-                visit(child, path, f"{prefix}{child.name}.<locals>.")
+                spans.append((first, child.end_lineno, f"{prefix}{child.name}"))
+                visit(child, f"{prefix}{child.name}.<locals>.")
             else:
-                visit(child, path, prefix)
+                visit(child, prefix)
 
+    visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
+    return spans
+
+
+def function_defs() -> dict[tuple[str, int], str]:
+    """(package file name, first line of its code object) ->
+    "module.qualified.name" of each function (see ``_spans``)."""
+    return {(path.name, first): name for path in sorted(PACKAGE.glob("*.py"))
+            for first, _, name in _spans(path)}
+
+
+def _code_lines(code) -> set[int]:
+    """The lines that have code in ``code``, less a ``def``'s first line
+    (its ``def`` or first decorator), on which no line event fires."""
+    lines = {line for *_, line in code.co_lines() if line is not None}
+    if not code.co_name.startswith("<"):
+        lines.discard(code.co_firstlineno)
+    return lines
+
+
+def executable_lines() -> dict[tuple[str, int], str]:
+    """(package file name, line) -> the innermost function around it, for
+    each line of a function body that has code (``_code_lines`` of the
+    functions, lambdas and comprehensions): a lambda or comprehension
+    belongs to the function it lies in."""
+    out = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path, f"{path.stem}.")
-    return defs
+        owner = {}
+        for first, last, name in _spans(path):
+            owner.update(dict.fromkeys(range(first, last + 1), name))
+        todo = [compile(path.read_text(encoding="utf-8"), path.name, "exec")]
+        while todo:
+            code = todo.pop()
+            todo += filter(inspect.iscode, code.co_consts)
+            if code.co_flags & inspect.CO_OPTIMIZED:  # not a module or class body
+                out.update({(path.name, line): owner[line]
+                            for line in _code_lines(code) if line in owner})
+    return out
+
+
+def error_paths(tree: ast.AST) -> set[int]:
+    """The lines of ``tree`` that lie on an error path: a ``raise``
+    statement, a block of an ``if`` that ends in one, an ``except``
+    handler."""
+    spans = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Raise, ast.ExceptHandler)):
+            spans.append((node.lineno, node.end_lineno))
+        elif isinstance(node, ast.If):
+            spans += [(block[0].lineno, block[-1].end_lineno)
+                      for block in (node.body, node.orelse)
+                      if block and isinstance(block[-1], ast.Raise)]
+    return {line for first, last in spans for line in range(first, last + 1)}
 
 
 def _run_in_process(argv, **_env_vars):
@@ -136,26 +254,40 @@ def _pytest(args: list[str]) -> int:
                            plugins=[_InProcessCli()]))
 
 
-def lines_run(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
-    """The pytest exit code and the (file name, line) pairs run in the
-    package while the suite ran."""
+def _traced(run) -> tuple[int, set[tuple[str, int]]]:
+    """What ``run()`` returns and the (file name, line) pairs it ran in
+    the package, under a line hook.  A code object is no longer traced
+    once all its lines (``_code_lines``) have run."""
     prefix = str(PACKAGE) + os.sep
-    seen: set[tuple[str, int]] = set()
+    left: dict = {}  # code object -> its lines not run yet
 
     def local(frame, event, _arg):
+        todo = left[frame.f_code]
         if event == "line":
-            seen.add((frame.f_code.co_filename, frame.f_lineno))
-        return local
+            todo.discard(frame.f_lineno)
+        return local if todo else None
 
     def calls(frame, _event, _arg):
-        return local if frame.f_code.co_filename.startswith(prefix) else None
+        code = frame.f_code
+        if not code.co_filename.startswith(prefix):
+            return None
+        if code not in left:
+            left[code] = _code_lines(code)
+        return local if left[code] else None
 
     sys.settrace(calls)
     try:
-        code = _pytest(pytest_args)
+        result = run()
     finally:
         sys.settrace(None)
-    return code, {(Path(name).name, line) for name, line in seen}
+    return result, {(Path(code.co_filename).name, line)
+                    for code, todo in left.items() for line in _code_lines(code) - todo}
+
+
+def lines_run(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
+    """The pytest exit code and the (file name, line) pairs run in the
+    package while the suite ran."""
+    return _traced(lambda: _pytest(pytest_args))
 
 
 def _bench_rounds() -> int:
@@ -172,11 +304,19 @@ def _bench_rounds() -> int:
     return failed
 
 
+def _command_runs() -> int:
+    """Run the digest cells, the acceptance tests and one round of each
+    bench workload; nonzero if the tests or a round failed."""
+    import payload_digests
+    payload_digests.digests()
+    payload_digests.cli_digests()
+    return _pytest(["tests/test_acceptance.py"]) or _bench_rounds()
+
+
 def functions_entered() -> tuple[int, set[tuple[str, int]]]:
     """Nonzero if the acceptance tests or a bench round failed, and the
     (file name, first line) of each package function entered by the
     digest cells, the acceptance tests or the bench rounds."""
-    import payload_digests
     prefix = str(PACKAGE) + os.sep
     entered = set()
 
@@ -186,13 +326,18 @@ def functions_entered() -> tuple[int, set[tuple[str, int]]]:
 
     sys.setprofile(hook)
     try:
-        payload_digests.digests()
-        payload_digests.cli_digests()
-        tests, rounds = _pytest(["tests/test_acceptance.py"]), _bench_rounds()
+        code = _command_runs()
     finally:
         sys.setprofile(None)
-    return tests or rounds, {(Path(code.co_filename).name, code.co_firstlineno)
-                             for code in entered if code.co_filename.startswith(prefix)}
+    return code, {(Path(code.co_filename).name, code.co_firstlineno)
+                  for code in entered if code.co_filename.startswith(prefix)}
+
+
+def command_lines() -> tuple[int, set[tuple[str, int]]]:
+    """Nonzero if a run failed, and the (file name, line) pairs run in
+    the package by the digest cells, the acceptance tests or the bench
+    rounds."""
+    return _traced(_command_runs)
 
 
 def functions_report(defs: dict[tuple[str, int], str],
@@ -206,6 +351,34 @@ def functions_report(defs: dict[tuple[str, int], str],
         if kept == ((name, line) in entered):
             (stale if kept else unentered).append(f"src/anaprop/{name}:{line} {qualname}")
     return unentered, stale
+
+
+def _kept(owner: str) -> bool:
+    """Whether ``KEPT`` names the function ``owner`` or one it lies in."""
+    return owner.split(".<locals>.")[0] in KEPT
+
+
+def lines_report(lines: dict[tuple[str, int], str],
+                 ran: set[tuple[str, int]]) -> tuple[list[str], list[str]]:
+    """The labels of the lines of ``lines`` (see ``executable_lines``)
+    that did not run, lie on no error path and in no ``KEPT`` function,
+    and that ``KEPT_LINES`` does not list, and of the ``KEPT_LINES``
+    entries that list no such line."""
+    texts = {path.name: path.read_text(encoding="utf-8").splitlines()
+             for path in PACKAGE.glob("*.py")}
+    exempt = {(name, line) for name, text in texts.items()
+              for line in error_paths(ast.parse("\n".join(text)))}
+    unrun, listed = [], set()
+    for (name, line), owner in sorted(lines.items()):
+        if (name, line) in ran or (name, line) in exempt or _kept(owner):
+            continue
+        key = owner, texts[name][line - 1].strip()
+        if key in KEPT_LINES:
+            listed.add(key)
+        else:
+            unrun.append(f"src/anaprop/{name}:{line} {key[0]}: {key[1]}")
+    return unrun, [f"{owner}: {text}" for owner, text in KEPT_LINES
+                   if (owner, text) not in listed]
 
 
 def _mtimes() -> dict[str, int]:
@@ -225,7 +398,17 @@ def main(args: list[str]) -> int:
         summary = (f"of {sum(name not in KEPT for name in defs.values())} functions "
                    "outside the allowlist ran in no digest cell, acceptance test or "
                    "bench round")
+        retire = f"of {len(KEPT)} allowlisted functions ran; take them off KEPT"
         failed = "a run failed; it may stop short of a function"
+    elif args[:1] == ["--lines"]:
+        lines = executable_lines()
+        code, seen = command_lines()
+        unrun, stale = lines_report(lines, seen)
+        summary = (f"of {len(lines)} function lines ran in no digest cell, acceptance "
+                   "test or bench round and are neither exempt nor allowlisted")
+        retire = (f"of {len(KEPT_LINES)} allowlisted lines have no unrun line; "
+                  "take them off KEPT_LINES")
+        failed = "a run failed; it may stop short of a line"
     else:
         targets = {f"src/anaprop/{name}:{line}": [(name, step) for step in lines]
                    for (name, line), lines in sorted(raise_sites().items())}
@@ -244,8 +427,7 @@ def main(args: list[str]) -> int:
     print(f"{len(unrun)} {summary}")
     if stale:
         print("\n".join(stale))
-        print(f"{len(stale)} of {len(KEPT)} allowlisted functions ran; "
-              "take them off KEPT")
+        print(f"{len(stale)} {retire}")
     if code != 0:
         print(failed)
         return 2

@@ -77,6 +77,35 @@ def random_dataset(rng, max_rows=9, max_attrs=3, max_domain=3, labels=("p", "q",
     return Dataset(schema, class_attr, items, lab)
 
 
+def change_key(keys: PairKeys, change):
+    """Oracle: the key of any pair with the difference vector ``change``,
+    the sum of ``keys``' entries of its changed values; None when a value
+    lies outside its domain, since two different outside values of one
+    attribute would add the same 1 to a key."""
+    key = 0
+    for k, values in enumerate(change):
+        if values is not None:
+            x, y = (keys._codes[k].get(v) for v in values)
+            if x is None or y is None:
+                return None
+            key += keys._entry(k, x, y)
+    return key
+
+
+def listed_model(ds: Dataset, pairs, radius: int) -> SelectedTripletModel:
+    """Oracle: a selected model of ``ds`` that counts the listed competent
+    ``pairs``, each under the key of its change, to compare
+    ``SelectedTripletModel.mined`` with.  An out-of-domain change matches
+    no c, and one beyond the radius matches no c near enough to vote."""
+    model = SelectedTripletModel(ds, radius)
+    modulus, codes = model.pair_keys.modulus, model.label_order.index
+    for p in pairs:
+        key = change_key(model.pair_keys, p.change)
+        if key is not None and key % modulus <= radius:
+            model._count([key], [model.slot(codes(p.label_a), codes(p.label_b))])
+    return model
+
+
 class TestBruteForce:
     def test_matches_cubic_oracle_on_random_data(self):
         rng = random.Random(7)
@@ -247,7 +276,7 @@ class TestBruteForceModelDowndating:
         index = BruteForceModel(ds)
         index.leave_out([0, 3])
         pairs = extract_competent_pairs(ds, 2, 0.9)
-        selected = SelectedTripletModel(ds, pairs, 2)
+        selected = listed_model(ds, pairs, 2)
         knn, mined = KnnModel(ds), selected.mined(range(len(ds)), range(len(ds)), 2, 0.9)
         query = ds.items[5]
         for table, rows in ((index, [len(ds)]), (index, [-1]), (index, [0, len(ds)]),
@@ -258,7 +287,7 @@ class TestBruteForceModelDowndating:
                 table.leave_out(rows)
             assert table_state(table, query) == before
         assert as_tuple(selected.vote(query)) == \
-            as_tuple(SelectedTripletModel(ds, pairs, 2).vote(query))
+            as_tuple(listed_model(ds, pairs, 2).vote(query))
         before = table_state(index, query)
         index.leave_out([3, 0, 3])
         assert table_state(index, query) == before
@@ -275,7 +304,7 @@ class TestBruteForceModelDowndating:
         assert as_tuple(BruteForceModel(ds).vote(query)) == \
             ("0", {"0": 757, "1": 192}, 1125, False)
         pairs = extract_competent_pairs(ds, 2, 0.9)
-        listed = SelectedTripletModel(ds, pairs, 2)
+        listed = listed_model(ds, pairs, 2)
         counted = BruteForceModel(ds)
         left = counted.without([0])
         for table in (listed, counted, left, counted._copy(range(1, len(ds)))):
@@ -284,7 +313,7 @@ class TestBruteForceModelDowndating:
                 table.count_pairs()
             assert table_state(table, query) == before
         assert as_tuple(listed.vote(query)) == \
-            as_tuple(SelectedTripletModel(ds, pairs, 2).vote(query))
+            as_tuple(listed_model(ds, pairs, 2).vote(query))
         with pytest.raises(ValueError, match="counts every pair"):
             listed.leave_out([5])
         uncounted = counted._copy(range(len(ds)))
@@ -298,6 +327,12 @@ def table_state(table: _PairCounts, query):
     return (dict(table.total), dict(table.labelled), dict(table._out_total),
             dict(table._out_labelled), list(table.live), table.complete,
             as_tuple(table.vote(query)))
+
+
+def two_row_dataset() -> Dataset:
+    """Rows u and v of one attribute, labelled p and q."""
+    return Dataset(Schema.from_pairs([("a0", ("u", "v"))]), Attribute("c", ("p", "q")),
+                   (("u",), ("v",)), ("p", "q"))
 
 
 @st.composite
@@ -408,6 +443,9 @@ class TestRunTableDerivation:
                     fresh.predictions(query, [1, 2, 5])
 
     @given(fold_scenarios(), st.integers(1, 2), st.randoms(use_true_random=False))
+    # Each row its own fold: a fold's table that lists a change first sees
+    # only the other row's pairs.
+    @example((two_row_dataset(), [[0], [1]]), 1, random.Random(0))
     def test_derived_contexts_are_live_filtered_pair_scans(self, scenario, max_literals,
                                                            rng):
         # The run lists each change's pairs once, for whichever table asks
@@ -443,7 +481,7 @@ class TestRunTableDerivation:
         ds = monk1_sample()
         config = CvConfig(strategy="selected", folds=5, min_support=10_000,
                           fallback="brute")
-        run = SelectedTripletModel(ds, (), config.radius)
+        run = SelectedTripletModel(ds, config.radius)
         full = BruteForceModel(ds)
         assignment = make_folds(ds, config.folds, config.seed)[0]
         out_sets = [[]] + assignment
@@ -486,14 +524,14 @@ class TestRunTableDerivation:
         # Each fold mines a sample of its training rows; the fresh model
         # lists the competent pairs of that sample.
         ds, assignment = scenario
-        run = SelectedTripletModel(ds, (), radius)
+        run = SelectedTripletModel(ds, radius)
         for test_idx in assignment:
             train_idx = [i for i in range(len(ds)) if i not in test_idx]
             mining = sorted(rng.sample(train_idx, rng.randint(1, len(train_idx))))
             derived = run.mined(train_idx, mining, min_support, min_confidence)
             pairs = extract_competent_pairs_oracle(ds.subset(mining), min_support,
                                                    min_confidence)
-            fresh = SelectedTripletModel(ds.subset(train_idx), pairs, radius)
+            fresh = listed_model(ds.subset(train_idx), pairs, radius)
             assert index_snapshot(derived) == index_snapshot(fresh)
             assert derived.live == [i in train_idx for i in range(len(ds))]
             assert derived.pair_keys is run.pair_keys
@@ -618,9 +656,9 @@ class TestTableLifecycle:
         live = [i for i, on in enumerate(table.live) if on]
         sub = ds.subset(live)
         if tag[0] == "mined":
-            fresh = SelectedTripletModel(ds, (), radius).mined(*tag[1:])
+            fresh = SelectedTripletModel(ds, radius).mined(*tag[1:])
         elif tag[0] == "listed":
-            fresh = SelectedTripletModel(ds, tag[1], radius)
+            fresh = listed_model(ds, tag[1], radius)
         else:
             fresh = BruteForceModel(sub) if tag[0] == "counted" else _PairCounts(sub)
         assert index_groups(table) == index_groups(fresh)
@@ -648,8 +686,8 @@ class TestTableLifecycle:
         pairs = extract_competent_pairs(ds, self.MIN_SUPPORT, self.MIN_CONFIDENCE)
         tables = [(BruteForceModel(ds), ("counted",)),
                   (BongardModel(ds, max_literals), ("counted",)),
-                  (SelectedTripletModel(ds, pairs, radius), ("listed", pairs)),
-                  (SelectedTripletModel(ds, (), radius), ("uncounted",)),
+                  (listed_model(ds, pairs, radius), ("listed", pairs)),
+                  (SelectedTripletModel(ds, radius), ("uncounted",)),
                   (KnnModel(ds), ("uncounted",))]
         for table, tag in tables:
             self.check(ds, queries, table, tag, max_literals, radius)
@@ -692,10 +730,10 @@ class TestTableLifecycle:
         assert answer == fresh.predictions(ds.items[5], self.BUDGETS)
         assert as_tuple(answer[-1]) == ("0", {"0": 28, "1": 4}, 242, False)
         rows = range(n)
-        listed = SelectedTripletModel(ds, extract_competent_pairs(ds, 2, 0.9), 2)
+        listed = listed_model(ds, extract_competent_pairs(ds, 2, 0.9), 2)
         mined = listed.mined(rows, rows, 2, 0.9)
         assert index_groups(mined) == \
-            index_groups(SelectedTripletModel(ds, (), 2).mined(rows, rows, 2, 0.9))
+            index_groups(SelectedTripletModel(ds, 2).mined(rows, rows, 2, 0.9))
         assert as_tuple(mined.classify(ds.items[5])) == ("0", {"0": 201}, 201, False)
 
 
@@ -832,13 +870,13 @@ class TestCompetentPairs:
             assert group[behavior] == truth.support
             matching = [p for p in mined if p.change == truth.change
                         and (p.label_a == p.label_b if truth.tilt is None
-                             else p.tilt == truth.tilt)]
+                             else (p.label_a, p.label_b) == truth.tilt)]
             assert len(matching) == truth.support
             assert all(p.confidence == truth.confidence for p in matching)
         # Everything mined must agree with the oracle's counts.
         for p in mined:
             group = oracle[p.change]
-            behavior = "same" if p.label_a == p.label_b else p.tilt
+            behavior = "same" if p.label_a == p.label_b else (p.label_a, p.label_b)
             assert p.support == group[behavior]
             assert p.confidence == group[behavior] / sum(group.values())
 
@@ -860,7 +898,7 @@ class TestSelectedTriplets:
                 continue
             query = tuple(rng.choice(a.domain) for a in ds.schema.attributes)
             brute = BruteForceModel(ds).vote(query)
-            sel = SelectedTripletModel(ds, pairs, ds.schema.arity).vote(query)
+            sel = listed_model(ds, pairs, ds.schema.arity).vote(query)
             for label, count in sel.votes.items():
                 assert count <= brute.votes.get(label, 0)
 
@@ -873,7 +911,7 @@ class TestSelectedTriplets:
         compared = 0
         for _ in range(50):
             query = tuple(rng.choice(a.domain) for a in ds.schema.attributes)
-            sel = SelectedTripletModel(ds, pairs, 2).vote(query)
+            sel = listed_model(ds, pairs, 2).vote(query)
             brute = BruteForceModel(ds).vote(query)
             if not sel.abstained and not brute.abstained:
                 compared += 1
@@ -884,7 +922,7 @@ class TestSelectedTriplets:
         ds, _ = generate_planted_rules([PlantedRule(pairs=3)])
         pairs = extract_competent_pairs(ds, min_support=1, min_confidence=0.0)
         query = ds.items[0]
-        pred = SelectedTripletModel(ds, pairs, 0).vote(query)
+        pred = listed_model(ds, pairs, 0).vote(query)
         # c must equal the query, and competent pairs all carry a change,
         # so no triplet can qualify at radius 0.
         assert pred.abstained
@@ -893,7 +931,7 @@ class TestSelectedTriplets:
         # With no competent pair the table counts nothing: every query,
         # a row or not, is voted on by no triplet.
         ds, _ = generate_planted_rules([PlantedRule(pairs=2)])
-        model = SelectedTripletModel(ds, [], ds.schema.arity)
+        model = listed_model(ds, [], ds.schema.arity)
         fresh = tuple(a.domain[-1] for a in ds.schema.attributes)
         for query in (ds.items[0], fresh):
             assert as_tuple(model.vote(query)) == (None, {}, 0, True)
@@ -902,9 +940,9 @@ class TestSelectedTriplets:
         ds, _ = generate_planted_rules([PlantedRule(pairs=3)])
         pairs = extract_competent_pairs(ds, min_support=1, min_confidence=0.0)
         with pytest.raises(DataError, match="radius"):
-            SelectedTripletModel(ds, pairs, -1)
+            listed_model(ds, pairs, -1)
         with pytest.raises(DataError, match="radius"):
-            SelectedTripletModel(ds, (), -1)
+            SelectedTripletModel(ds, -1)
 
 
 def separation_oracle(same_ctx, diff_ctx, attrs, domains, max_literals):
@@ -976,6 +1014,22 @@ class TestBongardSeparation:
             if prop is not None:
                 assert all(a[0:len(a)] and prop.satisfied_by(a) for a, _ in same)
                 assert not any(prop.satisfied_by(a) for a, _ in other)
+
+    def test_a_context_on_both_sides_is_separated_by_nothing(self):
+        # Whatever else each side holds, a context that both hold satisfies
+        # every literal shared by the same side, so no conjunction separates.
+        rng = random.Random(11)
+        for _ in range(50):
+            shared = tuple(rng.choice("012") for _ in range(3))
+            same_ctx = {shared} | {tuple(rng.choice("012") for _ in range(3))
+                                   for _ in range(rng.randint(0, 2))}
+            diff_ctx = {shared} | {tuple(rng.choice("012") for _ in range(3))
+                                   for _ in range(rng.randint(0, 2))}
+            same, other = self.make_pairs(sorted(same_ctx)), self.make_pairs(sorted(diff_ctx))
+            for max_literals in (1, 2, 3):
+                assert bongard_separation(same, other, (0, 1, 2), max_literals) is None
+                assert separation_oracle(same_ctx, diff_ctx, (0, 1, 2),
+                                         {i: "012" for i in range(3)}, max_literals) is None
 
     def test_empty_side_rejected(self):
         same = self.make_pairs([("g", "a")])
@@ -1685,6 +1739,8 @@ class TestPairKeys:
             assert keys.keys_to(item) == column_sum_keys(keys, item, False)
 
     @given(keyed_datasets())
+    # A query with its one value outside its domain.
+    @example((two_row_dataset(), [("u",), ("alien",)]))
     def test_keys_stand_for_difference_vectors(self, case):
         ds, queries = case
         items = list(ds.items) + queries[:-1]
@@ -1700,7 +1756,7 @@ class TestPairKeys:
                 assert back == keys.keys_from(b)[items.index(a)]
                 assert (key == 0) == (a == b)
                 assert key % keys.modulus == hamming(a, b)
-                assert keys.change_key(d) == key
+                assert change_key(keys, d) == key
         assert all(len(v) == 1 for v in by_key.values())
         assert all(len(v) == 1 for v in by_diff.values())
         # A value outside its domain keys no pair of in-domain items, and
@@ -1828,6 +1884,8 @@ class TestCountingAgainstTupleOracles:
     @given(keyed_datasets(), st.integers(1, 3),
            st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.integers(0, 4),
            st.sampled_from([None, 0.5, 0.8]), st.randoms(use_true_random=False))
+    # The competent pairs (u, v) and (v, u) lie at the radius, 1.
+    @example((two_row_dataset(), [("u",)]), 1, 0.5, 1, None, random.Random(0))
     def test_counted_selected_model_matches_pair_list(self, case, min_support,
                                                       min_confidence, radius,
                                                       subsample, rng):
@@ -1838,9 +1896,9 @@ class TestCountingAgainstTupleOracles:
             mining = sorted(rng.sample(range(len(ds)), take))
         pairs = extract_competent_pairs_oracle(ds.subset(mining), min_support,
                                                min_confidence)
-        counted = SelectedTripletModel(ds, (), radius).mined(
+        counted = SelectedTripletModel(ds, radius).mined(
             range(len(ds)), mining, min_support, min_confidence)
-        listed = SelectedTripletModel(ds, pairs, radius)
+        listed = listed_model(ds, pairs, radius)
         for query in queries + list(ds.items[:3]):
             want = selected_vote_oracle(ds, pairs, query, radius)
             assert as_tuple(counted.classify(query)) == want
@@ -1852,23 +1910,23 @@ class TestCountingAgainstTupleOracles:
             self, case, min_support, min_confidence, radius):
         ds, _ = case
         pairs = extract_competent_pairs_oracle(ds, min_support, min_confidence)
-        listed = SelectedTripletModel(ds, pairs, radius)
+        listed = listed_model(ds, pairs, radius)
         modulus = PairKeys(ds.schema, ds.items).modulus
 
         def near(key):
             return 1 <= key % modulus <= radius
 
         rows = range(len(ds))
-        mined = SelectedTripletModel(ds, (), radius).mined(rows, rows, min_support,
+        mined = SelectedTripletModel(ds, radius).mined(rows, rows, min_support,
                                                           min_confidence)
         assert mined.total == {k: n for k, n in listed.total.items() if near(k)}
         assert mined.labelled == {e: n for e, n in listed.labelled.items()
                                   if near(e // listed.scale)}
         # A radius of at least the arity reaches every pair of distinct items.
         reach = ds.schema.arity + radius
-        unbounded = SelectedTripletModel(ds, (), reach).mined(rows, rows, min_support,
+        unbounded = SelectedTripletModel(ds, reach).mined(rows, rows, min_support,
                                                              min_confidence)
-        everything = SelectedTripletModel(ds, pairs, reach)
+        everything = listed_model(ds, pairs, reach)
         assert (unbounded.total, unbounded.labelled) == \
             (everything.total, everything.labelled)
 
@@ -1887,10 +1945,10 @@ class TestCountingAgainstTupleOracles:
         item, label = rng.choice(list(zip(ds.items, ds.labels)))
         unchanged = CompetentPair(item, item, label, label, diff(item, item), 1, 1.0)
         pairs = extract_competent_pairs_oracle(ds, min_support, 0.5) + [unchanged]
-        listed = SelectedTripletModel(ds, pairs, radius)
-        mined = SelectedTripletModel(ds, (), radius).mined(train_idx, mining, min_support, 0.5)
+        listed = listed_model(ds, pairs, radius)
+        mined = SelectedTripletModel(ds, radius).mined(train_idx, mining, min_support, 0.5)
         # Listed pairs counted with only the training rows live as c.
-        sparse = SelectedTripletModel(ds, pairs, radius)
+        sparse = listed_model(ds, pairs, radius)
         sparse.live = [i in train_idx for i in range(len(ds))]
         models = (mined, listed, sparse)
         for model in models:
@@ -1919,7 +1977,7 @@ class TestCountingAgainstTupleOracles:
         pairs.append(CompetentPair(c, stray, label, label, diff(c, stray), 1, 1.0))
         for query in (alien, ("alien",) * ds.schema.arity):
             for pred in (BruteForceModel(ds).vote(query),
-                         SelectedTripletModel(ds, pairs, ds.schema.arity).vote(query),
+                         listed_model(ds, pairs, ds.schema.arity).vote(query),
                          BongardModel(ds, 2).classify(query, 3)):
                 assert as_tuple(pred) == (None, {}, 0, True)
 

@@ -190,6 +190,21 @@ class TestDepsCommand:
         assert out.startswith("X=course Y=teacher,time: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["ap", "check", "g", "h", "g", "h"],
+    ["explain", "--data", *COFFEE, "--query", "sit_2,no,coffee,yes,yes", "--why",
+     "with_milk"],
+    ["deps", "--data", str(DATA / "courses.csv")],
+], ids=["ap", "explain", "deps"])
+def test_human_is_the_default_format(capsys, argv):
+    # No --format writes what --format human writes, which is not the JSON.
+    default = run(capsys, argv)
+    assert default == run(capsys, [*argv, "--format", "human"])
+    code, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert code == default[0] == 0 and out != default[1]
+    assert isinstance(json.loads(out), dict)
+
+
 class TestGenerateCommand:
     def test_monk_counts(self, capsys, tmp_path):
         out_file = tmp_path / "monk1.csv"

@@ -76,18 +76,23 @@ class TestInverseParalogy:
     def test_rejects_larger_domains(self):
         with pytest.raises(SchemaError):
             inverse_paralogy("a", "b", "c", "a")
-        with pytest.raises(SchemaError):
-            inverse_paralogy("0", "0", "1", "1", domain=("0", "1", "2"))
 
-    def test_declared_two_symbol_domain(self):
-        # The domain fixes which symbol is "true", and the verdict matches
-        # the undeclared one on every quadruple over that domain.
+    def test_two_named_symbols(self):
+        # The symbols seen are the domain: on every quadruple over two
+        # named symbols the verdict is that of 0/1, and a third is refused.
         for quad in boolean_quadruples():
             renamed = tuple({"0": "no", "1": "yes"}[v] for v in quad)
-            assert (inverse_paralogy(*renamed, domain=("yes", "no"))
-                    == inverse_paralogy(*quad))
+            assert inverse_paralogy(*renamed) == inverse_paralogy(*quad)
         with pytest.raises(SchemaError):
-            inverse_paralogy("no", "no", "yes", "maybe", domain=("no", "yes"))
+            inverse_paralogy("no", "no", "yes", "maybe")
+
+    def test_one_named_symbol_reads_alike_under_either_coding(self):
+        # One symbol seen could be coded as 0 or as 1; IP(0,0,0,0) and
+        # IP(1,1,1,1) agree, so the verdict does not hang on the choice.
+        assert inverse_paralogy("0", "0", "0", "0") == inverse_paralogy("1", "1", "1", "1")
+        for symbol in ("0", "1", "no", "yes"):
+            assert (inverse_paralogy(symbol, symbol, symbol, symbol)
+                    == inverse_paralogy("0", "0", "0", "0"))
 
     def test_code_independent_over_any_two_symbols(self):
         # Renaming 0/1 to any symbol pair must not change the verdict.

@@ -1,7 +1,5 @@
-"""Adverse examples, contrastive explanations and attribute relevance."""
+"""Adverse examples and contrastive explanations."""
 
-import math
-from collections import Counter
 from unittest import mock
 
 import pytest
@@ -14,8 +12,6 @@ from anaprop.data import DataError, Relation
 from anaprop.explain import (
     contrastive_explain,
     find_adverse_examples,
-    relevant_attributes,
-    rule_candidate,
 )
 
 COFFEE_D = ("sit_2", "no", "coffee", "yes", "yes")
@@ -260,25 +256,7 @@ class TestPairCountsByLookup:
             ranked_rows(rel, query, result_attr, target)
 
 
-class TestRuleCandidate:
-    def test_coffee_milk_rule(self, coffee_table):
-        exp = contrastive_explain(coffee_table, COFFEE_D, "with_milk")
-        rule = rule_candidate(exp.split, coffee_table.schema.names,
-                              exp.supporting_pairs, exp.exception_pairs)
-        assert rule.change_attributes == ("situation",)
-        assert rule.change_values == ("sit_2",)
-        assert rule.result_attribute == "with_milk"
-        assert rule.result_value == "yes"
-        assert rule.exception_pairs == 0
-
-    def test_exception_counted(self):
-        rel = strength_table()
-        exp = contrastive_explain(rel, ("e", "w", "q"), "res")
-        rule = rule_candidate(exp.split, rel.schema.names,
-                              exp.supporting_pairs, exp.exception_pairs)
-        assert rule.supporting_pairs == 3
-        assert rule.exception_pairs == 1
-
+class TestContextSplit:
     def test_split_roles(self, coffee_table):
         exp = contrastive_explain(coffee_table, COFFEE_D, "with_milk")
         split = exp.split
@@ -287,64 +265,3 @@ class TestRuleCandidate:
         assert split.change_from == ("sit_1",) and split.change_to == ("sit_2",)
         assert (split.result_from, split.result_to) == ("no", "yes")
 
-
-def entropy(counter, n):
-    return -sum((c / n) * math.log(c / n) for c in counter.values())
-
-
-def mi_oracle(rel, j, ridx):
-    """H(X) + H(Y) - H(X,Y) over the observed contingency."""
-    n = len(rel.tuples)
-    px = Counter(t[j] for t in rel.tuples)
-    py = Counter(t[ridx] for t in rel.tuples)
-    pxy = Counter((t[j], t[ridx]) for t in rel.tuples)
-    return entropy(px, n) + entropy(py, n) - entropy(pxy, n)
-
-
-class TestRelevantAttributes:
-    def product_table(self):
-        # res is copied into "same"; "noise" varies independently.
-        schema = Schema.from_pairs([
-            ("same", ("p", "q")), ("noise", ("0", "1")), ("res", ("p", "q")),
-        ])
-        rows = [(r, b, r) for r in ("p", "q") for b in ("0", "1")]
-        return Relation.from_rows(schema, rows)
-
-    def test_identical_attribute_ranks_first(self):
-        rel = self.product_table()
-        ranking = relevant_attributes(rel, "res")
-        assert ranking[0][0] == "same"
-        assert ranking[0][1] == pytest.approx(math.log(2))
-        assert ranking[1] == ("noise", pytest.approx(0.0))
-
-    def test_scores_match_entropy_oracle(self):
-        rel = strength_table()
-        ranking = dict(relevant_attributes(rel, "res"))
-        for j, attr in enumerate(rel.schema.attributes):
-            if attr.name == "res":
-                continue
-            assert ranking[attr.name] == pytest.approx(mi_oracle(rel, j, 2))
-
-    def test_constant_result_scores_zero(self):
-        schema = Schema.from_pairs([("x", "01"), ("res", ("p", "q"))])
-        rel = Relation.from_rows(schema, [("0", "p"), ("1", "p")])
-        ranking = relevant_attributes(rel, "res")
-        assert ranking == [("x", 0.0)]
-
-    def test_chi_square_hand_value(self):
-        schema = Schema.from_pairs([("x", ("x", "y")), ("res", ("p", "q"))])
-        rel_rows = [("x", "p"), ("y", "q"), ("x", "q")]
-        # Include a duplicate-free 4th row to match the hand contingency:
-        # joint (x,p)=2 via two distinct rows is impossible under set
-        # semantics, so use a 3-row table: joint (x,p)=1,(y,q)=1,(x,q)=1.
-        rel = Relation.from_rows(schema, rel_rows)
-        # Hand computation: n=3, px=(x:2,y:1), py=(p:1,q:2).
-        # expected: (x,p)=2/3, (x,q)=4/3, (y,p)=1/3, (y,q)=2/3
-        # chi2 = (1-2/3)^2/(2/3) + (1-4/3)^2/(4/3) + (0-1/3)^2/(1/3)
-        #      + (1-2/3)^2/(2/3) = 1/6 + 1/12 + 1/3 + 1/6 = 0.75
-        ranking = relevant_attributes(rel, "res", method="chi2")
-        assert ranking == [("x", pytest.approx(0.75))]
-
-    def test_method_validated(self, coffee_table):
-        with pytest.raises(DataError):
-            relevant_attributes(coffee_table, "with_milk", method="anova")

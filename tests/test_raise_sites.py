@@ -1,10 +1,12 @@
 """``raise_sites.py`` refuses a run during which a package file changed:
 the lines it traced would no longer be those of the sites it parsed.  Its
-allowlist of functions (``KEPT``) cannot rot silently: each entry names a
-package function and gives a reason, as ``test_mutants.py`` checks the
-mutation list, and the functions mode lists an entry that its run did
-enter.  The traced runs themselves stay outside tier-1."""
+allowlists of functions (``KEPT``) and of lines (``KEPT_LINES``) cannot
+rot silently: each entry names a package function (and a line of it) and
+gives a reason, as ``test_mutants.py`` checks the mutation list, and the
+functions and lines modes list an entry that their run did reach.  The
+traced runs themselves stay outside tier-1."""
 
+import ast
 import importlib
 import inspect
 import shutil
@@ -13,7 +15,7 @@ import sys
 from pathlib import Path
 
 import raise_sites
-from raise_sites import KEPT, function_defs
+from raise_sites import KEPT, KEPT_LINES, error_paths, executable_lines, function_defs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -82,3 +84,114 @@ def test_a_kept_function_that_ran_is_listed_and_exits_1(monkeypatch, capsys):
         assert out.startswith("0 of ")
         assert (f"src/anaprop/{file}:{line} core.hamming" in out) == bool(code)
     assert f"1 of {len(KEPT)} allowlisted functions ran; take them off KEPT" in out
+
+
+def _texts() -> dict[str, list[str]]:
+    return {path.name: path.read_text(encoding="utf-8").splitlines()
+            for path in raise_sites.PACKAGE.glob("*.py")}
+
+
+def test_every_kept_line_is_a_line_of_its_function_and_has_a_reason():
+    texts = _texts()
+    held = {(owner, texts[file][line - 1].strip())
+            for (file, line), owner in executable_lines().items()}
+    defined = set(function_defs().values())
+    for (owner, text), reason in KEPT_LINES.items():
+        assert owner in defined, owner
+        assert (owner, text) in held, (owner, text)
+        assert isinstance(reason, str) and reason.strip(), (owner, text)
+
+
+def test_a_kept_line_that_ran_is_listed_and_exits_1(monkeypatch, capsys):
+    # A fake run that ran every line but the allowlisted ones, and then
+    # one that also ran every line of one entry: only the second is refused.
+    monkeypatch.chdir(ROOT)
+    lines, texts = executable_lines(), _texts()
+    listed = {key: owner for key, owner in lines.items()
+              if (owner, texts[key[0]][key[1] - 1].strip()) in KEPT_LINES}
+    entry = next(iter(KEPT_LINES))
+    entry_lines = {key for key, owner in listed.items()
+                   if (owner, texts[key[0]][key[1] - 1].strip()) == entry}
+    others = set(lines) - set(listed)
+    for ran, code in ((others, 0), (others | entry_lines, 1)):
+        monkeypatch.setattr(raise_sites, "command_lines", lambda: (0, ran))
+        assert raise_sites.main(["--lines"]) == code
+        out = capsys.readouterr().out
+        assert out.startswith("0 of ")
+        assert (f"\n{entry[0]}: {entry[1]}\n" in out) == bool(code)
+    assert (f"1 of {len(KEPT_LINES)} allowlisted lines have no unrun line; "
+            "take them off KEPT_LINES") in out
+
+
+def test_raise_ending_if_blocks_and_except_handlers_are_exempt():
+    source = """\
+def f(x):
+    if x < 0:
+        x = -x
+        raise ValueError(x)
+    elif x == 1:
+        x = 2
+    else:
+        raise KeyError(
+            x)
+    try:
+        y = 1 / x
+    except ZeroDivisionError:
+        y = 0
+    if y:
+        y += 1
+    return y
+"""
+    # The if tests (lines 2, 5) and every line of no error path run.
+    assert error_paths(ast.parse(source)) == {3, 4, 8, 9, 12, 13}
+
+
+TOY = """\
+def f(x):
+    y = [v + 1 for v in x]
+    if not y:
+        return None
+    return y
+
+
+def g(x):
+    def h(v):
+        return v * 2
+    return h(x)
+"""
+
+
+def _toy_package(monkeypatch, tmp_path, source, kept=(), kept_lines=()):
+    (tmp_path / "toy.py").write_text(source, encoding="utf-8")
+    monkeypatch.setattr(raise_sites, "PACKAGE", tmp_path)
+    monkeypatch.setattr(raise_sites, "KEPT", dict.fromkeys(kept, "a reason"))
+    monkeypatch.setattr(raise_sites, "KEPT_LINES", dict.fromkeys(kept_lines, "a reason"))
+    return raise_sites.executable_lines()
+
+
+def test_a_kept_line_is_found_by_its_text_wherever_it_moves(monkeypatch, tmp_path):
+    # The entry still covers its line after two lines are put above it,
+    # and is stale once that line runs.
+    entry = ("toy.f", "return None")
+    for source, line in ((TOY, 4), ("import os\n\n" + TOY, 6)):
+        lines = _toy_package(monkeypatch, tmp_path, source, kept=["toy.g"],
+                             kept_lines=[entry])
+        assert lines[("toy.py", line)] == "toy.f"
+        others = set(lines) - {("toy.py", line)}
+        assert raise_sites.lines_report(lines, others) == ([], [])
+        assert raise_sites.lines_report(lines, set(lines)) == ([], ["toy.f: return None"])
+
+
+def test_the_lines_of_a_kept_function_and_its_inner_ones_are_exempt(monkeypatch, tmp_path):
+    # A comprehension's line belongs to its function; an inner function's
+    # lines are exempt when KEPT names the function it lies in.
+    lines = _toy_package(monkeypatch, tmp_path, TOY, kept=["toy.g"])
+    assert lines[("toy.py", 2)] == "toy.f"
+    assert lines[("toy.py", 10)] == "toy.g.<locals>.h"
+    assert lines[("toy.py", 11)] == "toy.g"
+    unrun, stale = raise_sites.lines_report(lines, set())
+    assert unrun == ["src/anaprop/toy.py:2 toy.f: y = [v + 1 for v in x]",
+                     "src/anaprop/toy.py:3 toy.f: if not y:",
+                     "src/anaprop/toy.py:4 toy.f: return None",
+                     "src/anaprop/toy.py:5 toy.f: return y"]
+    assert stale == []
